@@ -272,7 +272,7 @@ int Main(int argc, char** argv) {
   // *exactly* against the committed baseline: an unintended change to the
   // search (a pruning regression, an index bug) shows up as a work-count
   // diff even when wall time happens to look fine.
-  const std::string stats_section = JsonObject({
+  std::vector<std::string> stats_fields = {
       JsonField("dataset",
                 JsonObject({
                     JsonField("genes", JsonInt(cfg.num_genes)),
@@ -287,21 +287,13 @@ int Main(int argc, char** argv) {
                     JsonField("gamma", JsonDouble(base.gamma)),
                     JsonField("epsilon", JsonDouble(base.epsilon)),
                 })),
-      JsonField("nodes_expanded", JsonInt(serial_stats.nodes_expanded)),
-      JsonField("extensions_tested", JsonInt(serial_stats.extensions_tested)),
-      JsonField("pruned_min_genes", JsonInt(serial_stats.pruned_min_genes)),
-      JsonField("pruned_p_majority", JsonInt(serial_stats.pruned_p_majority)),
-      JsonField("pruned_duplicate", JsonInt(serial_stats.pruned_duplicate)),
-      JsonField("pruned_coherence", JsonInt(serial_stats.pruned_coherence)),
-      JsonField("genes_dropped_min_conds",
-                JsonInt(serial_stats.genes_dropped_min_conds)),
-      JsonField("clusters_emitted", JsonInt(serial_stats.clusters_emitted)),
-      JsonField("index_word_ops", JsonInt(serial_stats.index_word_ops)),
-      JsonField("coherence_divide_calls",
-                JsonInt(serial_stats.coherence_divide_calls)),
-      JsonField("coherence_scores", JsonInt(serial_stats.coherence_scores)),
-      JsonField("dedup_probes", JsonInt(serial_stats.dedup_probes)),
-  });
+  };
+  for (const core::MinerStatsField& f : core::kMinerStatsFields) {
+    if (f.cls == core::StatsFieldClass::kWork) {
+      stats_fields.push_back(JsonField(f.name, JsonInt(serial_stats.*f.count)));
+    }
+  }
+  const std::string stats_section = JsonObject(stats_fields);
   if (!UpsertBenchSection(out_path, "stats", stats_section)) {
     std::fprintf(stderr, "WARNING: could not write %s\n", out_path.c_str());
   } else {
@@ -543,23 +535,17 @@ int Main(int argc, char** argv) {
       for (const auto& c : clusters) key += c.Key() + ";";
       return key;
     };
-    const bool inc_identical =
-        cluster_key(inc_clusters) == cluster_key(scratch_clusters) &&
-        inc_stats.nodes_expanded == scratch_stats.nodes_expanded &&
-        inc_stats.extensions_tested == scratch_stats.extensions_tested &&
-        inc_stats.pruned_min_genes == scratch_stats.pruned_min_genes &&
-        inc_stats.pruned_p_majority == scratch_stats.pruned_p_majority &&
-        inc_stats.pruned_duplicate == scratch_stats.pruned_duplicate &&
-        inc_stats.pruned_coherence == scratch_stats.pruned_coherence &&
-        inc_stats.genes_dropped_min_conds ==
-            scratch_stats.genes_dropped_min_conds &&
-        inc_stats.clusters_emitted == scratch_stats.clusters_emitted &&
-        inc_stats.index_builds == scratch_stats.index_builds &&
-        inc_stats.index_word_ops == scratch_stats.index_word_ops &&
-        inc_stats.coherence_divide_calls ==
-            scratch_stats.coherence_divide_calls &&
-        inc_stats.coherence_scores == scratch_stats.coherence_scores &&
-        inc_stats.dedup_probes == scratch_stats.dedup_probes;
+    // Every deterministic counter must match: the work counters and the
+    // one-model-build count.
+    bool inc_identical =
+        cluster_key(inc_clusters) == cluster_key(scratch_clusters);
+    for (const core::MinerStatsField& f : core::kMinerStatsFields) {
+      if (f.cls == core::StatsFieldClass::kWork ||
+          f.cls == core::StatsFieldClass::kBuild) {
+        inc_identical = inc_identical && inc_stats.*f.count ==
+                                             scratch_stats.*f.count;
+      }
+    }
     const double inc_speedup = inc_secs > 0 ? scratch_secs / inc_secs : 0.0;
     std::printf(
         "\nincremental append (1 steady-state condition onto %dx%d, serial): "

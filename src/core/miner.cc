@@ -11,7 +11,6 @@
 #include <limits>
 #include <mutex>
 #include <numeric>
-#include <thread>
 
 #include "core/coherence.h"
 #include "obs/metrics.h"
@@ -34,25 +33,6 @@ bool LexSmallerThanReversed(const std::vector<int>& chain) {
     if (fwd != rev) return fwd < rev;
   }
   return false;  // palindromic (only possible for length 1)
-}
-
-void AccumulateStats(const MinerStats& from, MinerStats* to) {
-  to->nodes_expanded += from.nodes_expanded;
-  to->extensions_tested += from.extensions_tested;
-  to->pruned_min_genes += from.pruned_min_genes;
-  to->pruned_p_majority += from.pruned_p_majority;
-  to->pruned_duplicate += from.pruned_duplicate;
-  to->pruned_coherence += from.pruned_coherence;
-  to->genes_dropped_min_conds += from.genes_dropped_min_conds;
-  to->clusters_emitted += from.clusters_emitted;
-  to->index_word_ops += from.index_word_ops;
-  to->coherence_divide_calls += from.coherence_divide_calls;
-  to->coherence_scores += from.coherence_scores;
-  to->dedup_probes += from.dedup_probes;
-  to->filter_ns += from.filter_ns;
-  to->score_ns += from.score_ns;
-  to->sort_ns += from.sort_ns;
-  to->emit_ns += from.emit_ns;
 }
 
 int64_t NowNs() {
@@ -497,72 +477,86 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Mine() {
   return Finalize();
 }
 
-util::Status RegClusterMiner::Prepare() {
-  if (options_.min_genes < 1) {
+std::shared_ptr<const SharedGammaModel> BuildGammaModel(
+    const matrix::MatrixStore& data, const MinerOptions& options,
+    int num_threads) {
+  const GammaSpec spec{options.gamma_policy, options.gamma};
+  if (options.model_cache_bytes >= 0) {
+    return SharedGammaModel::BuildOutOfCore(
+        data, spec, options.min_conditions, options.model_cache_bytes,
+        options.model_cache_shards, num_threads);
+  }
+  return SharedGammaModel::Build(data, spec, options.min_conditions,
+                                 num_threads);
+}
+
+util::Status ValidateMinerOptions(const MinerOptions& o,
+                                  const matrix::MatrixStore& data) {
+  if (o.min_genes < 1) {
     return util::Status::InvalidArgument("MinG must be >= 1");
   }
-  if (options_.min_conditions < 2) {
+  if (o.min_conditions < 2) {
     return util::Status::InvalidArgument(
         "MinC must be >= 2 (a chain needs at least one regulation step)");
   }
-  const bool relative_gamma =
-      options_.gamma_policy != GammaPolicy::kAbsolute;
-  if (options_.gamma < 0.0 || (relative_gamma && options_.gamma > 1.0)) {
+  if (!std::isfinite(o.gamma)) {
+    return util::Status::InvalidArgument("gamma must be a finite number");
+  }
+  const bool relative_gamma = o.gamma_policy != GammaPolicy::kAbsolute;
+  if (o.gamma < 0.0 || (relative_gamma && o.gamma > 1.0)) {
     return util::Status::InvalidArgument(
         relative_gamma ? "gamma must be in [0, 1] for relative policies"
                        : "absolute gamma must be >= 0");
   }
-  if (options_.epsilon < 0.0) {
+  if (std::isnan(o.epsilon)) {
+    return util::Status::InvalidArgument("epsilon must not be NaN");
+  }
+  if (o.epsilon < 0.0) {
     return util::Status::InvalidArgument("epsilon must be >= 0");
   }
-  if (options_.num_threads < 0) {
+  if (o.num_threads < 0) {
     return util::Status::InvalidArgument("num_threads must be >= 0");
   }
-  if (data_.HasMissingValues()) {
-    return util::Status::FailedPrecondition(
-        "matrix contains missing values; impute first "
-        "(matrix::ImputeRowMean)");
-  }
-  for (int g : options_.required_genes) {
-    if (g < 0 || g >= data_.num_genes()) {
+  for (int g : o.required_genes) {
+    if (g < 0 || g >= data.num_genes()) {
       return util::Status::OutOfRange("required gene outside the matrix");
     }
   }
-  for (int c : options_.allowed_conditions) {
-    if (c < 0 || c >= data_.num_conditions()) {
+  for (int c : o.allowed_conditions) {
+    if (c < 0 || c >= data.num_conditions()) {
       return util::Status::OutOfRange("allowed condition outside the matrix");
     }
   }
-  if (options_.budget_check_interval < 1) {
+  if (o.budget_check_interval < 1) {
     return util::Status::InvalidArgument("budget_check_interval must be >= 1");
   }
-  if (options_.model_cache_shards < 1) {
+  if (o.model_cache_shards < 1) {
     return util::Status::InvalidArgument("model_cache_shards must be >= 1");
   }
-  if (options_.resume.can_resume()) {
-    if (options_.resume.options_hash != SemanticOptionsHash(options_)) {
+  if (o.resume.can_resume()) {
+    if (o.resume.options_hash != RegClusterMiner::SemanticOptionsHash(o)) {
       return util::Status::InvalidArgument(
           "resume token was issued under different mining options");
     }
-    if (options_.resume.next_root > data_.num_conditions()) {
+    if (o.resume.next_root > data.num_conditions()) {
       return util::Status::OutOfRange("resume token root outside the matrix");
     }
-    if (options_.remove_dominated) {
+    if (o.remove_dominated) {
       return util::Status::InvalidArgument(
           "resume cannot be combined with remove_dominated: dominance is a "
           "global post-pass, so spliced partial outputs would not match an "
           "unbudgeted run");
     }
   }
-  if (!options_.root_set.empty()) {
-    if (options_.resume.can_resume()) {
+  if (!o.root_set.empty()) {
+    if (o.resume.can_resume()) {
       return util::Status::InvalidArgument(
           "root_set cannot be combined with resume: both select the roots "
           "to search");
     }
     int prev_root = -1;
-    for (int c : options_.root_set) {
-      if (c < 0 || c >= data_.num_conditions()) {
+    for (int c : o.root_set) {
+      if (c < 0 || c >= data.num_conditions()) {
         return util::Status::OutOfRange(
             "root_set condition outside the matrix");
       }
@@ -572,6 +566,19 @@ util::Status RegClusterMiner::Prepare() {
       }
       prev_root = c;
     }
+  }
+  return util::Status::OK();
+}
+
+util::Status RegClusterMiner::Prepare() {
+  REGCLUSTER_RETURN_IF_ERROR(ValidateMinerOptions(options_, data_));
+  // The one check that reads every cell stays here, once per run: callers
+  // that screen options ahead of Prepare() (per request, per sweep point)
+  // would otherwise pay the scan twice.
+  if (data_.HasMissingValues()) {
+    return util::Status::FailedPrecondition(
+        "matrix contains missing values; impute first "
+        "(matrix::ImputeRowMean)");
   }
   allowed_cond_.assign(static_cast<size_t>(data_.num_conditions()),
                        options_.allowed_conditions.empty() ? 1 : 0);
@@ -609,11 +616,7 @@ util::Status RegClusterMiner::Prepare() {
   auto run = std::make_unique<RunState>();
   // Resolve the worker count before the model build so the build itself can
   // run striped on the same number of threads as the search.
-  run->threads = options_.num_threads;
-  if (run->threads == 0) {
-    run->threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (run->threads < 1) run->threads = 1;
-  }
+  run->threads = util::ResolveThreadCount(options_.num_threads);
 
   const GammaSpec spec{options_.gamma_policy, options_.gamma};
   if (options_.shared_model != nullptr) {
@@ -640,15 +643,8 @@ util::Status RegClusterMiner::Prepare() {
           "the largest MinC it will serve");
     }
     model_ = options_.shared_model;
-  } else if (options_.model_cache_bytes >= 0) {
-    model_ = SharedGammaModel::BuildOutOfCore(
-        data_, spec, options_.min_conditions, options_.model_cache_bytes,
-        options_.model_cache_shards, run->threads);
-    stats_.index_builds = 1;
-    stats_.index_build_seconds = model_->index_build_seconds;
   } else {
-    model_ = SharedGammaModel::Build(data_, spec, options_.min_conditions,
-                                     run->threads);
+    model_ = BuildGammaModel(data_, options_, run->threads);
     stats_.index_builds = 1;
     stats_.rwave_build_seconds = model_->rwave_build_seconds;
     stats_.index_build_seconds = model_->index_build_seconds;

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "core/bicluster.h"
+#include "core/miner_stats.h"
 #include "core/model_cache.h"
 #include "core/rwave.h"
 #include "core/rwave_index.h"
@@ -342,43 +343,25 @@ struct MinerOptions {
   bool capture_root_results = false;
 };
 
-/// Search-effort and pruning counters, populated by Mine().
-struct MinerStats {
-  int64_t nodes_expanded = 0;       ///< chain nodes visited (incl. level 1)
-  int64_t extensions_tested = 0;    ///< (node, candidate) pairs examined
-  int64_t pruned_min_genes = 0;     ///< branches cut by pruning (1)
-  int64_t pruned_p_majority = 0;    ///< branches cut by pruning (3a)
-  int64_t pruned_duplicate = 0;     ///< branches cut by pruning (3b)
-  int64_t pruned_coherence = 0;     ///< candidates with no valid window (4)
-  int64_t genes_dropped_min_conds = 0;  ///< gene drops by pruning (2)
-  int64_t clusters_emitted = 0;     ///< outputs before any post-pass
-  /// Model builds performed by this run: 1 when Mine() built its own
-  /// RWave models + index, 0 when MinerOptions::shared_model was reused.
-  /// This is how index sharing is observable (sweep_test asserts it).
-  int64_t index_builds = 0;
-  double rwave_build_seconds = 0.0;  ///< 0 when the model was shared
-  double index_build_seconds = 0.0;  ///< RWaveBitmapIndex bake time (0 if shared)
-  double mine_seconds = 0.0;
+/// The one option screen every entry point applies before any model is
+/// built: RegClusterMiner::Prepare(), the sweep engine's gamma grouping,
+/// the incremental drivers and the mining service.  Checks the paper's
+/// parameters (MinG >= 1, MinC >= 2, finite gamma in range for its policy,
+/// epsilon >= 0 and not NaN), the execution knobs (threads, check interval,
+/// cache shards), and targeting, resume and root_set against `data`'s
+/// shape; InvalidArgument / OutOfRange name the first violation.  Reads
+/// only the dimensions of `data`: the O(cells) missing-value scan is
+/// Prepare()'s (FailedPrecondition), once per run.
+util::Status ValidateMinerOptions(const MinerOptions& options,
+                                  const matrix::MatrixStore& data);
 
-  /// Detailed work counters, collected only when
-  /// MinerOptions::collect_stats is set (all zero otherwise -- the
-  /// instrumentation is compiled out).  Like every counter above they are
-  /// deterministic: the same data + options give the same values at any
-  /// thread count, because each task counts into its own shard and the
-  /// shards are merged in canonical root order.
-  int64_t index_word_ops = 0;  ///< 64-bit bitmap words touched building and
-                               ///< transposing candidate rows (PrepareNode)
-  int64_t coherence_divide_calls = 0;  ///< divide passes over a scored column
-  int64_t coherence_scores = 0;        ///< individual H scores computed
-  int64_t dedup_probes = 0;            ///< duplicate-key set probes (MaybeEmit)
-
-  /// Hot-path phase breakdown, populated only when
-  /// MinerOptions::profile_phases is set (all zero otherwise):
-  int64_t filter_ns = 0;  ///< bitmap candidate generation + member filtering
-  int64_t score_ns = 0;   ///< coherence numerator/denominator divide pass
-  int64_t sort_ns = 0;    ///< index-sort of the score column
-  int64_t emit_ns = 0;    ///< dedup keying + cluster materialization
-};
+/// The gamma model Prepare() builds when no shared_model is given: through a
+/// byte-budgeted ModelCache when model_cache_bytes >= 0, resident otherwise,
+/// with an eligibility ceiling of MinC.  `options` must pass
+/// ValidateMinerOptions.
+std::shared_ptr<const SharedGammaModel> BuildGammaModel(
+    const matrix::MatrixStore& data, const MinerOptions& options,
+    int num_threads);
 
 /// One root's slice of a mining run, captured when
 /// MinerOptions::capture_root_results is set: the root id, the root's own

@@ -6,7 +6,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,30 +16,31 @@
 namespace regcluster {
 namespace core {
 
-namespace {
-
-// A gamma group shares one immutable model across all its points.  Keyed by
-// the exact bit pattern of gamma (any numeric difference is a different
-// per-gene threshold, hence a different model).
-using GammaKey = std::pair<int, uint64_t>;
-
-GammaKey KeyOf(const MinerOptions& opts) {
-  return {static_cast<int>(opts.gamma_policy),
-          std::bit_cast<uint64_t>(opts.gamma)};
+GammaKey GammaKeyOf(const MinerOptions& options) {
+  return {static_cast<int>(options.gamma_policy),
+          std::bit_cast<uint64_t>(options.gamma)};
 }
 
-// Mirrors the miner's own gamma validation.  Points failing this are left to
-// Prepare() to reject (recorded per-run); they must not join a group, since
-// SharedGammaModel::Build asserts a valid spec.
-bool GammaLooksValid(const MinerOptions& opts) {
-  if (opts.gamma < 0.0) return false;
-  if (opts.gamma_policy != GammaPolicy::kAbsolute && opts.gamma > 1.0) {
-    return false;
+GammaGrouping GroupPointsByGamma(
+    const std::vector<MinerOptions>& points, const matrix::MatrixStore& data,
+    const std::function<util::Status(const MinerOptions&)>& extra_check) {
+  GammaGrouping out;
+  out.group_of.assign(points.size(), -1);
+  std::map<GammaKey, int> index_of;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const MinerOptions& p = points[i];
+    if (!ValidateMinerOptions(p, data).ok()) continue;
+    if (extra_check && !extra_check(p).ok()) continue;
+    const int next = static_cast<int>(out.groups.size());
+    auto [it, inserted] = index_of.try_emplace(GammaKeyOf(p), next);
+    if (inserted) out.groups.push_back({{p.gamma_policy, p.gamma}, 2});
+    GammaGroup& group = out.groups[static_cast<size_t>(it->second)];
+    group.max_min_conditions =
+        std::max(group.max_min_conditions, p.min_conditions);
+    out.group_of[i] = it->second;
   }
-  return true;
+  return out;
 }
-
-}  // namespace
 
 SweepEngine::SweepEngine(const matrix::MatrixStore& data,
                          SweepOptions options)
@@ -59,45 +59,30 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     return util::Status::FailedPrecondition(
         "matrix has missing values; impute before mining");
   }
-  int threads = options_.num_threads;
-  if (threads == 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
+  const int threads = util::ResolveThreadCount(options_.num_threads);
 
   SweepReport report;
   report.runs.resize(points.size());
 
   // --- Group points by gamma and build the shared models (serially, so the
   // build cost and report.index_builds are deterministic). ---
-  struct Group {
-    GammaSpec spec;
-    int max_minc = 2;
-    std::shared_ptr<const SharedGammaModel> model;
-  };
-  std::vector<Group> groups;                 // first-appearance order
-  std::map<GammaKey, size_t> group_of;
-  std::vector<int> point_group(points.size(), -1);
+  std::vector<MinerOptions> run_options = points;
+  // The engine owns scheduling; a run must never spin up its own pool.
+  for (MinerOptions& o : run_options) o.num_threads = 1;
+  GammaGrouping grouping;
+  grouping.group_of.assign(points.size(), -1);
+  if (options_.share_models) grouping = GroupPointsByGamma(run_options, data_);
   for (size_t i = 0; i < points.size(); ++i) {
-    report.runs[i].options = points[i];
-    // The engine owns scheduling; a run must never spin up its own pool.
-    report.runs[i].options.num_threads = 1;
-    if (!options_.share_models || !GammaLooksValid(points[i])) continue;
-    auto [it, inserted] = group_of.try_emplace(KeyOf(points[i]), groups.size());
-    if (inserted) {
-      groups.push_back(
-          Group{GammaSpec{points[i].gamma_policy, points[i].gamma}, 2, nullptr});
-    }
-    Group& grp = groups[it->second];
-    grp.max_minc = std::max(grp.max_minc, points[i].min_conditions);
-    point_group[i] = static_cast<int>(it->second);
+    report.runs[i].options = std::move(run_options[i]);
   }
-  for (Group& grp : groups) {
-    grp.model = SharedGammaModel::Build(data_, grp.spec, grp.max_minc);
+  std::vector<std::shared_ptr<const SharedGammaModel>> models;
+  for (const GammaGroup& group : grouping.groups) {
+    models.push_back(SharedGammaModel::Build(data_, group.spec,
+                                             group.max_min_conditions));
     report.shared_model_bytes +=
-        static_cast<int64_t>(grp.model->MemoryBytes());
+        static_cast<int64_t>(models.back()->MemoryBytes());
   }
-  report.index_builds = static_cast<int>(groups.size());
+  report.index_builds = static_cast<int>(models.size());
 
   // --- Per-run overlay bookkeeping.  The sweep's hard-stop sources are
   // injected only into runs that do not carry their own; the flags record
@@ -114,8 +99,9 @@ util::StatusOr<SweepReport> SweepEngine::Run(
   std::vector<std::unique_ptr<RegClusterMiner>> miners(points.size());
   auto prepare_run = [&](size_t i) -> const util::Status& {
     SweepRun& run = report.runs[i];
-    if (point_group[i] >= 0) {
-      run.options.shared_model = groups[point_group[i]].model;
+    if (grouping.group_of[i] >= 0) {
+      run.options.shared_model =
+          models[static_cast<size_t>(grouping.group_of[i])];
       run.used_shared_model = true;
     }
     if (options_.cancel_token != nullptr && run.options.cancel_token == nullptr) {

@@ -42,10 +42,13 @@
 #define REGCLUSTER_CORE_SWEEP_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/miner.h"
+#include "core/threshold.h"
 #include "matrix/store.h"
 #include "util/cancellation.h"
 #include "util/status.h"
@@ -117,6 +120,39 @@ struct SweepReport {
   int64_t nodes_total = 0;
   int64_t clusters_total = 0;
 };
+
+/// Exact model identity of a point: (gamma_policy, gamma bit pattern).  Any
+/// numeric difference in gamma is a different per-gene threshold, hence a
+/// different model, so keys compare bits, not values.
+using GammaKey = std::pair<int, uint64_t>;
+GammaKey GammaKeyOf(const MinerOptions& options);
+
+/// Points that can share one SharedGammaModel.
+struct GammaGroup {
+  GammaSpec spec;
+  /// Largest MinC in the group: the model's max_chain_need, so the shared
+  /// index answers every member's MinC (queries clamp).
+  int max_min_conditions = 2;
+};
+
+struct GammaGrouping {
+  std::vector<GammaGroup> groups;  ///< in order of first appearance
+  /// Per point, its index into `groups`, or -1 when the point failed
+  /// validation and must run without a shared model (its own Prepare()
+  /// then records the rejection).
+  std::vector<int> group_of;
+};
+
+/// The one gamma-grouping rule of the batch drivers (SweepEngine and the
+/// mining service): groups `points` by GammaKeyOf in first-appearance order,
+/// leaving out every point that fails ValidateMinerOptions against `data`
+/// -- or `extra_check`, when given -- so a garbage spec never builds or
+/// pollutes a shared model.  First-appearance order keeps model builds and
+/// cache counters a pure function of the point list.
+GammaGrouping GroupPointsByGamma(
+    const std::vector<MinerOptions>& points, const matrix::MatrixStore& data,
+    const std::function<util::Status(const MinerOptions&)>& extra_check =
+        nullptr);
 
 /// Executes a batch of mining runs over one matrix.  Construction is cheap;
 /// all work happens in Run().  The matrix must outlive the engine.

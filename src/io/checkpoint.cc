@@ -1,13 +1,13 @@
 #include "io/checkpoint.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <utility>
 
 #include "core/bicluster.h"
 #include "core/threshold.h"
+#include "io/record_codec.h"
 #include "util/durable_file.h"
 #include "util/simd/dispatch.h"
 #include "util/timer.h"
@@ -31,204 +31,15 @@ constexpr uint32_t kTagSweepAggregate = 5;
 constexpr uint32_t kTagSweepRun = 6;
 constexpr uint32_t kTagEnd = 7;
 
-// ---------------------------------------------------------------------------
-// Little-endian primitive encoding.
+using util::Cursor;
+using util::PutDouble;
+using util::PutI64;
+using util::PutString;
+using util::PutU32;
+using util::PutU64;
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutDouble(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-void PutIntVector(std::string* out, const std::vector<int>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (int x : v) PutU32(out, static_cast<uint32_t>(x));
-}
-
-// Bounds-checked sequential decoder over one record payload.  Any overrun is
-// the same kind of damage as a torn write, so it reports kCorruption with the
-// field context.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  util::Status ReadU32(const char* field, uint32_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4));
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 4;
-    return util::Status::OK();
-  }
-
-  util::Status ReadU64(const char* field, uint64_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 8));
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 8;
-    return util::Status::OK();
-  }
-
-  util::Status ReadI64(const char* field, int64_t* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = static_cast<int64_t>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadDouble(const char* field, double* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = std::bit_cast<double>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadString(const char* field, std::string* v) {
-    uint32_t len = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU32(field, &len));
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, len));
-    v->assign(data_.data() + pos_, len);
-    pos_ += len;
-    return util::Status::OK();
-  }
-
-  util::Status ReadIntVector(const char* field, std::vector<int>* v) {
-    uint32_t count = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU32(field, &count));
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4ull * count));
-    v->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t x = 0;
-      (void)ReadU32(field, &x);  // bounds already checked
-      (*v)[i] = static_cast<int>(x);
-    }
-    return util::Status::OK();
-  }
-
-  util::Status ExpectDone(const char* record) {
-    if (pos_ != data_.size()) {
-      return util::Status::Corruption(
-          std::string("trailing bytes in checkpoint record ") + record);
-    }
-    return util::Status::OK();
-  }
-
- private:
-  util::Status Need(const char* field, uint64_t bytes) {
-    if (data_.size() - pos_ < bytes) {
-      return util::Status::Corruption(
-          std::string("truncated checkpoint field ") + field);
-    }
-    return util::Status::OK();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Struct (en|de)coding.  Field order is the wire format; never reorder.
-
-void PutMinerStats(std::string* out, const core::MinerStats& s) {
-  PutI64(out, s.nodes_expanded);
-  PutI64(out, s.extensions_tested);
-  PutI64(out, s.pruned_min_genes);
-  PutI64(out, s.pruned_p_majority);
-  PutI64(out, s.pruned_duplicate);
-  PutI64(out, s.pruned_coherence);
-  PutI64(out, s.genes_dropped_min_conds);
-  PutI64(out, s.clusters_emitted);
-  PutI64(out, s.index_builds);
-  PutI64(out, s.index_word_ops);
-  PutI64(out, s.coherence_divide_calls);
-  PutI64(out, s.coherence_scores);
-  PutI64(out, s.dedup_probes);
-  PutDouble(out, s.rwave_build_seconds);
-  PutDouble(out, s.index_build_seconds);
-  PutDouble(out, s.mine_seconds);
-}
-
-util::Status ReadMinerStats(Cursor* c, core::MinerStats* s) {
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("nodes_expanded", &s->nodes_expanded));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("extensions_tested", &s->extensions_tested));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_min_genes", &s->pruned_min_genes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_p_majority", &s->pruned_p_majority));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_duplicate", &s->pruned_duplicate));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_coherence", &s->pruned_coherence));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("genes_dropped_min_conds", &s->genes_dropped_min_conds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("clusters_emitted", &s->clusters_emitted));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_builds", &s->index_builds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_word_ops", &s->index_word_ops));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_divide_calls", &s->coherence_divide_calls));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_scores", &s->coherence_scores));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("dedup_probes", &s->dedup_probes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("rwave_build_seconds", &s->rwave_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("index_build_seconds", &s->index_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadDouble("mine_seconds", &s->mine_seconds));
-  return util::Status::OK();
-}
-
-void PutClusters(std::string* out,
-                 const std::vector<core::RegCluster>& clusters) {
-  PutU64(out, clusters.size());
-  for (const core::RegCluster& c : clusters) {
-    PutIntVector(out, c.chain);
-    PutIntVector(out, c.p_genes);
-    PutIntVector(out, c.n_genes);
-  }
-}
-
-util::Status ReadClusters(Cursor* c, std::vector<core::RegCluster>* clusters) {
-  uint64_t count = 0;
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadU64("cluster count", &count));
-  clusters->clear();
-  clusters->reserve(count < (1u << 20) ? count : (1u << 20));
-  for (uint64_t i = 0; i < count; ++i) {
-    core::RegCluster cl;
-    REGCLUSTER_RETURN_IF_ERROR(c->ReadIntVector("cluster chain", &cl.chain));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster p_genes", &cl.p_genes));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster n_genes", &cl.n_genes));
-    clusters->push_back(std::move(cl));
-  }
-  return util::Status::OK();
-}
+// Cursor label: decode errors read "truncated checkpoint field ...".
+constexpr char kLabel[] = "checkpoint";
 
 // The MineOutcome subset a sweep snapshot restores (the fields sweep reports
 // print plus the resume contract fields).
@@ -365,13 +176,8 @@ util::StatusOr<std::string_view> NextRecord(util::RecordReader* reader,
     return util::Status::Corruption(std::string("checkpoint record ") + what +
                                     " too short for a tag");
   }
-  uint32_t tag = static_cast<uint32_t>(static_cast<unsigned char>((*rec)[0])) |
-                 static_cast<uint32_t>(static_cast<unsigned char>((*rec)[1]))
-                     << 8 |
-                 static_cast<uint32_t>(static_cast<unsigned char>((*rec)[2]))
-                     << 16 |
-                 static_cast<uint32_t>(static_cast<unsigned char>((*rec)[3]))
-                     << 24;
+  uint32_t tag = 0;
+  (void)Cursor(*rec, kLabel).ReadU32("tag", &tag);  // length checked above
   if (tag != want_tag) {
     return util::Status::Corruption(
         std::string("unexpected checkpoint record tag where ") + what +
@@ -385,7 +191,7 @@ util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m,
   {
     auto rec = NextRecord(reader, kTagContext, "context");
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     REGCLUSTER_RETURN_IF_ERROR(
         c.ReadU64("semantic_options_hash", &m->semantic_options_hash));
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.hi", &m->matrix_hash.hi));
@@ -398,7 +204,7 @@ util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m,
   {
     auto rec = NextRecord(reader, kTagProgress, "progress");
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("next_root", &m->next_root));
     REGCLUSTER_RETURN_IF_ERROR(
         c.ReadI64("roots_completed", &m->roots_completed));
@@ -411,14 +217,14 @@ util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m,
   {
     auto rec = NextRecord(reader, kTagStats, "stats");
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(&c, &m->stats));
     REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("stats"));
   }
   {
     auto rec = NextRecord(reader, kTagClusters, "clusters");
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &m->clusters));
     REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("clusters"));
   }
@@ -431,7 +237,7 @@ util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
   {
     auto rec = NextRecord(reader, kTagContext, "context");
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("grid_hash", &s->grid_hash));
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.hi", &s->matrix_hash.hi));
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.lo", &s->matrix_hash.lo));
@@ -444,7 +250,7 @@ util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
   {
     auto rec = NextRecord(reader, kTagSweepAggregate, "sweep aggregate");
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     uint32_t reason = 0;
     REGCLUSTER_RETURN_IF_ERROR(
         c.ReadI64("first_unfinished", &s->first_unfinished));
@@ -462,7 +268,7 @@ util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
   for (uint64_t i = 0; i < run_count; ++i) {
     auto rec = NextRecord(reader, kTagSweepRun, "sweep run");
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     SweepRunSnapshot run;
     uint32_t index = 0, code = 0, executed = 0, shared = 0;
     std::string message;
@@ -499,25 +305,6 @@ core::MinerOptions ChunkOptions(const core::MinerOptions& user) {
   return chunk;
 }
 
-void AccumulateStats(core::MinerStats* total, const core::MinerStats& chunk) {
-  total->nodes_expanded += chunk.nodes_expanded;
-  total->extensions_tested += chunk.extensions_tested;
-  total->pruned_min_genes += chunk.pruned_min_genes;
-  total->pruned_p_majority += chunk.pruned_p_majority;
-  total->pruned_duplicate += chunk.pruned_duplicate;
-  total->pruned_coherence += chunk.pruned_coherence;
-  total->genes_dropped_min_conds += chunk.genes_dropped_min_conds;
-  total->clusters_emitted += chunk.clusters_emitted;
-  total->index_builds += chunk.index_builds;
-  total->index_word_ops += chunk.index_word_ops;
-  total->coherence_divide_calls += chunk.coherence_divide_calls;
-  total->coherence_scores += chunk.coherence_scores;
-  total->dedup_probes += chunk.dedup_probes;
-  total->rwave_build_seconds += chunk.rwave_build_seconds;
-  total->index_build_seconds += chunk.index_build_seconds;
-  total->mine_seconds += chunk.mine_seconds;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -551,7 +338,8 @@ util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
   if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
     return util::Status::Corruption("bad checkpoint magic");
   }
-  Cursor pre(bytes.substr(sizeof kMagic, kPreambleBytes - sizeof kMagic));
+  Cursor pre(bytes.substr(sizeof kMagic, kPreambleBytes - sizeof kMagic),
+             kLabel);
   uint32_t version = 0, endian = 0, kind = 0;
   uint64_t generation = 0;
   REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("version", &version));
@@ -586,7 +374,7 @@ util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
   auto end = NextRecord(&reader, kTagEnd, "end");
   if (!end.ok()) return end.status();
   {
-    Cursor c(*end);
+    Cursor c(*end, kLabel);
     uint32_t declared = 0;
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("record count", &declared));
     REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("end"));
@@ -659,16 +447,16 @@ util::StatusOr<Checkpoint> LoadCheckpoint(const std::string& base,
 // ---------------------------------------------------------------------------
 // Hashes and validation.
 
-util::Hash128 HashMatrixContent(const matrix::MatrixStore& data) {
+util::Hash128 HashMatrixPrefix(const matrix::MatrixStore& data, int cols) {
   util::Fnv128 h;
   h.MixInt(data.num_genes());
-  h.MixInt(data.num_conditions());
+  h.MixInt(cols);
   for (int g = 0; g < data.num_genes(); ++g) {
     const std::string& name = data.gene_name(g);
     h.Mix64(static_cast<uint64_t>(name.size()));
     h.MixBytes(name.data(), name.size());
   }
-  for (int c = 0; c < data.num_conditions(); ++c) {
+  for (int c = 0; c < cols; ++c) {
     const std::string& name = data.condition_name(c);
     h.Mix64(static_cast<uint64_t>(name.size()));
     h.MixBytes(name.data(), name.size());
@@ -676,10 +464,13 @@ util::Hash128 HashMatrixContent(const matrix::MatrixStore& data) {
   // Cell payload row by row: bit patterns, so NaN layouts hash stably and
   // the resident and mapped paths agree byte for byte.
   for (int g = 0; g < data.num_genes(); ++g) {
-    h.MixBytes(data.row_data(g),
-               static_cast<size_t>(data.num_conditions()) * sizeof(double));
+    h.MixBytes(data.row_data(g), static_cast<size_t>(cols) * sizeof(double));
   }
   return h.Digest();
+}
+
+util::Hash128 HashMatrixContent(const matrix::MatrixStore& data) {
+  return HashMatrixPrefix(data, data.num_conditions());
 }
 
 uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points) {
@@ -691,6 +482,31 @@ uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points) {
   }
   return h.Digest().lo;
 }
+
+namespace {
+
+// The matrix a snapshot was written for (dims, then content hash) must be
+// the one being mined.
+util::Status ValidateMatrixIdentity(int64_t num_genes, int64_t num_conditions,
+                                    const util::Hash128& matrix_hash,
+                                    const matrix::MatrixStore& data) {
+  if (num_genes != data.num_genes() ||
+      num_conditions != data.num_conditions()) {
+    return util::Status::FailedPrecondition(
+        "checkpoint matrix dimensions differ: snapshot " +
+        std::to_string(num_genes) + "x" + std::to_string(num_conditions) +
+        ", matrix " + std::to_string(data.num_genes()) + "x" +
+        std::to_string(data.num_conditions()));
+  }
+  if (!(HashMatrixContent(data) == matrix_hash)) {
+    return util::Status::FailedPrecondition(
+        "checkpoint was written for a different matrix "
+        "(content hash mismatch)");
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
 
 util::Status ValidateMineCheckpoint(const MineCheckpoint& ckpt,
                                     const matrix::MatrixStore& data,
@@ -709,22 +525,8 @@ util::Status ValidateMineCheckpoint(const MineCheckpoint& ckpt,
         "checkpoint was written under different mining options "
         "(semantic hash mismatch)");
   }
-  if (ckpt.num_genes != data.num_genes() ||
-      ckpt.num_conditions != data.num_conditions()) {
-    return util::Status::FailedPrecondition(
-        "checkpoint matrix dimensions differ: snapshot " +
-        std::to_string(ckpt.num_genes) + "x" +
-        std::to_string(ckpt.num_conditions) + ", matrix " +
-        std::to_string(data.num_genes()) + "x" +
-        std::to_string(data.num_conditions()));
-  }
-  const util::Hash128 h = HashMatrixContent(data);
-  if (!(h == ckpt.matrix_hash)) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written for a different matrix "
-        "(content hash mismatch)");
-  }
-  return util::Status::OK();
+  return ValidateMatrixIdentity(ckpt.num_genes, ckpt.num_conditions,
+                                ckpt.matrix_hash, data);
 }
 
 util::Status ValidateSweepCheckpoint(
@@ -741,22 +543,8 @@ util::Status ValidateSweepCheckpoint(
         "checkpoint was written for a different sweep grid "
         "(grid hash mismatch)");
   }
-  if (ckpt.num_genes != data.num_genes() ||
-      ckpt.num_conditions != data.num_conditions()) {
-    return util::Status::FailedPrecondition(
-        "checkpoint matrix dimensions differ: snapshot " +
-        std::to_string(ckpt.num_genes) + "x" +
-        std::to_string(ckpt.num_conditions) + ", matrix " +
-        std::to_string(data.num_genes()) + "x" +
-        std::to_string(data.num_conditions()));
-  }
-  const util::Hash128 h = HashMatrixContent(data);
-  if (!(h == ckpt.matrix_hash)) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written for a different matrix "
-        "(content hash mismatch)");
-  }
-  return util::Status::OK();
+  return ValidateMatrixIdentity(ckpt.num_genes, ckpt.num_conditions,
+                                ckpt.matrix_hash, data);
 }
 
 // ---------------------------------------------------------------------------
@@ -936,24 +724,11 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
 
   // Build the gamma model once for all chunks (Mine() would otherwise
   // rebuild it per chunk).  Resident or out-of-core per the user's knobs.
+  // Invalid options build nothing: the first chunk's Mine() surfaces the
+  // rejection verbatim.
   std::shared_ptr<const core::SharedGammaModel> model = options.shared_model;
-  if (model == nullptr) {
-    const core::GammaSpec spec{options.gamma_policy, options.gamma};
-    if (options.gamma < 0.0 ||
-        (options.gamma_policy != core::GammaPolicy::kAbsolute &&
-         options.gamma > 1.0)) {
-      // Leave gamma validation to Mine(): run one chunk without a model and
-      // surface its error verbatim.
-    } else if (options.model_cache_bytes >= 0) {
-      model = core::SharedGammaModel::BuildOutOfCore(
-          data, spec, std::max(options.min_conditions, 2),
-          options.model_cache_bytes, options.model_cache_shards,
-          options.num_threads);
-    } else {
-      model = core::SharedGammaModel::Build(
-          data, spec, std::max(options.min_conditions, 2),
-          options.num_threads);
-    }
+  if (model == nullptr && core::ValidateMinerOptions(options, data).ok()) {
+    model = core::BuildGammaModel(data, options, options.num_threads);
   }
   // One logical run builds the model once; report it that way (chunks all
   // run with a shared model, contributing index_builds == 0).
@@ -1011,7 +786,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
       state.clusters.insert(state.clusters.end(),
                             std::make_move_iterator(clusters->begin()),
                             std::make_move_iterator(clusters->end()));
-      AccumulateStats(&state.stats, miner.stats());
+      core::AccumulateStats(miner.stats(), &state.stats);
       state.roots_completed += oc.roots_completed;
     }
     state.nodes_visited += oc.nodes_visited;
@@ -1211,19 +986,14 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
     }
   }
 
-  // Gamma groups: maximal consecutive points sharing (policy, exact gamma
-  // bits).  One engine Run per group keeps model sharing where the grid
-  // makes it possible and gives kill-invariant group boundaries.
-  auto same_group = [](const core::MinerOptions& a,
-                       const core::MinerOptions& b) {
-    return a.gamma_policy == b.gamma_policy &&
-           std::bit_cast<uint64_t>(a.gamma) == std::bit_cast<uint64_t>(b.gamma);
-  };
-
+  // Gamma groups: maximal consecutive points with one core::GammaKeyOf.
+  // One engine Run per group keeps model sharing where the grid makes it
+  // possible and gives kill-invariant group boundaries.
   size_t start = static_cast<size_t>(state.first_unfinished);
   while (start < points.size()) {
+    const core::GammaKey key = core::GammaKeyOf(points[start]);
     size_t end = start + 1;
-    while (end < points.size() && same_group(points[end], points[start])) {
+    while (end < points.size() && core::GammaKeyOf(points[end]) == key) {
       ++end;
     }
 
@@ -1298,9 +1068,9 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
 void ZeroVolatileMineFields(core::MinerStats* stats,
                             core::MineOutcome* outcome) {
   if (stats != nullptr) {
-    stats->rwave_build_seconds = 0.0;
-    stats->index_build_seconds = 0.0;
-    stats->mine_seconds = 0.0;
+    for (const core::MinerStatsField& f : core::kMinerStatsFields) {
+      if (f.cls == core::StatsFieldClass::kTiming) stats->*f.seconds = 0.0;
+    }
   }
   if (outcome != nullptr) {
     outcome->nodes_visited = 0;

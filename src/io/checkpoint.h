@@ -187,6 +187,11 @@ util::StatusOr<Checkpoint> LoadCheckpoint(const std::string& base,
 /// identical for the resident text path and the mmap'ed binary path.
 util::Hash128 HashMatrixContent(const matrix::MatrixStore& data);
 
+/// HashMatrixContent restricted to the first `cols` conditions -- exactly
+/// the hash the matrix had before conditions were appended after them (the
+/// incremental state's prefix check).
+util::Hash128 HashMatrixPrefix(const matrix::MatrixStore& data, int cols);
+
 /// Order-sensitive fingerprint of an expanded sweep grid (each point's
 /// semantic options hash mixed in sequence).
 uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points);

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "core/bicluster.h"
 #include "core/threshold.h"
 #include "io/checkpoint.h"
+#include "io/record_codec.h"
 #include "util/bitset.h"
 #include "util/durable_file.h"
+#include "util/task_pool.h"
 #include "util/timer.h"
 
 namespace regcluster {
@@ -28,238 +29,22 @@ constexpr uint32_t kTagContext = 1;
 constexpr uint32_t kTagRoot = 2;
 constexpr uint32_t kTagEnd = 3;
 
-// ---------------------------------------------------------------------------
-// Little-endian primitive encoding (the checkpoint wire idiom).
+using util::Cursor;
+using util::PutI64;
+using util::PutU32;
+using util::PutU64;
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutDouble(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void PutIntVector(std::string* out, const std::vector<int>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (int x : v) PutU32(out, static_cast<uint32_t>(x));
-}
-
-// Bounds-checked sequential decoder over one record payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view data) : data_(data) {}
-
-  util::Status ReadU32(const char* field, uint32_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4));
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) {
-      r |= static_cast<uint32_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 4;
-    return util::Status::OK();
-  }
-
-  util::Status ReadU64(const char* field, uint64_t* v) {
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 8));
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) {
-      r |= static_cast<uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    *v = r;
-    pos_ += 8;
-    return util::Status::OK();
-  }
-
-  util::Status ReadI64(const char* field, int64_t* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = static_cast<int64_t>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadDouble(const char* field, double* v) {
-    uint64_t u = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU64(field, &u));
-    *v = std::bit_cast<double>(u);
-    return util::Status::OK();
-  }
-
-  util::Status ReadIntVector(const char* field, std::vector<int>* v) {
-    uint32_t count = 0;
-    REGCLUSTER_RETURN_IF_ERROR(ReadU32(field, &count));
-    REGCLUSTER_RETURN_IF_ERROR(Need(field, 4ull * count));
-    v->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint32_t x = 0;
-      (void)ReadU32(field, &x);  // bounds already checked
-      (*v)[i] = static_cast<int>(x);
-    }
-    return util::Status::OK();
-  }
-
-  util::Status ExpectDone(const char* record) {
-    if (pos_ != data_.size()) {
-      return util::Status::Corruption(
-          std::string("trailing bytes in incremental-state record ") + record);
-    }
-    return util::Status::OK();
-  }
-
- private:
-  util::Status Need(const char* field, uint64_t bytes) {
-    if (data_.size() - pos_ < bytes) {
-      return util::Status::Corruption(
-          std::string("truncated incremental-state field ") + field);
-    }
-    return util::Status::OK();
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// Same 16-field layout as the checkpoint format (13 i64 counters then 3
-// doubles); the profiling *_ns fields are volatile and not round-tripped.
-void PutMinerStats(std::string* out, const core::MinerStats& s) {
-  PutI64(out, s.nodes_expanded);
-  PutI64(out, s.extensions_tested);
-  PutI64(out, s.pruned_min_genes);
-  PutI64(out, s.pruned_p_majority);
-  PutI64(out, s.pruned_duplicate);
-  PutI64(out, s.pruned_coherence);
-  PutI64(out, s.genes_dropped_min_conds);
-  PutI64(out, s.clusters_emitted);
-  PutI64(out, s.index_builds);
-  PutI64(out, s.index_word_ops);
-  PutI64(out, s.coherence_divide_calls);
-  PutI64(out, s.coherence_scores);
-  PutI64(out, s.dedup_probes);
-  PutDouble(out, s.rwave_build_seconds);
-  PutDouble(out, s.index_build_seconds);
-  PutDouble(out, s.mine_seconds);
-}
-
-util::Status ReadMinerStats(Cursor* c, core::MinerStats* s) {
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("nodes_expanded", &s->nodes_expanded));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("extensions_tested", &s->extensions_tested));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_min_genes", &s->pruned_min_genes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_p_majority", &s->pruned_p_majority));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_duplicate", &s->pruned_duplicate));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("pruned_coherence", &s->pruned_coherence));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("genes_dropped_min_conds", &s->genes_dropped_min_conds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("clusters_emitted", &s->clusters_emitted));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_builds", &s->index_builds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("index_word_ops", &s->index_word_ops));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_divide_calls", &s->coherence_divide_calls));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadI64("coherence_scores", &s->coherence_scores));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("dedup_probes", &s->dedup_probes));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("rwave_build_seconds", &s->rwave_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(
-      c->ReadDouble("index_build_seconds", &s->index_build_seconds));
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadDouble("mine_seconds", &s->mine_seconds));
-  return util::Status::OK();
-}
-
-void PutClusters(std::string* out,
-                 const std::vector<core::RegCluster>& clusters) {
-  PutU64(out, clusters.size());
-  for (const core::RegCluster& c : clusters) {
-    PutIntVector(out, c.chain);
-    PutIntVector(out, c.p_genes);
-    PutIntVector(out, c.n_genes);
-  }
-}
-
-util::Status ReadClusters(Cursor* c, std::vector<core::RegCluster>* clusters) {
-  uint64_t count = 0;
-  REGCLUSTER_RETURN_IF_ERROR(c->ReadU64("cluster count", &count));
-  clusters->clear();
-  clusters->reserve(count < (1u << 20) ? count : (1u << 20));
-  for (uint64_t i = 0; i < count; ++i) {
-    core::RegCluster cl;
-    REGCLUSTER_RETURN_IF_ERROR(c->ReadIntVector("cluster chain", &cl.chain));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster p_genes", &cl.p_genes));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c->ReadIntVector("cluster n_genes", &cl.n_genes));
-    clusters->push_back(std::move(cl));
-  }
-  return util::Status::OK();
-}
+// Cursor label: decode errors read "truncated incremental-state field ...".
+constexpr char kLabel[] = "incremental-state";
 
 // ---------------------------------------------------------------------------
 // Splice machinery.
 
-/// The deterministic + profiling fields that partition across roots.  The
-/// wall-clock/build fields are set once at the top level, not summed.
-void AccumulateSliceStats(const core::MinerStats& from, core::MinerStats* to) {
-  to->nodes_expanded += from.nodes_expanded;
-  to->extensions_tested += from.extensions_tested;
-  to->pruned_min_genes += from.pruned_min_genes;
-  to->pruned_p_majority += from.pruned_p_majority;
-  to->pruned_duplicate += from.pruned_duplicate;
-  to->pruned_coherence += from.pruned_coherence;
-  to->genes_dropped_min_conds += from.genes_dropped_min_conds;
-  to->clusters_emitted += from.clusters_emitted;
-  to->index_word_ops += from.index_word_ops;
-  to->coherence_divide_calls += from.coherence_divide_calls;
-  to->coherence_scores += from.coherence_scores;
-  to->dedup_probes += from.dedup_probes;
-  to->filter_ns += from.filter_ns;
-  to->score_ns += from.score_ns;
-  to->sort_ns += from.sort_ns;
-  to->emit_ns += from.emit_ns;
-}
-
-/// HashMatrixContent restricted to the first `cols` conditions -- exactly
-/// the hash the pre-append matrix would produce, reconstructable from the
-/// grown matrix because conditions only ever append at the end.
-util::Hash128 HashMatrixPrefix(const matrix::MatrixStore& data, int cols) {
-  util::Fnv128 h;
-  h.MixInt(data.num_genes());
-  h.MixInt(cols);
-  for (int g = 0; g < data.num_genes(); ++g) {
-    const std::string& name = data.gene_name(g);
-    h.Mix64(static_cast<uint64_t>(name.size()));
-    h.MixBytes(name.data(), name.size());
-  }
-  for (int c = 0; c < cols; ++c) {
-    const std::string& name = data.condition_name(c);
-    h.Mix64(static_cast<uint64_t>(name.size()));
-    h.MixBytes(name.data(), name.size());
-  }
-  for (int g = 0; g < data.num_genes(); ++g) {
-    h.MixBytes(data.row_data(g), static_cast<size_t>(cols) * sizeof(double));
-  }
-  return h.Digest();
-}
-
 /// The execution shapes root-granular splicing cannot reproduce.  Each is a
-/// distinct InvalidArgument so callers learn which knob to drop.
-util::Status ValidateIncrementalOptions(const core::MinerOptions& o) {
+/// distinct InvalidArgument so callers learn which knob to drop.  The
+/// miner's own screen runs last, before any model build.
+util::Status ValidateIncrementalOptions(const core::MinerOptions& o,
+                                        const matrix::MatrixStore& data) {
   if (o.max_nodes >= 0 || o.max_clusters >= 0) {
     return util::Status::InvalidArgument(
         "incremental mining cannot use node/cluster budgets: a truncated "
@@ -299,13 +84,7 @@ util::Status ValidateIncrementalOptions(const core::MinerOptions& o) {
         "incremental mining requires the resident model path "
         "(model_cache_bytes < 0): delta updates need the previous models");
   }
-  return util::Status::OK();
-}
-
-int ResolveThreads(int num_threads) {
-  if (num_threads != 0) return num_threads;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return hw < 1 ? 1 : hw;
+  return core::ValidateMinerOptions(o, data);
 }
 
 /// Mines the given roots of `data` on `model`, capturing per-root slices.
@@ -345,7 +124,7 @@ IncrementalMineResult AssembleResult(
       options.remove_dominated ? kIncrementalFlagRemoveDominated : 0;
   r.state.roots = std::move(slices);
   for (const core::RootMineResult& slice : r.state.roots) {
-    AccumulateSliceStats(slice.stats, &r.stats);
+    core::AccumulateStats(slice.stats, &r.stats);
     r.clusters.insert(r.clusters.end(), slice.clusters.begin(),
                       slice.clusters.end());
   }
@@ -356,6 +135,9 @@ IncrementalMineResult AssembleResult(
   r.stats.rwave_build_seconds = model->rwave_build_seconds;
   r.stats.index_build_seconds = model->index_build_seconds;
   r.stats.mine_seconds = mine_seconds;
+  r.outcome.roots_completed = data.num_conditions();
+  r.outcome.roots_total = data.num_conditions();
+  r.outcome.simd_level = util::simd::Ops().level;
   if (options.remove_dominated) {
     r.clusters = core::RemoveDominated(std::move(r.clusters));
   }
@@ -396,8 +178,8 @@ std::vector<int> ComputeDirtyRoots(const core::RWaveBitmapIndex& index,
 
 util::StatusOr<IncrementalMineResult> MineInitial(
     const matrix::MatrixStore& data, const core::MinerOptions& options) {
-  REGCLUSTER_RETURN_IF_ERROR(ValidateIncrementalOptions(options));
-  const int threads = ResolveThreads(options.num_threads);
+  REGCLUSTER_RETURN_IF_ERROR(ValidateIncrementalOptions(options, data));
+  const int threads = util::ResolveThreadCount(options.num_threads);
   const core::GammaSpec spec{options.gamma_policy, options.gamma};
   util::WallTimer timer;
   auto model = core::SharedGammaModel::Build(data, spec,
@@ -413,7 +195,7 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
     const matrix::MatrixStore& new_data, int first_new,
     const core::MinerOptions& options, const IncrementalState& prev,
     std::shared_ptr<const core::SharedGammaModel> prev_model) {
-  REGCLUSTER_RETURN_IF_ERROR(ValidateIncrementalOptions(options));
+  REGCLUSTER_RETURN_IF_ERROR(ValidateIncrementalOptions(options, new_data));
   const int num_genes = new_data.num_genes();
   const int num_conds = new_data.num_conditions();
   if (first_new < 0 || first_new > num_conds) {
@@ -451,7 +233,7 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
         "incremental state does not cover every previous root");
   }
 
-  const int threads = ResolveThreads(options.num_threads);
+  const int threads = util::ResolveThreadCount(options.num_threads);
   const core::GammaSpec spec{options.gamma_policy, options.gamma};
   util::WallTimer timer;
   std::shared_ptr<const core::SharedGammaModel> model;
@@ -560,7 +342,8 @@ util::StatusOr<IncrementalState> DecodeIncrementalState(
       std::string_view(kMagic, sizeof(kMagic))) {
     return util::Status::Corruption("bad incremental-state magic");
   }
-  Cursor pre(bytes.substr(sizeof(kMagic), kPreambleBytes - sizeof(kMagic)));
+  Cursor pre(bytes.substr(sizeof(kMagic), kPreambleBytes - sizeof(kMagic)),
+             kLabel);
   uint32_t version = 0, endian = 0;
   REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("version", &version));
   REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("endian tag", &endian));
@@ -584,7 +367,7 @@ util::StatusOr<IncrementalState> DecodeIncrementalState(
     }
     auto rec = reader.Next();
     if (!rec.ok()) return rec.status();
-    Cursor c(*rec);
+    Cursor c(*rec, kLabel);
     uint32_t tag = 0;
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("record tag", &tag));
     switch (tag) {

@@ -81,6 +81,9 @@ struct IncrementalMineResult {
   /// Spliced deterministic counters -- byte-identical to a from-scratch
   /// mine's stats() except the wall-clock fields, which time this call.
   core::MinerStats stats;
+  /// Run record for reports: always complete, every root covered, the
+  /// resolved SIMD level; the scheduling telemetry stays 0.
+  core::MineOutcome outcome;
   /// State to feed the next MineIncremental call.
   IncrementalState state;
   /// The gamma model at the mined width; pass it back as `prev_model` so
@@ -95,7 +98,8 @@ struct IncrementalMineResult {
 /// to a plain RegClusterMiner::Mine() under the same options.  Rejects
 /// (InvalidArgument) options the incremental contract cannot splice:
 /// budgets, deadline, memory limit, cancel token, resume, root_set,
-/// capture_root_results, shared_model, and out-of-core model_cache_bytes.
+/// capture_root_results, shared_model, and out-of-core model_cache_bytes;
+/// then applies core::ValidateMinerOptions before building any model.
 util::StatusOr<IncrementalMineResult> MineInitial(
     const matrix::MatrixStore& data, const core::MinerOptions& options);
 

@@ -9,15 +9,6 @@ namespace regcluster {
 namespace io {
 namespace {
 
-void WriteIntArray(std::ostream& out, const std::vector<int>& v) {
-  out << '[';
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out << ',';
-    out << v[i];
-  }
-  out << ']';
-}
-
 void WriteNameArray(std::ostream& out, const matrix::MatrixStore& data,
                     const std::vector<int>& ids, bool genes) {
   out << '[';
@@ -31,6 +22,15 @@ void WriteNameArray(std::ostream& out, const matrix::MatrixStore& data,
 }
 
 }  // namespace
+
+void WriteIntArray(std::ostream& out, const std::vector<int>& v) {
+  out << '[';
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out << ',';
+    out << v[i];
+  }
+  out << ']';
+}
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -116,24 +116,22 @@ util::Status WriteClustersJson(const std::vector<core::RegCluster>& clusters,
         << util::simd::LevelName(outcome->simd_level) << "\"\n  },\n";
   }
   if (stats != nullptr) {
-    out << "  \"stats\": {\n"
-        << "    \"nodes_expanded\": " << stats->nodes_expanded
-        << ",\n    \"extensions_tested\": " << stats->extensions_tested
-        << ",\n    \"pruned_min_genes\": " << stats->pruned_min_genes
-        << ",\n    \"pruned_p_majority\": " << stats->pruned_p_majority
-        << ",\n    \"pruned_duplicate\": " << stats->pruned_duplicate
-        << ",\n    \"pruned_coherence\": " << stats->pruned_coherence
-        << ",\n    \"genes_dropped_min_conds\": "
-        << stats->genes_dropped_min_conds
-        << ",\n    \"clusters_emitted\": " << stats->clusters_emitted
-        << ",\n    \"index_word_ops\": " << stats->index_word_ops
-        << ",\n    \"coherence_divide_calls\": "
-        << stats->coherence_divide_calls
-        << ",\n    \"coherence_scores\": " << stats->coherence_scores
-        << ",\n    \"dedup_probes\": " << stats->dedup_probes
-        << ",\n    \"rwave_build_seconds\": " << stats->rwave_build_seconds
-        << ",\n    \"index_build_seconds\": " << stats->index_build_seconds
-        << ",\n    \"mine_seconds\": " << stats->mine_seconds << "\n  },\n";
+    out << "  \"stats\": {";
+    const char* sep = "\n";
+    for (const core::MinerStatsField& f : core::kMinerStatsFields) {
+      if (f.cls != core::StatsFieldClass::kWork &&
+          f.cls != core::StatsFieldClass::kTiming) {
+        continue;
+      }
+      out << sep << "    \"" << f.name << "\": ";
+      if (f.count != nullptr) {
+        out << stats->*f.count;
+      } else {
+        out << stats->*f.seconds;
+      }
+      sep = ",\n";
+    }
+    out << "\n  },\n";
   }
   out << "  \"num_clusters\": " << clusters.size()
       << ",\n  \"clusters\": [";

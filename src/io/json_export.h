@@ -11,7 +11,9 @@
 //       "wall_seconds": S, "peak_scratch_bytes": B,
 //       "resume_next_root": -1|r, "resume_options_hash": H
 //     },
-//     "stats": {                       // only when MinerStats is supplied
+//     "stats": {                       // only when MinerStats is supplied;
+//                                      // the kWork + kTiming rows of
+//                                      // core::kMinerStatsFields, in order
 //       "nodes_expanded": N, "extensions_tested": N,
 //       "pruned_min_genes": N, "pruned_p_majority": N,
 //       "pruned_duplicate": N, "pruned_coherence": N,
@@ -75,6 +77,9 @@ util::Status WriteClustersJson(const std::vector<core::RegCluster>& clusters,
 
 /// Escapes a string for inclusion in a JSON string literal.
 std::string JsonEscape(const std::string& s);
+
+/// Writes `v` as a compact JSON array of integers ("[1,2,3]").
+void WriteIntArray(std::ostream& out, const std::vector<int>& v);
 
 }  // namespace io
 }  // namespace regcluster

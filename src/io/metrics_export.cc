@@ -70,70 +70,17 @@ util::Status RegisterMinerMetrics(const core::MinerStats& stats,
     if (!s.ok()) return s;                                        \
   } while (0)
 
-  // Deterministic search-work counters (pure function of data + options).
-  REGCLUSTER_COUNTER("regcluster_nodes_expanded_total",
-                     "Chain nodes expanded by the DFS (canonical prefix)",
-                     stats.nodes_expanded);
-  REGCLUSTER_COUNTER("regcluster_extensions_tested_total",
-                     "(node, candidate condition) pairs examined",
-                     stats.extensions_tested);
-  REGCLUSTER_COUNTER("regcluster_pruned_min_genes_total",
-                     "Branches cut by pruning 1 (MinG)",
-                     stats.pruned_min_genes);
-  REGCLUSTER_COUNTER("regcluster_pruned_p_majority_total",
-                     "Branches cut by pruning 3a (p-majority)",
-                     stats.pruned_p_majority);
-  REGCLUSTER_COUNTER("regcluster_pruned_duplicate_total",
-                     "Branches cut by pruning 3b (duplicate emission)",
-                     stats.pruned_duplicate);
-  REGCLUSTER_COUNTER("regcluster_pruned_coherence_total",
-                     "Candidates with no valid coherence window (pruning 4)",
-                     stats.pruned_coherence);
-  REGCLUSTER_COUNTER("regcluster_genes_dropped_min_conds_total",
-                     "Gene drops by pruning 2 (MinC chain bound)",
-                     stats.genes_dropped_min_conds);
-  REGCLUSTER_COUNTER("regcluster_clusters_emitted_total",
-                     "Validated clusters emitted before post-passes",
-                     stats.clusters_emitted);
-  REGCLUSTER_COUNTER("regcluster_index_word_ops_total",
-                     "64-bit bitmap-index words touched by candidate "
-                     "generation (collect_stats only)",
-                     stats.index_word_ops);
-  REGCLUSTER_COUNTER("regcluster_coherence_divide_calls_total",
-                     "Coherence divide passes over a scored column "
-                     "(collect_stats only)",
-                     stats.coherence_divide_calls);
-  REGCLUSTER_COUNTER("regcluster_coherence_scores_total",
-                     "Individual coherence scores computed "
-                     "(collect_stats only)",
-                     stats.coherence_scores);
-  REGCLUSTER_COUNTER("regcluster_dedup_probes_total",
-                     "Duplicate-key set probes (collect_stats only)",
-                     stats.dedup_probes);
-
-  // Hot-path phase breakdown (profile_phases only; 0 otherwise).
-  REGCLUSTER_COUNTER("regcluster_phase_filter_ns_total",
-                     "Candidate generation + member filtering time "
-                     "(profile_phases only)",
-                     stats.filter_ns);
-  REGCLUSTER_COUNTER("regcluster_phase_score_ns_total",
-                     "Coherence divide pass time (profile_phases only)",
-                     stats.score_ns);
-  REGCLUSTER_COUNTER("regcluster_phase_sort_ns_total",
-                     "Scored-column index-sort time (profile_phases only)",
-                     stats.sort_ns);
-  REGCLUSTER_COUNTER("regcluster_phase_emit_ns_total",
-                     "Dedup keying + cluster materialization time "
-                     "(profile_phases only)",
-                     stats.emit_ns);
-
-  // Phase durations (wall-clock; machine-dependent).
-  REGCLUSTER_GAUGE("regcluster_rwave_build_seconds",
-                   "RWave model construction time", stats.rwave_build_seconds);
-  REGCLUSTER_GAUGE("regcluster_index_build_seconds",
-                   "Bitmap index bake time", stats.index_build_seconds);
-  REGCLUSTER_GAUGE("regcluster_mine_seconds", "Search time (both phases)",
-                   stats.mine_seconds);
+  // MinerStats, in table order: the deterministic work counters, the
+  // profile_phases nanoseconds (0 unless profiling), then the wall-clock
+  // phase durations as gauges.
+  for (const core::MinerStatsField& f : core::kMinerStatsFields) {
+    if (f.metric == nullptr) continue;
+    util::Status s =
+        f.count != nullptr
+            ? SetCounter(registry, f.metric, f.help, stats.*f.count)
+            : SetGauge(registry, f.metric, f.help, stats.*f.seconds);
+    if (!s.ok()) return s;
+  }
 
   // Execution telemetry (scheduling-dependent; from MineOutcome).
   REGCLUSTER_GAUGE("regcluster_wall_seconds", "Total Mine() wall time",

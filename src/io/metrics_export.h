@@ -16,9 +16,10 @@
 //   regcluster_peak_scratch_bytes, regcluster_truncated
 //                                                 -- execution telemetry
 //
-// The deterministic counters are a pure function of data + options (see
-// core::MinerStats); everything sourced from MineOutcome is scheduling-
-// dependent.  The registry keeps registration order, so both export formats
+// The MinerStats names, HELP text and order come from
+// core::kMinerStatsFields.  The deterministic counters are a pure function
+// of data + options (see core::MinerStats); everything sourced from
+// MineOutcome is scheduling-dependent.  The registry keeps registration order, so both export formats
 // are byte-stable given equal values.
 
 #ifndef REGCLUSTER_IO_METRICS_EXPORT_H_

@@ -1,6 +1,5 @@
 #include "io/sweep_io.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
@@ -12,6 +11,7 @@
 #include "core/threshold.h"
 #include "io/json_export.h"
 #include "io/metrics_export.h"
+#include "util/json_reader.h"
 #include "util/string_util.h"
 
 namespace regcluster {
@@ -172,121 +172,38 @@ StatusOr<std::vector<core::MinerOptions>> ParseAxesSpec(
   return points;
 }
 
-// --- Minimal JSON-list parser: '[' {objects of numeric fields} ']'.  Only
-// the shape the spec grammar admits; anything else is InvalidArgument with a
-// byte offset. ---
-class JsonSpecParser {
- public:
-  explicit JsonSpecParser(std::string_view text) : text_(text) {}
-
-  StatusOr<std::vector<core::MinerOptions>> Parse(
-      const core::MinerOptions& base) {
-    std::vector<core::MinerOptions> points;
-    SkipSpace();
-    if (!Consume('[')) return Error("expected '['");
-    SkipSpace();
-    if (Consume(']')) {
-      if (!AtEnd()) return Error("trailing bytes after ']'");
-      return Status::InvalidArgument("sweep JSON list is empty");
-    }
-    while (true) {
-      StatusOr<core::MinerOptions> point = ParseObject(base);
-      if (!point.ok()) return point.status();
-      points.push_back(std::move(*point));
-      SkipSpace();
-      if (Consume(',')) {
-        SkipSpace();
-        continue;
-      }
-      if (Consume(']')) break;
-      return Error("expected ',' or ']'");
-    }
-    SkipSpace();
-    if (!AtEnd()) return Error("trailing bytes after ']'");
-    return points;
+// A JSON list of point objects, each overriding axes with numbers, e.g.
+// [{"gamma": 0.1, "minc": 5}, {"gamma": 0.2}].
+StatusOr<std::vector<core::MinerOptions>> ParseJsonSpec(
+    std::string_view text, const core::MinerOptions& base) {
+  StatusOr<util::JsonValue> list = util::ParseJson(text);
+  if (!list.ok()) {
+    return Status::InvalidArgument("sweep JSON: " + list.status().message());
   }
-
- private:
-  StatusOr<core::MinerOptions> ParseObject(const core::MinerOptions& base) {
-    SkipSpace();
-    if (!Consume('{')) return Error("expected '{'");
+  if (list->kind != util::JsonValue::Kind::kArray) {
+    return Status::InvalidArgument("sweep JSON: expected a list of points");
+  }
+  if (list->elements.empty()) {
+    return Status::InvalidArgument("sweep JSON list is empty");
+  }
+  std::vector<core::MinerOptions> points;
+  for (const util::JsonValue& object : list->elements) {
+    if (!object.is_object()) {
+      return Status::InvalidArgument("sweep JSON: each point is an object");
+    }
     core::MinerOptions point = base;
-    SkipSpace();
-    if (Consume('}')) return point;
-    while (true) {
-      SkipSpace();
-      StatusOr<std::string> key = ParseString();
-      if (!key.ok()) return key.status();
-      SkipSpace();
-      if (!Consume(':')) return Error("expected ':'");
-      SkipSpace();
-      StatusOr<double> value = ParseNumber();
-      if (!value.ok()) return value.status();
-      StatusOr<Axis> axis = ParseAxisName(*key);
+    for (const auto& [key, value] : object.members) {
+      if (!value.is_number()) {
+        return Status::InvalidArgument("sweep JSON: " + key +
+                                       " must be a number");
+      }
+      StatusOr<Axis> axis = ParseAxisName(key);
       if (!axis.ok()) return axis.status();
-      if (Status s = ApplyAxis(*axis, *value, &point); !s.ok()) return s;
-      SkipSpace();
-      if (Consume(',')) continue;
-      if (Consume('}')) return point;
-      return Error("expected ',' or '}'");
+      REGCLUSTER_RETURN_IF_ERROR(ApplyAxis(*axis, value.number_value, &point));
     }
+    points.push_back(std::move(point));
   }
-
-  StatusOr<std::string> ParseString() {
-    if (!Consume('"')) return Error("expected '\"'");
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') return Error("escapes not supported in keys");
-      out += text_[pos_++];
-    }
-    if (!Consume('"')) return Error("unterminated string");
-    return out;
-  }
-
-  StatusOr<double> ParseNumber() {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Error("expected a number");
-    StatusOr<double> v = util::ParseDouble(text_.substr(start, pos_ - start));
-    if (!v.ok()) return v.status();
-    return *v;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool AtEnd() const { return pos_ >= text_.size(); }
-  Status Error(const char* what) const {
-    return Status::InvalidArgument(
-        util::StrFormat("sweep JSON: %s at byte %zu", what, pos_));
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
-void WriteIntArray(std::ostream& out, const std::vector<int>& v) {
-  out << '[';
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out << ',';
-    out << v[i];
-  }
-  out << ']';
+  return points;
 }
 
 const char* MineStatusName(core::MineStatus status) {
@@ -299,9 +216,7 @@ StatusOr<std::vector<core::MinerOptions>> ParseSweepSpec(
     const std::string& spec, const core::MinerOptions& base) {
   const std::string_view trimmed = util::Trim(spec);
   if (trimmed.empty()) return Status::InvalidArgument("empty sweep spec");
-  if (trimmed.front() == '[') {
-    return JsonSpecParser(trimmed).Parse(base);
-  }
+  if (trimmed.front() == '[') return ParseJsonSpec(trimmed, base);
   return ParseAxesSpec(trimmed, base);
 }
 

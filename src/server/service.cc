@@ -33,44 +33,18 @@ ServiceResponse ErrorResponse(int http_status, const std::string& name,
   return r;
 }
 
-/// Mirrors RegClusterMiner::Prepare's gamma screen (and the sweep engine's
-/// GammaLooksValid): a spec failing this must never reach a model build.
-bool GammaLooksValid(const core::MinerOptions& opts) {
-  if (opts.gamma < 0.0) return false;
-  if (opts.gamma_policy != core::GammaPolicy::kAbsolute && opts.gamma > 1.0) {
-    return false;
-  }
-  return true;
-}
-
-/// Request-option validation that needs the loaded matrix.  Runs before
-/// any model is built or cached: a bad request must cost parsing plus one
-/// matrix lookup, never a model build under the cache mutex -- and an
-/// unbounded MinC must never size an allocation (the bitmap index clamps
-/// its ceiling as defense in depth, but the service rejects outright).
-Status ValidateMineOptions(const core::MinerOptions& opts,
+/// The daemon's one policy on top of core::ValidateMinerOptions: MinC may
+/// not exceed the matrix width.  Remote requests are screened before any
+/// model is built or cached, and an unbounded MinC must never size an
+/// allocation (the bitmap index clamps its ceiling as defense in depth, but
+/// the service rejects outright).
+Status CheckMincFitsMatrix(const core::MinerOptions& opts,
                            const matrix::MatrixStore& data) {
-  if (opts.min_genes < 1) {
-    return Status::InvalidArgument("ming must be >= 1");
-  }
-  if (opts.min_conditions < 2) {
-    return Status::InvalidArgument(
-        "minc must be >= 2 (a chain needs at least one regulation step)");
-  }
   if (opts.min_conditions > data.num_conditions()) {
     return Status::InvalidArgument(
         "minc " + std::to_string(opts.min_conditions) +
         " exceeds the matrix's " + std::to_string(data.num_conditions()) +
         " conditions; no cluster can satisfy it");
-  }
-  if (!GammaLooksValid(opts)) {
-    return Status::InvalidArgument(
-        opts.gamma_policy != core::GammaPolicy::kAbsolute
-            ? "gamma must be in [0, 1] for relative policies"
-            : "absolute gamma must be >= 0");
-  }
-  if (opts.epsilon < 0.0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
   }
   return Status::OK();
 }
@@ -321,29 +295,27 @@ ServiceResponse MiningService::ExecuteMine(const MineRequest& request) {
     return ErrorResponse(HttpStatusOf(handle.status()), "matrix_error",
                          handle.status().message());
   }
-  if (Status st = ValidateMineOptions(request.options, *(*handle)->store);
-      !st.ok()) {
-    return ErrorResponse(400, "bad_request", st.message());
-  }
-  core::GammaSpec spec;
-  spec.policy = request.options.gamma_policy;
-  spec.gamma = request.options.gamma;
+  // One session: staged run on the shared pool, per-run drain, canonical
+  // finalize.  options.num_threads stays 1 -- it would describe a pool the
+  // session does not own (the sweep engine does the same).
+  core::MinerOptions opts = request.options;
+  opts.num_threads = 1;
+  const matrix::MatrixStore& store = *(*handle)->store;
+  Status valid = core::ValidateMinerOptions(opts, store);
+  if (valid.ok()) valid = CheckMincFitsMatrix(opts, store);
+  if (!valid.ok()) return ErrorResponse(400, "bad_request", valid.message());
+  const core::GammaSpec spec{opts.gamma_policy, opts.gamma};
   bool model_hit = false;
-  auto model = cache_.GetModel(*handle, spec, request.options.min_conditions,
-                               &model_hit);
+  auto model =
+      cache_.GetModel(*handle, spec, opts.min_conditions, &model_hit);
   if (!model.ok()) {
     return ErrorResponse(HttpStatusOf(model.status()), "mine_error",
                          model.status().message());
   }
   cache_hits_total_->Add((matrix_hit ? 1 : 0) + (model_hit ? 1 : 0));
 
-  // One session: staged run on the shared pool, per-run drain, canonical
-  // finalize.  options.num_threads stays 1 -- it would describe a pool the
-  // session does not own (the sweep engine does the same).
-  core::MinerOptions opts = request.options;
-  opts.num_threads = 1;
   opts.shared_model = *model;
-  core::RegClusterMiner miner(*(*handle)->store, opts);
+  core::RegClusterMiner miner(store, opts);
   if (Status st = miner.Prepare(); !st.ok()) {
     return ErrorResponse(HttpStatusOf(st), "mine_error", st.message());
   }
@@ -362,8 +334,8 @@ ServiceResponse MiningService::ExecuteMine(const MineRequest& request) {
     io::ZeroVolatileMineFields(&stats, &outcome);
   }
   std::ostringstream doc;
-  if (Status st = io::WriteClustersJson(*clusters, (*handle)->store.get(),
-                                        &outcome, &stats, doc);
+  if (Status st =
+          io::WriteClustersJson(*clusters, &store, &outcome, &stats, doc);
       !st.ok()) {
     return ErrorResponse(500, "mine_error", st.message());
   }
@@ -393,43 +365,21 @@ ServiceResponse MiningService::ExecuteSweep(const MineRequest& request) {
             "); run it as a checkpointed CLI sweep");
   }
 
-  // One model per distinct (policy, gamma), built with the group's largest
-  // MinC so every point of the group reuses it (and later requests reuse
-  // it through the cache).  First-appearance order keeps the cache
-  // counters a pure function of the request stream.  Points that fail the
-  // request-option screen never join a group (a garbage spec or unbounded
-  // MinC must not build or pollute a cached model, cf. SweepEngine); they
-  // run without a shared model and Prepare() records the rejection
-  // per-run.
-  core::SweepReport report;
-  report.runs.resize(points->size());
-  std::vector<std::pair<core::GammaSpec, int>> groups;
-  std::vector<int> group_of(points->size(), -1);
-  for (size_t i = 0; i < points->size(); ++i) {
-    const core::MinerOptions& p = (*points)[i];
-    if (!ValidateMineOptions(p, *(*handle)->store).ok()) continue;
-    size_t g = 0;
-    for (; g < groups.size(); ++g) {
-      if (groups[g].first.policy == p.gamma_policy &&
-          groups[g].first.gamma == p.gamma) {
-        break;
-      }
-    }
-    if (g == groups.size()) {
-      core::GammaSpec spec;
-      spec.policy = p.gamma_policy;
-      spec.gamma = p.gamma;
-      groups.emplace_back(spec, p.min_conditions);
-    }
-    groups[g].second = std::max(groups[g].second, p.min_conditions);
-    group_of[i] = static_cast<int>(g);
-  }
+  // One cached model per core::GroupPointsByGamma group; points failing
+  // the request screen run without a shared model and Prepare() records
+  // the rejection per run.
+  const matrix::MatrixStore& store = *(*handle)->store;
+  const core::GammaGrouping grouping = core::GroupPointsByGamma(
+      *points, store, [&store](const core::MinerOptions& p) {
+        return CheckMincFitsMatrix(p, store);
+      });
   std::vector<std::shared_ptr<const core::SharedGammaModel>> models;
-  models.reserve(groups.size());
+  models.reserve(grouping.groups.size());
   int64_t hits = matrix_hit ? 1 : 0;
-  for (const auto& [spec, ceiling] : groups) {
+  for (const core::GammaGroup& group : grouping.groups) {
     bool model_hit = false;
-    auto model = cache_.GetModel(*handle, spec, ceiling, &model_hit);
+    auto model = cache_.GetModel(*handle, group.spec,
+                                 group.max_min_conditions, &model_hit);
     if (!model.ok()) {
       return ErrorResponse(HttpStatusOf(model.status()), "mine_error",
                            model.status().message());
@@ -439,14 +389,17 @@ ServiceResponse MiningService::ExecuteSweep(const MineRequest& request) {
   }
   cache_hits_total_->Add(hits);
 
+  core::SweepReport report;
+  report.runs.resize(points->size());
   for (size_t i = 0; i < points->size(); ++i) {
     core::SweepRun& run = report.runs[i];
     run.options = (*points)[i];
-    if (group_of[i] >= 0) {
-      run.options.shared_model = models[static_cast<size_t>(group_of[i])];
+    if (grouping.group_of[i] >= 0) {
+      run.options.shared_model =
+          models[static_cast<size_t>(grouping.group_of[i])];
       run.used_shared_model = true;
     }
-    core::RegClusterMiner miner(*(*handle)->store, run.options);
+    core::RegClusterMiner miner(store, run.options);
     run.status = miner.Prepare();
     if (!run.status.ok()) continue;
     if (pool_ != nullptr) {

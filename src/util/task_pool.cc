@@ -25,12 +25,14 @@ uint64_t NextRandom(uint64_t* state) {
 
 }  // namespace
 
+int ResolveThreadCount(int num_threads) {
+  if (num_threads > 0) return num_threads;
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return hw < 1 ? 1 : hw;
+}
+
 TaskPool::TaskPool(int num_threads) {
-  int n = num_threads;
-  if (n <= 0) {
-    n = static_cast<int>(std::thread::hardware_concurrency());
-    if (n < 1) n = 1;
-  }
+  const int n = ResolveThreadCount(num_threads);
   queues_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());

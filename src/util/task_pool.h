@@ -41,6 +41,10 @@
 namespace regcluster {
 namespace util {
 
+/// Resolves a worker-count knob: a positive count as is, 0 (or less) the
+/// hardware concurrency, never below 1.
+int ResolveThreadCount(int num_threads);
+
 class TaskPool {
  public:
   /// A task receives the index (in [0, num_workers())) of the worker that

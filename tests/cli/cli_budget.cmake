@@ -27,6 +27,15 @@ run_expect(2 ${CLI} no-such-command)
 run_expect(1 ${CLI} mine --matrix=${WORKDIR}/does-not-exist.tsv
            --out=${WORKDIR}/x.txt)
 
+# A non-finite gamma is a named InvalidArgument (exit 1), not an empty mine.
+execute_process(COMMAND ${CLI} mine --matrix=${WORKDIR}/m.tsv
+                        --out=${WORKDIR}/nan.txt --gamma=nan
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "InvalidArgument")
+  message(FATAL_ERROR "--gamma=nan: expected exit 1 + InvalidArgument, got "
+                      "${rc}:\n${out}\n${err}")
+endif()
+
 # An immediate deadline truncates before any root: exit 3, valid (possibly
 # empty) archive and a JSON export carrying the outcome block.
 run_expect(3 ${CLI} mine --matrix=${WORKDIR}/m.tsv

@@ -42,6 +42,30 @@ TEST(MinerOptionsValidation, RejectsBadParameters) {
     o.epsilon = -1.0;
     EXPECT_FALSE(RegClusterMiner(data, o).Mine().ok());
   }
+  // Non-finite gamma under every policy and NaN epsilon are named
+  // InvalidArgument rejections, not silently empty mines.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (GammaPolicy policy :
+       {GammaPolicy::kRangeFraction, GammaPolicy::kAbsolute}) {
+    for (double gamma : {kNaN, kInf, -kInf}) {
+      MinerOptions o;
+      o.gamma_policy = policy;
+      o.gamma = gamma;
+      auto result = RegClusterMiner(data, o).Mine();
+      ASSERT_FALSE(result.ok()) << gamma;
+      EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(ValidateMinerOptions(o, data).code(),
+                util::StatusCode::kInvalidArgument);
+    }
+  }
+  {
+    MinerOptions o;
+    o.epsilon = kNaN;
+    auto result = RegClusterMiner(data, o).Mine();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(MinerOptionsValidation, RejectsMissingValues) {

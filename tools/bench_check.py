@@ -107,85 +107,56 @@ def load_micro(doc):
     return out
 
 
-def check_budget_overhead(fresh_doc, baseline_doc, max_overhead):
-    """Gates budget_overhead.overhead_fraction.  Prefers the fresh
-    measurement, falls back to the committed baseline; returns True (pass)
-    with a notice when neither document carries the section."""
+def find_section(fresh_doc, baseline_doc, key):
+    """Returns (label, section) for `key`: the fresh measurement when it
+    carries the section, else the committed baseline, else (None, None).
+    Every section gate below uses this fresh-then-baseline fallback."""
     for label, doc in (("fresh", fresh_doc), ("baseline", baseline_doc)):
-        section = doc.get("budget_overhead")
-        if not section:
-            continue
-        overhead = float(section["overhead_fraction"])
-        ok = overhead <= max_overhead
-        print(f"budget-guard overhead ({label}): {overhead:+.2%} "
-              f"(limit {max_overhead:.2%})"
-              f"{'' if ok else '  REGRESSION'}")
-        return ok
-    print("budget-guard overhead: no budget_overhead section in either "
-          "input; skipping gate (run bench_threads to measure)")
+        if doc.get(key):
+            return label, doc[key]
+    return None, None
+
+
+def skip_missing(what, key, tool="bench_threads"):
+    """A gate whose section neither input carries passes with a notice."""
+    print(f"{what}: no {key} section in either input; skipping gate "
+          f"(run {tool} to measure)")
     return True
 
 
-def check_stats_overhead(fresh_doc, baseline_doc, max_overhead):
-    """Gates stats_overhead.overhead_fraction (collect_stats on vs off),
-    mirroring check_budget_overhead's fresh-then-baseline fallback."""
-    for label, doc in (("fresh", fresh_doc), ("baseline", baseline_doc)):
-        section = doc.get("stats_overhead")
-        if not section:
-            continue
-        overhead = float(section["overhead_fraction"])
-        ok = overhead <= max_overhead
-        print(f"stats-collection overhead ({label}): {overhead:+.2%} "
-              f"(limit {max_overhead:.2%})"
-              f"{'' if ok else '  REGRESSION'}")
-        return ok
-    print("stats-collection overhead: no stats_overhead section in either "
-          "input; skipping gate (run bench_threads to measure)")
-    return True
-
-
-def check_checkpoint_overhead(fresh_doc, baseline_doc, max_overhead):
-    """Gates checkpoint_overhead.overhead_fraction (durable chunked mine
-    with snapshot writes vs plain mine), mirroring check_budget_overhead's
-    fresh-then-baseline fallback."""
-    for label, doc in (("fresh", fresh_doc), ("baseline", baseline_doc)):
-        section = doc.get("checkpoint_overhead")
-        if not section:
-            continue
-        overhead = float(section["overhead_fraction"])
-        ok = overhead <= max_overhead
-        print(f"checkpoint overhead ({label}): {overhead:+.2%} "
-              f"(limit {max_overhead:.2%})"
-              f"{'' if ok else '  REGRESSION'}")
-        return ok
-    print("checkpoint overhead: no checkpoint_overhead section in either "
-          "input; skipping gate (run bench_threads to measure)")
-    return True
+def check_overhead(fresh_doc, baseline_doc, key, what, max_overhead):
+    """Gates <key>.overhead_fraction <= max_overhead: budget_overhead (the
+    budget guard), stats_overhead (collect_stats on vs off) and
+    checkpoint_overhead (durable chunked mine with snapshot writes vs plain
+    mine)."""
+    label, section = find_section(fresh_doc, baseline_doc, key)
+    if section is None:
+        return skip_missing(what, key)
+    overhead = float(section["overhead_fraction"])
+    ok = overhead <= max_overhead
+    print(f"{what} ({label}): {overhead:+.2%} "
+          f"(limit {max_overhead:.2%})"
+          f"{'' if ok else '  REGRESSION'}")
+    return ok
 
 
 def check_sweep_speedup(fresh_doc, baseline_doc, min_speedup):
     """Gates the shared-index batch sweep: sweep.speedup (one SweepEngine run
     over an equal-gamma grid vs the same mines done independently, each with
     its own load + model build) must stay >= --min-sweep-speedup, and the
-    engine's output must have matched the independent mines.  Same
-    fresh-then-baseline fallback and skip-with-notice as the overhead
-    gates."""
-    for label, doc in (("fresh", fresh_doc), ("baseline", baseline_doc)):
-        section = doc.get("sweep")
-        if not section:
-            continue
-        speedup = float(section["speedup"])
-        identical = bool(section.get("identical_to_independent"))
-        ok = speedup >= min_speedup and identical
-        print(f"sweep sharing ({label}): {speedup:.2f}x over "
-              f"{section.get('points', '?')} independent mines "
-              f"(minimum {min_speedup:.2f}x)"
-              f"{'' if identical else '  OUTPUT MISMATCH'}"
-              f"{'' if ok else '  REGRESSION'}")
-        return ok
-    print("sweep sharing: no sweep section in either input; skipping gate "
-          "(run bench_threads to measure)")
-    return True
+    engine's output must have matched the independent mines."""
+    label, section = find_section(fresh_doc, baseline_doc, "sweep")
+    if section is None:
+        return skip_missing("sweep sharing", "sweep")
+    speedup = float(section["speedup"])
+    identical = bool(section.get("identical_to_independent"))
+    ok = speedup >= min_speedup and identical
+    print(f"sweep sharing ({label}): {speedup:.2f}x over "
+          f"{section.get('points', '?')} independent mines "
+          f"(minimum {min_speedup:.2f}x)"
+          f"{'' if identical else '  OUTPUT MISMATCH'}"
+          f"{'' if ok else '  REGRESSION'}")
+    return ok
 
 
 def check_incremental_speedup(fresh_doc, baseline_doc, min_speedup):
@@ -194,25 +165,20 @@ def check_incremental_speedup(fresh_doc, baseline_doc, min_speedup):
     roots vs a from-scratch mine of the grown matrix) must stay >=
     --min-incremental-speedup, and the incremental output must have been
     byte-identical to the from-scratch one (clusters and deterministic work
-    counters).  Same fresh-then-baseline fallback and skip-with-notice as
-    the other section gates."""
-    for label, doc in (("fresh", fresh_doc), ("baseline", baseline_doc)):
-        section = doc.get("incremental")
-        if not section:
-            continue
-        speedup = float(section["speedup"])
-        identical = bool(section.get("identical_to_scratch"))
-        ok = speedup >= min_speedup and identical
-        print(f"incremental append ({label}): {speedup:.2f}x over the "
-              f"from-scratch mine, {section.get('roots_remined', '?')} roots "
-              f"re-mined / {section.get('roots_spliced', '?')} spliced "
-              f"(minimum {min_speedup:.2f}x)"
-              f"{'' if identical else '  OUTPUT MISMATCH'}"
-              f"{'' if ok else '  REGRESSION'}")
-        return ok
-    print("incremental append: no incremental section in either input; "
-          "skipping gate (run bench_threads to measure)")
-    return True
+    counters)."""
+    label, section = find_section(fresh_doc, baseline_doc, "incremental")
+    if section is None:
+        return skip_missing("incremental append", "incremental")
+    speedup = float(section["speedup"])
+    identical = bool(section.get("identical_to_scratch"))
+    ok = speedup >= min_speedup and identical
+    print(f"incremental append ({label}): {speedup:.2f}x over the "
+          f"from-scratch mine, {section.get('roots_remined', '?')} roots "
+          f"re-mined / {section.get('roots_spliced', '?')} spliced "
+          f"(minimum {min_speedup:.2f}x)"
+          f"{'' if identical else '  OUTPUT MISMATCH'}"
+          f"{'' if ok else '  REGRESSION'}")
+    return ok
 
 
 def check_sort_speedup(fresh_doc, baseline_doc, min_speedup):
@@ -250,31 +216,25 @@ def check_warm_speedup(fresh_doc, baseline_doc, min_speedup):
     """Gates the mining service's resource cache: server.warm_speedup (cold
     request latency over best warm-repeat latency for the same request, as
     measured by bench_server) must stay >= --min-warm-speedup, and the warm
-    responses must have been byte-identical to the cold one.  Same
-    fresh-then-baseline fallback and skip-with-notice as the other section
-    gates."""
-    for label, doc in (("fresh", fresh_doc), ("baseline", baseline_doc)):
-        section = doc.get("server")
-        if not section:
-            continue
-        raw = section.get("warm_speedup")
-        if raw is None:
-            print(f"server warm cache ({label}): server section has no "
-                  "warm_speedup; skipping gate (re-run bench_server)")
-            return True
-        speedup = float(raw)
-        identical = bool(section.get("identical_to_cold"))
-        ok = speedup >= min_speedup and identical
-        print(f"server warm cache ({label}): cold "
-              f"{float(section.get('cold_ms', 0)):.1f} ms, warm "
-              f"{float(section.get('warm_ms', 0)):.1f} ms, {speedup:.2f}x "
-              f"(minimum {min_speedup:.2f}x)"
-              f"{'' if identical else '  OUTPUT MISMATCH'}"
-              f"{'' if ok else '  REGRESSION'}")
-        return ok
-    print("server warm cache: no server section in either input; skipping "
-          "gate (run bench_server to measure)")
-    return True
+    responses must have been byte-identical to the cold one."""
+    label, section = find_section(fresh_doc, baseline_doc, "server")
+    if section is None:
+        return skip_missing("server warm cache", "server", "bench_server")
+    raw = section.get("warm_speedup")
+    if raw is None:
+        print(f"server warm cache ({label}): server section has no "
+              "warm_speedup; skipping gate (re-run bench_server)")
+        return True
+    speedup = float(raw)
+    identical = bool(section.get("identical_to_cold"))
+    ok = speedup >= min_speedup and identical
+    print(f"server warm cache ({label}): cold "
+          f"{float(section.get('cold_ms', 0)):.1f} ms, warm "
+          f"{float(section.get('warm_ms', 0)):.1f} ms, {speedup:.2f}x "
+          f"(minimum {min_speedup:.2f}x)"
+          f"{'' if identical else '  OUTPUT MISMATCH'}"
+          f"{'' if ok else '  REGRESSION'}")
+    return ok
 
 
 def check_phase_ns(fresh_doc, baseline_doc, threshold, floor_ns):
@@ -490,15 +450,15 @@ def main(argv):
         print(f"{name:<32} {base_time:>10.2f}{base_unit:<2} "
               f"{fresh_time:>10.2f}{fresh_unit:<2} {ratio:>7.2f}x{verdict}")
 
-    if not check_budget_overhead(fresh_doc, baseline_doc,
-                                 args.max_budget_overhead):
-        failed = True
-    if not check_stats_overhead(fresh_doc, baseline_doc,
-                                args.max_stats_overhead):
-        failed = True
-    if not check_checkpoint_overhead(fresh_doc, baseline_doc,
-                                     args.max_checkpoint_overhead):
-        failed = True
+    for key, what, limit in (
+            ("budget_overhead", "budget-guard overhead",
+             args.max_budget_overhead),
+            ("stats_overhead", "stats-collection overhead",
+             args.max_stats_overhead),
+            ("checkpoint_overhead", "checkpoint overhead",
+             args.max_checkpoint_overhead)):
+        if not check_overhead(fresh_doc, baseline_doc, key, what, limit):
+            failed = True
     if not check_sweep_speedup(fresh_doc, baseline_doc,
                                args.min_sweep_speedup):
         failed = True

@@ -194,15 +194,20 @@ util::StatusOr<std::vector<core::RegCluster>> LoadClustersArg(
   return c;
 }
 
-/// Renders a report through `write` into memory and atomically replaces
-/// `path` with it.  Every CLI report (archive, JSON, CSV, metrics) goes
-/// through here so a crash mid-write can never leave a torn file where a
-/// previous complete report existed.
+/// Renders a report through `write` into memory, atomically replaces `path`
+/// with it and prints "<label>: <path>"; an empty path writes nothing.
+/// Every CLI report (JSON, CSV, metrics, text report) goes through here so
+/// a crash mid-write can never leave a torn file where a previous complete
+/// report existed.
 template <typename WriteFn>
-util::Status WriteReportAtomic(const std::string& path, WriteFn&& write) {
+util::Status WriteReportAtomic(const std::string& path, const char* label,
+                               WriteFn&& write) {
+  if (path.empty()) return util::Status::OK();
   std::ostringstream buffer;
-  if (util::Status st = write(buffer); !st.ok()) return st;
-  return util::AtomicWriteFile(path, buffer.str());
+  REGCLUSTER_RETURN_IF_ERROR(write(buffer));
+  REGCLUSTER_RETURN_IF_ERROR(util::AtomicWriteFile(path, buffer.str()));
+  std::printf("%s: %s\n", label, path.c_str());
+  return util::Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -359,35 +364,26 @@ int RunSweep(const matrix::MatrixStore& data, core::MinerOptions base,
 
   if (deterministic_output) io::ZeroVolatileSweepFields(&report);
 
-  if (!json_path.empty()) {
-    auto st = WriteReportAtomic(json_path, [&](std::ostream& out) {
-      return io::WriteSweepJson(report, out);
-    });
-    if (!st.ok()) return Fail(st);
-    std::printf("sweep json: %s\n", json_path.c_str());
-  }
-  if (!csv_path.empty()) {
-    auto st = WriteReportAtomic(csv_path, [&](std::ostream& out) {
+  util::Status st =
+      WriteReportAtomic(json_path, "sweep json", [&](std::ostream& out) {
+        return io::WriteSweepJson(report, out);
+      });
+  if (st.ok()) {
+    st = WriteReportAtomic(csv_path, "sweep csv", [&](std::ostream& out) {
       return io::WriteSweepCsv(report, out);
     });
-    if (!st.ok()) return Fail(st);
-    std::printf("sweep csv: %s\n", csv_path.c_str());
   }
-  if (!metrics_path.empty()) {
-    auto st = WriteReportAtomic(metrics_path, [&](std::ostream& out) {
+  if (st.ok()) {
+    st = WriteReportAtomic(metrics_path, "metrics", [&](std::ostream& out) {
       obs::MetricsRegistry registry;
-      if (auto rs = io::RegisterSweepMetrics(report, &registry,
-                                             ckpt_for_metrics);
-          !rs.ok()) {
-        return rs;
-      }
+      REGCLUSTER_RETURN_IF_ERROR(
+          io::RegisterSweepMetrics(report, &registry, ckpt_for_metrics));
       return metrics_format == io::MetricsFormat::kPrometheus
                  ? registry.WritePrometheus(out)
                  : registry.WriteJson(out);
     });
-    if (!st.ok()) return Fail(st);
-    std::printf("metrics: %s\n", metrics_path.c_str());
   }
+  if (!st.ok()) return Fail(st);
   return truncated ? kExitTruncated : kExitOk;
 }
 
@@ -722,11 +718,19 @@ int CmdMine(Flags* flags) {
                     deterministic_output);
   }
 
-  // Incremental time-course mining: seed a chain (--incremental-out on a
-  // plain mine) or extend one (--append + --prev-outcome).  Appends widen
-  // the matrix in memory, so binary inputs reload resident here.
+  util::StatusOr<std::vector<core::RegCluster>> clusters;
+  core::MinerStats stats;
+  core::MineOutcome outcome;
+  io::CheckpointStats ckpt_stats;
+  const io::CheckpointStats* ckpt_for_metrics = nullptr;
+  // The matrix the reports name genes from: `store`, or the widened
+  // resident copy an incremental run mines.
+  const matrix::MatrixStore* out_store = &store;
+  matrix::ExpressionMatrix inc_data;
   if (incremental) {
-    matrix::ExpressionMatrix inc_data;
+    // Incremental time-course mining: seed a chain (--incremental-out on a
+    // plain mine) or extend one (--append + --prev-outcome).  Appends widen
+    // the matrix in memory, so binary inputs reload resident here.
     if (use_binary) {
       auto m = matrix::ReadBinaryMatrix(matrix_path);
       if (!m.ok()) return Fail(m.status());
@@ -734,6 +738,7 @@ int CmdMine(Flags* flags) {
     } else {
       inc_data = std::move(data);
     }
+    out_store = &inc_data;
     util::StatusOr<io::IncrementalMineResult> result =
         util::Status::Internal("unreachable");
     if (append_path.empty()) {
@@ -790,152 +795,109 @@ int CmdMine(Flags* flags) {
       }
       std::printf("widened matrix: %s\n", matrix_out.c_str());
     }
-    core::MinerStats inc_stats = result->stats;
-    core::MineOutcome inc_outcome;
-    inc_outcome.status = core::MineStatus::kComplete;
-    inc_outcome.roots_total = inc_data.num_conditions();
-    inc_outcome.roots_completed = inc_data.num_conditions();
-    inc_outcome.simd_level = util::simd::Ops().level;
-    if (deterministic_output) {
-      io::ZeroVolatileMineFields(&inc_stats, &inc_outcome);
-    }
-    if (auto st = io::SaveClusters(result->clusters, out_path); !st.ok()) {
-      return Fail(st);
-    }
-    std::printf("archive: %s\n", out_path.c_str());
-    if (!report_path.empty()) {
-      auto st = WriteReportAtomic(report_path, [&](std::ostream& out) {
-        return io::WriteReport(result->clusters, &inc_data, out);
-      });
-      if (!st.ok()) return Fail(st);
-      std::printf("report: %s\n", report_path.c_str());
-    }
-    if (!json_path.empty()) {
-      auto st = WriteReportAtomic(json_path, [&](std::ostream& out) {
-        return io::WriteClustersJson(result->clusters, &inc_data,
-                                     &inc_outcome, &inc_stats, out);
-      });
-      if (!st.ok()) return Fail(st);
-      std::printf("json: %s\n", json_path.c_str());
-    }
-    if (!metrics_path.empty()) {
-      auto st = WriteReportAtomic(metrics_path, [&](std::ostream& out) {
-        return io::WriteMinerMetrics(inc_stats, inc_outcome, *metrics_format,
-                                     out, nullptr);
-      });
-      if (!st.ok()) return Fail(st);
-      std::printf("metrics: %s\n", metrics_path.c_str());
-    }
-    return kExitOk;
-  }
-
-  // Route SIGINT/SIGTERM into the miner's cancellation token for the
-  // duration of the search; a second signal after restoration falls back to
-  // the default (immediate) disposition.  In a durable run the cancellation
-  // surfaces as a hard stop inside the driver, which writes a final
-  // synchronous snapshot before returning -- so Ctrl-C leaves a resumable
-  // checkpoint behind.
-  auto token = std::make_shared<util::CancellationToken>();
-  opts.cancel_token = token;
-  g_interrupt_token.store(token.get(), std::memory_order_release);
-  auto prev_int = std::signal(SIGINT, HandleInterrupt);
-  auto prev_term = std::signal(SIGTERM, HandleInterrupt);
-  util::StatusOr<std::vector<core::RegCluster>> clusters;
-  core::MinerStats stats;
-  core::MineOutcome outcome;
-  io::CheckpointStats ckpt_stats;
-  const io::CheckpointStats* ckpt_for_metrics = nullptr;
-  if (durable) {
-    auto result = io::RunCheckpointedMine(store, opts, ckpt_config,
-                                          loaded ? &loaded->mine : nullptr);
-    if (result.ok()) {
-      clusters = std::move(result->clusters);
-      stats = result->stats;
-      outcome = result->outcome;
-      ckpt_stats = result->checkpoint;
-      ckpt_for_metrics = &ckpt_stats;
-      if (!result->checkpoint_status.ok()) {
-        std::fprintf(stderr, "warning: checkpoint write failed: %s\n",
-                     result->checkpoint_status.ToString().c_str());
+    clusters = std::move(result->clusters);
+    stats = result->stats;
+    outcome = result->outcome;
+  } else {
+    // Route SIGINT/SIGTERM into the miner's cancellation token for the
+    // duration of the search; a second signal after restoration falls back
+    // to the default (immediate) disposition.  In a durable run the
+    // cancellation surfaces as a hard stop inside the driver, which writes
+    // a final synchronous snapshot before returning -- so Ctrl-C leaves a
+    // resumable checkpoint behind.
+    auto token = std::make_shared<util::CancellationToken>();
+    opts.cancel_token = token;
+    g_interrupt_token.store(token.get(), std::memory_order_release);
+    auto prev_int = std::signal(SIGINT, HandleInterrupt);
+    auto prev_term = std::signal(SIGTERM, HandleInterrupt);
+    if (durable) {
+      auto result = io::RunCheckpointedMine(store, opts, ckpt_config,
+                                            loaded ? &loaded->mine : nullptr);
+      if (result.ok()) {
+        clusters = std::move(result->clusters);
+        stats = result->stats;
+        outcome = result->outcome;
+        ckpt_stats = result->checkpoint;
+        ckpt_for_metrics = &ckpt_stats;
+        if (!result->checkpoint_status.ok()) {
+          std::fprintf(stderr, "warning: checkpoint write failed: %s\n",
+                       result->checkpoint_status.ToString().c_str());
+        }
+      } else {
+        clusters = result.status();
       }
     } else {
-      clusters = result.status();
+      core::RegClusterMiner miner(store, opts);
+      clusters = miner.Mine();
+      if (clusters.ok()) {
+        stats = miner.stats();
+        outcome = miner.outcome();
+      }
     }
-  } else {
-    core::RegClusterMiner miner(store, opts);
-    clusters = miner.Mine();
-    if (clusters.ok()) {
-      stats = miner.stats();
-      outcome = miner.outcome();
+    std::signal(SIGINT, prev_int == SIG_ERR ? SIG_DFL : prev_int);
+    std::signal(SIGTERM, prev_term == SIG_ERR ? SIG_DFL : prev_term);
+    g_interrupt_token.store(nullptr, std::memory_order_release);
+    if (!clusters.ok()) return Fail(clusters.status());
+
+    if (outcome.status == core::MineStatus::kTruncated) {
+      std::fprintf(
+          stderr,
+          "warning: search truncated (%s) after %d of %d roots; the outputs\n"
+          "warning: below are a canonical prefix of the full result"
+          " (resume root %d)\n",
+          util::StopReasonName(outcome.stop_reason), outcome.roots_completed,
+          outcome.roots_total, outcome.resume.next_root);
+      if (durable && !ckpt_config.path.empty()) {
+        std::fprintf(stderr,
+                     "warning: checkpoint saved; re-run the same command "
+                     "with\n"
+                     "warning:   --resume-from=%s\n"
+                     "warning: to continue from this point\n",
+                     ckpt_config.path.c_str());
+      }
     }
+    if (merge_overlap > 0.0) {
+      eval::ConsensusOptions copts;
+      copts.min_overlap = merge_overlap;
+      copts.gamma_spec = {opts.gamma_policy, opts.gamma};
+      copts.epsilon = opts.epsilon;
+      const size_t before = clusters->size();
+      *clusters = eval::MergeOverlapping(store, *std::move(clusters), copts);
+      std::printf("consensus merge at overlap >= %.2f: %zu -> %zu clusters\n",
+                  merge_overlap, before, clusters->size());
+    }
+    std::printf(
+        "mined %zu clusters in %.3f s (model build %.3f s, %lld nodes, "
+        "%lld extensions)\n",
+        clusters->size(), stats.mine_seconds, stats.rwave_build_seconds,
+        static_cast<long long>(stats.nodes_expanded),
+        static_cast<long long>(stats.extensions_tested));
   }
-  std::signal(SIGINT, prev_int == SIG_ERR ? SIG_DFL : prev_int);
-  std::signal(SIGTERM, prev_term == SIG_ERR ? SIG_DFL : prev_term);
-  g_interrupt_token.store(nullptr, std::memory_order_release);
-  if (!clusters.ok()) return Fail(clusters.status());
 
   const bool truncated = outcome.status == core::MineStatus::kTruncated;
-  if (truncated) {
-    std::fprintf(
-        stderr,
-        "warning: search truncated (%s) after %d of %d roots; the outputs\n"
-        "warning: below are a canonical prefix of the full result"
-        " (resume root %d)\n",
-        util::StopReasonName(outcome.stop_reason), outcome.roots_completed,
-        outcome.roots_total, outcome.resume.next_root);
-    if (durable && !ckpt_config.path.empty()) {
-      std::fprintf(stderr,
-                   "warning: checkpoint saved; re-run the same command with\n"
-                   "warning:   --resume-from=%s\n"
-                   "warning: to continue from this point\n",
-                   ckpt_config.path.c_str());
-    }
-  }
-  if (merge_overlap > 0.0) {
-    eval::ConsensusOptions copts;
-    copts.min_overlap = merge_overlap;
-    copts.gamma_spec = {opts.gamma_policy, opts.gamma};
-    copts.epsilon = opts.epsilon;
-    const size_t before = clusters->size();
-    *clusters = eval::MergeOverlapping(store, *std::move(clusters), copts);
-    std::printf("consensus merge at overlap >= %.2f: %zu -> %zu clusters\n",
-                merge_overlap, before, clusters->size());
-  }
-  std::printf(
-      "mined %zu clusters in %.3f s (model build %.3f s, %lld nodes, "
-      "%lld extensions)\n",
-      clusters->size(), stats.mine_seconds, stats.rwave_build_seconds,
-      static_cast<long long>(stats.nodes_expanded),
-      static_cast<long long>(stats.extensions_tested));
-
   if (deterministic_output) io::ZeroVolatileMineFields(&stats, &outcome);
 
   if (auto st = io::SaveClusters(*clusters, out_path); !st.ok()) {
     return Fail(st);
   }
   std::printf("archive: %s\n", out_path.c_str());
-  if (!report_path.empty()) {
-    auto st = WriteReportAtomic(report_path, [&](std::ostream& out) {
-      return io::WriteReport(*clusters, &store, out);
+  util::Status st =
+      WriteReportAtomic(report_path, "report", [&](std::ostream& out) {
+        return io::WriteReport(*clusters, out_store, out);
+      });
+  if (st.ok()) {
+    st = WriteReportAtomic(json_path, "json", [&](std::ostream& out) {
+      return io::WriteClustersJson(*clusters, out_store, &outcome, &stats,
+                                   out);
     });
-    if (!st.ok()) return Fail(st);
-    std::printf("report: %s\n", report_path.c_str());
   }
-  if (!json_path.empty()) {
-    auto st = WriteReportAtomic(json_path, [&](std::ostream& out) {
-      return io::WriteClustersJson(*clusters, &store, &outcome, &stats, out);
-    });
-    if (!st.ok()) return Fail(st);
-    std::printf("json: %s\n", json_path.c_str());
-  }
-  if (!metrics_path.empty()) {
-    auto st = WriteReportAtomic(metrics_path, [&](std::ostream& out) {
+  if (st.ok()) {
+    st = WriteReportAtomic(metrics_path, "metrics", [&](std::ostream& out) {
       return io::WriteMinerMetrics(stats, outcome, *metrics_format, out,
                                    ckpt_for_metrics);
     });
-    if (!st.ok()) return Fail(st);
-    std::printf("metrics: %s\n", metrics_path.c_str());
   }
+  if (!st.ok()) return Fail(st);
   return truncated ? kExitTruncated : kExitOk;
 }
 
