@@ -42,6 +42,16 @@ GammaGrouping GroupPointsByGamma(
   return out;
 }
 
+void SweepReport::CountRun(const SweepRun& run) {
+  if (!run.executed) return;
+  ++runs_executed;
+  nodes_total += run.stats.nodes_expanded;
+  // The clusters actually present in the report: with dominance removal on,
+  // fewer than stats.clusters_emitted (which stays the budget accounting
+  // unit because it is the deterministic search-side counter).
+  clusters_total += static_cast<int64_t>(run.clusters.size());
+}
+
 SweepEngine::SweepEngine(const matrix::MatrixStore& data,
                          SweepOptions options)
     : data_(data), options_(std::move(options)) {}
@@ -69,9 +79,7 @@ util::StatusOr<SweepReport> SweepEngine::Run(
   std::vector<MinerOptions> run_options = points;
   // The engine owns scheduling; a run must never spin up its own pool.
   for (MinerOptions& o : run_options) o.num_threads = 1;
-  GammaGrouping grouping;
-  grouping.group_of.assign(points.size(), -1);
-  if (options_.share_models) grouping = GroupPointsByGamma(run_options, data_);
+  const GammaGrouping grouping = GroupPointsByGamma(run_options, data_);
   for (size_t i = 0; i < points.size(); ++i) {
     report.runs[i].options = std::move(run_options[i]);
   }
@@ -203,13 +211,7 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     node_rem -= run.stats.nodes_expanded;
     cluster_rem -= run.stats.clusters_emitted;
     run.executed = true;
-    ++report.runs_executed;
-    report.nodes_total += run.stats.nodes_expanded;
-    // Count the clusters actually present in the report: with dominance
-    // removal on, fewer than stats.clusters_emitted (which stays the budget
-    // accounting unit above because it is the deterministic search-side
-    // counter).
-    report.clusters_total += static_cast<int64_t>(run.clusters.size());
+    report.CountRun(run);
   }
 
   if (report.stop_reason != util::StopReason::kNone) {

@@ -64,10 +64,6 @@ struct SweepOptions {
   /// engine owns scheduling (the output is thread-count-invariant anyway).
   int num_threads = 1;
 
-  /// Share one model/index per distinct (gamma_policy, gamma).  Off builds
-  /// per-run models exactly like independent mines (for A/B measurement).
-  bool share_models = true;
-
   /// Sweep-level budgets; -1 / null disables each.  See the file comment
   /// for how they compose with per-point budgets.
   int64_t max_nodes = -1;
@@ -108,8 +104,8 @@ struct SweepReport {
   /// First point not covered by the output (the resume boundary); -1 when
   /// the sweep attempted every point.
   int first_unfinished = -1;
-  /// Distinct gamma groups the engine built a SharedGammaModel for (0 when
-  /// share_models is off); runs add their own stats.index_builds on top.
+  /// Distinct gamma groups the engine built a SharedGammaModel for; runs
+  /// add their own stats.index_builds on top.
   int index_builds = 0;
   /// Heap bytes of the engine-built shared models.
   int64_t shared_model_bytes = 0;
@@ -119,6 +115,10 @@ struct SweepReport {
   /// dominance removal), not the raw stats.clusters_emitted counter.
   int64_t nodes_total = 0;
   int64_t clusters_total = 0;
+
+  /// Adds `run` to runs_executed, nodes_total and clusters_total when it
+  /// executed -- the one place every sweep driver keeps those sums.
+  void CountRun(const SweepRun& run);
 };
 
 /// Exact model identity of a point: (gamma_policy, gamma bit pattern).  Any

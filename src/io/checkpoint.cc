@@ -82,19 +82,9 @@ util::Status ReadOutcome(Cursor* c, core::MineOutcome* o) {
   return util::Status::OK();
 }
 
+// Records after the context record.
 std::string EncodeMineBody(const MineCheckpoint& m) {
   std::string body;
-  {
-    std::string rec;
-    PutU32(&rec, kTagContext);
-    PutU64(&rec, m.semantic_options_hash);
-    PutU64(&rec, m.matrix_hash.hi);
-    PutU64(&rec, m.matrix_hash.lo);
-    PutI64(&rec, m.num_genes);
-    PutI64(&rec, m.num_conditions);
-    PutU32(&rec, m.flags);
-    util::AppendRecord(&body, rec);
-  }
   {
     std::string rec;
     PutU32(&rec, kTagProgress);
@@ -124,17 +114,6 @@ std::string EncodeSweepBody(const SweepCheckpoint& s) {
   std::string body;
   {
     std::string rec;
-    PutU32(&rec, kTagContext);
-    PutU64(&rec, s.grid_hash);
-    PutU64(&rec, s.matrix_hash.hi);
-    PutU64(&rec, s.matrix_hash.lo);
-    PutI64(&rec, s.num_genes);
-    PutI64(&rec, s.num_conditions);
-    PutU32(&rec, s.flags);
-    util::AppendRecord(&body, rec);
-  }
-  {
-    std::string rec;
     PutU32(&rec, kTagSweepAggregate);
     PutI64(&rec, s.first_unfinished);
     PutI64(&rec, s.runs_total);
@@ -146,10 +125,11 @@ std::string EncodeSweepBody(const SweepCheckpoint& s) {
     PutU64(&rec, s.runs.size());
     util::AppendRecord(&body, rec);
   }
-  for (const SweepRunSnapshot& run : s.runs) {
+  for (size_t i = 0; i < s.runs.size(); ++i) {
+    const core::SweepRun& run = s.runs[i];
     std::string rec;
     PutU32(&rec, kTagSweepRun);
-    PutU32(&rec, static_cast<uint32_t>(run.index));
+    PutU32(&rec, static_cast<uint32_t>(i));
     PutU32(&rec, static_cast<uint32_t>(run.status.code()));
     PutString(&rec, run.status.message());
     PutU32(&rec, run.executed ? 1 : 0);
@@ -160,6 +140,14 @@ std::string EncodeSweepBody(const SweepCheckpoint& s) {
     util::AppendRecord(&body, rec);
   }
   return body;
+}
+
+// Framed records before the end record: context + 3 for a mine, context +
+// aggregate + one per run for a sweep.
+uint32_t BodyRecordCount(const Checkpoint& ckpt) {
+  return ckpt.kind == CheckpointKind::kMine
+             ? 4
+             : static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
 }
 
 // Reads one framed record and checks its tag.
@@ -186,21 +174,7 @@ util::StatusOr<std::string_view> NextRecord(util::RecordReader* reader,
   return std::string_view(rec->data() + 4, rec->size() - 4);
 }
 
-util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m,
-                            uint32_t* record_count) {
-  {
-    auto rec = NextRecord(reader, kTagContext, "context");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadU64("semantic_options_hash", &m->semantic_options_hash));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.hi", &m->matrix_hash.hi));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.lo", &m->matrix_hash.lo));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_genes", &m->num_genes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_conditions", &m->num_conditions));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("flags", &m->flags));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("context"));
-  }
+util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m) {
   {
     auto rec = NextRecord(reader, kTagProgress, "progress");
     if (!rec.ok()) return rec.status();
@@ -228,24 +202,10 @@ util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m,
     REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &m->clusters));
     REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("clusters"));
   }
-  *record_count = 4;
   return util::Status::OK();
 }
 
-util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
-                             uint32_t* record_count) {
-  {
-    auto rec = NextRecord(reader, kTagContext, "context");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("grid_hash", &s->grid_hash));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.hi", &s->matrix_hash.hi));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("matrix_hash.lo", &s->matrix_hash.lo));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_genes", &s->num_genes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_conditions", &s->num_conditions));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("flags", &s->flags));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("context"));
-  }
+util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s) {
   uint64_t run_count = 0;
   {
     auto rec = NextRecord(reader, kTagSweepAggregate, "sweep aggregate");
@@ -264,15 +224,30 @@ util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("run snapshot count", &run_count));
     s->stop_reason = static_cast<int32_t>(reason);
   }
+  // The run records must be exactly the covered prefix, or a resume would
+  // report points that never ran.
+  if (s->first_unfinished < -1 || s->first_unfinished >= s->runs_total) {
+    return util::Status::Corruption(
+        "checkpoint sweep first_unfinished outside [-1, runs_total)");
+  }
+  const int64_t covered = s->complete() ? s->runs_total : s->first_unfinished;
+  if (run_count != static_cast<uint64_t>(covered)) {
+    return util::Status::Corruption(
+        "checkpoint sweep run count does not match the covered prefix");
+  }
   s->runs.clear();
   for (uint64_t i = 0; i < run_count; ++i) {
     auto rec = NextRecord(reader, kTagSweepRun, "sweep run");
     if (!rec.ok()) return rec.status();
     Cursor c(*rec, kLabel);
-    SweepRunSnapshot run;
+    core::SweepRun run;
     uint32_t index = 0, code = 0, executed = 0, shared = 0;
     std::string message;
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run index", &index));
+    if (index != i) {
+      return util::Status::Corruption(
+          "checkpoint sweep run index differs from its position");
+    }
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run status code", &code));
     REGCLUSTER_RETURN_IF_ERROR(c.ReadString("run status message", &message));
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run executed", &executed));
@@ -281,7 +256,6 @@ util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
     REGCLUSTER_RETURN_IF_ERROR(ReadOutcome(&c, &run.outcome));
     REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &run.clusters));
     REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("sweep run"));
-    run.index = static_cast<int32_t>(index);
     run.status = code == 0 ? util::Status::OK()
                            : util::Status(static_cast<util::StatusCode>(code),
                                           std::move(message));
@@ -289,20 +263,21 @@ util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s,
     run.used_shared_model = shared != 0;
     s->runs.push_back(std::move(run));
   }
-  *record_count = static_cast<uint32_t>(2 + run_count);
   return util::Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// Mine driver helpers.
+Checkpoint SnapshotOf(const MineCheckpoint& state) {
+  Checkpoint ckpt;
+  ckpt.kind = CheckpointKind::kMine;
+  ckpt.mine = state;
+  return ckpt;
+}
 
-// The options one resumable chunk runs under: the user's semantics with the
-// global dominance post-pass deferred (it cannot splice across chunks; the
-// driver applies core::RemoveDominated once on the completed output).
-core::MinerOptions ChunkOptions(const core::MinerOptions& user) {
-  core::MinerOptions chunk = user;
-  chunk.remove_dominated = false;
-  return chunk;
+Checkpoint SnapshotOf(const SweepCheckpoint& state) {
+  Checkpoint ckpt;
+  ckpt.kind = CheckpointKind::kSweep;
+  ckpt.sweep = state;
+  return ckpt;
 }
 
 }  // namespace
@@ -317,16 +292,15 @@ std::string EncodeCheckpoint(const Checkpoint& ckpt) {
   PutU32(&out, kEndianTag);
   PutU32(&out, static_cast<uint32_t>(ckpt.kind));
   PutU64(&out, ckpt.generation);
-  std::string body = ckpt.kind == CheckpointKind::kMine
-                         ? EncodeMineBody(ckpt.mine)
-                         : EncodeSweepBody(ckpt.sweep);
-  uint32_t records = ckpt.kind == CheckpointKind::kMine
-                         ? 4
-                         : static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
-  out.append(body);
+  const bool mine = ckpt.kind == CheckpointKind::kMine;
+  std::string context;
+  PutU32(&context, kTagContext);
+  PutRunContext(&context, mine ? ckpt.mine.context : ckpt.sweep.context);
+  util::AppendRecord(&out, context);
+  out.append(mine ? EncodeMineBody(ckpt.mine) : EncodeSweepBody(ckpt.sweep));
   std::string end;
   PutU32(&end, kTagEnd);
-  PutU32(&end, records);
+  PutU32(&end, BodyRecordCount(ckpt));
   util::AppendRecord(&out, end);
   return out;
 }
@@ -362,15 +336,17 @@ util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
   Checkpoint ckpt;
   ckpt.generation = generation;
   ckpt.kind = static_cast<CheckpointKind>(kind);
+  const bool mine = ckpt.kind == CheckpointKind::kMine;
   util::RecordReader reader(bytes.substr(kPreambleBytes));
-  uint32_t body_records = 0;
-  if (ckpt.kind == CheckpointKind::kMine) {
-    REGCLUSTER_RETURN_IF_ERROR(
-        DecodeMineBody(&reader, &ckpt.mine, &body_records));
-  } else {
-    REGCLUSTER_RETURN_IF_ERROR(
-        DecodeSweepBody(&reader, &ckpt.sweep, &body_records));
+  {
+    auto rec = NextRecord(&reader, kTagContext, "context");
+    if (!rec.ok()) return rec.status();
+    Cursor c(*rec, kLabel);
+    REGCLUSTER_RETURN_IF_ERROR(ReadRunContext(
+        &c, mine ? &ckpt.mine.context : &ckpt.sweep.context));
   }
+  REGCLUSTER_RETURN_IF_ERROR(mine ? DecodeMineBody(&reader, &ckpt.mine)
+                                  : DecodeSweepBody(&reader, &ckpt.sweep));
   auto end = NextRecord(&reader, kTagEnd, "end");
   if (!end.ok()) return end.status();
   {
@@ -378,7 +354,7 @@ util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
     uint32_t declared = 0;
     REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("record count", &declared));
     REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("end"));
-    if (declared != body_records) {
+    if (declared != BodyRecordCount(ckpt)) {
       return util::Status::Corruption("checkpoint record count mismatch");
     }
   }
@@ -483,22 +459,50 @@ uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points) {
   return h.Digest().lo;
 }
 
+core::MinerOptions SpliceOptions(const core::MinerOptions& options) {
+  core::MinerOptions splice = options;
+  splice.remove_dominated = false;
+  return splice;
+}
+
+RunContext MineContext(const matrix::MatrixStore& data, int cols,
+                       const core::MinerOptions& options) {
+  RunContext ctx;
+  ctx.options_hash =
+      core::RegClusterMiner::SemanticOptionsHash(SpliceOptions(options));
+  ctx.matrix_hash = HashMatrixPrefix(data, cols);
+  ctx.num_genes = data.num_genes();
+  ctx.num_conditions = cols;
+  ctx.flags = options.remove_dominated ? RunContext::kRemoveDominated : 0;
+  return ctx;
+}
+
 namespace {
+
+RunContext SweepContext(const matrix::MatrixStore& data,
+                        const std::vector<core::MinerOptions>& points) {
+  RunContext ctx;
+  ctx.options_hash = HashSweepGrid(points);
+  ctx.matrix_hash = HashMatrixContent(data);
+  ctx.num_genes = data.num_genes();
+  ctx.num_conditions = data.num_conditions();
+  return ctx;
+}
 
 // The matrix a snapshot was written for (dims, then content hash) must be
 // the one being mined.
-util::Status ValidateMatrixIdentity(int64_t num_genes, int64_t num_conditions,
-                                    const util::Hash128& matrix_hash,
-                                    const matrix::MatrixStore& data) {
-  if (num_genes != data.num_genes() ||
-      num_conditions != data.num_conditions()) {
+util::Status ValidateMatrixIdentity(const RunContext& have,
+                                    const RunContext& want) {
+  if (have.num_genes != want.num_genes ||
+      have.num_conditions != want.num_conditions) {
     return util::Status::FailedPrecondition(
         "checkpoint matrix dimensions differ: snapshot " +
-        std::to_string(num_genes) + "x" + std::to_string(num_conditions) +
-        ", matrix " + std::to_string(data.num_genes()) + "x" +
-        std::to_string(data.num_conditions()));
+        std::to_string(have.num_genes) + "x" +
+        std::to_string(have.num_conditions) + ", matrix " +
+        std::to_string(want.num_genes) + "x" +
+        std::to_string(want.num_conditions));
   }
-  if (!(HashMatrixContent(data) == matrix_hash)) {
+  if (have.matrix_hash != want.matrix_hash) {
     return util::Status::FailedPrecondition(
         "checkpoint was written for a different matrix "
         "(content hash mismatch)");
@@ -511,22 +515,18 @@ util::Status ValidateMatrixIdentity(int64_t num_genes, int64_t num_conditions,
 util::Status ValidateMineCheckpoint(const MineCheckpoint& ckpt,
                                     const matrix::MatrixStore& data,
                                     const core::MinerOptions& options) {
-  const uint32_t want_flags =
-      options.remove_dominated ? kCheckpointFlagRemoveDominated : 0;
-  if (ckpt.flags != want_flags) {
+  const RunContext want = MineContext(data, data.num_conditions(), options);
+  if (ckpt.context.flags != want.flags) {
     return util::Status::FailedPrecondition(
         "checkpoint dominance-pass setting differs from the requested "
         "options");
   }
-  const uint64_t want_hash =
-      core::RegClusterMiner::SemanticOptionsHash(ChunkOptions(options));
-  if (ckpt.semantic_options_hash != want_hash) {
+  if (ckpt.context.options_hash != want.options_hash) {
     return util::Status::FailedPrecondition(
         "checkpoint was written under different mining options "
         "(semantic hash mismatch)");
   }
-  return ValidateMatrixIdentity(ckpt.num_genes, ckpt.num_conditions,
-                                ckpt.matrix_hash, data);
+  return ValidateMatrixIdentity(ckpt.context, want);
 }
 
 util::Status ValidateSweepCheckpoint(
@@ -538,13 +538,13 @@ util::Status ValidateSweepCheckpoint(
         std::to_string(ckpt.runs_total) + " points, spec " +
         std::to_string(points.size()));
   }
-  if (ckpt.grid_hash != HashSweepGrid(points)) {
+  const RunContext want = SweepContext(data, points);
+  if (ckpt.context.options_hash != want.options_hash) {
     return util::Status::FailedPrecondition(
         "checkpoint was written for a different sweep grid "
         "(grid hash mismatch)");
   }
-  return ValidateMatrixIdentity(ckpt.num_genes, ckpt.num_conditions,
-                                ckpt.matrix_hash, data);
+  return ValidateMatrixIdentity(ckpt.context, want);
 }
 
 // ---------------------------------------------------------------------------
@@ -655,26 +655,16 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const matrix::MatrixStore& data, const core::MinerOptions& options,
     const CheckpointConfig& config, const MineCheckpoint* resume) {
   util::WallTimer run_timer;
-  const core::MinerOptions chunk_base = ChunkOptions(options);
-  const uint64_t semantic_hash =
-      core::RegClusterMiner::SemanticOptionsHash(chunk_base);
-  const uint32_t flags =
-      options.remove_dominated ? kCheckpointFlagRemoveDominated : 0;
-
-  if (resume != nullptr) {
-    REGCLUSTER_RETURN_IF_ERROR(ValidateMineCheckpoint(*resume, data, options));
-  }
+  const core::MinerOptions chunk_base = SpliceOptions(options);
 
   // Mutable run state, seeded from the snapshot when resuming.
   MineCheckpoint state;
-  state.semantic_options_hash = semantic_hash;
-  state.matrix_hash = HashMatrixContent(data);
-  state.num_genes = data.num_genes();
-  state.num_conditions = data.num_conditions();
-  state.flags = flags;
-  state.next_root = 0;
   if (resume != nullptr) {
+    REGCLUSTER_RETURN_IF_ERROR(ValidateMineCheckpoint(*resume, data, options));
     state = *resume;
+  } else {
+    state.context = MineContext(data, data.num_conditions(), options);
+    state.next_root = 0;
   }
 
   CheckpointWriter writer(config.path, config.next_generation,
@@ -746,7 +736,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   int64_t chunk_budget = std::max<int64_t>(config.initial_chunk_nodes, 1);
   core::ResumeToken token;
   token.next_root = static_cast<int>(state.next_root);
-  token.options_hash = semantic_hash;
+  token.options_hash = state.context.options_hash;
   core::MineOutcome last_outcome;
 
   for (;;) {
@@ -796,9 +786,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
 
     if (oc.status == core::MineStatus::kComplete) {
       state.next_root = -1;
-      Checkpoint final_ckpt;
-      final_ckpt.kind = CheckpointKind::kMine;
-      final_ckpt.mine = state;
+      Checkpoint final_ckpt = SnapshotOf(state);
       finish(core::MineStatus::kComplete, util::StopReason::kNone,
              core::ResumeToken{}, &last_outcome);
       result.checkpoint_status = writer.WriteNow(std::move(final_ckpt));
@@ -818,9 +806,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const bool user_cluster_cut =
         oc.stop_reason == util::StopReason::kClusterBudget;
     if (hard || user_node_cut || user_cluster_cut) {
-      Checkpoint final_ckpt;
-      final_ckpt.kind = CheckpointKind::kMine;
-      final_ckpt.mine = state;
+      Checkpoint final_ckpt = SnapshotOf(state);
       finish(core::MineStatus::kTruncated, oc.stop_reason, token,
              &last_outcome);
       result.checkpoint_status = writer.WriteNow(std::move(final_ckpt));
@@ -836,10 +822,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     }
 
     // Periodic snapshot, off the hot path on the writer thread.
-    Checkpoint ckpt;
-    ckpt.kind = CheckpointKind::kMine;
-    ckpt.mine = state;
-    writer.Submit(std::move(ckpt));
+    writer.Submit(SnapshotOf(state));
 
     // Adapt the chunk size to the requested cadence from the measured
     // throughput of the chunk that just ran.
@@ -871,10 +854,7 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
   }
 
   SweepCheckpoint state;
-  state.grid_hash = HashSweepGrid(points);
-  state.matrix_hash = HashMatrixContent(data);
-  state.num_genes = data.num_genes();
-  state.num_conditions = data.num_conditions();
+  state.context = SweepContext(data, points);
   state.first_unfinished = 0;
   state.runs_total = static_cast<int64_t>(points.size());
   if (resume != nullptr) state = *resume;
@@ -886,68 +866,46 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
   DurableSweepResult result;
   core::SweepReport& report = result.report;
   report.runs.resize(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    report.runs[i].options = points[i];
-  }
+  int64_t consumed_clusters = 0;  // stats.clusters_emitted: the budget unit
+  // Places run `i` in the report under the user's point (never an engine's
+  // execution overlay) and adds it to the totals.
+  auto adopt = [&](size_t i, core::SweepRun run) {
+    run.options = points[i];
+    report.CountRun(run);
+    if (run.executed) consumed_clusters += run.stats.clusters_emitted;
+    report.runs[i] = std::move(run);
+  };
 
   // Replay the snapshot prefix into the report.
-  for (const SweepRunSnapshot& snap : state.runs) {
-    if (snap.index < 0 ||
-        snap.index >= static_cast<int32_t>(report.runs.size())) {
-      return util::Status::Corruption(
-          "checkpoint sweep run index out of range");
-    }
-    core::SweepRun& run = report.runs[snap.index];
-    run.status = snap.status;
-    run.executed = snap.executed;
-    run.used_shared_model = snap.used_shared_model;
-    run.stats = snap.stats;
-    run.outcome = snap.outcome;
-    run.clusters = snap.clusters;
-    if (run.executed) {
-      ++report.runs_executed;
-      report.nodes_total += run.stats.nodes_expanded;
-      report.clusters_total += static_cast<int64_t>(run.clusters.size());
-    }
+  for (size_t i = 0; i < points.size(); ++i) {
+    adopt(i, i < state.runs.size() ? state.runs[i] : core::SweepRun{});
   }
   report.index_builds = static_cast<int>(state.index_builds);
   report.shared_model_bytes = state.shared_model_bytes;
   report.wall_seconds = state.wall_seconds;
 
-  auto snapshot_runs_prefix = [&](int64_t boundary) {
-    state.runs.clear();
-    for (int64_t i = 0; i < boundary; ++i) {
-      const core::SweepRun& run = report.runs[static_cast<size_t>(i)];
-      SweepRunSnapshot snap;
-      snap.index = static_cast<int32_t>(i);
-      snap.status = run.status;
-      snap.executed = run.executed;
-      snap.used_shared_model = run.used_shared_model;
-      snap.stats = run.stats;
-      snap.outcome = run.outcome;
-      snap.clusters = run.clusters;
-      state.runs.push_back(std::move(snap));
-    }
-  };
-
-  auto finish = [&](bool truncated, util::StopReason reason,
-                    int64_t first_unfinished) -> util::Status {
+  // `state` always holds the snapshot of the last group boundary.  A hard
+  // stop (cancel, deadline, memory) writes it as the final snapshot, so a
+  // resume re-runs only the cut group; a finished or budget-cut sweep
+  // writes the whole report, which a resume replays.
+  auto finish = [&](util::StopReason reason, int64_t first_unfinished) {
+    const bool truncated = reason != util::StopReason::kNone;
     report.status =
         truncated ? core::MineStatus::kTruncated : core::MineStatus::kComplete;
     report.stop_reason = reason;
     report.first_unfinished = static_cast<int>(first_unfinished);
-    report.wall_seconds = state.wall_seconds + run_timer.ElapsedSeconds();
-    state.truncated = truncated ? 1 : 0;
-    state.stop_reason = static_cast<int32_t>(reason);
-    state.first_unfinished = -1;
-    state.index_builds = report.index_builds;
-    state.shared_model_bytes = report.shared_model_bytes;
+    report.wall_seconds += run_timer.ElapsedSeconds();
     state.wall_seconds = report.wall_seconds;
-    snapshot_runs_prefix(static_cast<int64_t>(points.size()));
-    Checkpoint ckpt;
-    ckpt.kind = CheckpointKind::kSweep;
-    ckpt.sweep = state;
-    return writer.WriteNow(std::move(ckpt));
+    if (!util::IsHardStop(reason)) {
+      state.first_unfinished = -1;
+      state.truncated = truncated ? 1 : 0;
+      state.stop_reason = static_cast<int32_t>(reason);
+      state.index_builds = report.index_builds;
+      state.shared_model_bytes = report.shared_model_bytes;
+      state.runs = report.runs;
+    }
+    result.checkpoint_status = writer.WriteNow(SnapshotOf(state));
+    result.checkpoint = writer.stats();
   };
 
   // A snapshot that says "complete" short-circuits to the stored report.
@@ -977,14 +935,6 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
   const int64_t user_clusters = sweep_options.max_clusters >= 0
                                     ? sweep_options.max_clusters
                                     : kUnlimited;
-  int64_t consumed_nodes = 0;
-  int64_t consumed_clusters = 0;
-  for (const core::SweepRun& run : report.runs) {
-    if (run.executed) {
-      consumed_nodes += run.stats.nodes_expanded;
-      consumed_clusters += run.stats.clusters_emitted;
-    }
-  }
 
   // Gamma groups: maximal consecutive points with one core::GammaKeyOf.
   // One engine Run per group keeps model sharing where the grid makes it
@@ -999,7 +949,7 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
 
     core::SweepOptions group_opts = sweep_options;
     group_opts.max_nodes =
-        user_nodes == kUnlimited ? -1 : user_nodes - consumed_nodes;
+        user_nodes == kUnlimited ? -1 : user_nodes - report.nodes_total;
     group_opts.max_clusters =
         user_clusters == kUnlimited ? -1 : user_clusters - consumed_clusters;
     if (sweep_options.deadline_ms >= 0) {
@@ -1014,31 +964,14 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
     if (!group_report.ok()) return group_report.status();
 
     for (size_t i = 0; i < group_points.size(); ++i) {
-      core::SweepRun& dst = report.runs[start + i];
-      core::SweepRun& src = group_report->runs[i];
-      dst.status = src.status;
-      dst.executed = src.executed;
-      dst.used_shared_model = src.used_shared_model;
-      dst.stats = src.stats;
-      dst.outcome = src.outcome;
-      dst.clusters = std::move(src.clusters);
-      if (dst.executed) {
-        ++report.runs_executed;
-        report.nodes_total += dst.stats.nodes_expanded;
-        report.clusters_total += static_cast<int64_t>(dst.clusters.size());
-        consumed_nodes += dst.stats.nodes_expanded;
-        consumed_clusters += dst.stats.clusters_emitted;
-      }
+      adopt(start + i, std::move(group_report->runs[i]));
     }
     report.index_builds += group_report->index_builds;
     report.shared_model_bytes += group_report->shared_model_bytes;
 
     if (group_report->status == core::MineStatus::kTruncated) {
-      const int64_t absolute =
-          static_cast<int64_t>(start) + group_report->first_unfinished;
-      result.checkpoint_status =
-          finish(true, group_report->stop_reason, absolute);
-      result.checkpoint = writer.stats();
+      finish(group_report->stop_reason,
+             static_cast<int64_t>(start) + group_report->first_unfinished);
       return result;
     }
 
@@ -1049,16 +982,12 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
       state.index_builds = report.index_builds;
       state.shared_model_bytes = report.shared_model_bytes;
       state.wall_seconds = report.wall_seconds + run_timer.ElapsedSeconds();
-      snapshot_runs_prefix(static_cast<int64_t>(start));
-      Checkpoint ckpt;
-      ckpt.kind = CheckpointKind::kSweep;
-      ckpt.sweep = state;
-      writer.Submit(std::move(ckpt));
+      state.runs.assign(report.runs.begin(), report.runs.begin() + start);
+      writer.Submit(SnapshotOf(state));
     }
   }
 
-  result.checkpoint_status = finish(false, util::StopReason::kNone, -1);
-  result.checkpoint = writer.stats();
+  finish(util::StopReason::kNone, -1);
   return result;
 }
 

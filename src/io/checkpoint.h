@@ -48,6 +48,7 @@
 
 #include "core/miner.h"
 #include "core/sweep.h"
+#include "io/record_codec.h"
 #include "matrix/store.h"
 #include "util/hash128.h"
 #include "util/status.h"
@@ -59,11 +60,6 @@ enum class CheckpointKind : uint32_t {
   kMine = 1,
   kSweep = 2,
 };
-
-/// Set in MineCheckpoint::flags when the user requested the
-/// remove_dominated post-pass: chunks are mined without it (a global
-/// post-pass cannot splice) and the pass runs once on the completed output.
-inline constexpr uint32_t kCheckpointFlagRemoveDominated = 1u << 0;
 
 /// Durable-run progress counters, exported as
 /// regcluster_checkpoint_{writes,bytes,last_write_ns,resumes}.
@@ -77,16 +73,9 @@ struct CheckpointStats {
 /// Snapshot of a (possibly unfinished) mine.  `next_root` < 0 means the run
 /// completed: `clusters` is the full raw output (pre dominance pass).
 struct MineCheckpoint {
-  /// RegClusterMiner::SemanticOptionsHash of the *chunk* options (the user's
-  /// options with remove_dominated forced off; see flags).
-  uint64_t semantic_options_hash = 0;
-  /// Content hash of the input matrix (HashMatrixContent): dims + labels +
-  /// cell payload, identical across the text/resident and binary/mapped
-  /// paths, so a run may resume on either.
-  util::Hash128 matrix_hash{0, 0};
-  int64_t num_genes = 0;
-  int64_t num_conditions = 0;
-  uint32_t flags = 0;  ///< kCheckpointFlag* bits
+  /// MineContext of the run: the chunks' splice options and the input
+  /// matrix, so a run may resume on either the text or the binary path.
+  RunContext context;
   /// First canonical root not covered by `clusters`; -1 when complete.
   int64_t next_root = -1;
   int64_t roots_completed = 0;
@@ -103,31 +92,17 @@ struct MineCheckpoint {
   bool complete() const { return next_root < 0; }
 };
 
-/// One completed (or per-point-failed) grid point inside a SweepCheckpoint.
-struct SweepRunSnapshot {
-  int32_t index = 0;  ///< position in the sweep's point list
-  util::Status status;
-  bool executed = false;
-  bool used_shared_model = false;
-  core::MinerStats stats;
-  core::MineOutcome outcome;
-  std::vector<core::RegCluster> clusters;
-};
-
 /// Snapshot of a (possibly unfinished) sweep.  Progress is tracked at gamma-
 /// group boundaries (maximal consecutive points sharing gamma_policy+gamma):
-/// `runs` covers every point before `first_unfinished` and a kill mid-group
-/// re-runs only that group.
+/// `runs` covers every point before `first_unfinished`, and a kill or a hard
+/// stop (cancel, deadline, memory) mid-group re-runs only that group.
 struct SweepCheckpoint {
-  /// HashSweepGrid over the expanded point list; a resume re-parses the
-  /// --sweep spec and must land on the same grid.
-  uint64_t grid_hash = 0;
-  util::Hash128 matrix_hash{0, 0};
-  int64_t num_genes = 0;
-  int64_t num_conditions = 0;
-  uint32_t flags = 0;
+  /// options_hash is HashSweepGrid over the expanded point list (a resume
+  /// re-parses the --sweep spec and must land on the same grid); flags is 0.
+  RunContext context;
   /// First point index not covered by `runs`; -1 when every point was
-  /// attempted (the sweep finished, possibly truncated by its own budgets).
+  /// attempted or a sweep budget cut the grid (a resume replays the stored
+  /// report).
   int64_t first_unfinished = 0;
   int64_t runs_total = 0;
   /// Final sweep status, meaningful when complete(): 0 = complete,
@@ -138,7 +113,9 @@ struct SweepCheckpoint {
   int64_t index_builds = 0;
   int64_t shared_model_bytes = 0;
   double wall_seconds = 0.0;
-  std::vector<SweepRunSnapshot> runs;
+  /// The covered points in order; a run's index is its position.  Only the
+  /// result fields are persisted: `options` decodes as default.
+  std::vector<core::SweepRun> runs;
 
   bool complete() const { return first_unfinished < 0; }
 };
@@ -161,7 +138,10 @@ std::string EncodeCheckpoint(const Checkpoint& ckpt);
 /// kCorruption: short preamble, bad magic, unsupported version, endianness
 /// mismatch, unknown kind, torn/truncated/bit-flipped records (via
 /// util::RecordReader), missing or out-of-order records, record-count
-/// mismatch, trailing bytes.
+/// mismatch, trailing bytes, and a sweep whose run records disagree with its
+/// progress (a run index off its position, a run count other than
+/// first_unfinished -- or runs_total when complete -- or first_unfinished
+/// outside [-1, runs_total)).
 util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes);
 
 /// The double-buffer file a given generation lands in: `base` + ".a" for
@@ -195,6 +175,19 @@ util::Hash128 HashMatrixPrefix(const matrix::MatrixStore& data, int cols);
 /// Order-sensitive fingerprint of an expanded sweep grid (each point's
 /// semantic options hash mixed in sequence).
 uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points);
+
+/// The options every spliceable unit runs under -- a durable mine's chunks
+/// and an incremental state's root slices: `options` with the global
+/// remove_dominated post-pass deferred (it cannot splice; the driver runs it
+/// once over the spliced output, and RunContext::kRemoveDominated records
+/// that it must).
+core::MinerOptions SpliceOptions(const core::MinerOptions& options);
+
+/// The RunContext of a mine under `options` over the first `cols`
+/// conditions of `data`: SpliceOptions' semantic hash, the dominance flag,
+/// the dims and HashMatrixPrefix.
+RunContext MineContext(const matrix::MatrixStore& data, int cols,
+                       const core::MinerOptions& options);
 
 /// Validates that `ckpt` may resume a run over `data` under `options`
 /// (semantic hash, dominance flag, dims, matrix hash).  Each mismatch is a
@@ -311,7 +304,10 @@ struct DurableSweepResult {
 /// where the grid makes it possible), snapshotting after each group.
 /// Sweep-level node/cluster budgets are composed across groups from each
 /// group's deterministic totals, so truncation lands on the same point
-/// boundary as an uninterrupted run.
+/// boundary as an uninterrupted run.  A hard stop (cancel, deadline, memory)
+/// leaves the snapshot of the cut group's start, so a resume re-runs just
+/// that group; a budget cut leaves the truncated report, which a resume
+/// replays.
 util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
     const matrix::MatrixStore& data,
     const std::vector<core::MinerOptions>& points,

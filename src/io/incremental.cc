@@ -30,7 +30,6 @@ constexpr uint32_t kTagRoot = 2;
 constexpr uint32_t kTagEnd = 3;
 
 using util::Cursor;
-using util::PutI64;
 using util::PutU32;
 using util::PutU64;
 
@@ -94,8 +93,7 @@ util::Status MineRootSlices(const matrix::MatrixStore& data,
                                 model,
                             std::vector<int> roots,
                             std::vector<core::RootMineResult>* slices) {
-  core::MinerOptions slice_opts = options;
-  slice_opts.remove_dominated = false;
+  core::MinerOptions slice_opts = SpliceOptions(options);
   slice_opts.capture_root_results = true;
   slice_opts.shared_model = std::move(model);
   slice_opts.root_set = std::move(roots);
@@ -112,16 +110,7 @@ IncrementalMineResult AssembleResult(
     std::shared_ptr<const core::SharedGammaModel> model,
     std::vector<core::RootMineResult> slices, double mine_seconds) {
   IncrementalMineResult r;
-  r.state.semantic_options_hash = [&options] {
-    core::MinerOptions slice_opts = options;
-    slice_opts.remove_dominated = false;
-    return core::RegClusterMiner::SemanticOptionsHash(slice_opts);
-  }();
-  r.state.matrix_hash = HashMatrixContent(data);
-  r.state.num_genes = data.num_genes();
-  r.state.num_conditions = data.num_conditions();
-  r.state.flags =
-      options.remove_dominated ? kIncrementalFlagRemoveDominated : 0;
+  r.state.context = MineContext(data, data.num_conditions(), options);
   r.state.roots = std::move(slices);
   for (const core::RootMineResult& slice : r.state.roots) {
     core::AccumulateStats(slice.stats, &r.stats);
@@ -202,33 +191,31 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
     return util::Status::InvalidArgument(
         "first_new must be in [0, num_conditions]");
   }
-  if (prev.num_genes != num_genes) {
+  // The state must be the context of this mine over the pre-append prefix.
+  const RunContext want = MineContext(new_data, first_new, options);
+  const RunContext& have = prev.context;
+  if (have.num_genes != want.num_genes) {
     return util::Status::FailedPrecondition(
         "incremental state was mined over a different gene set");
   }
-  if (prev.num_conditions != first_new) {
+  if (have.num_conditions != want.num_conditions) {
     return util::Status::FailedPrecondition(
         "first_new does not match the incremental state's condition count");
   }
-  core::MinerOptions slice_opts = options;
-  slice_opts.remove_dominated = false;
-  if (prev.semantic_options_hash !=
-      core::RegClusterMiner::SemanticOptionsHash(slice_opts)) {
+  if (have.options_hash != want.options_hash) {
     return util::Status::FailedPrecondition(
         "incremental state was mined under different options");
   }
-  const uint32_t flags =
-      options.remove_dominated ? kIncrementalFlagRemoveDominated : 0;
-  if (prev.flags != flags) {
+  if (have.flags != want.flags) {
     return util::Status::FailedPrecondition(
         "incremental state disagrees on the remove_dominated post-pass");
   }
-  if (HashMatrixPrefix(new_data, first_new) != prev.matrix_hash) {
+  if (have.matrix_hash != want.matrix_hash) {
     return util::Status::FailedPrecondition(
         "matrix prefix differs from the one the incremental state was "
         "mined over (appends must only add conditions at the end)");
   }
-  if (static_cast<int64_t>(prev.roots.size()) != prev.num_conditions) {
+  if (static_cast<int64_t>(prev.roots.size()) != have.num_conditions) {
     return util::Status::FailedPrecondition(
         "incremental state does not cover every previous root");
   }
@@ -308,12 +295,7 @@ std::string EncodeIncrementalState(const IncrementalState& state) {
   {
     std::string rec;
     PutU32(&rec, kTagContext);
-    PutU64(&rec, state.semantic_options_hash);
-    PutU64(&rec, state.matrix_hash.hi);
-    PutU64(&rec, state.matrix_hash.lo);
-    PutI64(&rec, state.num_genes);
-    PutI64(&rec, state.num_conditions);
-    PutU32(&rec, state.flags);
+    PutRunContext(&rec, state.context);
     util::AppendRecord(&out, rec);
   }
   for (const core::RootMineResult& slice : state.roots) {
@@ -377,17 +359,7 @@ util::StatusOr<IncrementalState> DecodeIncrementalState(
               "duplicate incremental-state context record");
         }
         saw_context = true;
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadU64("semantic_options_hash", &state.semantic_options_hash));
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadU64("matrix_hash.hi", &state.matrix_hash.hi));
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadU64("matrix_hash.lo", &state.matrix_hash.lo));
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("num_genes", &state.num_genes));
-        REGCLUSTER_RETURN_IF_ERROR(
-            c.ReadI64("num_conditions", &state.num_conditions));
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("flags", &state.flags));
-        REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("context"));
+        REGCLUSTER_RETURN_IF_ERROR(ReadRunContext(&c, &state.context));
         break;
       }
       case kTagRoot: {
@@ -402,7 +374,7 @@ util::StatusOr<IncrementalState> DecodeIncrementalState(
         const int expected =
             state.roots.empty() ? 0 : state.roots.back().root + 1;
         if (slice.root != expected ||
-            static_cast<int64_t>(slice.root) >= state.num_conditions) {
+            static_cast<int64_t>(slice.root) >= state.context.num_conditions) {
           return util::Status::Corruption(
               "incremental-state root records out of order");
         }
@@ -437,7 +409,8 @@ util::StatusOr<IncrementalState> DecodeIncrementalState(
     return util::Status::Corruption(
         "incremental-state root count does not match its records");
   }
-  if (static_cast<int64_t>(state.roots.size()) != state.num_conditions) {
+  if (static_cast<int64_t>(state.roots.size()) !=
+      state.context.num_conditions) {
     return util::Status::Corruption(
         "incremental state does not cover every root");
   }

@@ -45,30 +45,21 @@
 #include <vector>
 
 #include "core/miner.h"
+#include "io/record_codec.h"
 #include "matrix/store.h"
-#include "util/hash128.h"
 #include "util/status.h"
 
 namespace regcluster {
 namespace io {
 
-/// Set in IncrementalState::flags when the user mines with remove_dominated:
-/// per-root slices are recorded without it (a global post-pass cannot be
-/// attributed to roots) and the pass runs once over each spliced output.
-inline constexpr uint32_t kIncrementalFlagRemoveDominated = 1u << 0;
-
 /// Everything a later append needs from the previous mine: identity of the
 /// matrix and options it answered, plus every root's (stats, clusters)
 /// slice in ascending root order.
 struct IncrementalState {
-  /// RegClusterMiner::SemanticOptionsHash of the slice options (the user's
-  /// options with remove_dominated forced off; see flags).
-  uint64_t semantic_options_hash = 0;
-  /// HashMatrixContent of the matrix the slices were mined over.
-  util::Hash128 matrix_hash{0, 0};
-  int64_t num_genes = 0;
-  int64_t num_conditions = 0;
-  uint32_t flags = 0;  ///< kIncrementalFlag* bits
+  /// MineContext of the matrix the slices were mined over, under the
+  /// slices' splice options (remove_dominated deferred: per-root slices
+  /// cannot carry a global post-pass, which runs once per spliced output).
+  RunContext context;
   /// One slice per root condition, ascending; clusters are pre-dominance.
   std::vector<core::RootMineResult> roots;
 };

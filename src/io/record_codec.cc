@@ -5,6 +5,29 @@
 namespace regcluster {
 namespace io {
 
+void PutRunContext(std::string* out, const RunContext& ctx) {
+  util::PutU64(out, ctx.options_hash);
+  util::PutU64(out, ctx.matrix_hash.hi);
+  util::PutU64(out, ctx.matrix_hash.lo);
+  util::PutI64(out, ctx.num_genes);
+  util::PutI64(out, ctx.num_conditions);
+  util::PutU32(out, ctx.flags);
+}
+
+util::Status ReadRunContext(util::Cursor* c, RunContext* ctx) {
+  REGCLUSTER_RETURN_IF_ERROR(
+      c->ReadU64("semantic_options_hash", &ctx->options_hash));
+  REGCLUSTER_RETURN_IF_ERROR(
+      c->ReadU64("matrix_hash.hi", &ctx->matrix_hash.hi));
+  REGCLUSTER_RETURN_IF_ERROR(
+      c->ReadU64("matrix_hash.lo", &ctx->matrix_hash.lo));
+  REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("num_genes", &ctx->num_genes));
+  REGCLUSTER_RETURN_IF_ERROR(
+      c->ReadI64("num_conditions", &ctx->num_conditions));
+  REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("flags", &ctx->flags));
+  return c->ExpectDone("context");
+}
+
 void PutMinerStats(std::string* out, const core::MinerStats& stats) {
   for (const core::MinerStatsField& f : core::kMinerStatsFields) {
     if (f.cls == core::StatsFieldClass::kProfile) continue;

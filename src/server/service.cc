@@ -415,11 +415,8 @@ ServiceResponse MiningService::ExecuteSweep(const MineRequest& request) {
     run.clusters = *std::move(clusters);
     run.stats = miner.stats();
     run.outcome = miner.outcome();
-    ++report.runs_executed;
-    report.nodes_total += run.stats.nodes_expanded;
-    report.clusters_total += static_cast<int64_t>(run.clusters.size());
+    report.CountRun(run);
   }
-  report.first_unfinished = -1;
   if (request.deterministic_output) {
     io::ZeroVolatileSweepFields(&report);
   }

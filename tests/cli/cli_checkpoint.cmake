@@ -7,6 +7,8 @@
 #   * a corrupt snapshot is exit 1 (kCorruption surfaced, not mined through)
 #   * resuming a mine snapshot in sweep mode (kind mismatch) is exit 1
 #   * resuming under different options is exit 1 (validation, not garbage)
+#   * a deadline-stopped durable sweep exits 3, and resuming it without the
+#     deadline reproduces the plain sweep's JSON and CSV byte for byte
 #   * --checkpoint-every-ms=0 is a usage error (exit 2)
 # The scenario is stateful (fresh-start depends on no snapshot existing), so
 # start from an empty work directory every run.
@@ -151,6 +153,30 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT cmp_rc EQUAL 0)
   message(FATAL_ERROR "replayed sweep snapshot differs from reference")
 endif()
+
+# --- sweep hard stop: a deadline-cut sweep resumes to the reference ------
+# A hard stop snapshots the start of the group it cut, so resuming without
+# the deadline re-runs from there and lands on the uninterrupted sweep.
+run_expect(3 ${CLI} mine --matrix=${WORKDIR}/m.tsv --ming=5 --minc=4
+           --sweep=${sweep_spec} --sweep-out=${WORKDIR}/sw_cut.json
+           --deterministic-output --checkpoint=${WORKDIR}/hs.ckpt
+           --deadline-ms=0)
+if(NOT last_err MATCHES "--resume-from=")
+  message(FATAL_ERROR "stopped sweep lacks the resume command:\n${last_err}")
+endif()
+run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.tsv --ming=5 --minc=4
+           --sweep=${sweep_spec} --sweep-out=${WORKDIR}/sw_hs.json
+           --sweep-csv=${WORKDIR}/sw_hs.csv --deterministic-output
+           --resume-from=${WORKDIR}/hs.ckpt)
+foreach(f json csv)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                  ${WORKDIR}/sw_ref.${f} ${WORKDIR}/sw_hs.${f}
+                  RESULT_VARIABLE cmp_rc)
+  if(NOT cmp_rc EQUAL 0)
+    message(FATAL_ERROR "resumed hard-stopped sweep ${f} differs from the "
+                        "plain sweep")
+  endif()
+endforeach()
 
 # A sweep snapshot cannot seed a single mine (kind mismatch the other way).
 run_expect(1 ${CLI} mine --matrix=${WORKDIR}/m.tsv ${mine_flags}

@@ -524,11 +524,11 @@ IncrementalState SampleState() {
 }
 
 void ExpectStatesEqual(const IncrementalState& a, const IncrementalState& b) {
-  EXPECT_EQ(a.semantic_options_hash, b.semantic_options_hash);
-  EXPECT_EQ(a.matrix_hash, b.matrix_hash);
-  EXPECT_EQ(a.num_genes, b.num_genes);
-  EXPECT_EQ(a.num_conditions, b.num_conditions);
-  EXPECT_EQ(a.flags, b.flags);
+  EXPECT_EQ(a.context.options_hash, b.context.options_hash);
+  EXPECT_EQ(a.context.matrix_hash, b.context.matrix_hash);
+  EXPECT_EQ(a.context.num_genes, b.context.num_genes);
+  EXPECT_EQ(a.context.num_conditions, b.context.num_conditions);
+  EXPECT_EQ(a.context.flags, b.context.flags);
   ASSERT_EQ(a.roots.size(), b.roots.size());
   for (size_t i = 0; i < a.roots.size(); ++i) {
     EXPECT_EQ(a.roots[i].root, b.roots[i].root);

@@ -4,7 +4,7 @@
 //    at that point's options, at 1/2/4 threads;
 //  * index sharing is observable: the engine builds one model per distinct
 //    gamma (report.index_builds) and shared runs report stats.index_builds
-//    == 0, while share_models=false restores per-run builds;
+//    == 0;
 //  * sweep-level budgets truncate on a run boundary with the PR 3 contract:
 //    a deterministic, thread-count-invariant prefix plus first_unfinished
 //    as the resume point, and re-running the remaining points completes
@@ -110,20 +110,6 @@ TEST(SweepEngineTest, SharesOneIndexPerDistinctGamma) {
     EXPECT_EQ(run.stats.index_builds, 0);
     EXPECT_EQ(run.stats.rwave_build_seconds, 0.0);
     EXPECT_EQ(run.stats.index_build_seconds, 0.0);
-  }
-
-  SweepOptions unshared;
-  unshared.share_models = false;
-  auto report2 = SweepEngine(data, unshared).Run(points);
-  ASSERT_TRUE(report2.ok());
-  EXPECT_EQ(report2->index_builds, 0);
-  EXPECT_EQ(report2->shared_model_bytes, 0);
-  for (size_t i = 0; i < points.size(); ++i) {
-    const SweepRun& run = report2->runs[i];
-    EXPECT_FALSE(run.used_shared_model);
-    EXPECT_EQ(run.stats.index_builds, 1);
-    // Sharing is purely an execution knob: the output is unchanged.
-    EXPECT_EQ(run.clusters, report->runs[i].clusters);
   }
 }
 

@@ -16,6 +16,8 @@
 
 #include "io/checkpoint.h"
 
+#include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,9 +26,11 @@
 #include "gtest/gtest.h"
 #include "core/miner.h"
 #include "core/sweep.h"
+#include "io/sweep_io.h"
 #include "matrix/expression_matrix.h"
 #include "matrix/store.h"
 #include "synth/generator.h"
+#include "util/cancellation.h"
 #include "util/durable_file.h"
 #include "util/status.h"
 
@@ -74,11 +78,11 @@ Checkpoint MineFixture() {
   ckpt.generation = 42;
   ckpt.kind = CheckpointKind::kMine;
   MineCheckpoint& m = ckpt.mine;
-  m.semantic_options_hash = 0x1234567890ABCDEFull;
-  m.matrix_hash = {0xDEAD, 0xBEEF};
-  m.num_genes = 120;
-  m.num_conditions = 12;
-  m.flags = kCheckpointFlagRemoveDominated;
+  m.context.options_hash = 0x1234567890ABCDEFull;
+  m.context.matrix_hash = {0xDEAD, 0xBEEF};
+  m.context.num_genes = 120;
+  m.context.num_conditions = 12;
+  m.context.flags = RunContext::kRemoveDominated;
   m.next_root = 7;
   m.roots_completed = 6;
   m.nodes_visited = 99999;
@@ -109,10 +113,10 @@ Checkpoint SweepFixture() {
   ckpt.generation = 9;
   ckpt.kind = CheckpointKind::kSweep;
   SweepCheckpoint& s = ckpt.sweep;
-  s.grid_hash = 0xFEEDFACE12345678ull;
-  s.matrix_hash = {0xAB, 0xCD};
-  s.num_genes = 120;
-  s.num_conditions = 12;
+  s.context.options_hash = 0xFEEDFACE12345678ull;
+  s.context.matrix_hash = {0xAB, 0xCD};
+  s.context.num_genes = 120;
+  s.context.num_conditions = 12;
   s.first_unfinished = 2;
   s.runs_total = 4;
   s.truncated = 0;
@@ -120,8 +124,7 @@ Checkpoint SweepFixture() {
   s.index_builds = 1;
   s.shared_model_bytes = 65536;
   s.wall_seconds = 3.5;
-  SweepRunSnapshot ok_run;
-  ok_run.index = 0;
+  core::SweepRun ok_run;
   ok_run.executed = true;
   ok_run.used_shared_model = true;
   ok_run.stats.nodes_expanded = 500;
@@ -131,8 +134,7 @@ Checkpoint SweepFixture() {
   ok_run.outcome.roots_completed = 12;
   ok_run.outcome.roots_total = 12;
   ok_run.clusters = {MakeCluster(2)};
-  SweepRunSnapshot failed_run;
-  failed_run.index = 1;
+  core::SweepRun failed_run;
   failed_run.executed = false;
   failed_run.status = util::Status::InvalidArgument("gamma out of range");
   s.runs = {ok_run, failed_run};
@@ -150,11 +152,11 @@ TEST(CheckpointWireTest, MineRoundTripPreservesEveryField) {
   EXPECT_EQ(got->kind, CheckpointKind::kMine);
   const MineCheckpoint& m = got->mine;
   const MineCheckpoint& w = want.mine;
-  EXPECT_EQ(m.semantic_options_hash, w.semantic_options_hash);
-  EXPECT_EQ(m.matrix_hash, w.matrix_hash);
-  EXPECT_EQ(m.num_genes, w.num_genes);
-  EXPECT_EQ(m.num_conditions, w.num_conditions);
-  EXPECT_EQ(m.flags, w.flags);
+  EXPECT_EQ(m.context.options_hash, w.context.options_hash);
+  EXPECT_EQ(m.context.matrix_hash, w.context.matrix_hash);
+  EXPECT_EQ(m.context.num_genes, w.context.num_genes);
+  EXPECT_EQ(m.context.num_conditions, w.context.num_conditions);
+  EXPECT_EQ(m.context.flags, w.context.flags);
   EXPECT_EQ(m.next_root, w.next_root);
   EXPECT_EQ(m.roots_completed, w.roots_completed);
   EXPECT_EQ(m.nodes_visited, w.nodes_visited);
@@ -192,15 +194,14 @@ TEST(CheckpointWireTest, SweepRoundTripPreservesRunsAndStatuses) {
   EXPECT_EQ(got->kind, CheckpointKind::kSweep);
   const SweepCheckpoint& s = got->sweep;
   const SweepCheckpoint& w = want.sweep;
-  EXPECT_EQ(s.grid_hash, w.grid_hash);
-  EXPECT_EQ(s.matrix_hash, w.matrix_hash);
+  EXPECT_EQ(s.context.options_hash, w.context.options_hash);
+  EXPECT_EQ(s.context.matrix_hash, w.context.matrix_hash);
   EXPECT_EQ(s.first_unfinished, w.first_unfinished);
   EXPECT_EQ(s.runs_total, w.runs_total);
   EXPECT_EQ(s.index_builds, w.index_builds);
   EXPECT_EQ(s.shared_model_bytes, w.shared_model_bytes);
   EXPECT_EQ(s.wall_seconds, w.wall_seconds);
   ASSERT_EQ(s.runs.size(), 2u);
-  EXPECT_EQ(s.runs[0].index, 0);
   EXPECT_TRUE(s.runs[0].executed);
   EXPECT_TRUE(s.runs[0].used_shared_model);
   EXPECT_EQ(s.runs[0].stats.nodes_expanded, 500);
@@ -208,7 +209,6 @@ TEST(CheckpointWireTest, SweepRoundTripPreservesRunsAndStatuses) {
   EXPECT_EQ(s.runs[0].outcome.roots_completed, 12);
   ASSERT_EQ(s.runs[0].clusters.size(), 1u);
   EXPECT_EQ(s.runs[0].clusters[0], w.runs[0].clusters[0]);
-  EXPECT_EQ(s.runs[1].index, 1);
   EXPECT_FALSE(s.runs[1].executed);
   EXPECT_EQ(s.runs[1].status.code(), util::StatusCode::kInvalidArgument);
   EXPECT_THAT(s.runs[1].status.message(), HasSubstr("gamma out of range"));
@@ -311,6 +311,49 @@ TEST(CheckpointCorruptionTest, EveryFramedByteFlipIsRejected) {
     auto got = DecodeCheckpoint(flipped);
     EXPECT_FALSE(got.ok()) << "flip at byte " << i << " decoded";
   }
+}
+
+// A sweep snapshot whose records disagree with its progress is CRC-valid but
+// would report points that never ran: each disagreement is its own
+// kCorruption.
+TEST(CheckpointCorruptionTest, SweepRunsMustBeTheCoveredPrefix) {
+  Checkpoint past_end = SweepFixture();
+  past_end.sweep.first_unfinished = 5;  // runs_total is 4
+  ExpectCorruption(EncodeCheckpoint(past_end),
+                   "first_unfinished outside [-1, runs_total)");
+  Checkpoint below = SweepFixture();
+  below.sweep.first_unfinished = -2;
+  ExpectCorruption(EncodeCheckpoint(below),
+                   "first_unfinished outside [-1, runs_total)");
+
+  Checkpoint fewer = SweepFixture();
+  fewer.sweep.runs.pop_back();  // first_unfinished 2, one run record
+  ExpectCorruption(EncodeCheckpoint(fewer),
+                   "run count does not match the covered prefix");
+  Checkpoint ahead = SweepFixture();
+  ahead.sweep.first_unfinished = 3;  // two run records
+  ExpectCorruption(EncodeCheckpoint(ahead),
+                   "run count does not match the covered prefix");
+  Checkpoint complete_short = SweepFixture();
+  complete_short.sweep.first_unfinished = -1;  // complete: needs 4 runs
+  ExpectCorruption(EncodeCheckpoint(complete_short),
+                   "run count does not match the covered prefix");
+
+  // Duplicate run 0 in place of run 1: re-frame the records so only the
+  // index check can notice.
+  const std::string bytes = EncodeCheckpoint(SweepFixture());
+  util::RecordReader reader(std::string_view(bytes).substr(28));
+  std::vector<std::string> records;
+  while (!reader.AtEnd()) {
+    auto rec = reader.Next();
+    ASSERT_TRUE(rec.ok());
+    records.emplace_back(*rec);
+  }
+  ASSERT_EQ(records.size(), 5u);  // context, aggregate, 2 runs, end
+  records[3] = records[2];
+  std::string duplicated = bytes.substr(0, 28);
+  for (const std::string& rec : records) util::AppendRecord(&duplicated, rec);
+  ExpectCorruption(duplicated, "run index differs from its position");
 }
 
 // ---------------------------------------------------------------------------
@@ -426,12 +469,12 @@ TEST(CheckpointHashTest, SweepGridHashIsOrderSensitive) {
 class CheckpointValidateTest : public ::testing::Test {
  protected:
   CheckpointValidateTest() : data_(TestMatrix()), options_(TestOptions()) {
-    ckpt_.semantic_options_hash =
+    ckpt_.context.options_hash =
         core::RegClusterMiner::SemanticOptionsHash(options_);
-    ckpt_.matrix_hash = HashMatrixContent(data_);
-    ckpt_.num_genes = data_.num_genes();
-    ckpt_.num_conditions = data_.num_conditions();
-    ckpt_.flags = 0;
+    ckpt_.context.matrix_hash = HashMatrixContent(data_);
+    ckpt_.context.num_genes = data_.num_genes();
+    ckpt_.context.num_conditions = data_.num_conditions();
+    ckpt_.context.flags = 0;
   }
 
   void ExpectRejected(const MineCheckpoint& ckpt, const std::string& substr) {
@@ -452,25 +495,25 @@ TEST_F(CheckpointValidateTest, MatchingCheckpointPasses) {
 
 TEST_F(CheckpointValidateTest, DominanceFlagMismatch) {
   MineCheckpoint bad = ckpt_;
-  bad.flags = kCheckpointFlagRemoveDominated;
+  bad.context.flags = RunContext::kRemoveDominated;
   ExpectRejected(bad, "dominance-pass setting differs");
 }
 
 TEST_F(CheckpointValidateTest, OptionsHashMismatch) {
   MineCheckpoint bad = ckpt_;
-  bad.semantic_options_hash ^= 1;
+  bad.context.options_hash ^= 1;
   ExpectRejected(bad, "different mining options");
 }
 
 TEST_F(CheckpointValidateTest, DimensionMismatch) {
   MineCheckpoint bad = ckpt_;
-  bad.num_genes += 1;
+  bad.context.num_genes += 1;
   ExpectRejected(bad, "matrix dimensions differ");
 }
 
 TEST_F(CheckpointValidateTest, MatrixContentMismatch) {
   MineCheckpoint bad = ckpt_;
-  bad.matrix_hash.lo ^= 1;
+  bad.context.matrix_hash.lo ^= 1;
   ExpectRejected(bad, "different matrix");
 }
 
@@ -480,10 +523,10 @@ TEST(ValidateSweepCheckpointTest, DistinctFailures) {
   points[1].gamma = 0.2;
 
   SweepCheckpoint good;
-  good.grid_hash = HashSweepGrid(points);
-  good.matrix_hash = HashMatrixContent(data);
-  good.num_genes = data.num_genes();
-  good.num_conditions = data.num_conditions();
+  good.context.options_hash = HashSweepGrid(points);
+  good.context.matrix_hash = HashMatrixContent(data);
+  good.context.num_genes = data.num_genes();
+  good.context.num_conditions = data.num_conditions();
   good.runs_total = 2;
   EXPECT_TRUE(ValidateSweepCheckpoint(good, data, points).ok());
 
@@ -494,13 +537,13 @@ TEST(ValidateSweepCheckpointTest, DistinctFailures) {
   EXPECT_THAT(st.message(), HasSubstr("grid size differs"));
 
   SweepCheckpoint wrong_grid = good;
-  wrong_grid.grid_hash ^= 1;
+  wrong_grid.context.options_hash ^= 1;
   st = ValidateSweepCheckpoint(wrong_grid, data, points);
   ASSERT_FALSE(st.ok());
   EXPECT_THAT(st.message(), HasSubstr("different sweep grid"));
 
   SweepCheckpoint wrong_matrix = good;
-  wrong_matrix.matrix_hash.hi ^= 1;
+  wrong_matrix.context.matrix_hash.hi ^= 1;
   st = ValidateSweepCheckpoint(wrong_matrix, data, points);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), util::StatusCode::kFailedPrecondition);
@@ -689,8 +732,8 @@ TEST(RunCheckpointedMineTest, RemoveDominatedAppliesOnceAtCompletion) {
   // re-apply the global pass on the full output.
   auto final_ckpt = LoadCheckpoint(config.path);
   ASSERT_TRUE(final_ckpt.ok());
-  EXPECT_EQ(final_ckpt->mine.flags & kCheckpointFlagRemoveDominated,
-            kCheckpointFlagRemoveDominated);
+  EXPECT_EQ(final_ckpt->mine.context.flags & RunContext::kRemoveDominated,
+            RunContext::kRemoveDominated);
   EXPECT_GE(final_ckpt->mine.clusters.size(), got->clusters.size());
 }
 
@@ -818,6 +861,106 @@ TEST(RunCheckpointedSweepTest, CompleteSnapshotShortCircuits) {
                                        CheckpointConfig{}, &final_ckpt->sweep);
   ASSERT_TRUE(replayed.ok());
   ExpectSameReports(replayed->report, first->report);
+}
+
+std::string SweepJson(core::SweepReport report) {
+  ZeroVolatileSweepFields(&report);
+  std::ostringstream out;
+  EXPECT_TRUE(WriteSweepJson(report, out).ok());
+  return out.str();
+}
+
+// A hard stop (deadline, cancel) leaves a resumable snapshot at the cut
+// group's start: resuming without the stop re-runs that group and lands on
+// the uninterrupted report, index builds included.
+TEST(RunCheckpointedSweepTest, HardStopResumesToUninterruptedReport) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  const std::vector<core::MinerOptions> points = TestGrid();
+  const core::SweepOptions sopts;
+  auto want =
+      RunCheckpointedSweep(data, points, sopts, CheckpointConfig{}, nullptr);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_EQ(want->report.status, core::MineStatus::kComplete);
+
+  core::SweepOptions deadline = sopts;
+  deadline.deadline_ms = 0;
+  core::SweepOptions cancelled = sopts;
+  cancelled.cancel_token = std::make_shared<util::CancellationToken>();
+  cancelled.cancel_token->Cancel(util::StopReason::kCancelled);
+  const struct {
+    const char* name;
+    core::SweepOptions options;
+    util::StopReason reason;
+  } stops[] = {{"deadline", deadline, util::StopReason::kDeadline},
+               {"cancel", cancelled, util::StopReason::kCancelled}};
+
+  for (const auto& stop : stops) {
+    SCOPED_TRACE(stop.name);
+    CheckpointConfig config;
+    config.path = TempPath(std::string("cks_hardstop_") + stop.name);
+    config.synchronous = true;
+    auto cut = RunCheckpointedSweep(data, points, stop.options, config,
+                                    nullptr);
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    EXPECT_EQ(cut->report.status, core::MineStatus::kTruncated);
+    EXPECT_EQ(cut->report.stop_reason, stop.reason);
+
+    auto snapshot = LoadCheckpoint(config.path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    ASSERT_FALSE(snapshot->sweep.complete());
+    EXPECT_EQ(snapshot->sweep.first_unfinished, 0);
+    EXPECT_EQ(snapshot->sweep.index_builds, 0);
+
+    CheckpointConfig resume_config;
+    resume_config.next_generation = snapshot->generation + 1;
+    auto resumed = RunCheckpointedSweep(data, points, sopts, resume_config,
+                                        &snapshot->sweep);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ExpectSameReports(resumed->report, want->report);
+    EXPECT_EQ(SweepJson(resumed->report), SweepJson(want->report));
+  }
+}
+
+// The same with a covered prefix: a run resumed from the first group
+// boundary and stopped in the second group keeps that boundary.
+TEST(RunCheckpointedSweepTest, HardStopAfterResumeKeepsGroupBoundary) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  const std::vector<core::MinerOptions> points = TestGrid();
+  const core::SweepOptions sopts;
+  CheckpointConfig config;
+  config.path = TempPath("cks_hardstop_prefix");
+  config.synchronous = true;
+  auto want = RunCheckpointedSweep(data, points, sopts, config, nullptr);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto final_ckpt = LoadCheckpoint(config.path);
+  ASSERT_TRUE(final_ckpt.ok());
+  auto boundary = LoadCheckpoint(
+      CheckpointBufferPath(config.path, final_ckpt->generation + 1));
+  ASSERT_TRUE(boundary.ok()) << boundary.status().ToString();
+  ASSERT_EQ(boundary->sweep.first_unfinished, 2);
+
+  core::SweepOptions deadline = sopts;
+  deadline.deadline_ms = 0;
+  CheckpointConfig stop_config;
+  stop_config.path = TempPath("cks_hardstop_prefix_cut");
+  stop_config.synchronous = true;
+  auto cut = RunCheckpointedSweep(data, points, deadline, stop_config,
+                                  &boundary->sweep);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_EQ(cut->report.status, core::MineStatus::kTruncated);
+  EXPECT_EQ(cut->report.first_unfinished, 2);
+
+  auto snapshot = LoadCheckpoint(stop_config.path);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  EXPECT_EQ(snapshot->sweep.first_unfinished, 2);
+  EXPECT_EQ(snapshot->sweep.runs.size(), 2u);
+  EXPECT_EQ(snapshot->sweep.index_builds, boundary->sweep.index_builds);
+
+  auto resumed = RunCheckpointedSweep(data, points, sopts, CheckpointConfig{},
+                                      &snapshot->sweep);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectSameReports(resumed->report, want->report);
+  EXPECT_EQ(SweepJson(resumed->report), SweepJson(want->report));
 }
 
 TEST(RunCheckpointedSweepTest, RejectsSnapshotFromDifferentGrid) {

@@ -127,11 +127,11 @@ inline io::Checkpoint MineCheckpoint() {
   ckpt.generation = 42;
   ckpt.kind = io::CheckpointKind::kMine;
   io::MineCheckpoint& m = ckpt.mine;
-  m.semantic_options_hash = 0x1122334455667788ull;
-  m.matrix_hash = {0x0102030405060708ull, 0x1112131415161718ull};
-  m.num_genes = 120;
-  m.num_conditions = 12;
-  m.flags = io::kCheckpointFlagRemoveDominated;
+  m.context.options_hash = 0x1122334455667788ull;
+  m.context.matrix_hash = {0x0102030405060708ull, 0x1112131415161718ull};
+  m.context.num_genes = 120;
+  m.context.num_conditions = 12;
+  m.context.flags = io::RunContext::kRemoveDominated;
   m.next_root = 7;
   m.roots_completed = 6;
   m.nodes_visited = 99999;
@@ -147,11 +147,11 @@ inline io::Checkpoint SweepCheckpoint() {
   ckpt.generation = 43;
   ckpt.kind = io::CheckpointKind::kSweep;
   io::SweepCheckpoint& s = ckpt.sweep;
-  s.grid_hash = 0x8877665544332211ull;
-  s.matrix_hash = {0x2122232425262728ull, 0x3132333435363738ull};
-  s.num_genes = 80;
-  s.num_conditions = 9;
-  s.flags = 0;
+  s.context.options_hash = 0x8877665544332211ull;
+  s.context.matrix_hash = {0x2122232425262728ull, 0x3132333435363738ull};
+  s.context.num_genes = 80;
+  s.context.num_conditions = 9;
+  s.context.flags = 0;
   s.first_unfinished = 2;
   s.runs_total = 5;
   s.truncated = 1;
@@ -159,15 +159,13 @@ inline io::Checkpoint SweepCheckpoint() {
   s.index_builds = 3;
   s.shared_model_bytes = 65536;
   s.wall_seconds = 2.625;
-  io::SweepRunSnapshot executed;
-  executed.index = 0;
+  core::SweepRun executed;
   executed.executed = true;
   executed.used_shared_model = true;
   executed.stats = WireStats(2000);
   executed.outcome = WireOutcome(2000);
   executed.clusters = Clusters(5);
-  io::SweepRunSnapshot rejected;
-  rejected.index = 1;
+  core::SweepRun rejected;
   rejected.status = util::Status::InvalidArgument("gamma out of range");
   s.runs = {executed, rejected};
   return ckpt;
@@ -175,11 +173,11 @@ inline io::Checkpoint SweepCheckpoint() {
 
 inline io::IncrementalState IncrementalState() {
   io::IncrementalState st;
-  st.semantic_options_hash = 0x0F1E2D3C4B5A6978ull;
-  st.matrix_hash = {0x4142434445464748ull, 0x5152535455565758ull};
-  st.num_genes = 64;
-  st.num_conditions = 3;
-  st.flags = io::kIncrementalFlagRemoveDominated;
+  st.context.options_hash = 0x0F1E2D3C4B5A6978ull;
+  st.context.matrix_hash = {0x4142434445464748ull, 0x5152535455565758ull};
+  st.context.num_genes = 64;
+  st.context.num_conditions = 3;
+  st.context.flags = io::RunContext::kRemoveDominated;
   for (int r = 0; r < 3; ++r) {
     core::RootMineResult slice;
     slice.root = r;

@@ -174,6 +174,51 @@ extern "C" void HandleInterrupt(int /*signum*/) {
   if (token != nullptr) token->Cancel(util::StopReason::kCancelled);
 }
 
+/// Routes SIGINT/SIGTERM into token() for the scope's lifetime.  The
+/// previous dispositions come back on exit, so a second signal after the
+/// scope falls back to the default (immediate) one.
+class InterruptScope {
+ public:
+  InterruptScope() : token_(std::make_shared<util::CancellationToken>()) {
+    g_interrupt_token.store(token_.get(), std::memory_order_release);
+    prev_int_ = std::signal(SIGINT, HandleInterrupt);
+    prev_term_ = std::signal(SIGTERM, HandleInterrupt);
+  }
+  ~InterruptScope() {
+    std::signal(SIGINT, prev_int_ == SIG_ERR ? SIG_DFL : prev_int_);
+    std::signal(SIGTERM, prev_term_ == SIG_ERR ? SIG_DFL : prev_term_);
+    g_interrupt_token.store(nullptr, std::memory_order_release);
+  }
+  InterruptScope(const InterruptScope&) = delete;
+  InterruptScope& operator=(const InterruptScope&) = delete;
+
+  const std::shared_ptr<util::CancellationToken>& token() const {
+    return token_;
+  }
+
+ private:
+  std::shared_ptr<util::CancellationToken> token_;
+  void (*prev_int_)(int) = SIG_DFL;
+  void (*prev_term_)(int) = SIG_DFL;
+};
+
+/// The durable-run warnings: a failed snapshot write, then -- for a
+/// truncated run -- the command that resumes it from its snapshot.
+void WarnCheckpoint(const io::CheckpointConfig& config,
+                    const util::Status& write_status, bool truncated) {
+  if (!write_status.ok()) {
+    std::fprintf(stderr, "warning: checkpoint write failed: %s\n",
+                 write_status.ToString().c_str());
+  }
+  if (truncated && !config.path.empty()) {
+    std::fprintf(stderr,
+                 "warning: checkpoint saved; re-run the same command with\n"
+                 "warning:   --resume-from=%s\n"
+                 "warning: to continue from this point\n",
+                 config.path.c_str());
+  }
+}
+
 util::StatusOr<matrix::ExpressionMatrix> LoadMatrixArg(
     const std::string& path) {
   auto m = matrix::LoadMatrix(path);
@@ -282,7 +327,7 @@ int CmdGenerate(Flags* flags) {
 int RunSweep(const matrix::MatrixStore& data, core::MinerOptions base,
              const std::vector<core::MinerOptions>& points,
              const std::string& json_path, const std::string& csv_path,
-             bool share_models, const std::string& metrics_path,
+             const std::string& metrics_path,
              io::MetricsFormat metrics_format, bool durable,
              const io::CheckpointConfig& ckpt_config,
              const io::SweepCheckpoint* resume, bool deterministic_output) {
@@ -290,46 +335,39 @@ int RunSweep(const matrix::MatrixStore& data, core::MinerOptions base,
   // ParseSweepSpec already copied the budget-free base into every point.
   core::SweepOptions sopts;
   sopts.num_threads = base.num_threads;
-  sopts.share_models = share_models;
   sopts.max_nodes = base.max_nodes;
   sopts.max_clusters = base.max_clusters;
   sopts.deadline_ms = base.deadline_ms;
-  auto token = std::make_shared<util::CancellationToken>();
-  sopts.cancel_token = token;
 
-  g_interrupt_token.store(token.get(), std::memory_order_release);
-  auto prev_int = std::signal(SIGINT, HandleInterrupt);
-  auto prev_term = std::signal(SIGTERM, HandleInterrupt);
   core::SweepReport report;
   io::CheckpointStats ckpt_stats;
   const io::CheckpointStats* ckpt_for_metrics = nullptr;
+  util::Status ckpt_status;
   util::Status run_status;
-  if (durable) {
-    auto result = io::RunCheckpointedSweep(data, points, sopts, ckpt_config,
-                                           resume);
-    if (result.ok()) {
-      report = std::move(result->report);
-      ckpt_stats = result->checkpoint;
-      ckpt_for_metrics = &ckpt_stats;
-      if (!result->checkpoint_status.ok()) {
-        std::fprintf(stderr, "warning: checkpoint write failed: %s\n",
-                     result->checkpoint_status.ToString().c_str());
+  {
+    InterruptScope interrupt;
+    sopts.cancel_token = interrupt.token();
+    if (durable) {
+      auto result = io::RunCheckpointedSweep(data, points, sopts, ckpt_config,
+                                             resume);
+      if (result.ok()) {
+        report = std::move(result->report);
+        ckpt_stats = result->checkpoint;
+        ckpt_for_metrics = &ckpt_stats;
+        ckpt_status = result->checkpoint_status;
+      } else {
+        run_status = result.status();
       }
     } else {
-      run_status = result.status();
-    }
-  } else {
-    core::SweepEngine engine(data, sopts);
-    auto report_or = engine.Run(points);
-    if (report_or.ok()) {
-      report = *std::move(report_or);
-    } else {
-      run_status = report_or.status();
+      core::SweepEngine engine(data, sopts);
+      auto report_or = engine.Run(points);
+      if (report_or.ok()) {
+        report = *std::move(report_or);
+      } else {
+        run_status = report_or.status();
+      }
     }
   }
-  std::signal(SIGINT, prev_int == SIG_ERR ? SIG_DFL : prev_int);
-  std::signal(SIGTERM, prev_term == SIG_ERR ? SIG_DFL : prev_term);
-  g_interrupt_token.store(nullptr, std::memory_order_release);
   if (!run_status.ok()) return Fail(run_status);
 
   const bool truncated = report.status == core::MineStatus::kTruncated;
@@ -340,14 +378,8 @@ int RunSweep(const matrix::MatrixStore& data, core::MinerOptions base,
                  util::StopReasonName(report.stop_reason),
                  report.runs_executed, report.runs.size(),
                  report.first_unfinished);
-    if (durable && !ckpt_config.path.empty()) {
-      std::fprintf(stderr,
-                   "warning: checkpoint saved; re-run the same command with\n"
-                   "warning:   --resume-from=%s\n"
-                   "warning: to continue from this point\n",
-                   ckpt_config.path.c_str());
-    }
   }
+  if (durable) WarnCheckpoint(ckpt_config, ckpt_status, truncated);
   for (const core::SweepRun& run : report.runs) {
     if (!run.status.ok()) {
       std::fprintf(stderr, "warning: sweep point skipped: %s\n",
@@ -410,8 +442,7 @@ int CmdMine(Flags* flags) {
         "  [--resume-from=PATH] [--deterministic-output]\n"
         "  [--incremental-out=PATH]\n"
         "  [--append=PATH --prev-outcome=PATH [--matrix-out=PATH]]\n"
-        "  [--sweep=SPEC --sweep-out=PATH [--sweep-csv=PATH]\n"
-        "   [--share-models=true]]\n"
+        "  [--sweep=SPEC --sweep-out=PATH [--sweep-csv=PATH]]\n"
         "Mines reg-clusters and writes the machine-format archive to --out.\n"
         "--sweep runs a batch parameter sweep instead of a single mine:\n"
         "SPEC is axis=values pairs (gamma|eps|ming|minc; lo:hi:step range or\n"
@@ -469,7 +500,6 @@ int CmdMine(Flags* flags) {
   const std::string sweep_spec = flags->GetString("sweep", "");
   const std::string sweep_out = flags->GetString("sweep-out", "");
   const std::string sweep_csv = flags->GetString("sweep-csv", "");
-  const bool share_models = flags->GetBool("share-models", true);
   const bool sweeping = !sweep_spec.empty();
   if (matrix_path.empty() || (out_path.empty() && !sweeping)) {
     std::fprintf(stderr, "--matrix and --out are required\n");
@@ -713,9 +743,8 @@ int CmdMine(Flags* flags) {
 
   if (sweeping) {
     return RunSweep(store, opts, sweep_points, sweep_out, sweep_csv,
-                    share_models, metrics_path, *metrics_format, durable,
-                    ckpt_config, loaded ? &loaded->sweep : nullptr,
-                    deterministic_output);
+                    metrics_path, *metrics_format, durable, ckpt_config,
+                    loaded ? &loaded->sweep : nullptr, deterministic_output);
   }
 
   util::StatusOr<std::vector<core::RegCluster>> clusters;
@@ -723,6 +752,7 @@ int CmdMine(Flags* flags) {
   core::MineOutcome outcome;
   io::CheckpointStats ckpt_stats;
   const io::CheckpointStats* ckpt_for_metrics = nullptr;
+  util::Status ckpt_status;
   // The matrix the reports name genes from: `store`, or the widened
   // resident copy an incremental run mines.
   const matrix::MatrixStore* out_store = &store;
@@ -799,44 +829,35 @@ int CmdMine(Flags* flags) {
     stats = result->stats;
     outcome = result->outcome;
   } else {
-    // Route SIGINT/SIGTERM into the miner's cancellation token for the
-    // duration of the search; a second signal after restoration falls back
-    // to the default (immediate) disposition.  In a durable run the
-    // cancellation surfaces as a hard stop inside the driver, which writes
-    // a final synchronous snapshot before returning -- so Ctrl-C leaves a
-    // resumable checkpoint behind.
-    auto token = std::make_shared<util::CancellationToken>();
-    opts.cancel_token = token;
-    g_interrupt_token.store(token.get(), std::memory_order_release);
-    auto prev_int = std::signal(SIGINT, HandleInterrupt);
-    auto prev_term = std::signal(SIGTERM, HandleInterrupt);
-    if (durable) {
-      auto result = io::RunCheckpointedMine(store, opts, ckpt_config,
-                                            loaded ? &loaded->mine : nullptr);
-      if (result.ok()) {
-        clusters = std::move(result->clusters);
-        stats = result->stats;
-        outcome = result->outcome;
-        ckpt_stats = result->checkpoint;
-        ckpt_for_metrics = &ckpt_stats;
-        if (!result->checkpoint_status.ok()) {
-          std::fprintf(stderr, "warning: checkpoint write failed: %s\n",
-                       result->checkpoint_status.ToString().c_str());
+    // Ctrl-C cancels the search.  In a durable run the cancellation
+    // surfaces as a hard stop inside the driver, which writes a final
+    // synchronous snapshot before returning -- so Ctrl-C leaves a resumable
+    // checkpoint behind.
+    {
+      InterruptScope interrupt;
+      opts.cancel_token = interrupt.token();
+      if (durable) {
+        auto result = io::RunCheckpointedMine(
+            store, opts, ckpt_config, loaded ? &loaded->mine : nullptr);
+        if (result.ok()) {
+          clusters = std::move(result->clusters);
+          stats = result->stats;
+          outcome = result->outcome;
+          ckpt_stats = result->checkpoint;
+          ckpt_for_metrics = &ckpt_stats;
+          ckpt_status = result->checkpoint_status;
+        } else {
+          clusters = result.status();
         }
       } else {
-        clusters = result.status();
-      }
-    } else {
-      core::RegClusterMiner miner(store, opts);
-      clusters = miner.Mine();
-      if (clusters.ok()) {
-        stats = miner.stats();
-        outcome = miner.outcome();
+        core::RegClusterMiner miner(store, opts);
+        clusters = miner.Mine();
+        if (clusters.ok()) {
+          stats = miner.stats();
+          outcome = miner.outcome();
+        }
       }
     }
-    std::signal(SIGINT, prev_int == SIG_ERR ? SIG_DFL : prev_int);
-    std::signal(SIGTERM, prev_term == SIG_ERR ? SIG_DFL : prev_term);
-    g_interrupt_token.store(nullptr, std::memory_order_release);
     if (!clusters.ok()) return Fail(clusters.status());
 
     if (outcome.status == core::MineStatus::kTruncated) {
@@ -847,14 +868,10 @@ int CmdMine(Flags* flags) {
           " (resume root %d)\n",
           util::StopReasonName(outcome.stop_reason), outcome.roots_completed,
           outcome.roots_total, outcome.resume.next_root);
-      if (durable && !ckpt_config.path.empty()) {
-        std::fprintf(stderr,
-                     "warning: checkpoint saved; re-run the same command "
-                     "with\n"
-                     "warning:   --resume-from=%s\n"
-                     "warning: to continue from this point\n",
-                     ckpt_config.path.c_str());
-      }
+    }
+    if (durable) {
+      WarnCheckpoint(ckpt_config, ckpt_status,
+                     outcome.status == core::MineStatus::kTruncated);
     }
     if (merge_overlap > 0.0) {
       eval::ConsensusOptions copts;
