@@ -81,8 +81,10 @@ bool IsSubcluster(const Bicluster& inner, const Bicluster& outer);
 /// reversed.  Used by the optional maximal-only output filter.
 bool IsDominated(const RegCluster& a, const RegCluster& b);
 
-/// Removes clusters dominated by another cluster in the set (keeps the first
-/// of exact duplicates).  Stable order.
+/// Removes clusters dominated (IsDominated) by another cluster in the set.
+/// Stable order; of exact duplicates and of mutually dominating clusters the
+/// earlier one is kept.  Quadratic in the cluster count, allocation-free per
+/// pair.
 std::vector<RegCluster> RemoveDominated(std::vector<RegCluster> clusters);
 
 }  // namespace core

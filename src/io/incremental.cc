@@ -108,7 +108,7 @@ util::Status MineRootSlices(const matrix::MatrixStore& data,
 IncrementalMineResult AssembleResult(
     const matrix::MatrixStore& data, const core::MinerOptions& options,
     std::shared_ptr<const core::SharedGammaModel> model,
-    std::vector<core::RootMineResult> slices, double mine_seconds) {
+    std::vector<core::RootMineResult> slices, const util::WallTimer& timer) {
   IncrementalMineResult r;
   r.state.context = MineContext(data, data.num_conditions(), options);
   r.state.roots = std::move(slices);
@@ -117,19 +117,19 @@ IncrementalMineResult AssembleResult(
     r.clusters.insert(r.clusters.end(), slice.clusters.begin(),
                       slice.clusters.end());
   }
-  // The splice is the whole run, so the run-level fields mirror what a
-  // non-shared Mine() would have reported: one model build (ours), its
-  // build times, and this call's wall clock.
-  r.stats.index_builds = 1;
-  r.stats.rwave_build_seconds = model->rwave_build_seconds;
-  r.stats.index_build_seconds = model->index_build_seconds;
-  r.stats.mine_seconds = mine_seconds;
-  r.outcome.roots_completed = data.num_conditions();
-  r.outcome.roots_total = data.num_conditions();
-  r.outcome.simd_level = util::simd::Ops().level;
   if (options.remove_dominated) {
     r.clusters = core::RemoveDominated(std::move(r.clusters));
   }
+  // The splice is the whole run, so the run-level fields mirror what a
+  // non-shared Mine() would have reported: one model build (ours), its
+  // build times, and this call's wall clock, dominance pass included.
+  r.stats.index_builds = 1;
+  r.stats.rwave_build_seconds = model->rwave_build_seconds;
+  r.stats.index_build_seconds = model->index_build_seconds;
+  r.stats.mine_seconds = timer.ElapsedSeconds();
+  r.outcome.roots_completed = data.num_conditions();
+  r.outcome.roots_total = data.num_conditions();
+  r.outcome.simd_level = util::simd::Ops().level;
   r.model = std::move(model);
   return r;
 }
@@ -177,7 +177,7 @@ util::StatusOr<IncrementalMineResult> MineInitial(
   // Empty root_set = a plain full run; the capture hook records every root.
   REGCLUSTER_RETURN_IF_ERROR(MineRootSlices(data, options, model, {}, &slices));
   return AssembleResult(data, options, std::move(model), std::move(slices),
-                        timer.ElapsedSeconds());
+                        timer);
 }
 
 util::StatusOr<IncrementalMineResult> MineIncremental(
@@ -281,7 +281,7 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
     }
   }
   auto result = AssembleResult(new_data, options, std::move(model),
-                               std::move(slices), timer.ElapsedSeconds());
+                               std::move(slices), timer);
   result.roots_remined = static_cast<int>(dirty.size());
   result.roots_spliced = num_conds - static_cast<int>(dirty.size());
   return result;
