@@ -210,6 +210,36 @@ BENCHMARK_CAPTURE(BM_RadixSortPhase, scalar, false)
 BENCHMARK_CAPTURE(BM_RadixSortPhase, dispatched, true)
     ->Arg(80)->Arg(320)->Arg(2000);
 
+// The coherence pre-screen the miner runs before that sort, over the same
+// deterministic columns at epsilon = 0.01.  Half of each column sits within
+// 1e-3 of 1.0, so MinG = 50 leaves every column a window (the screen's
+// pass-through cost) and MinG = 90 leaves almost none (its reject cost);
+// `reject_frac` is the share of columns the screen rejected.
+void BM_CoherencePrescreen(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int min_g = static_cast<int>(state.range(1));
+  constexpr int kPool = 64;
+  util::Prng prng(2026);
+  std::vector<ScoredColumn> pool;
+  pool.reserve(kPool);
+  for (int p = 0; p < kPool; ++p) pool.push_back(MakeScoredColumn(n, &prng));
+  std::vector<int> counts;
+  int64_t rejected = 0;
+  size_t p = 0;
+  for (auto _ : state) {
+    const bool possible = core::CoherenceWindowPossible(
+        pool[p].h.data(), n, /*eps=*/0.01, min_g, &counts);
+    benchmark::DoNotOptimize(possible);
+    rejected += possible ? 0 : 1;
+    p = (p + 1) % kPool;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.counters["reject_frac"] = benchmark::Counter(
+      static_cast<double>(rejected) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations())));
+}
+BENCHMARK(BM_CoherencePrescreen)->Args({150, 50})->Args({150, 90});
+
 void BM_FilterKernel(benchmark::State& state, bool dispatched) {
   // FilterCandidate's dense pass: gather each surviving member's gene id,
   // denominator and numerator, then one vector divide.

@@ -1,6 +1,7 @@
 #include "core/coherence.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <limits>
 
@@ -9,6 +10,48 @@
 
 namespace regcluster {
 namespace core {
+
+bool CoherenceWindowPossible(const double* h, int n, double eps, int min_g,
+                             std::vector<int>* counts) {
+  if (n < min_g) return false;  // no window can hold min_g scores
+  if (min_g <= 1) return true;   // any single score is a window
+  // x - x is NaN exactly for a NaN or infinite x, so `probe` stays finite
+  // iff every score is.
+  double lo = h[0];
+  double hi = h[0];
+  double probe = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double x = h[i];
+    lo = x < lo ? x : lo;
+    hi = x > hi ? x : hi;
+    probe += x - x;
+  }
+  const double range = hi - lo;
+  // A whole column of span <= eps is one window; a NaN or infinite score or
+  // an overflowing range falls through to the exact scan.
+  if (probe != 0.0 || !(range > eps) || !std::isfinite(range)) return true;
+  // The margin absorbs the rounding of the scan's `hs[hi] - hs[lo]` and of
+  // the index arithmetic below: the computed indices of two scores a <= b
+  // with fl(b - a) <= eps differ by at most one (DESIGN.md derives the
+  // 8 (n + 2) u bound, u = DBL_EPSILON / 2).
+  const double base = std::max(eps, range / n);
+  if (!(base >= std::numeric_limits<double>::min())) return true;
+  const double margin = 4.0 * (n + 2) * DBL_EPSILON;
+  const double inv_w = 1.0 / (base * (1.0 + margin));
+  // 0 <= (x - lo) * inv_w <= range * inv_w < n + 1, so the casts are exact
+  // truncations (floors) and stay in range.
+  const int buckets = std::min(static_cast<int>(range * inv_w) + 1, n + 1);
+  if (buckets < 2) return true;
+  counts->assign(static_cast<size_t>(buckets), 0);
+  int* c = counts->data();
+  for (int i = 0; i < n; ++i) {
+    const int k = static_cast<int>((h[i] - lo) * inv_w);
+    ++c[std::min(k, buckets - 1)];
+  }
+  int best = 0;  // a max-reduction, not an early exit: it vectorizes
+  for (int k = 0; k + 1 < buckets; ++k) best = std::max(best, c[k] + c[k + 1]);
+  return best >= min_g;
+}
 
 std::vector<double> ChainCoherenceScores(const double* row,
                                          const std::vector<int>& chain) {

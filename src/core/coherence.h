@@ -42,6 +42,21 @@ inline double CoherenceScore(const double* row, int c1, int c2, int ck,
   return CoherenceScoreCached(row, ck, ck1, row[c2] - row[c1]);
 }
 
+/// Pruning (4) pre-screen over one scored column `h[0, n)`: returns false
+/// only when no `min_g` of the scores fit in a window of span <= `eps` --
+/// the same `hs[hi] - hs[lo] <= eps` test the miner's sliding window applies
+/// to the sorted column -- so a false answer lets the caller skip the sort
+/// and the window scan.  true means "maybe": the exact scan decides.
+///
+/// O(n) and allocation-free once `counts` has grown: scores are counted into
+/// buckets of width max(eps, range/n) * (1 + margin), at most n + 1 of them,
+/// and every span <= eps lies within two adjacent buckets, so a column
+/// whose adjacent bucket pairs all hold fewer than `min_g` scores has no
+/// window.  Non-finite scores, a non-finite range or a subnormal bucket
+/// width answer true (DESIGN.md, "Coherence pre-screen", has the proof).
+bool CoherenceWindowPossible(const double* h, int n, double eps, int min_g,
+                             std::vector<int>* counts);
+
 /// All adjacent coherence scores of `row` along `chain` (size chain-1, the
 /// first entry is always exactly 1 by construction).
 std::vector<double> ChainCoherenceScores(const double* row,

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "util/bitset.h"
 #include "util/simd/radix_sort.h"
+#include "util/string_util.h"
 #include "util/task_pool.h"
 #include "util/timer.h"
 
@@ -121,6 +122,7 @@ struct RegClusterMiner::MinerScratch {
   std::vector<uint64_t> gene_epoch;  ///< gene id -> last-marked epoch
   uint64_t epoch = 0;
   util::simd::SortScratch sort_scratch;  ///< radix-sort key/index buffers
+  std::vector<int> screen_counts;  ///< CoherenceWindowPossible buckets
 
   void Init(int num_conds, int num_genes) {
     chain.reserve(static_cast<size_t>(num_conds) + 1);
@@ -137,7 +139,8 @@ struct RegClusterMiner::MinerScratch {
   /// limit bounds.  Capacity-based, so it tracks the high-water mark.
   int64_t ApproxBytes() const {
     int64_t total = VecBytes(chain) + VecBytes(gene_epoch) +
-                    root_frame.ApproxBytes() + sort_scratch.ApproxBytes();
+                    root_frame.ApproxBytes() + sort_scratch.ApproxBytes() +
+                    VecBytes(screen_counts);
     for (const NodeFrame& f : frames) {
       total += f.ApproxBytes() + static_cast<int64_t>(sizeof(NodeFrame));
     }
@@ -574,11 +577,24 @@ util::Status RegClusterMiner::Prepare() {
   REGCLUSTER_RETURN_IF_ERROR(ValidateMinerOptions(options_, data_));
   // The one check that reads every cell stays here, once per run: callers
   // that screen options ahead of Prepare() (per request, per sweep point)
-  // would otherwise pay the scan twice.
-  if (data_.HasMissingValues()) {
-    return util::Status::FailedPrecondition(
-        "matrix contains missing values; impute first "
-        "(matrix::ImputeRowMean)");
+  // would otherwise pay the scan twice.  NaN is a missing value the caller
+  // can impute; +-inf has no RWave order and is named by its cell.
+  const int num_conds = data_.num_conditions();
+  for (int g = 0; g < data_.num_genes(); ++g) {
+    const double* row = data_.row_data(g);
+    for (int c = 0; c < num_conds; ++c) {
+      if (std::isfinite(row[c])) continue;
+      if (std::isnan(row[c])) {
+        return util::Status::FailedPrecondition(
+            "matrix contains missing values; impute first "
+            "(matrix::ImputeRowMean)");
+      }
+      return util::Status::FailedPrecondition(util::StrFormat(
+          "matrix cell of gene '%s' at condition '%s' is %s; every "
+          "expression value must be finite",
+          data_.gene_name(g).c_str(), data_.condition_name(c).c_str(),
+          row[c] > 0 ? "+inf" : "-inf"));
+    }
   }
   allowed_cond_.assign(static_cast<size_t>(data_.num_conditions()),
                        options_.allowed_conditions.empty() ? 1 : 0);
@@ -1325,6 +1341,17 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
     }
     if (profile) ctx->stats.score_ns += NowNs() - t0;
 
+    // Pre-screen: most candidates have no epsilon-window at all, and an
+    // O(n) bucket count proves it without the sort and the window scan
+    // below.  It rejects nothing the scan accepts, so the count is the
+    // scan's own (pruning 4).  Like the scan, it is outside the phase timers.
+    const double eps = options_.epsilon;
+    if (!CoherenceWindowPossible(h, total, eps, min_g,
+                                 &scratch->screen_counts)) {
+      ++ctx->stats.pruned_coherence;
+      continue;
+    }
+
     // Sort: index-sort over the score column; rows never move.  The
     // dispatched kernel reproduces the (score asc, gene asc) comparator
     // order byte for byte, and also emits the sorted score column so the
@@ -1339,7 +1366,6 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
 
     // Sliding window (step 5): maximal intervals of score span <= epsilon
     // with at least MinG genes; each spawns a child node.
-    const double eps = options_.epsilon;
     bool any_window = false;
     const size_t n_scored = static_cast<size_t>(total);
     const double* hs = node.sc_hs.data();

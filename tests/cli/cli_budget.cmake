@@ -36,6 +36,32 @@ if(NOT rc EQUAL 1 OR NOT err MATCHES "InvalidArgument")
                       "${rc}:\n${out}\n${err}")
 endif()
 
+# An infinite cell is a named FailedPrecondition (exit 1), not a mine that
+# silently drops the gene from every cluster.
+set(inf_tsv "gene")
+foreach(c RANGE 7)
+  string(APPEND inf_tsv "\tc${c}")
+endforeach()
+foreach(g RANGE 39)
+  string(APPEND inf_tsv "\ng${g}")
+  foreach(c RANGE 7)
+    math(EXPR v "(${g} * 7 + ${c} * 3) % 11")
+    if(g EQUAL 5 AND c EQUAL 2)
+      set(v "inf")
+    endif()
+    string(APPEND inf_tsv "\t${v}")
+  endforeach()
+endforeach()
+file(WRITE ${WORKDIR}/inf.tsv "${inf_tsv}\n")
+execute_process(COMMAND ${CLI} mine --matrix=${WORKDIR}/inf.tsv
+                        --out=${WORKDIR}/inf.txt --ming=3 --minc=3
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "FailedPrecondition"
+   OR NOT err MATCHES "gene 'g5' at condition 'c2' is \\+inf")
+  message(FATAL_ERROR "inf cell: expected exit 1 + FailedPrecondition naming "
+                      "g5/c2, got ${rc}:\n${out}\n${err}")
+endif()
+
 # An immediate deadline truncates before any root: exit 3, valid (possibly
 # empty) archive and a JSON export carrying the outcome block.
 run_expect(3 ${CLI} mine --matrix=${WORKDIR}/m.tsv

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "core/coherence.h"
 #include "core/miner.h"
 #include "testing/paper_data.h"
@@ -96,6 +99,39 @@ TEST(MinerLifecycle, TargetedMiningComposesWithThreads) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->size(), b->size());
   for (size_t i = 0; i < a->size(); ++i) EXPECT_EQ((*a)[i], (*b)[i]);
+}
+
+TEST(MinerLifecycle, NonFiniteCellsAreNamedRejections) {
+  // +-inf has no RWave order: Prepare() rejects the run and names the cell,
+  // instead of mining with that gene silently missing from every cluster.
+  for (double bad : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    auto data = RunningDataset();
+    ASSERT_TRUE(data.SetConditionNames({"a", "b", "c", "d", "e", "f", "g",
+                                        "h", "i", "j"})
+                    .ok());
+    data(2, 3) = bad;
+    EXPECT_FALSE(data.HasMissingValues());  // NaN-only: imputation keys off it
+    RegClusterMiner miner(data, PaperOptions());
+    auto result = miner.Mine();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
+    const std::string& msg = result.status().message();
+    EXPECT_NE(msg.find("gene '" + data.gene_name(2) + "'"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("condition 'd'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(bad > 0 ? "+inf" : "-inf"), std::string::npos) << msg;
+    // The same miner mines again once the cell is finite.
+    data(2, 3) = 0.0;
+    EXPECT_TRUE(miner.Mine().ok());
+  }
+  // NaN keeps its "impute first" message.
+  auto data = RunningDataset();
+  data(1, 1) = std::numeric_limits<double>::quiet_NaN();
+  auto result = RegClusterMiner(data, PaperOptions()).Mine();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_NE(result.status().message().find("impute"), std::string::npos);
 }
 
 TEST(MinerLifecycle, MatrixOutlivesMinerOutput) {
