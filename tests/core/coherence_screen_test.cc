@@ -97,13 +97,11 @@ std::vector<double> BackgroundColumn(int n, util::Prng* prng) {
   return h;
 }
 
+/// MinG values to try on a column of n >= 2 scores, including n - 1, n and
+/// the trivially window-less n + 1.
 std::vector<int> MinGenesFor(int n) {
-  std::vector<int> out = {1, 2, 3, std::max(1, n / 10), std::max(1, n / 4),
-                          std::max(1, n / 2), n - 1, n, n + 1};
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [](int g) { return g < 1; }),
-            out.end());
-  return out;
+  return {1, 2, 3, std::max(1, n / 10), std::max(1, n / 4), n / 2, n - 1, n,
+          n + 1};
 }
 
 TEST(CoherenceScreen, MinerShapedColumnsAreNeverFalselyRejected) {
