@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,10 @@
 #include "core/coherence.h"
 #include "core/miner.h"
 #include "core/rwave.h"
+#include "matrix/matrix_io.h"
 #include "matrix/transforms.h"
 #include "synth/generator.h"
+#include "util/bitset.h"
 #include "util/math_util.h"
 #include "util/prng.h"
 #include "util/simd/dispatch.h"
@@ -240,82 +243,106 @@ void BM_CoherencePrescreen(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherencePrescreen)->Args({150, 50})->Args({150, 90});
 
-void BM_FilterKernel(benchmark::State& state, bool dispatched) {
-  // FilterCandidate's dense pass: gather each surviving member's gene id,
-  // denominator and numerator, then one vector divide.
-  const int n = static_cast<int>(state.range(0));
-  const util::simd::SimdOps ops = OpsAt(BenchLevel(dispatched));
-  constexpr int kConds = 30;
-  const int genes = 2 * n + 8;
+void BM_ScorePanelFill(benchmark::State& state) {
+  // The miner's member-major score-panel fill: every member's live
+  // candidate bits, over its contiguous matrix row, into per-candidate
+  // columns of (score, member index) -- the one pass that produces every
+  // coherence score of a block.  Half the bits live, as a dense node has.
+  const int members = static_cast<int>(state.range(0));
+  constexpr int kConds = 60;
+  const int words = util::WordsForBits(kConds);
+  const int genes = 2 * members + 8;
   util::Prng prng(4242);
   std::vector<double> matrix(static_cast<size_t>(genes) * kConds);
   for (double& x : matrix) x = prng.Uniform(0.0, 10.0);
-  std::vector<int> member_gene(static_cast<size_t>(n));
-  std::vector<double> denoms(static_cast<size_t>(n));
-  std::vector<double> bases(static_cast<size_t>(n));
-  std::vector<int64_t> row_off(static_cast<size_t>(n));
-  std::vector<int> idx(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    member_gene[static_cast<size_t>(i)] = 2 * i;  // sparse member subset
-    row_off[static_cast<size_t>(i)] = static_cast<int64_t>(2 * i) * kConds;
-    denoms[static_cast<size_t>(i)] = prng.Uniform(0.5, 2.0);
-    bases[static_cast<size_t>(i)] =
-        matrix[static_cast<size_t>(row_off[static_cast<size_t>(i)])];
-    idx[static_cast<size_t>(i)] = i;
+  std::vector<int> gene(static_cast<size_t>(members));
+  std::vector<double> denom(static_cast<size_t>(members));
+  std::vector<uint64_t> live(static_cast<size_t>(members) * words, 0);
+  std::vector<int> count(kConds, 0);
+  for (int i = 0; i < members; ++i) {
+    gene[static_cast<size_t>(i)] = 2 * i;  // sparse member subset
+    denom[static_cast<size_t>(i)] = prng.Uniform(0.5, 2.0);
+    for (int c = 1; c < kConds; ++c) {
+      if (prng.Uniform(0.0, 1.0) < 0.5) {
+        util::SetBit(live.data() + static_cast<size_t>(i) * words, c);
+        ++count[static_cast<size_t>(c)];
+      }
+    }
   }
-  util::simd::GatherScoredArgs args;
-  args.genes = member_gene.data();
-  args.denoms = denoms.data();
-  args.bases = bases.data();
-  args.row_off = row_off.data();
-  args.matrix = matrix.data();
-  args.cand = kConds - 1;
-  std::vector<int> out_gene(static_cast<size_t>(n));
-  std::vector<double> out_denom(static_cast<size_t>(n));
-  std::vector<double> out_h(static_cast<size_t>(n));
+  std::vector<uint64_t> mask(static_cast<size_t>(words), ~uint64_t{0});
+  std::vector<int> start(kConds, 0);
+  int entries = 0;
+  for (int c = 0; c < kConds; ++c) {
+    start[static_cast<size_t>(c)] = entries;
+    entries += count[static_cast<size_t>(c)];
+  }
+  std::vector<int> cursor(kConds);
+  std::vector<double> h(static_cast<size_t>(entries));
+  std::vector<int32_t> idx(static_cast<size_t>(entries));
+  const core::PanelMembers half{gene.data(), denom.data(), live.data(),
+                                members, words};
   for (auto _ : state) {
-    ops.gather_scored(args, n, idx.data(), out_gene.data(), out_denom.data(),
-                      out_h.data());
-    ops.divide_columns(out_h.data(), out_denom.data(), n);
-    benchmark::DoNotOptimize(out_h.data());
+    cursor = start;
+    core::FillScorePanel(half, matrix.data(), kConds, /*head=*/0, mask.data(),
+                         0, words, cursor.data(), h.data(), idx.data());
+    benchmark::DoNotOptimize(h.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * entries);
 }
-// 80 ~ the average surviving-member count per extension on the reference
-// dataset; 512 stresses the streaming regime.
-BENCHMARK_CAPTURE(BM_FilterKernel, scalar, false)->Arg(80)->Arg(512);
-BENCHMARK_CAPTURE(BM_FilterKernel, dispatched, true)->Arg(80)->Arg(512);
+// 80 ~ the average member count of a deep node on the reference dataset;
+// 512 stresses the streaming regime.
+BENCHMARK(BM_ScorePanelFill)->Arg(80)->Arg(512);
 
-void BM_BitsetAndCount(benchmark::State& state, bool dispatched) {
-  // The index row combine the miner leans on: dst = a & b, then the pruned
-  // popcount a & ~b & mask.  At 1 word (a <= 64-condition matrix) the Auto
-  // wrappers would bypass dispatch entirely; the wide rows are where the
-  // vector kernels earn their keep.
+void BM_ReadMatrixText(benchmark::State& state) {
+  // The text reader end to end on an in-memory 5000 x 60 TSV in the
+  // benchmark's own number format (%.10g, background uniform in [0, 10]).
+  const int genes = 5000;
+  const int conds = 60;
+  util::Prng prng(17);
+  matrix::ExpressionMatrix m(genes, conds);
+  for (int g = 0; g < genes; ++g) {
+    for (int c = 0; c < conds; ++c) m(g, c) = prng.Uniform(0.0, 10.0);
+  }
+  std::ostringstream text;
+  (void)matrix::WriteMatrix(m, text);
+  const std::string tsv = text.str();
+  for (auto _ : state) {
+    auto parsed = matrix::ReadMatrixFromString(tsv);
+    if (!parsed.ok()) {
+      state.SkipWithError(parsed.status().message().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(parsed->row_data(0));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(tsv.size()));
+}
+BENCHMARK(BM_ReadMatrixText)->Unit(benchmark::kMillisecond);
+
+void BM_BitsetAnd(benchmark::State& state, bool dispatched) {
+  // The index row combine the miner leans on: dst = a & b.  At 1 word (a
+  // <= 64-condition matrix) the Auto wrappers would bypass dispatch
+  // entirely; the wide rows are where the vector kernels earn their keep.
   const int words = static_cast<int>(state.range(0));
   const util::simd::SimdOps ops = OpsAt(BenchLevel(dispatched));
   util::Prng prng(99);
   std::vector<uint64_t> a(static_cast<size_t>(words));
   std::vector<uint64_t> b(static_cast<size_t>(words));
-  std::vector<uint64_t> mask(static_cast<size_t>(words));
   std::vector<uint64_t> dst(static_cast<size_t>(words));
   for (int w = 0; w < words; ++w) {
     a[static_cast<size_t>(w)] = prng.Next64();
     b[static_cast<size_t>(w)] = prng.Next64();
-    mask[static_cast<size_t>(w)] = prng.Next64();
   }
   for (auto _ : state) {
     ops.and_words(dst.data(), a.data(), b.data(), words);
-    const int64_t count =
-        ops.andnot_mask_popcount(a.data(), b.data(), mask.data(), words);
-    benchmark::DoNotOptimize(count);
     benchmark::DoNotOptimize(dst.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * words);
 }
-BENCHMARK_CAPTURE(BM_BitsetAndCount, scalar, false)->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_BitsetAndCount, dispatched, true)->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_BitsetAnd, scalar, false)->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_BitsetAnd, dispatched, true)->Arg(8)->Arg(64);
 
 void BM_CoherenceScore(benchmark::State& state) {
   const std::vector<double> row = RandomProfile(64, 77);
@@ -417,7 +444,7 @@ class JsonSectionReporter : public benchmark::ConsoleReporter {
     benchmark::ConsoleReporter::ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      rows_.push_back(bench::JsonObject({
+      std::vector<std::string> fields = {
           bench::JsonField("name", bench::JsonString(run.benchmark_name())),
           bench::JsonField("real_time", bench::JsonDouble(
                                run.GetAdjustedRealTime())),
@@ -428,7 +455,14 @@ class JsonSectionReporter : public benchmark::ConsoleReporter {
           bench::JsonField("iterations",
                            bench::JsonInt(static_cast<int64_t>(
                                run.iterations))),
-      }));
+      };
+      // Throughput rows (SetBytesProcessed) also record their rate.
+      const auto rate = run.counters.find("bytes_per_second");
+      if (rate != run.counters.end()) {
+        fields.push_back(bench::JsonField(
+            "mb_per_s", bench::JsonDouble(rate->second / 1e6)));
+      }
+      rows_.push_back(bench::JsonObject(fields));
     }
   }
 

@@ -51,62 +51,75 @@ int64_t VecBytes(const std::vector<T>& v) {
 
 }  // namespace
 
+/// Entries per score-panel block (DESIGN.md, "Score panel"): 12 bytes each
+/// (a score and an int32 member index), so a block holds about 192 KiB.
+/// A block always takes at least one candidate column, however large.
+constexpr int kPanelBlockEntries = 16384;
+
+/// Members PrepareNode runs ahead when prefetching their index rows.
+constexpr size_t kIndexPrefetchAhead = 8;
+
 /// One DFS node's reusable state.  The member columns are struct-of-arrays
 /// (MemberCols), and the per-node caches below are parallel to them:
 ///
 ///   *_comb   per member, the W-word bitmap of conditions the member can
 ///            extend to (successor/predecessor row AND MinC-eligibility
 ///            row);
-///   *_trans  the transpose of *_comb restricted to the node's candidate
-///            set: per candidate condition, a bitmap over *member indices*.
-///            The per-candidate filter then walks only the set bits
-///            (surviving members) instead of probing every member;
-///   *_off    per member, the gene's flat row offset (gene * C).  One int64
-///            offset serves both the expression matrix and the index's
-///            position table, which share the gene-major stride -- and it is
-///            what the SIMD gather kernels consume;
-///   *_base   per member, the row value at the chain head ckm, so a
-///            candidate's coherence numerator is row[cand] - base.
+///   *_count  per condition, how many members' *_comb rows hold it -- a
+///            candidate's p/n column sizes.
 ///
-/// The scored columns (sc_*) hold one filtered extension: entries
-/// [0, sc_split) are p-members, the rest n-members; both halves inherit the
-/// member order and are therefore gene-ascending.  `order` index-sorts the
-/// score column without moving the rows.
+/// The score panel holds the coherence scores of a block of candidates:
+/// per candidate column (starting at `col[c]`), its p-entries then its
+/// n-entries, each in member order and therefore gene-ascending, as
+/// (panel_h score, panel_idx member index).  `cursor` is the fill's write
+/// position per column and `fill_mask` the block's filled candidates.
+///
+/// The scored columns (sc_*) hold the gene ids and denominators of one
+/// column that passed the pre-screen, gathered by member index for the
+/// sort and the child build; `order` index-sorts the column without
+/// moving it.
 struct RegClusterMiner::NodeFrame {
   MemberCols p, n;
 
   std::vector<uint64_t> p_comb, n_comb;
-  std::vector<uint64_t> p_trans, n_trans;
-  int p_words = 0;  ///< words per p_trans row (= WordsForBits(p.size()))
-  int n_words = 0;
-  std::vector<int64_t> p_off, n_off;
-  std::vector<double> p_base, n_base;
+  util::BitPositionCounter p_count, n_count;
+  util::BitPositionCounter cut;  ///< per condition, members cut by MinC
 
   std::vector<uint64_t> cand_words;  ///< the node's candidate bitmap
   std::vector<int> cands;            ///< its set bits, ascending
 
-  std::vector<double> sc_h, sc_denom;
+  std::vector<int> col, cursor;
+  std::vector<uint64_t> fill_mask;
+  std::vector<double> panel_h;
+  std::vector<int32_t> panel_idx;
+
+  std::vector<double> sc_denom;
   std::vector<double> sc_hs;  ///< sorted score column (sort kernel output)
   std::vector<int> sc_gene;
-  std::vector<int> filt;  ///< surviving member indices of one filter half
   std::vector<int> order;
   std::vector<int> win_p, win_n;  ///< window index buffers (child build)
 
-  void ClearScored() {
-    sc_h.clear();
-    sc_denom.clear();
-    sc_gene.clear();
+  /// Gathers the gene ids and denominators of a `total`-entry panel column
+  /// whose first `split` entries are p-members.
+  void GatherScored(const int32_t* idx, int split, int total) {
+    sc_gene.resize(static_cast<size_t>(total));
+    sc_denom.resize(static_cast<size_t>(total));
+    for (int k = 0; k < total; ++k) {
+      const MemberCols& mem = k < split ? p : n;
+      const size_t i = static_cast<size_t>(idx[k]);
+      sc_gene[static_cast<size_t>(k)] = mem.gene[i];
+      sc_denom[static_cast<size_t>(k)] = mem.denom[i];
+    }
   }
 
   int64_t ApproxBytes() const {
     return VecBytes(p.gene) + VecBytes(p.head_pos) + VecBytes(p.denom) +
            VecBytes(n.gene) + VecBytes(n.head_pos) + VecBytes(n.denom) +
-           VecBytes(p_comb) + VecBytes(n_comb) + VecBytes(p_trans) +
-           VecBytes(n_trans) + VecBytes(p_off) + VecBytes(n_off) +
-           VecBytes(p_base) + VecBytes(n_base) + VecBytes(cand_words) +
-           VecBytes(cands) + VecBytes(sc_h) + VecBytes(sc_hs) +
-           VecBytes(sc_denom) +
-           VecBytes(sc_gene) + VecBytes(filt) +
+           VecBytes(p_comb) + VecBytes(n_comb) + p_count.ApproxBytes() +
+           n_count.ApproxBytes() + cut.ApproxBytes() + VecBytes(cand_words) +
+           VecBytes(cands) + VecBytes(col) + VecBytes(cursor) +
+           VecBytes(fill_mask) + VecBytes(panel_h) + VecBytes(panel_idx) +
+           VecBytes(sc_hs) + VecBytes(sc_denom) + VecBytes(sc_gene) +
            VecBytes(order) + VecBytes(win_p) + VecBytes(win_n);
   }
 };
@@ -578,11 +591,17 @@ util::Status RegClusterMiner::Prepare() {
   // The one check that reads every cell stays here, once per run: callers
   // that screen options ahead of Prepare() (per request, per sweep point)
   // would otherwise pay the scan twice.  NaN is a missing value the caller
-  // can impute; +-inf has no RWave order and is named by its cell.
+  // can impute; +-inf has no RWave order and is named by its cell; a row
+  // whose range overflows has no finite gamma threshold or coherence
+  // denominator bound and is named by its gene.
   const int num_conds = data_.num_conditions();
   for (int g = 0; g < data_.num_genes(); ++g) {
     const double* row = data_.row_data(g);
+    double lo = num_conds > 0 ? row[0] : 0.0;
+    double hi = lo;
     for (int c = 0; c < num_conds; ++c) {
+      lo = std::min(lo, row[c]);
+      hi = std::max(hi, row[c]);
       if (std::isfinite(row[c])) continue;
       if (std::isnan(row[c])) {
         return util::Status::FailedPrecondition(
@@ -594,6 +613,12 @@ util::Status RegClusterMiner::Prepare() {
           "expression value must be finite",
           data_.gene_name(g).c_str(), data_.condition_name(c).c_str(),
           row[c] > 0 ? "+inf" : "-inf"));
+    }
+    if (!std::isfinite(hi - lo)) {
+      return util::Status::FailedPrecondition(util::StrFormat(
+          "expression range of gene '%s' overflows: max %g - min %g is not "
+          "a finite number; rescale the matrix",
+          data_.gene_name(g).c_str(), hi, lo));
     }
   }
   allowed_cond_.assign(static_cast<size_t>(data_.num_conditions()),
@@ -1003,23 +1028,37 @@ bool RegClusterMiner::HasAllRequired(const MemberCols& p, const MemberCols& n,
 }
 
 template <bool kCollect>
-void RegClusterMiner::PrepareNode(int m, int ckm, NodeFrame* node,
+void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
                                   MinerStats* stats) {
   const int words = index_->num_words();
   const int need = options_.min_conditions - m;
   const bool prune2 = options_.prune_min_conds;
   const uint64_t* ones = index_->ones_row();
-  const int num_conds = index_->num_conditions();
 
+  // Per member: the combined row, counted per condition, and the members
+  // the MinC bound cut -- successor & ~combined -- counted the same way, so
+  // the pruning-2 drop counter needs no second pass over the index rows.
+  // A p-member's bits outside the candidate set are exactly the disallowed
+  // conditions, and an n-member's are conditions no p-member reaches; those
+  // counts are never read, so counting whole rows needs no candidate mask
+  // and stays in this one pass.
   const auto cache = [&](const MemberCols& mem, bool up,
                          std::vector<uint64_t>& comb,
-                         std::vector<int64_t>& off,
-                         std::vector<double>& base) {
-    const size_t count = static_cast<size_t>(mem.size());
-    comb.resize(count * static_cast<size_t>(words));
-    off.resize(count);
-    base.resize(count);
-    for (size_t i = 0; i < count; ++i) {
+                         util::BitPositionCounter& count,
+                         util::BitPositionCounter& cut) {
+    const size_t members = static_cast<size_t>(mem.size());
+    comb.resize(members * static_cast<size_t>(words));
+    count.Reset(words);
+    cut.Reset(words);
+    for (size_t i = 0; i < members; ++i) {
+      // Members are gene-ascending but their index rows are scattered;
+      // fetching a few members ahead overlaps the misses.
+      if (i + kIndexPrefetchAhead < members) {
+        const int ga = mem.gene[i + kIndexPrefetchAhead];
+        const int pa = mem.head_pos[i + kIndexPrefetchAhead];
+        __builtin_prefetch(up ? index_->UpCandidates(ga, pa)
+                              : index_->DownCandidates(ga, pa));
+      }
       const int g = mem.gene[i];
       const int pos = mem.head_pos[i];
       const uint64_t* cand_row =
@@ -1030,17 +1069,19 @@ void RegClusterMiner::PrepareNode(int m, int ckm, NodeFrame* node,
                  : ones;
       uint64_t* dst = comb.data() + i * static_cast<size_t>(words);
       util::simd::AndWordsAuto(*ops_, dst, cand_row, elig, words);
-      off[i] = static_cast<int64_t>(g) * num_conds;
-      base[i] = data_.row_data(g)[ckm];
+      count.Add(dst);
+      if (prune2) cut.AddAndNot(cand_row, dst);
     }
-    // One AND per word per member; a bulk add outside the loop keeps the
-    // accounting off the hot path entirely.
+    count.Flush();
+    cut.Flush();
+    // One AND per word per member for the row, and one pass per word per
+    // member for the counts; bulk adds outside the loop keep the accounting
+    // off the hot path entirely.
     if constexpr (kCollect) {
-      stats->index_word_ops += static_cast<int64_t>(count) * words;
+      stats->index_word_ops += 2 * static_cast<int64_t>(members) * words;
     }
   };
-  cache(node->p, /*up=*/true, node->p_comb, node->p_off, node->p_base);
-  cache(node->n, /*up=*/false, node->n_comb, node->n_off, node->n_base);
+  cache(node->p, /*up=*/true, node->p_comb, node->p_count, node->cut);
 
   // Candidate generation: OR over the p-member rows only (licensed by
   // pruning 3a), intersected with the allowed set; then snapshot the set
@@ -1061,90 +1102,74 @@ void RegClusterMiner::PrepareNode(int m, int ckm, NodeFrame* node,
   util::ForEachSetBit(node->cand_words.data(), words,
                       [&](int c) { node->cands.push_back(c); });
 
-  // Transpose each member's candidate row (restricted to the node's
-  // candidate set) into per-candidate bitmaps over member indices, so the
-  // per-extension filter touches only surviving members.  Alongside, the
-  // pruning-2 drop counter -- members that are regulation-linked to a
-  // candidate but cut by the MinC bound -- is a popcount over
-  // successor & ~combined & candidates, accumulated for the whole node
-  // here rather than per candidate (identical totals; with an active
-  // max_nodes / max_clusters cap a mid-node budget stop no longer leaves
-  // the counter at a scheduling-dependent prefix).
-  const auto transpose = [&](const MemberCols& mem, bool up,
-                             const std::vector<uint64_t>& comb,
-                             std::vector<uint64_t>& trans, int* trans_words) {
-    const size_t count = static_cast<size_t>(mem.size());
-    const int mw = util::WordsForBits(static_cast<int>(count));
-    *trans_words = mw;
-    trans.assign(static_cast<size_t>(num_conds) * mw, 0);
-    int64_t drops = 0;
-    for (size_t i = 0; i < count; ++i) {
-      const uint64_t* comb_row = comb.data() + i * static_cast<size_t>(words);
-      const size_t member_word = i >> 6;
-      const uint64_t member_bit = uint64_t{1} << (i & 63);
-      if (prune2) {
-        const uint64_t* succ_row =
-            up ? index_->UpCandidates(mem.gene[i], mem.head_pos[i])
-               : index_->DownCandidates(mem.gene[i], mem.head_pos[i]);
-        drops += util::simd::AndNotMaskPopcountAuto(
-            *ops_, succ_row, comb_row, node->cand_words.data(), words);
-      }
-      for (int w = 0; w < words; ++w) {
-        uint64_t live = comb_row[w] & node->cand_words[w];
-        while (live) {
-          const int c = w * util::kBitsPerWord + std::countr_zero(live);
-          live &= live - 1;
-          trans[static_cast<size_t>(c) * mw + member_word] |= member_bit;
-        }
-      }
-    }
-    stats->genes_dropped_min_conds += drops;
-    if constexpr (kCollect) {
-      stats->index_word_ops += static_cast<int64_t>(count) * words;
+  // The pruning-2 drop counter -- members that are regulation-linked to a
+  // candidate but cut by the MinC bound -- sums the cut counts over the
+  // candidates, for the whole node here rather than per candidate
+  // (identical totals; with an active max_nodes / max_clusters cap a
+  // mid-node budget stop never leaves the counter at a scheduling-dependent
+  // prefix).  The p-half's cut counts are read before the n-half reuses
+  // the counter.
+  const auto add_cut = [&] {
+    if (!prune2) return;
+    for (const int c : node->cands) {
+      stats->genes_dropped_min_conds += node->cut.count(c);
     }
   };
-  transpose(node->p, /*up=*/true, node->p_comb, node->p_trans,
-            &node->p_words);
-  transpose(node->n, /*up=*/false, node->n_comb, node->n_trans,
-            &node->n_words);
+  add_cut();
+  cache(node->n, /*up=*/false, node->n_comb, node->n_count, node->cut);
+  add_cut();
 }
 
-int RegClusterMiner::FilterCandidate(int cand, NodeFrame* node) const {
-  node->ClearScored();
+size_t RegClusterMiner::FillPanelBlock(size_t first, int ckm, bool level1,
+                                       NodeFrame* node) const {
+  const int words = index_->num_words();
+  const int min_g = options_.min_genes;
+  const bool prune_g = options_.prune_min_genes;
+  const size_t num_conds = static_cast<size_t>(index_->num_conditions());
+  node->col.resize(num_conds);
+  node->cursor.resize(num_conds);
+  node->fill_mask.assign(static_cast<size_t>(words), 0);
 
-  // Walk only the members whose candidate row holds `cand` (the set bits of
-  // the transposed bitmap); member indices ascend, so each scored half
-  // inherits the gene-ascending member order.  The survivor indices are
-  // decoded into `filt`, then one dispatched gather kernel pulls each
-  // survivor's gene, head position, denominator and coherence *numerator*
-  // (row[cand] - base; the caller divides) into the scored columns.
+  // Lay the block out: consecutive candidate columns while they fit the
+  // budget.  A column pruning (1) will reject gets no entries at all.
+  int entries = 0;
+  size_t end = first;
+  for (; end < node->cands.size(); ++end) {
+    const int c = node->cands[end];
+    const int total = node->p_count.count(c) + node->n_count.count(c);
+    const bool filled = !(prune_g && total < min_g);
+    if (end > first && filled && entries + total > kPanelBlockEntries) break;
+    node->col[static_cast<size_t>(c)] = entries;
+    node->cursor[static_cast<size_t>(c)] = entries;
+    if (filled) {
+      util::SetBit(node->fill_mask.data(), c);
+      entries += total;
+    }
+  }
+  // Grow only: a shrink-then-grow would zero-fill the panel on every block.
+  if (node->panel_h.size() < static_cast<size_t>(entries)) {
+    node->panel_h.resize(static_cast<size_t>(entries));
+    node->panel_idx.resize(static_cast<size_t>(entries));
+  }
+
+  // One member-major pass per half: p-members first, so each column's
+  // cursor ends its p-entries exactly where its n-entries begin.
+  const int w_lo = node->cands[first] / util::kBitsPerWord;
+  const int w_hi = node->cands[end - 1] / util::kBitsPerWord + 1;
   const double* matrix = data_.row_data(0);
-  const auto filter = [&](const MemberCols& mem,
-                          const std::vector<uint64_t>& trans, int trans_words,
-                          const std::vector<int64_t>& off,
-                          const std::vector<double>& base) {
-    const uint64_t* member_bits =
-        trans.data() + static_cast<size_t>(cand) * trans_words;
-    node->filt.clear();
-    util::ForEachSetBit(member_bits, trans_words,
-                        [&](int i) { node->filt.push_back(i); });
-    const int count = static_cast<int>(node->filt.size());
-    const size_t old = node->sc_gene.size();
-    const size_t grown = old + static_cast<size_t>(count);
-    node->sc_gene.resize(grown);
-    node->sc_denom.resize(grown);
-    node->sc_h.resize(grown);
-    const util::simd::GatherScoredArgs args{mem.gene.data(), mem.denom.data(),
-                                            base.data(), off.data(), matrix,
-                                            cand};
-    ops_->gather_scored(args, count, node->filt.data(),
-                        node->sc_gene.data() + old,
-                        node->sc_denom.data() + old, node->sc_h.data() + old);
+  const int64_t stride = static_cast<int64_t>(num_conds);
+  const auto fill = [&](const MemberCols& mem,
+                        const std::vector<uint64_t>& comb) {
+    const PanelMembers members{mem.gene.data(),
+                               level1 ? nullptr : mem.denom.data(),
+                               comb.data(), mem.size(), words};
+    FillScorePanel(members, matrix, stride, ckm, node->fill_mask.data(), w_lo,
+                   w_hi, node->cursor.data(), node->panel_h.data(),
+                   node->panel_idx.data());
   };
-  filter(node->p, node->p_trans, node->p_words, node->p_off, node->p_base);
-  const int split = static_cast<int>(node->sc_gene.size());
-  filter(node->n, node->n_trans, node->n_words, node->n_off, node->n_base);
-  return split;
+  fill(node->p, node->p_comb);
+  fill(node->n, node->n_comb);
+  return end;
 }
 
 bool RegClusterMiner::SeedRoot(int root_condition, RootWork* work,
@@ -1200,43 +1225,47 @@ bool RegClusterMiner::SeedRootImpl(int root_condition, RootWork* work,
     return true;
   }
 
-  PrepareNode<kCollect>(/*m=*/1, /*ckm=*/root_condition, &node, &ctx->stats);
-  for (const int cand : node.cands) {
+  PrepareNode<kCollect>(/*m=*/1, &node, &ctx->stats);
+  size_t block_end = 0;
+  for (size_t k = 0; k < node.cands.size(); ++k) {
     if (ctx->ctl->CheckAbort()) return false;
+    if (k == block_end) {
+      block_end = FillPanelBlock(k, root_condition, /*level1=*/true, &node);
+    }
+    const int cand = node.cands[k];
     ++ctx->stats.extensions_tested;
 
-    const int split = FilterCandidate(cand, &node);
-    const int total = static_cast<int>(node.sc_gene.size());
+    const int split = node.p_count.count(cand);
+    const int total = split + node.n_count.count(cand);
     if (options_.prune_min_genes && total < min_g) {
       ++ctx->stats.pruned_min_genes;
       continue;
     }
 
     // Materialize the subtree seed.  The baseline pair (root, cand) is now
-    // fixed for the entire branch, and the filter's numerator column
-    // row[cand] - row[root] *is* each member's coherence denominator.
+    // fixed for the entire branch, and the panel's level-1 entries -- the
+    // numerators row[cand] - row[root] -- *are* each member's coherence
+    // denominator.
+    const size_t col = static_cast<size_t>(node.col[static_cast<size_t>(cand)]);
+    const double* h = node.panel_h.data() + col;
+    const int32_t* idx = node.panel_idx.data() + col;
     SubtreeSeed seed;
     seed.second_condition = cand;
-    const int seed_total = static_cast<int>(node.sc_gene.size());
-    seed.p_members.gene.assign(node.sc_gene.begin(),
-                               node.sc_gene.begin() + split);
-    seed.p_members.denom.assign(node.sc_h.begin(), node.sc_h.begin() + split);
-    seed.p_members.head_pos.resize(static_cast<size_t>(split));
-    seed.n_members.gene.assign(node.sc_gene.begin() + split,
-                               node.sc_gene.end());
-    seed.n_members.denom.assign(node.sc_h.begin() + split, node.sc_h.end());
-    seed.n_members.head_pos.resize(static_cast<size_t>(seed_total - split));
-    // Head positions are looked up here, not gathered by the filter kernel:
-    // level-1 survivors all get materialized, so the cost is identical, and
-    // the deep-search filter (where ~97% of extensions die) skips them.
-    for (int i = 0; i < split; ++i) {
-      seed.p_members.head_pos[static_cast<size_t>(i)] =
-          index_->position(seed.p_members.gene[static_cast<size_t>(i)], cand);
-    }
-    for (int i = 0; i < seed_total - split; ++i) {
-      seed.n_members.head_pos[static_cast<size_t>(i)] =
-          index_->position(seed.n_members.gene[static_cast<size_t>(i)], cand);
-    }
+    const auto materialize = [&](const MemberCols& from, int begin, int end,
+                                 MemberCols* to) {
+      const size_t count = static_cast<size_t>(end - begin);
+      to->gene.resize(count);
+      to->head_pos.resize(count);
+      to->denom.assign(h + begin, h + end);
+      for (int k = begin; k < end; ++k) {
+        const int g = from.gene[static_cast<size_t>(idx[k])];
+        to->gene[static_cast<size_t>(k - begin)] = g;
+        to->head_pos[static_cast<size_t>(k - begin)] =
+            index_->position(g, cand);
+      }
+    };
+    materialize(node.p, 0, split, &seed.p_members);
+    materialize(node.n, split, total, &seed.n_members);
     work->seeds.push_back(std::move(seed));
   }
   return true;
@@ -1307,44 +1336,45 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
   // walks; the sets produced are identical by construction).
   const bool profile = options_.profile_phases;
   int64_t t0 = profile ? NowNs() : 0;
-  const int ckm = scratch->chain[static_cast<size_t>(m) - 1];
-  PrepareNode<kCollect>(m, ckm, &node, &ctx->stats);
+  PrepareNode<kCollect>(m, &node, &ctx->stats);
   if (profile) ctx->stats.filter_ns += NowNs() - t0;
+  const int ckm = scratch->chain.back();
 
-  for (const int cand : node.cands) {
+  size_t block_end = 0;
+  for (size_t k = 0; k < node.cands.size(); ++k) {
     if (ctx->ctl->CheckAbort()) return;
+    // Score: one member-major pass fills the coherence scores H (Eq. 7) of
+    // a block of candidates at once; the member's cached baseline
+    // denominator makes the formula identical for p- and n-members (both
+    // flip sign, Lemma 3.2).
+    if (k == block_end) {
+      if (profile) t0 = NowNs();
+      block_end = FillPanelBlock(k, ckm, /*level1=*/false, &node);
+      if (profile) ctx->stats.score_ns += NowNs() - t0;
+    }
+    const int cand = node.cands[k];
     ++ctx->stats.extensions_tested;
 
-    // Filter: genes of X^cand -- p-members stepping up to cand, n-members
-    // stepping down, both still able to reach MinC (pruning 2) -- with the
-    // coherence numerator row[cand] - row[ckm] collected alongside.
-    if (profile) t0 = NowNs();
-    const int split = FilterCandidate(cand, &node);
-    const int total = static_cast<int>(node.sc_gene.size());
-    if (profile) ctx->stats.filter_ns += NowNs() - t0;
-
+    // Genes of X^cand: p-members stepping up to cand, n-members stepping
+    // down, both still able to reach MinC (pruning 2).
+    const int split = node.p_count.count(cand);
+    const int total = split + node.n_count.count(cand);
     if (options_.prune_min_genes && total < min_g) {
       ++ctx->stats.pruned_min_genes;
       continue;
     }
-
-    // Score: one contiguous divide pass turns numerators into coherence
-    // scores H (Eq. 7); the member's cached baseline denominator makes the
-    // formula identical for p- and n-members (both flip sign, Lemma 3.2).
-    if (profile) t0 = NowNs();
-    double* h = node.sc_h.data();
-    const double* denom = node.sc_denom.data();
-    ops_->divide_columns(h, denom, total);
     if constexpr (kCollect) {
       ++ctx->stats.coherence_divide_calls;
       ctx->stats.coherence_scores += total;
     }
-    if (profile) ctx->stats.score_ns += NowNs() - t0;
+    const size_t col = static_cast<size_t>(node.col[static_cast<size_t>(cand)]);
+    const double* h = node.panel_h.data() + col;
 
     // Pre-screen: most candidates have no epsilon-window at all, and an
-    // O(n) bucket count proves it without the sort and the window scan
-    // below.  It rejects nothing the scan accepts, so the count is the
-    // scan's own (pruning 4).  Like the scan, it is outside the phase timers.
+    // O(n) bucket count over the column in place proves it without the
+    // sort and the window scan below.  It rejects nothing the scan accepts,
+    // so the count is the scan's own (pruning 4).  Like the scan, it is
+    // outside the phase timers.
     const double eps = options_.epsilon;
     if (!CoherenceWindowPossible(h, total, eps, min_g,
                                  &scratch->screen_counts)) {
@@ -1352,11 +1382,14 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
       continue;
     }
 
-    // Sort: index-sort over the score column; rows never move.  The
-    // dispatched kernel reproduces the (score asc, gene asc) comparator
-    // order byte for byte, and also emits the sorted score column so the
-    // window scan below runs over contiguous memory instead of chasing
-    // order[] indirections (see util/simd/radix_sort.h).
+    // Sort: gather the surviving column's genes and denominators by member
+    // index (outside the phase timers, like the screen), then index-sort
+    // the score column; rows never move.  The dispatched kernel reproduces
+    // the (score asc, gene asc) comparator order byte for byte, and also
+    // emits the sorted score column so the window scan below runs over
+    // contiguous memory instead of chasing order[] indirections (see
+    // util/simd/radix_sort.h).
+    node.GatherScored(node.panel_idx.data() + col, split, total);
     if (profile) t0 = NowNs();
     node.order.resize(static_cast<size_t>(total));
     node.sc_hs.resize(static_cast<size_t>(total));
@@ -1401,7 +1434,7 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
       child.p.clear();
       child.n.clear();
       // Lazy head lookup: only members of a window that actually spawns a
-      // child ever need their position at `cand` (see GatherScoredArgs).
+      // child ever need their position at `cand`.
       for (const int idx : node.win_p) {
         const int g = node.sc_gene[static_cast<size_t>(idx)];
         child.p.push_back(g, index_->position(g, cand),

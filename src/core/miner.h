@@ -454,7 +454,7 @@ class RegClusterMiner {
   /// chain-head position in the gene's RWave order -- for n-members the
   /// low-value end -- and the cached baseline denominator d[ck2] - d[ck1],
   /// fixed once the chain reaches length 2).  Contiguous columns make the
-  /// per-candidate filter and the coherence divide pass linear sweeps.
+  /// member-major score-panel fill and the survivor gathers linear sweeps.
   struct MemberCols {
     std::vector<int> gene;
     std::vector<int> head_pos;
@@ -560,20 +560,22 @@ class RegClusterMiner {
   void Extend(int depth, MinerScratch* scratch, SearchContext* ctx);
 
   /// Caches the node's per-member bitmap rows (successor/predecessor x
-  /// MinC-eligibility) and expression baselines for a chain of length `m`
-  /// ending at condition `ckm`, then lists the node's candidate conditions
-  /// (OR over the p-member rows, intersected with the allowed set).
-  /// Also accumulates the pruning-2 drop counter for the whole node
-  /// (see the transpose comment in miner.cc).
+  /// MinC-eligibility) for a chain of length `m` and counts, per condition,
+  /// the p- and n-members whose row holds it; then lists the node's
+  /// candidate conditions (OR over the p-member rows, intersected with the
+  /// allowed set).  Also accumulates the pruning-2 drop counter for the
+  /// whole node (see the comment in miner.cc).
   template <bool kCollect>
-  void PrepareNode(int m, int ckm, NodeFrame* node, MinerStats* stats);
+  void PrepareNode(int m, NodeFrame* node, MinerStats* stats);
 
-  /// Filters the node's members against extension candidate `cand` with
-  /// single bit probes, appending survivors to the frame's scored columns;
-  /// the score column receives the coherence *numerator* (the caller runs
-  /// one divide pass over it).  Returns the number of surviving p-members
-  /// (the p/n split point of the scored columns).
-  int FilterCandidate(int cand, NodeFrame* node) const;
+  /// Fills the score panel for the block of candidates starting at
+  /// node->cands[first]: as many consecutive candidates as fit the block
+  /// budget (at least one), in one member-major pass per half over the
+  /// members' matrix rows with chain head `ckm`.  Level-1 entries are the
+  /// numerators row[cand] - row[ckm].  Returns the index one past the
+  /// block's last candidate.
+  size_t FillPanelBlock(size_t first, int ckm, bool level1,
+                        NodeFrame* node) const;
 
   /// Emits the node's cluster if it validates and is representative.
   /// Returns false when the branch should be pruned (duplicate).

@@ -45,6 +45,30 @@ util::StatusOr<ExpressionMatrix> ExpressionMatrix::FromRows(
   return m;
 }
 
+util::StatusOr<ExpressionMatrix> ExpressionMatrix::FromValues(
+    int rows, int cols, std::vector<double> values,
+    std::vector<std::string> gene_names,
+    std::vector<std::string> condition_names) {
+  if (rows < 0 || cols < 0 ||
+      values.size() != static_cast<size_t>(rows) * static_cast<size_t>(cols)) {
+    return util::Status::InvalidArgument("value count does not match shape");
+  }
+  ExpressionMatrix m;
+  m.data_ = std::move(values);
+  m.values_ = m.data_.data();
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.gene_names_ = gene_names.empty() ? DefaultNames("g", rows)
+                                     : std::move(gene_names);
+  m.condition_names_ = condition_names.empty() ? DefaultNames("c", cols)
+                                               : std::move(condition_names);
+  if (static_cast<int>(m.gene_names_.size()) != rows ||
+      static_cast<int>(m.condition_names_.size()) != cols) {
+    return util::Status::InvalidArgument("label count does not match shape");
+  }
+  return m;
+}
+
 ExpressionMatrix ExpressionMatrix::Submatrix(
     const std::vector<int>& genes, const std::vector<int>& conds) const {
   ExpressionMatrix out(static_cast<int>(genes.size()),

@@ -64,6 +64,14 @@ class ExpressionMatrix : public MatrixStore {
   static util::StatusOr<ExpressionMatrix> FromRows(
       const std::vector<std::vector<double>>& rows);
 
+  /// Adopts `values` (row-major, rows x cols) and the label lists without
+  /// copying them.  An empty label list gets auto-generated labels.
+  /// InvalidArgument when a size disagrees with the shape.
+  static util::StatusOr<ExpressionMatrix> FromValues(
+      int rows, int cols, std::vector<double> values,
+      std::vector<std::string> gene_names = {},
+      std::vector<std::string> condition_names = {});
+
   /// Element access (unchecked in release builds).  The const overload
   /// comes from MatrixStore.
   using MatrixStore::operator();

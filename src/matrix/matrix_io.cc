@@ -1,122 +1,205 @@
 #include "matrix/matrix_io.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
+#include <string_view>
+#include <unordered_set>
 
 #include "util/string_util.h"
 
 namespace regcluster {
 namespace matrix {
 
+namespace {
+
+/// Bytes requested from the stream per read.  A line longer than the block
+/// grows the buffer to hold it; the buffer never holds more than one block
+/// plus the unfinished line carried over from the previous one.
+constexpr size_t kReadBlockBytes = size_t{64} << 10;
+
+/// Calls `on_line(line, line_no)` for every line of `in` -- '\n'-terminated
+/// lines plus a final unterminated one, exactly the lines std::getline
+/// yields -- with 1-based line numbers, stopping at the first non-OK status.
+/// `*lines` receives the number of lines read.  Lines are views into a
+/// reused block: a caller keeping any part of one must copy it.
+template <typename OnLine>
+util::Status ForEachLine(std::istream& in, int* lines, OnLine&& on_line) {
+  std::vector<char> buf(kReadBlockBytes);
+  size_t held = 0;  // bytes of an unfinished line at the front of buf
+  int line_no = 0;
+  bool more = true;
+  while (more) {
+    if (held == buf.size()) buf.resize(2 * buf.size());
+    in.read(buf.data() + held, static_cast<std::streamsize>(buf.size() - held));
+    const size_t got = static_cast<size_t>(in.gcount());
+    more = got == buf.size() - held;
+    const char* const end = buf.data() + held + got;
+    const char* line = buf.data();
+    while (const char* nl = static_cast<const char*>(
+               std::memchr(line, '\n', static_cast<size_t>(end - line)))) {
+      REGCLUSTER_RETURN_IF_ERROR(on_line(
+          std::string_view(line, static_cast<size_t>(nl - line)), ++line_no));
+      line = nl + 1;
+    }
+    held = static_cast<size_t>(end - line);
+    if (!more && held > 0) {
+      REGCLUSTER_RETURN_IF_ERROR(on_line(std::string_view(line, held),
+                                         ++line_no));
+    }
+    std::memmove(buf.data(), line, held);
+  }
+  *lines = line_no;
+  return util::Status::OK();
+}
+
+/// Calls `on_field(field, index)` for each `delim`-separated field of
+/// `line`, empty fields included ("a,,b" has three), until it returns
+/// false.
+template <typename OnField>
+void ForEachField(std::string_view line, char delim, OnField&& on_field) {
+  for (int index = 0;; ++index) {
+    const size_t pos = line.find(delim);
+    if (!on_field(line.substr(0, pos), index)) return;
+    if (pos == std::string_view::npos) return;
+    line.remove_prefix(pos + 1);
+  }
+}
+
+}  // namespace
+
 util::StatusOr<ExpressionMatrix> ReadMatrix(std::istream& in,
                                             const TextFormat& format) {
   if (format.skip_annotation_columns < 0 || format.skip_leading_rows < 0) {
     return util::Status::InvalidArgument("negative skip counts");
   }
+  const char delim = format.delimiter;
   std::vector<std::string> condition_names;
   std::vector<std::string> gene_names;
-  std::unordered_map<std::string, int> gene_label_lines;  // label -> line no
-  std::vector<std::vector<double>> rows;
-  std::string line;
+  std::vector<int> gene_lines;  // gene_names[i] was read on gene_lines[i]
+  // Duplicate-label check: a set of indices into gene_names, hashed and
+  // compared through the owned strings, so it holds no view into the
+  // reused read block.
+  const auto label_hash = [&gene_names](int i) {
+    return std::hash<std::string_view>()(gene_names[static_cast<size_t>(i)]);
+  };
+  const auto label_eq = [&gene_names](int a, int b) {
+    return gene_names[static_cast<size_t>(a)] ==
+           gene_names[static_cast<size_t>(b)];
+  };
+  std::unordered_set<int, decltype(label_hash), decltype(label_eq)> labels(
+      16, label_hash, label_eq);
+  std::vector<double> values;
+  int rows = 0;
   bool header_pending = format.has_header;
   int rows_to_skip = format.skip_leading_rows;
-  int line_no = 0;
   int expected_fields = -1;
+  int header_line = 0;
 
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+  const auto parse_line = [&](std::string_view line,
+                              int line_no) -> util::Status {
+    // Trailing carriage returns end the line: a last field never keeps one,
+    // so every label WriteMatrix writes reads back unchanged.
+    while (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     const std::string_view trimmed = util::Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
+    if (trimmed.empty() || trimmed[0] == '#') return util::Status::OK();
 
-    std::vector<std::string> fields = util::Split(line, format.delimiter);
+    const int num_fields =
+        1 + static_cast<int>(std::count(line.begin(), line.end(), delim));
     if (header_pending) {
       header_pending = false;
-      const size_t first = (format.has_gene_names ? 1u : 0u) +
-                           static_cast<size_t>(format.skip_annotation_columns);
-      if (fields.size() < first) {
+      header_line = line_no;
+      const int first = (format.has_gene_names ? 1 : 0) +
+                        format.skip_annotation_columns;
+      if (num_fields < first) {
         return util::Status::Corruption(
             util::StrFormat("line %d: header narrower than the skipped "
                             "annotation columns", line_no));
       }
-      condition_names.assign(fields.begin() + static_cast<long>(first),
-                             fields.end());
-      continue;
+      condition_names.reserve(static_cast<size_t>(num_fields - first));
+      ForEachField(line, delim, [&](std::string_view f, int i) {
+        if (i >= first) condition_names.emplace_back(f);
+        return true;
+      });
+      return util::Status::OK();
     }
     if (rows_to_skip > 0) {
       --rows_to_skip;
-      continue;
+      return util::Status::OK();
     }
 
     if (expected_fields < 0) {
-      expected_fields = static_cast<int>(fields.size());
-    } else if (static_cast<int>(fields.size()) != expected_fields) {
-      return util::Status::Corruption(util::StrFormat(
-          "line %d: expected %d fields, got %d", line_no, expected_fields,
-          static_cast<int>(fields.size())));
+      expected_fields = num_fields;
+    } else if (num_fields != expected_fields) {
+      return util::Status::Corruption(
+          util::StrFormat("line %d: expected %d fields, got %d", line_no,
+                          expected_fields, num_fields));
     }
 
-    size_t first = 0;
+    int first = 0;
     if (format.has_gene_names) {
-      if (fields.empty()) {
-        return util::Status::Corruption(
-            util::StrFormat("line %d: empty row", line_no));
-      }
-      auto [it, inserted] = gene_label_lines.emplace(fields[0], line_no);
+      gene_names.emplace_back(line.substr(0, line.find(delim)));
+      gene_lines.push_back(line_no);
+      const auto [it, inserted] =
+          labels.insert(static_cast<int>(gene_names.size()) - 1);
       if (!inserted) {
         return util::Status::Corruption(util::StrFormat(
             "line %d, column 1: duplicate gene label \"%s\" (first seen on "
             "line %d)",
-            line_no, fields[0].c_str(), it->second));
+            line_no, gene_names.back().c_str(),
+            gene_lines[static_cast<size_t>(*it)]));
       }
-      gene_names.push_back(fields[0]);
       first = 1;
     }
-    first += static_cast<size_t>(format.skip_annotation_columns);
-    if (fields.size() < first) {
+    first += format.skip_annotation_columns;
+    if (num_fields < first) {
       return util::Status::Corruption(util::StrFormat(
           "line %d: row narrower than the skipped annotation columns",
           line_no));
     }
-    std::vector<double> row;
-    row.reserve(fields.size() - first);
-    for (size_t i = first; i < fields.size(); ++i) {
-      auto v = util::ParseDouble(fields[i]);
+    ++rows;
+    util::Status cell_error;
+    ForEachField(line, delim, [&](std::string_view f, int i) {
+      if (i < first) return true;
+      const util::StatusOr<double> v = util::ParseDouble(f);
       if (!v.ok()) {
         // 1-based column over *all* fields of the line (including any gene
         // label / annotation columns), matching what an editor shows.
-        return util::Status::Corruption(util::StrFormat(
-            "line %d, column %d: %s", line_no, static_cast<int>(i) + 1,
-            v.status().message().c_str()));
+        cell_error = util::Status::Corruption(
+            util::StrFormat("line %d, column %d: %s", line_no, i + 1,
+                            v.status().message().c_str()));
+        return false;
       }
-      row.push_back(*v);
-    }
-    rows.push_back(std::move(row));
-  }
+      values.push_back(*v);
+      return true;
+    });
+    return cell_error;
+  };
+  int line_count = 0;
+  REGCLUSTER_RETURN_IF_ERROR(ForEachLine(in, &line_count, parse_line));
 
-  if (rows.empty()) {
+  if (rows == 0) {
     return util::Status::Corruption(util::StrFormat(
-        "no data rows in %d line(s) of input: the matrix is empty", line_no));
+        "no data rows in %d line(s) of input: the matrix is empty",
+        line_count));
   }
-  auto m = ExpressionMatrix::FromRows(rows);
-  if (!m.ok()) return m.status();
-
-  if (format.has_header) {
-    if (static_cast<int>(condition_names.size()) != m->num_conditions()) {
-      return util::Status::Corruption(util::StrFormat(
-          "header has %d condition names but rows have %d values",
-          static_cast<int>(condition_names.size()), m->num_conditions()));
-    }
-    REGCLUSTER_RETURN_IF_ERROR(m->SetConditionNames(condition_names));
+  const int cols = static_cast<int>(values.size()) / rows;
+  if (format.has_header && static_cast<int>(condition_names.size()) != cols) {
+    return util::Status::Corruption(util::StrFormat(
+        "line %d: header has %d condition names but rows have %d values",
+        header_line, static_cast<int>(condition_names.size()), cols));
   }
-  if (format.has_gene_names) {
-    REGCLUSTER_RETURN_IF_ERROR(m->SetGeneNames(gene_names));
-  }
-  return m;
+  // The cache and the memory budget charge the payload by capacity, so the
+  // growth slack goes before the vector becomes the matrix's storage.
+  values.shrink_to_fit();
+  return ExpressionMatrix::FromValues(rows, cols, std::move(values),
+                                      std::move(gene_names),
+                                      std::move(condition_names));
 }
 
 util::StatusOr<ExpressionMatrix> ReadMatrixFromString(

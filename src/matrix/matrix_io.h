@@ -6,8 +6,25 @@
 //     <id-col-name> <TAB> cond1 <TAB> cond2 ...
 //
 // followed by one line per gene: gene name, then one value per condition.
-// Fields "NA", "NaN", "?" and empty fields parse as missing (NaN).  Lines
-// starting with '#' are comments.
+// Lines whose first non-blank character is '#' are comments, blank lines
+// are skipped, and trailing carriage returns end a line (CRLF input).
+//
+// Cell grammar (util::ParseDouble, one std::from_chars per cell):
+//   * leading and trailing ASCII whitespace is trimmed;
+//   * "", "NA", "NaN", "nan" and "?" are missing values (NaN);
+//   * one leading '+' is allowed, and the rest must be a whole decimal
+//     number in std::from_chars general format;
+//   * "inf", "infinity", other NaN spellings and "nan(...)" are rejected
+//     as non-finite; hex floats (which strtod accepted) and any other text
+//     as not a number; overflow (1e309), underflow to zero (1e-400) and
+//     subnormal values (1e-310) as out of range.
+// Every rejection is a Corruption naming the line, and for a cell the
+// 1-based column over all fields of the line.  Accepted values have the
+// bits strtod gives the same text.
+//
+// The reader reads the stream in fixed-size blocks, carrying a partial
+// last line over to the next block, and parses each cell once into one
+// flat vector that becomes the matrix's storage.
 
 #ifndef REGCLUSTER_MATRIX_MATRIX_IO_H_
 #define REGCLUSTER_MATRIX_MATRIX_IO_H_

@@ -15,12 +15,9 @@ namespace {
 
 constexpr SimdOps kScalarOps = {
     Level::kScalar,
-    &scalar::DivideColumns,
     &util::AndWords,
     &util::OrWordsInto,
     &util::CopyWords,
-    &util::AndNotMaskPopcount,
-    &scalar::GatherScored,
     &scalar::SortScored,
 };
 

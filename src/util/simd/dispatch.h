@@ -1,8 +1,10 @@
 // Runtime-dispatched SIMD kernel layer for the mining hot path.
 //
 // The miner's per-node cost is dominated by a handful of dense passes --
-// the scored-column sort, the coherence divide, the candidate gather and the
-// bitmap word loops -- and each has one entry in the SimdOps table below.
+// the scored-column sort and the bitmap word loops -- and each has one
+// entry in the SimdOps table below.  (The coherence scores themselves are
+// one member-major pass over contiguous matrix rows, core::FillScorePanel,
+// which needs no kernel.)
 // The table is selected once per process (lazily, on first use):
 //
 //   * x86-64: AVX2 when the CPU reports it (cpuid via
@@ -13,9 +15,9 @@
 // The choice can be pinned with the REGCLUSTER_SIMD environment variable or
 // the `--simd=auto|scalar|avx2|neon` CLI flag (both route through
 // SetLevel()).  Every kernel's contract is *bit-identical output* to the
-// scalar reference -- integer ops exactly, floating point restricted to
-// IEEE-exact operations (divide, subtract; never FMA or reassociation) --
-// so the mined output is byte-for-byte the same at every level.  The
+// scalar reference -- integer ops exactly, and the sort's key transform is
+// an exact bijection on IEEE-754 bit patterns -- so the mined output is
+// byte-for-byte the same at every level.  The
 // forced-scalar differential tests and CI job hold the layer to that
 // contract (see DESIGN.md section "SIMD kernel layer").
 //
@@ -54,30 +56,9 @@ const char* LevelName(Level level);
 /// resolves to DetectBestLevel().  InvalidArgument on anything else.
 StatusOr<Level> ParseLevel(const std::string& name);
 
-/// Arguments of the scored-column gather (miner FilterCandidate): for each
-/// surviving member index i in `idx`, the kernel emits the member's gene id,
-/// its cached denominator, and the coherence numerator
-/// matrix[row_off[i] + cand] - bases[i].  `row_off` carries each member's
-/// precomputed gene-major row offset (gene * num_conditions).  Head
-/// positions are deliberately NOT gathered here: ~97% of extensions are
-/// coherence-pruned and never need them, so the miner looks positions up
-/// lazily when a window actually spawns a child.
-struct GatherScoredArgs {
-  const int* genes = nullptr;      ///< per member: gene id
-  const double* denoms = nullptr;  ///< per member: cached denominator
-  const double* bases = nullptr;   ///< per member: row value at the chain head
-  const int64_t* row_off = nullptr;  ///< per member: gene * num_conditions
-  const double* matrix = nullptr;  ///< row-major expression values
-  int cand = 0;                    ///< the candidate condition
-};
-
 /// One resolved kernel set.  All functions are non-null.
 struct SimdOps {
   Level level;
-
-  /// h[i] /= denom[i] for i in [0, n).  IEEE divide: bit-identical across
-  /// levels.
-  void (*divide_columns)(double* h, const double* denom, int n);
 
   /// dst[w] = a[w] & b[w]; dst may alias a or b.
   void (*and_words)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
@@ -88,15 +69,6 @@ struct SimdOps {
 
   /// dst[w] = src[w]; rows must not overlap.
   void (*copy_words)(uint64_t* dst, const uint64_t* src, int words);
-
-  /// popcount of a & ~b & mask over the row.
-  int64_t (*andnot_mask_popcount)(const uint64_t* a, const uint64_t* b,
-                                  const uint64_t* mask, int words);
-
-  /// Scored-column gather; appends nothing, writes exactly n entries of each
-  /// output column.
-  void (*gather_scored)(const GatherScoredArgs& args, int n, const int* idx,
-                        int* out_gene, double* out_denom, double* out_h);
 
   /// Index-sort of a scored column: writes into `order` the permutation of
   /// [0, total) ordered by (h asc, gene asc) and into `sorted_h` the score
@@ -167,15 +139,6 @@ inline void CopyWordsAuto(const SimdOps& ops, uint64_t* dst,
   } else {
     util::CopyWords(dst, src, words);
   }
-}
-
-inline int64_t AndNotMaskPopcountAuto(const SimdOps& ops, const uint64_t* a,
-                                      const uint64_t* b, const uint64_t* mask,
-                                      int words) {
-  if (words >= kWideRowWords) {
-    return ops.andnot_mask_popcount(a, b, mask, words);
-  }
-  return util::AndNotMaskPopcount(a, b, mask, words);
 }
 
 }  // namespace simd

@@ -3,14 +3,12 @@
 // every function here must be reached through the dispatch table and never
 // from baseline code.
 //
-// Bit-identity contract: integer kernels are exact by construction;
-// floating-point kernels use only IEEE-exact operations (vdivpd, vsubpd --
-// correctly rounded, no FMA, no reassociation), so their results equal the
-// scalar reference bit for bit.  The sort and the gather are the portable
-// implementations (the fused radix pipeline and the scalar loop): measured
-// head-to-head on this level's target cores, hardware gathers lose to
-// scalar loads at the miner's column sizes, so "AVX2" for those entries
-// means "the fastest kernel available when AVX2 is present".
+// Bit-identity contract: the word kernels are integer ops, exact by
+// construction, so their results equal the scalar reference bit for bit.
+// The sort is the portable fused radix pipeline: measured head-to-head on
+// this level's target cores, hardware gathers lose to scalar loads at the
+// miner's column sizes, so "AVX2" for that entry means "the fastest kernel
+// available when AVX2 is present".
 
 #include "util/simd/kernels_avx2.h"
 
@@ -18,7 +16,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
 
 #include "util/simd/radix_sort.h"
@@ -27,15 +24,6 @@ namespace regcluster {
 namespace util {
 namespace simd {
 namespace {
-
-void DivideColumnsAvx2(double* h, const double* denom, int n) {
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(h + i, _mm256_div_pd(_mm256_loadu_pd(h + i),
-                                          _mm256_loadu_pd(denom + i)));
-  }
-  for (; i < n; ++i) h[i] /= denom[i];
-}
 
 void AndWordsAvx2(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                   int words) {
@@ -72,43 +60,6 @@ void CopyWordsAvx2(uint64_t* dst, const uint64_t* src, int words) {
   for (; w < words; ++w) dst[w] = src[w];
 }
 
-int64_t AndNotMaskPopcountAvx2(const uint64_t* a, const uint64_t* b,
-                               const uint64_t* mask, int words) {
-  // AVX2 has no vector popcount; combine the row vector-wide, count with the
-  // scalar popcnt unit (the combine is the memory-bound part for wide rows).
-  int64_t count = 0;
-  int w = 0;
-  for (; w + 4 <= words; w += 4) {
-    const __m256i v = _mm256_and_si256(
-        _mm256_andnot_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w))),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + w)));
-    alignas(32) uint64_t lanes[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-    count += std::popcount(lanes[0]) + std::popcount(lanes[1]) +
-             std::popcount(lanes[2]) + std::popcount(lanes[3]);
-  }
-  for (; w < words; ++w) count += std::popcount(a[w] & ~b[w] & mask[w]);
-  return count;
-}
-
-/// Deliberately the scalar loop: the vgatherdpd/vpgatherdq version lost to
-/// it head-to-head on server Xeons (BM_FilterKernel, ~17% at the miner's
-/// typical n=80) -- hardware gathers issue one load uop per lane plus index
-/// shuffles, while the scalar loop's loads pipeline freely and the stores
-/// autovectorize.  Kept as its own symbol so a future core where gathers
-/// win can bring the intrinsics back without touching the table layout.
-void GatherScoredAvx2(const GatherScoredArgs& args, int n, const int* idx,
-                      int* out_gene, double* out_denom, double* out_h) {
-  for (int k = 0; k < n; ++k) {
-    const int i = idx[k];
-    out_gene[k] = args.genes[i];
-    out_denom[k] = args.denoms[i];
-    out_h[k] = args.matrix[args.row_off[i] + args.cand] - args.bases[i];
-  }
-}
-
 /// The sort is the fused-scalar radix pipeline: its single merge+key pass
 /// reads each score exactly once, which beats a separate vector key-build
 /// gather pass (hardware gathers on current x86 cores are no faster than
@@ -120,12 +71,9 @@ void SortScoredAvx2(const double* h, const int* gene, int split, int total,
 
 constexpr SimdOps kAvx2Ops = {
     Level::kAvx2,
-    &DivideColumnsAvx2,
     &AndWordsAvx2,
     &OrWordsIntoAvx2,
     &CopyWordsAvx2,
-    &AndNotMaskPopcountAvx2,
-    &GatherScoredAvx2,
     &SortScoredAvx2,
 };
 

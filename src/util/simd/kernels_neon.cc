@@ -1,9 +1,7 @@
 // NEON implementations of the SimdOps kernels (AArch64).  Mirrors the AVX2
-// TU at 128-bit width; NEON has no gather, so the scored-column gather stays
-// a scalar loop and the sort vectorizes nothing but still runs the radix
+// TU at 128-bit width; the sort vectorizes nothing but still runs the radix
 // pipeline (its win over the comparator sort is algorithmic, not
-// ISA-specific).  Bit-identity contract as in dispatch.h: integer ops exact,
-// floating point restricted to IEEE-exact vdivq/vsubq.
+// ISA-specific).  Bit-identity contract as in dispatch.h: integer ops exact.
 
 #include "util/simd/kernels_neon.h"
 
@@ -11,7 +9,6 @@
 
 #include <arm_neon.h>
 
-#include <bit>
 #include <cstdint>
 
 #include "util/simd/radix_sort.h"
@@ -20,14 +17,6 @@ namespace regcluster {
 namespace util {
 namespace simd {
 namespace {
-
-void DivideColumnsNeon(double* h, const double* denom, int n) {
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(h + i, vdivq_f64(vld1q_f64(h + i), vld1q_f64(denom + i)));
-  }
-  for (; i < n; ++i) h[i] /= denom[i];
-}
 
 void AndWordsNeon(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                   int words) {
@@ -54,31 +43,6 @@ void CopyWordsNeon(uint64_t* dst, const uint64_t* src, int words) {
   for (; w < words; ++w) dst[w] = src[w];
 }
 
-int64_t AndNotMaskPopcountNeon(const uint64_t* a, const uint64_t* b,
-                               const uint64_t* mask, int words) {
-  int64_t count = 0;
-  int w = 0;
-  for (; w + 2 <= words; w += 2) {
-    const uint64x2_t v = vandq_u64(
-        vbicq_u64(vld1q_u64(a + w), vld1q_u64(b + w)), vld1q_u64(mask + w));
-    // vcntq counts per byte; pairwise-add up to per-lane totals.
-    const uint8x16_t bits = vcntq_u8(vreinterpretq_u8_u64(v));
-    count += vaddvq_u8(bits);
-  }
-  for (; w < words; ++w) count += std::popcount(a[w] & ~b[w] & mask[w]);
-  return count;
-}
-
-void GatherScoredNeon(const GatherScoredArgs& args, int n, const int* idx,
-                      int* out_gene, double* out_denom, double* out_h) {
-  for (int k = 0; k < n; ++k) {
-    const int i = idx[k];
-    out_gene[k] = args.genes[i];
-    out_denom[k] = args.denoms[i];
-    out_h[k] = args.matrix[args.row_off[i] + args.cand] - args.bases[i];
-  }
-}
-
 void SortScoredNeon(const double* h, const int* gene, int split, int total,
                     int* order, double* sorted_h, SortScratch* scratch) {
   RadixSortScored(h, gene, split, total, order, sorted_h, scratch);
@@ -86,12 +50,9 @@ void SortScoredNeon(const double* h, const int* gene, int split, int total,
 
 constexpr SimdOps kNeonOps = {
     Level::kNeon,
-    &DivideColumnsNeon,
     &AndWordsNeon,
     &OrWordsIntoNeon,
     &CopyWordsNeon,
-    &AndNotMaskPopcountNeon,
-    &GatherScoredNeon,
     &SortScoredNeon,
 };
 

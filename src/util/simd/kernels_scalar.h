@@ -22,20 +22,6 @@ namespace util {
 namespace simd {
 namespace scalar {
 
-inline void DivideColumns(double* h, const double* denom, int n) {
-  for (int i = 0; i < n; ++i) h[i] /= denom[i];
-}
-
-inline void GatherScored(const GatherScoredArgs& args, int n, const int* idx,
-                         int* out_gene, double* out_denom, double* out_h) {
-  for (int k = 0; k < n; ++k) {
-    const int i = idx[k];
-    out_gene[k] = args.genes[i];
-    out_denom[k] = args.denoms[i];
-    out_h[k] = args.matrix[args.row_off[i] + args.cand] - args.bases[i];
-  }
-}
-
 inline void SortScored(const double* h, const int* gene, int split, int total,
                        int* order, double* sorted_h, SortScratch* scratch) {
   (void)split;

@@ -1,6 +1,8 @@
 #include "util/string_util.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -25,12 +27,17 @@ std::vector<std::string> Split(std::string_view s, char delim) {
   return out;
 }
 
+namespace {
+
+/// ' ', '\t', '\n', '\v', '\f' and '\r'.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view Trim(std::string_view s) {
-  const char* ws = " \t\r\n\v\f";
-  const size_t b = s.find_first_not_of(ws);
-  if (b == std::string_view::npos) return std::string_view();
-  const size_t e = s.find_last_not_of(ws);
-  return s.substr(b, e - b + 1);
+  while (!s.empty() && IsAsciiSpace(s.front())) s.remove_prefix(1);
+  while (!s.empty() && IsAsciiSpace(s.back())) s.remove_suffix(1);
+  return s;
 }
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
@@ -51,15 +58,29 @@ StatusOr<double> ParseDouble(std::string_view s) {
   if (t.empty() || t == "NA" || t == "NaN" || t == "nan" || t == "?") {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  const std::string buf(t);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str() || *end != '\0') {
-    return Status::InvalidArgument("not a number: '" + buf + "'");
+  const char* first = t.data();
+  const char* const last = t.data() + t.size();
+  // One leading '+' is accepted (from_chars takes only '-'); a sign after it
+  // ("+-1", "++1") is not.
+  if (*first == '+') {
+    ++first;
+    if (first != last && *first == '-') first = t.data();
   }
-  if (errno == ERANGE) {
-    return Status::OutOfRange("number out of range: '" + buf + "'");
+  double v = 0.0;
+  const std::from_chars_result r =
+      std::from_chars(first, last, v, std::chars_format::general);
+  if (r.ptr != last || r.ec == std::errc::invalid_argument) {
+    return Status::InvalidArgument("not a number: '" + std::string(t) + "'");
+  }
+  // Overflow, underflow to zero and subnormal results are one verdict, as
+  // strtod's ERANGE was: the value is not representable at full precision.
+  if (r.ec == std::errc::result_out_of_range ||
+      (v != 0.0 && std::fabs(v) < std::numeric_limits<double>::min())) {
+    return Status::OutOfRange("number out of range: '" + std::string(t) + "'");
+  }
+  if (!std::isfinite(v)) {
+    return Status::InvalidArgument("not a finite number: '" + std::string(t) +
+                                   "'");
   }
   return v;
 }

@@ -1,8 +1,13 @@
 #include "core/coherence.h"
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "testing/paper_data.h"
+#include "util/bitset.h"
 #include "util/prng.h"
 
 namespace regcluster {
@@ -180,6 +185,80 @@ TEST(ValidateTest, RejectsOutOfRangeCondition) {
   c.chain = {0, 99};
   c.p_genes = {0};
   EXPECT_FALSE(ValidateRegCluster(data, c, 0.15, 0.1));
+}
+
+
+// The score panel's entries against the two-step form the miner used
+// before the panel: gather the numerator row[c] - row[head] into a column,
+// then divide the column by the denominators.  Same IEEE operations, same
+// order, so the bits must agree -- on wide rows (several words), on masks
+// that select a word range, at level 1 (no denominators) and with
+// negative denominators (n-members).
+TEST(ScorePanelTest, EntriesEqualGatherThenDivideBitForBit) {
+  util::Prng prng(29);
+  for (const int num_conds : {5, 64, 65, 150}) {
+    const int num_genes = 40;
+    const int words = util::WordsForBits(num_conds);
+    std::vector<double> matrix(static_cast<size_t>(num_genes) * num_conds);
+    for (double& v : matrix) v = prng.Uniform(-5.0, 5.0);
+    for (const bool level1 : {false, true}) {
+      const int count = static_cast<int>(prng.UniformInt(0, 30));
+      std::vector<int> gene;
+      std::vector<double> denom;
+      std::vector<uint64_t> live(static_cast<size_t>(count) * words, 0);
+      for (int i = 0; i < count; ++i) {
+        gene.push_back(static_cast<int>(prng.UniformInt(0, num_genes - 1)));
+        denom.push_back(prng.Uniform(0.5, 4.0) * (i % 3 == 0 ? -1.0 : 1.0));
+        for (int c = 0; c < num_conds; ++c) {
+          if (prng.Uniform(0.0, 1.0) < 0.4) {
+            util::SetBit(live.data() + static_cast<size_t>(i) * words, c);
+          }
+        }
+      }
+      std::vector<uint64_t> mask(static_cast<size_t>(words), 0);
+      for (int c = 0; c < num_conds; ++c) {
+        if (prng.Uniform(0.0, 1.0) < 0.7) util::SetBit(mask.data(), c);
+      }
+      const int head = static_cast<int>(prng.UniformInt(0, num_conds - 1));
+      const int w_lo = words > 1 ? 1 : 0;  // also a partial word range
+      const int w_hi = words;
+
+      // Reference: per column, in member order, numerator then divide.
+      std::vector<int> cursor(static_cast<size_t>(num_conds));
+      std::vector<double> ref_h;
+      std::vector<int32_t> ref_idx;
+      for (int c = 0; c < num_conds; ++c) {
+        cursor[static_cast<size_t>(c)] = static_cast<int>(ref_h.size());
+        if (c / 64 < w_lo || !util::TestBit(mask.data(), c)) continue;
+        for (int i = 0; i < count; ++i) {
+          if (!util::TestBit(live.data() + static_cast<size_t>(i) * words,
+                             c)) {
+            continue;
+          }
+          const double* row = matrix.data() + gene[i] * num_conds;
+          double v = row[c] - row[head];
+          if (!level1) v /= denom[static_cast<size_t>(i)];
+          ref_h.push_back(v);
+          ref_idx.push_back(i);
+        }
+      }
+
+      std::vector<double> h(ref_h.size() + 1, -7.0);
+      std::vector<int32_t> idx(ref_idx.size() + 1, -7);
+      const PanelMembers members{gene.data(),
+                                 level1 ? nullptr : denom.data(), live.data(),
+                                 count, words};
+      FillScorePanel(members, matrix.data(), num_conds, head, mask.data(),
+                     w_lo, w_hi, cursor.data(), h.data(), idx.data());
+      ASSERT_EQ(ref_h.size() + 1, h.size());
+      EXPECT_EQ(0, std::memcmp(ref_h.data(), h.data(),
+                               ref_h.size() * sizeof(double)))
+          << "conds=" << num_conds << " level1=" << level1;
+      EXPECT_EQ(std::vector<int32_t>(idx.begin(), idx.end() - 1), ref_idx);
+      EXPECT_EQ(h.back(), -7.0);  // nothing written past the last entry
+      EXPECT_EQ(idx.back(), -7);
+    }
+  }
 }
 
 }  // namespace

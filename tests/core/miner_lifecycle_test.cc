@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/coherence.h"
 #include "core/miner.h"
@@ -132,6 +135,66 @@ TEST(MinerLifecycle, NonFiniteCellsAreNamedRejections) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
   EXPECT_NE(result.status().message().find("impute"), std::string::npos);
+}
+
+TEST(MinerLifecycle, ConstantRowIsAcceptedAndNeverMined) {
+  // A constant row has a zero (relative) threshold but no step strictly
+  // above it, so under every policy it mines without error and its gene
+  // is in no cluster.
+  for (const GammaPolicy policy :
+       {GammaPolicy::kRangeFraction, GammaPolicy::kStdDevFraction,
+        GammaPolicy::kMeanFraction, GammaPolicy::kClosestGapFraction,
+        GammaPolicy::kAbsolute}) {
+    // The running dataset's three genes plus a constant fourth.
+    const auto base = RunningDataset();
+    std::vector<std::vector<double>> rows;
+    for (int g = 0; g < base.num_genes(); ++g) {
+      rows.emplace_back(base.row_data(g),
+                        base.row_data(g) + base.num_conditions());
+    }
+    rows.emplace_back(static_cast<size_t>(base.num_conditions()), 7.0);
+    const auto data = *matrix::ExpressionMatrix::FromRows(rows);
+    MinerOptions o = PaperOptions();
+    o.min_genes = 2;
+    o.gamma_policy = policy;
+    o.gamma = policy == GammaPolicy::kAbsolute ? 0.0 : 0.15;
+    auto result = RegClusterMiner(data, o).Mine();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    if (policy == GammaPolicy::kRangeFraction) {
+      EXPECT_FALSE(result->empty());  // the paper's cluster is still found
+    }
+    for (const RegCluster& c : *result) {
+      const std::vector<int> genes = c.AllGenes();
+      EXPECT_EQ(std::count(genes.begin(), genes.end(), 3), 0)
+          << GammaPolicyName(policy);
+    }
+  }
+}
+
+TEST(MinerLifecycle, OverflowingRowRangeIsANamedRejection) {
+  // Every cell finite, but max - min overflows to +inf: the row has no
+  // finite gamma threshold, so Prepare() names the gene instead of mining
+  // it with exit 0 and no diagnostic.  The largest range that still fits
+  // mines normally.
+  const double big = std::numeric_limits<double>::max();
+  for (const auto& [hi, lo] : {std::pair{1e308, -1e308},
+                               std::pair{big, -big}}) {
+    auto data = RunningDataset();
+    data(2, 3) = hi;
+    data(2, 7) = lo;
+    RegClusterMiner miner(data, PaperOptions());
+    auto result = miner.Mine();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), util::StatusCode::kFailedPrecondition);
+    const std::string& msg = result.status().message();
+    EXPECT_NE(msg.find("gene '" + data.gene_name(2) + "'"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("overflows"), std::string::npos) << msg;
+  }
+  auto data = RunningDataset();
+  data(2, 3) = big / 2;
+  data(2, 7) = -big / 2;
+  EXPECT_TRUE(RegClusterMiner(data, PaperOptions()).Mine().ok());
 }
 
 TEST(MinerLifecycle, MatrixOutlivesMinerOutput) {

@@ -118,6 +118,46 @@ TEST(MatrixIoMalformedTest, MissingValueTokensStillAccepted) {
   EXPECT_TRUE(m->HasMissingValues());
 }
 
+
+TEST(MatrixIoMalformedTest, CellGrammarRejectionsNameLineAndColumn) {
+  // Non-finite, hex, overflowing and subnormal cells -- all of which strtod
+  // read -- are rejected at read time, each a Corruption pointing at its
+  // cell (line 3, column 3) with the parser's reason.
+  const struct {
+    const char* cell;
+    const char* reason;
+  } cases[] = {
+      {"inf", "not a finite number"},   {"-Infinity", "not a finite number"},
+      {"nan(1)", "not a finite number"}, {"NAN", "not a finite number"},
+      {"0x1p3", "not a number"},         {"++1", "not a number"},
+      {"1e309", "out of range"},         {"1e-310", "out of range"},
+  };
+  for (const auto& c : cases) {
+    const std::string text =
+        std::string("gene\ta\tb\ng1\t1\t2\ng2\t3\t") + c.cell + "\n";
+    auto m = ReadMatrixFromString(text);
+    ASSERT_FALSE(m.ok()) << c.cell;
+    EXPECT_EQ(m.status().code(), util::StatusCode::kCorruption) << c.cell;
+    EXPECT_THAT(m.status().message(),
+                AllOf(HasSubstr("line 3, column 3"), HasSubstr(c.reason),
+                      HasSubstr(c.cell)));
+  }
+  // A leading '+' and the largest finite value are fine.
+  auto m = ReadMatrixFromString(
+      "gene\ta\tb\ng1\t+1\t1.7976931348623157e308\n");
+  ASSERT_TRUE(m.ok()) << m.status().message();
+  EXPECT_EQ((*m)(0, 0), 1.0);
+}
+
+TEST(MatrixIoMalformedTest, HeaderWidthMismatchNamesTheHeaderLine) {
+  auto m = ReadMatrixFromString("# comment\ngene\ta\ng1\t1\t2\n");
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), util::StatusCode::kCorruption);
+  EXPECT_THAT(m.status().message(),
+              AllOf(HasSubstr("line 2"),
+                    HasSubstr("header has 1 condition names but rows have 2")));
+}
+
 }  // namespace
 }  // namespace matrix
 }  // namespace regcluster

@@ -238,82 +238,6 @@ TEST_F(SimdKernelsTest, SortScoredBitIdenticalAcrossLevels) {
   }
 }
 
-TEST_F(SimdKernelsTest, DivideColumnsBitIdenticalAcrossLevels) {
-  Prng prng(23);
-  // Lengths around the 4-lane AVX2 boundary plus a long tail.
-  for (int n : {0, 1, 3, 4, 5, 7, 8, 63, 64, 65, 1000}) {
-    std::vector<double> base(static_cast<size_t>(n));
-    std::vector<double> denom(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      base[i] = prng.Uniform(-100.0, 100.0);
-      denom[i] = prng.Uniform(0.5, 10.0) * (i % 2 == 0 ? 1.0 : -1.0);
-    }
-    std::vector<double> ref = base;
-    OpsFor(Level::kScalar).divide_columns(ref.data(), denom.data(), n);
-    for (Level level : AvailableLevels()) {
-      std::vector<double> h = base;
-      OpsFor(level).divide_columns(h.data(), denom.data(), n);
-      if (n > 0) {  // data() may be null at n == 0; memcmp(null, ...) is UB
-        ASSERT_EQ(0,
-                  std::memcmp(ref.data(), h.data(), ref.size() * sizeof(double)))
-            << LevelName(level) << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST_F(SimdKernelsTest, GatherScoredBitIdenticalAcrossLevels) {
-  Prng prng(29);
-  const int num_genes = 40;
-  const int num_conds = 17;
-  std::vector<double> matrix(static_cast<size_t>(num_genes * num_conds));
-  for (double& v : matrix) v = prng.Uniform(-5.0, 5.0);
-  for (int count : {0, 1, 3, 4, 5, 9, 40}) {
-    std::vector<int> genes;
-    std::vector<double> denoms;
-    std::vector<double> bases;
-    std::vector<int64_t> row_off;
-    std::vector<int> idx;
-    for (int m = 0; m < num_genes; ++m) {
-      genes.push_back(m);
-      denoms.push_back(prng.Uniform(0.5, 4.0));
-      bases.push_back(matrix[static_cast<size_t>(m * num_conds)]);
-      row_off.push_back(static_cast<int64_t>(m) * num_conds);
-    }
-    for (int k = 0; k < count; ++k) {
-      idx.push_back(static_cast<int>(prng.UniformInt(0, num_genes - 1)));
-    }
-    GatherScoredArgs args;
-    args.genes = genes.data();
-    args.denoms = denoms.data();
-    args.bases = bases.data();
-    args.row_off = row_off.data();
-    args.matrix = matrix.data();
-    args.cand = static_cast<int>(prng.UniformInt(0, num_conds - 1));
-
-    std::vector<int> ref_gene(static_cast<size_t>(count) + 1, -7);
-    std::vector<double> ref_denom(static_cast<size_t>(count) + 1, -7.0);
-    std::vector<double> ref_h(static_cast<size_t>(count) + 1, -7.0);
-    OpsFor(Level::kScalar)
-        .gather_scored(args, count, idx.data(), ref_gene.data(),
-                       ref_denom.data(), ref_h.data());
-    for (Level level : AvailableLevels()) {
-      std::vector<int> out_gene(static_cast<size_t>(count) + 1, -7);
-      std::vector<double> out_denom(static_cast<size_t>(count) + 1, -7.0);
-      std::vector<double> out_h(static_cast<size_t>(count) + 1, -7.0);
-      OpsFor(level).gather_scored(args, count, idx.data(), out_gene.data(),
-                                  out_denom.data(), out_h.data());
-      EXPECT_EQ(ref_gene, out_gene) << LevelName(level) << " count=" << count;
-      EXPECT_EQ(0, std::memcmp(ref_denom.data(), out_denom.data(),
-                               ref_denom.size() * sizeof(double)))
-          << LevelName(level);
-      EXPECT_EQ(0, std::memcmp(ref_h.data(), out_h.data(),
-                               ref_h.size() * sizeof(double)))
-          << LevelName(level);
-    }
-  }
-}
-
 TEST_F(SimdKernelsTest, BitsetKernelsBitIdenticalAcrossLevels) {
   Prng prng(31);
   // Word counts straddling the 64-bit boundary (bits 63/64/65 live in 1, 1,
@@ -336,8 +260,6 @@ TEST_F(SimdKernelsTest, BitsetKernelsBitIdenticalAcrossLevels) {
     scalar.and_words(ref_and.data(), a.data(), b.data(), words);
     scalar.or_words_into(ref_or.data(), a.data(), words);
     scalar.copy_words(ref_copy.data(), b.data(), words);
-    const int64_t ref_pop =
-        scalar.andnot_mask_popcount(a.data(), b.data(), mask.data(), words);
 
     for (Level level : AvailableLevels()) {
       const SimdOps& ops = OpsFor(level);
@@ -350,18 +272,12 @@ TEST_F(SimdKernelsTest, BitsetKernelsBitIdenticalAcrossLevels) {
       EXPECT_EQ(ref_and, got_and) << LevelName(level) << " bits=" << bits;
       EXPECT_EQ(ref_or, got_or) << LevelName(level) << " bits=" << bits;
       EXPECT_EQ(ref_copy, got_copy) << LevelName(level) << " bits=" << bits;
-      EXPECT_EQ(ref_pop, ops.andnot_mask_popcount(a.data(), b.data(),
-                                                  mask.data(), words))
-          << LevelName(level) << " bits=" << bits;
 
       // The Auto wrappers must agree with direct dispatch at every width
       // (they inline the scalar loop below kWideRowWords).
       std::vector<uint64_t> auto_and(static_cast<size_t>(words));
       AndWordsAuto(ops, auto_and.data(), a.data(), b.data(), words);
       EXPECT_EQ(ref_and, auto_and) << LevelName(level) << " bits=" << bits;
-      EXPECT_EQ(ref_pop, AndNotMaskPopcountAuto(ops, a.data(), b.data(),
-                                                mask.data(), words))
-          << LevelName(level) << " bits=" << bits;
     }
   }
 }

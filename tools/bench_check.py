@@ -58,14 +58,20 @@ section.  The ``simd`` object records a forced-scalar vs best-level
 ablation of the serial sort phase; ``--min-sort-speedup`` (default 1.5x)
 fails when the radix pipeline no longer beats the scalar comparator sort by
 that much.  The gate skips with a notice when the best compiled-in level is
-scalar (nothing to compare) or when the run recorded ``degraded_hw``
-(unknown or single hardware thread -- bench_threads sets the flag and all
-speedup gates stand down, since contention noise on such a host can fake
-either verdict).  Separately, the ``serial_phase_ns`` breakdown is compared
+scalar (nothing to compare), and refuses -- fails -- when the run recorded
+``degraded_hw`` (unknown or single hardware thread: contention noise on
+such a host can fake either verdict, so the section must be re-recorded,
+not trusted).  Separately, the ``serial_phase_ns`` breakdown is compared
 fresh-vs-baseline per phase (filter/score/sort/emit): any phase above the
 ``--phase-floor-ns`` noise floor that regressed by more than
 ``--phase-threshold`` fails, so a hot-path regression is pinned to the
-phase that caused it instead of hiding inside total wall time.
+phase that caused it instead of hiding inside total wall time.  It too
+refuses a ``degraded_hw`` input.
+
+Gates compare like with like: when both inputs record the hardware they
+ran on (``threads.hardware_threads``, ``threads.degraded_hw``,
+``provenance.simd_level``) and any of it differs, the check fails as a
+refused cross-hardware comparison instead of skipping.
 
 The mining service's resource cache is gated through the ``server``
 section written by ``bench_server``: the same mine request is issued cold
@@ -200,8 +206,9 @@ def check_sort_speedup(fresh_doc, baseline_doc, min_speedup):
             return True
         if threads.get("degraded_hw"):
             print(f"simd sort speedup ({label}): {speedup:.2f}x scalar vs "
-                  f"{best_level}, but degraded_hw recorded; skipping gate")
-            return True
+                  f"{best_level}, but degraded_hw recorded  REFUSED "
+                  "(re-record the threads section on a multi-core host)")
+            return False
         ok = speedup >= min_speedup
         print(f"simd sort speedup ({label}): {speedup:.2f}x scalar vs "
               f"{best_level} (minimum {min_speedup:.2f}x)"
@@ -261,9 +268,9 @@ def check_phase_ns(fresh_doc, baseline_doc, threshold, floor_ns):
                            ("baseline", baseline_threads)):
         if threads.get("degraded_hw"):
             print(f"phase breakdown: {label} threads section recorded "
-                  "degraded_hw; skipping comparison (timings from an "
-                  "unknown/single-core host are not interpretable)")
-            return True
+                  "degraded_hw  REFUSED (timings from an unknown or "
+                  "single-core host are not comparable; re-record them)")
+            return False
     if (fresh_threads.get("dataset") != baseline_threads.get("dataset")
             or fresh_threads.get("options") != baseline_threads.get(
                 "options")):
@@ -285,6 +292,29 @@ def check_phase_ns(fresh_doc, baseline_doc, threshold, floor_ns):
         note = "" if gated else "  (below noise floor, not gated)"
         print(f"phase {key:<10} baseline {base_val / 1e6:8.1f} ms  fresh "
               f"{fresh_val / 1e6:8.1f} ms  {ratio:5.2f}x{verdict}{note}")
+    return ok
+
+
+def check_same_hardware(fresh_doc, baseline_doc):
+    """Refuses a comparison across hardware: every timing gate assumes the
+    baseline and the fresh run measured the same machine class.  Compares
+    the hardware facts both documents record -- threads.hardware_threads,
+    threads.degraded_hw and provenance.simd_level (the kernel level the
+    CPU supports) -- and fails on any difference instead of letting a
+    slower or narrower host fake a regression, or hide one."""
+    facts = (("threads", "hardware_threads"), ("threads", "degraded_hw"),
+             ("provenance", "simd_level"))
+    ok = True
+    for section, key in facts:
+        base_val = (baseline_doc.get(section) or {}).get(key)
+        fresh_val = (fresh_doc.get(section) or {}).get(key)
+        if base_val is None or fresh_val is None:
+            continue
+        if base_val != fresh_val:
+            print(f"hardware: {section}.{key} baseline {base_val!r} != "
+                  f"fresh {fresh_val!r}  REFUSED (cross-hardware "
+                  "comparison; re-record the baseline on this host)")
+            ok = False
     return ok
 
 
@@ -427,7 +457,7 @@ def main(argv):
               f"matching prefix {args.prefix!r}", file=sys.stderr)
         return 1
 
-    failed = False
+    failed = not check_same_hardware(fresh_doc, baseline_doc)
     print(f"{'benchmark':<32} {'baseline':>12} {'fresh':>12} {'ratio':>8}")
     for name in names:
         base_time, base_unit = baseline[name]
