@@ -15,9 +15,9 @@
 //   * one leading '+' is allowed, and the rest must be a whole decimal
 //     number in std::from_chars general format;
 //   * "inf", "infinity", other NaN spellings and "nan(...)" are rejected
-//     as non-finite; hex floats (which strtod accepted) and any other text
-//     as not a number; overflow (1e309), underflow to zero (1e-400) and
-//     subnormal values (1e-310) as out of range.
+//     as non-finite; hex floats and any other text as not a number;
+//     overflow (1e309), underflow to zero (1e-400) and subnormal values
+//     (1e-310) as out of range.
 // Every rejection is a Corruption naming the line, and for a cell the
 // 1-based column over all fields of the line.  Accepted values have the
 // bits strtod gives the same text.

@@ -72,8 +72,9 @@ StatusOr<double> ParseDouble(std::string_view s) {
   if (r.ptr != last || r.ec == std::errc::invalid_argument) {
     return Status::InvalidArgument("not a number: '" + std::string(t) + "'");
   }
-  // Overflow, underflow to zero and subnormal results are one verdict, as
-  // strtod's ERANGE was: the value is not representable at full precision.
+  // Overflow, underflow to zero and subnormal results are one verdict, the
+  // one strtod's ERANGE gives: the value is not representable at full
+  // precision.
   if (r.ec == std::errc::result_out_of_range ||
       (v != 0.0 && std::fabs(v) < std::numeric_limits<double>::min())) {
     return Status::OutOfRange("number out of range: '" + std::string(t) + "'");

@@ -188,9 +188,9 @@ TEST(ValidateTest, RejectsOutOfRangeCondition) {
 }
 
 
-// The score panel's entries against the two-step form the miner used
-// before the panel: gather the numerator row[c] - row[head] into a column,
-// then divide the column by the denominators.  Same IEEE operations, same
+// The score panel's entries against the two-step form: gather the
+// numerator row[c] - row[head] into a column, then divide the column by
+// the denominators.  Same IEEE operations, same
 // order, so the bits must agree -- on wide rows (several words), on masks
 // that select a word range, at level 1 (no denominators) and with
 // negative denominators (n-members).
