@@ -290,10 +290,13 @@ struct RegClusterMiner::RunState {
   std::mutex wait_mu;
   std::condition_variable wait_cv;
 
-  /// Marks one phase-A task finished and wakes WaitParallelWork().
+  /// Marks one phase-A task finished and wakes WaitParallelWork().  The
+  /// count moves under `wait_mu`, under which WaitParallelWork() reads it:
+  /// once a waiter sees zero, no task touches this RunState again, so
+  /// Finalize() may destroy it.
   void TaskDone() {
+    std::lock_guard<std::mutex> lock(wait_mu);
     if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(wait_mu);
       wait_cv.notify_all();
     }
   }
@@ -821,7 +824,6 @@ void RegClusterMiner::SubmitRoots(util::TaskPool* pool, bool exclusive_pool) {
 void RegClusterMiner::WaitParallelWork() {
   if (run_ == nullptr) return;
   RunState* run = run_.get();
-  if (run->outstanding.load(std::memory_order_acquire) == 0) return;
   std::unique_lock<std::mutex> lock(run->wait_mu);
   run->wait_cv.wait(lock, [run] {
     return run->outstanding.load(std::memory_order_acquire) == 0;

@@ -392,7 +392,7 @@ class RegClusterMiner {
 
   /// Staged execution for batch drivers (core::SweepEngine).  The sequence
   ///
-  ///   Prepare();  SubmitParallelWork(&pool);  pool.Wait();  Finalize();
+  ///   Prepare(); SubmitParallelWork(&pool); WaitParallelWork(); Finalize();
   ///
   /// is equivalent to one Mine() call, except that the optimistic phase-A
   /// tasks run on a caller-owned pool that may be shared with *other*

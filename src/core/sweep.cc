@@ -21,27 +21,6 @@ GammaKey GammaKeyOf(const MinerOptions& options) {
           std::bit_cast<uint64_t>(options.gamma)};
 }
 
-GammaGrouping GroupPointsByGamma(
-    const std::vector<MinerOptions>& points, const matrix::MatrixStore& data,
-    const std::function<util::Status(const MinerOptions&)>& extra_check) {
-  GammaGrouping out;
-  out.group_of.assign(points.size(), -1);
-  std::map<GammaKey, int> index_of;
-  for (size_t i = 0; i < points.size(); ++i) {
-    const MinerOptions& p = points[i];
-    if (!ValidateMinerOptions(p, data).ok()) continue;
-    if (extra_check && !extra_check(p).ok()) continue;
-    const int next = static_cast<int>(out.groups.size());
-    auto [it, inserted] = index_of.try_emplace(GammaKeyOf(p), next);
-    if (inserted) out.groups.push_back({{p.gamma_policy, p.gamma}, 2});
-    GammaGroup& group = out.groups[static_cast<size_t>(it->second)];
-    group.max_min_conditions =
-        std::max(group.max_min_conditions, p.min_conditions);
-    out.group_of[i] = it->second;
-  }
-  return out;
-}
-
 void SweepReport::CountRun(const SweepRun& run) {
   if (!run.executed) return;
   ++runs_executed;
@@ -65,7 +44,9 @@ util::StatusOr<SweepReport> SweepEngine::Run(
   if (options_.num_threads < 0) {
     return util::Status::InvalidArgument("num_threads must be >= 0");
   }
-  if (data_.HasMissingValues()) {
+  // The O(cells) scan guards the engine's own builds; a model source owns
+  // its inputs (the daemon's cache rejects missing values at load).
+  if (!options_.model_source && data_.HasMissingValues()) {
     return util::Status::FailedPrecondition(
         "matrix has missing values; impute before mining");
   }
@@ -74,23 +55,48 @@ util::StatusOr<SweepReport> SweepEngine::Run(
   SweepReport report;
   report.runs.resize(points.size());
 
-  // --- Group points by gamma and build the shared models (serially, so the
-  // build cost and report.index_builds are deterministic). ---
-  std::vector<MinerOptions> run_options = points;
-  // The engine owns scheduling; a run must never spin up its own pool.
-  for (MinerOptions& o : run_options) o.num_threads = 1;
-  const GammaGrouping grouping = GroupPointsByGamma(run_options, data_);
+  // --- Screen the points and group the survivors by gamma in
+  // first-appearance order, so model builds and a source's cache counters
+  // are a pure function of the point list.  A point failing
+  // ValidateMinerOptions or the screen never builds or pollutes a model.
+  // Each group's model carries its largest MinC. ---
+  std::vector<GammaGroup> groups;
+  std::vector<int> group_of(points.size(), -1);
+  std::map<GammaKey, int> index_of;
   for (size_t i = 0; i < points.size(); ++i) {
-    report.runs[i].options = std::move(run_options[i]);
+    SweepRun& run = report.runs[i];
+    run.options = points[i];
+    // The engine owns scheduling; a run must never spin up its own pool.
+    run.options.num_threads = 1;
+    run.status = ValidateMinerOptions(run.options, data_);
+    if (run.status.ok() && options_.screen) {
+      run.status = options_.screen(run.options);
+    }
+    if (!run.status.ok()) continue;
+    const int next = static_cast<int>(groups.size());
+    auto [it, inserted] = index_of.try_emplace(GammaKeyOf(run.options), next);
+    if (inserted) {
+      groups.push_back({{run.options.gamma_policy, run.options.gamma}, 2});
+    }
+    GammaGroup& group = groups[static_cast<size_t>(it->second)];
+    group.max_min_conditions =
+        std::max(group.max_min_conditions, run.options.min_conditions);
+    group_of[i] = it->second;
   }
   std::vector<std::shared_ptr<const SharedGammaModel>> models;
-  for (const GammaGroup& group : grouping.groups) {
+  for (const GammaGroup& group : groups) {
+    if (options_.model_source) {
+      auto model = options_.model_source(group);
+      if (!model.ok()) return model.status();
+      models.push_back(*std::move(model));
+      continue;
+    }
     models.push_back(SharedGammaModel::Build(data_, group.spec,
                                              group.max_min_conditions));
     report.shared_model_bytes +=
         static_cast<int64_t>(models.back()->MemoryBytes());
+    ++report.index_builds;
   }
-  report.index_builds = static_cast<int>(models.size());
 
   // --- Per-run overlay bookkeeping.  The sweep's hard-stop sources are
   // injected only into runs that do not carry their own; the flags record
@@ -104,14 +110,13 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     sweep_deadline = util::DeadlineSource::AfterMillis(options_.deadline_ms);
   }
 
+  // A screened-out point keeps its status and never gets a miner.
   std::vector<std::unique_ptr<RegClusterMiner>> miners(points.size());
   auto prepare_run = [&](size_t i) -> const util::Status& {
     SweepRun& run = report.runs[i];
-    if (grouping.group_of[i] >= 0) {
-      run.options.shared_model =
-          models[static_cast<size_t>(grouping.group_of[i])];
-      run.used_shared_model = true;
-    }
+    if (group_of[i] < 0) return run.status;
+    run.options.shared_model = models[static_cast<size_t>(group_of[i])];
+    run.used_shared_model = true;
     if (options_.cancel_token != nullptr && run.options.cancel_token == nullptr) {
       run.options.cancel_token = options_.cancel_token;
       token_injected[i] = 1;
@@ -128,21 +133,25 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     return run.status;
   };
 
-  // --- Phase A: with a pool, every run's root/subtree tasks interleave on
-  // it; one Wait() covers the whole sweep.  (Serial sweeps prepare lazily in
-  // the canonical walk below, so a sweep deadline is measured against the
-  // time each run actually starts.) ---
-  std::unique_ptr<util::TaskPool> pool;
-  if (threads > 1) {
-    pool = std::make_unique<util::TaskPool>(threads);
+  // --- Phase A: with a pool, every run is prepared and its root/subtree
+  // tasks submitted up front, so they interleave on the pool.  (Serial
+  // sweeps prepare lazily in the canonical walk below, so a sweep deadline
+  // is measured against the time each run actually starts.) ---
+  std::unique_ptr<util::TaskPool> owned_pool;
+  util::TaskPool* pool = options_.pool;
+  if (pool == nullptr && threads > 1) {
+    owned_pool = std::make_unique<util::TaskPool>(threads);
+    pool = owned_pool.get();
+  }
+  if (pool != nullptr) {
     for (size_t i = 0; i < points.size(); ++i) {
-      if (prepare_run(i).ok()) miners[i]->SubmitParallelWork(pool.get());
+      if (prepare_run(i).ok()) miners[i]->SubmitParallelWork(pool);
     }
-    pool->Wait();
   }
 
-  // --- Phase B: canonical serial walk.  Finalization order, budget
-  // accounting and truncation decisions are independent of the pool. ---
+  // --- Phase B: canonical serial walk.  Each run drains its own pool tasks
+  // just before it finalizes; finalization order, budget accounting and
+  // truncation decisions are independent of the pool. ---
   constexpr int64_t kUnlimited = std::numeric_limits<int64_t>::max();
   int64_t node_rem = options_.max_nodes >= 0 ? options_.max_nodes : kUnlimited;
   int64_t cluster_rem =
@@ -168,6 +177,7 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     } else if (!run.status.ok()) {
       continue;
     }
+    miners[i]->WaitParallelWork();
     auto clusters = miners[i]->Finalize();
     if (!clusters.ok()) {
       run.status = clusters.status();
@@ -214,6 +224,11 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     report.CountRun(run);
   }
 
+  // A truncated walk leaves later runs' tasks on the pool; they reference
+  // their miners, so drain them before the miners go.
+  for (const std::unique_ptr<RegClusterMiner>& miner : miners) {
+    if (miner != nullptr) miner->WaitParallelWork();
+  }
   if (report.stop_reason != util::StopReason::kNone) {
     report.status = MineStatus::kTruncated;
   }

@@ -1,5 +1,7 @@
 // Batch parameter-sweep engine: many Mine() calls over one matrix, sharing
-// everything that is semantically shareable.
+// everything that is semantically shareable.  It is the one batch executor:
+// the CLI's --sweep, the durable sweep driver and the daemon's /mine (a
+// one-point sweep) and /sweep all run through it.
 //
 // The paper's entire Section 5 evaluation is parameter sweeps -- sensitivity
 // of cluster counts and runtime to gamma, epsilon, MinG and MinC -- and a
@@ -16,6 +18,17 @@
 //   * all runs' phase-A root/subtree tasks interleave on one work-stealing
 //     TaskPool (inter-run parallelism composing with intra-run tasks), via
 //     the miner's staged Prepare / SubmitParallelWork / Finalize API.
+//
+// A long-lived caller (the daemon) shares its resources through three
+// inputs in SweepOptions: a borrowed `pool`, a `model_source` (e.g. a cache)
+// replacing the engine's own serial SharedGammaModel::Build, and a point
+// `screen` on top of ValidateMinerOptions.  With any pool, every screened
+// point is prepared and submitted up front and the canonical walk drains
+// each run with RegClusterMiner::WaitParallelWork() just before finalizing
+// it -- never TaskPool::Wait(), which would also wait for other callers'
+// tasks.  Without a pool the walk prepares and runs each point serially.
+// A point failing validation or the screen gets no model and no miner; its
+// SweepRun::status records why.
 //
 // Determinism contract: every executed run's clusters are byte-identical to
 // an independent RegClusterMiner::Mine() at that point's options, at any
@@ -54,15 +67,40 @@
 #include "util/status.h"
 
 namespace regcluster {
+namespace util {
+class TaskPool;
+}  // namespace util
+
 namespace core {
+
+/// Points that can share one SharedGammaModel.
+struct GammaGroup {
+  GammaSpec spec;
+  /// Largest MinC in the group: the model's max_chain_need, so the shared
+  /// index answers every member's MinC (queries clamp).
+  int max_min_conditions = 2;
+};
+
+/// Supplies the model of one gamma group (see the file comment).
+using ModelSource =
+    std::function<util::StatusOr<std::shared_ptr<const SharedGammaModel>>(
+        const GammaGroup& group)>;
 
 /// Sweep-level execution knobs.  The per-point mining semantics live in each
 /// point's MinerOptions; everything here is an execution overlay.
 struct SweepOptions {
-  /// Worker threads for the shared pool; 1 = fully serial, 0 = hardware
-  /// concurrency.  Per-point MinerOptions::num_threads is ignored -- the
-  /// engine owns scheduling (the output is thread-count-invariant anyway).
+  /// Worker threads for the engine's own pool (ignored with `pool`); 1 =
+  /// fully serial, 0 = hardware concurrency.  Per-point
+  /// MinerOptions::num_threads is ignored -- the engine owns scheduling (the
+  /// output is thread-count-invariant anyway).
   int num_threads = 1;
+  /// Borrowed pool, possibly shared with other callers; outlives Run().
+  util::TaskPool* pool = nullptr;
+  /// Supplies each gamma group's model; a failure fails Run().  Null: the
+  /// engine builds them (and then rejects a matrix with missing values).
+  ModelSource model_source;
+  /// Extra per-point check on top of ValidateMinerOptions; null = none.
+  std::function<util::Status(const MinerOptions&)> screen;
 
   /// Sweep-level budgets; -1 / null disables each.  See the file comment
   /// for how they compose with per-point budgets.
@@ -79,8 +117,8 @@ struct SweepRun {
   /// The options as executed: the point's options plus the engine-injected
   /// shared model / cancel token / deadline overlay.
   MinerOptions options;
-  /// Per-point validation result (e.g. a gamma out of range fails that
-  /// point, not the sweep).
+  /// Per-point validation result (e.g. a gamma out of range, or a point the
+  /// screen rejects, fails that point, not the sweep).
   util::Status status;
   bool executed = false;
   /// True when this run reused an engine-built SharedGammaModel (its stats
@@ -104,10 +142,11 @@ struct SweepReport {
   /// First point not covered by the output (the resume boundary); -1 when
   /// the sweep attempted every point.
   int first_unfinished = -1;
-  /// Distinct gamma groups the engine built a SharedGammaModel for; runs
-  /// add their own stats.index_builds on top.
+  /// Distinct gamma groups the engine built a SharedGammaModel for (0 with
+  /// a SweepOptions::model_source); runs add their own stats.index_builds
+  /// on top.
   int index_builds = 0;
-  /// Heap bytes of the engine-built shared models.
+  /// Heap bytes of the engine-built shared models (0 with a model source).
   int64_t shared_model_bytes = 0;
   double wall_seconds = 0.0;
   /// Sums over executed runs (deterministic, like the per-run stats).
@@ -127,43 +166,17 @@ struct SweepReport {
 using GammaKey = std::pair<int, uint64_t>;
 GammaKey GammaKeyOf(const MinerOptions& options);
 
-/// Points that can share one SharedGammaModel.
-struct GammaGroup {
-  GammaSpec spec;
-  /// Largest MinC in the group: the model's max_chain_need, so the shared
-  /// index answers every member's MinC (queries clamp).
-  int max_min_conditions = 2;
-};
-
-struct GammaGrouping {
-  std::vector<GammaGroup> groups;  ///< in order of first appearance
-  /// Per point, its index into `groups`, or -1 when the point failed
-  /// validation and must run without a shared model (its own Prepare()
-  /// then records the rejection).
-  std::vector<int> group_of;
-};
-
-/// The one gamma-grouping rule of the batch drivers (SweepEngine and the
-/// mining service): groups `points` by GammaKeyOf in first-appearance order,
-/// leaving out every point that fails ValidateMinerOptions against `data`
-/// -- or `extra_check`, when given -- so a garbage spec never builds or
-/// pollutes a shared model.  First-appearance order keeps model builds and
-/// cache counters a pure function of the point list.
-GammaGrouping GroupPointsByGamma(
-    const std::vector<MinerOptions>& points, const matrix::MatrixStore& data,
-    const std::function<util::Status(const MinerOptions&)>& extra_check =
-        nullptr);
-
 /// Executes a batch of mining runs over one matrix.  Construction is cheap;
 /// all work happens in Run().  The matrix must outlive the engine.
 class SweepEngine {
  public:
   SweepEngine(const matrix::MatrixStore& data, SweepOptions options);
 
-  /// Runs every point.  Fails only on an empty point list or an invalid
-  /// engine configuration; per-point option errors are recorded in the
-  /// corresponding SweepRun::status and do not abort the sweep.  See the
-  /// file comment for the determinism and truncation contracts.
+  /// Runs every point.  Fails only on an empty point list, an invalid
+  /// engine configuration or a model-source failure; per-point option
+  /// errors are recorded in the corresponding SweepRun::status and do not
+  /// abort the sweep.  See the file comment for the determinism and
+  /// truncation contracts.
   util::StatusOr<SweepReport> Run(const std::vector<MinerOptions>& points);
 
  private:

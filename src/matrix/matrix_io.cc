@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -248,6 +249,50 @@ util::Status SaveMatrix(const ExpressionMatrix& m, const std::string& path,
   std::ofstream out(path);
   if (!out) return util::Status::IoError("cannot open for writing: " + path);
   return WriteMatrix(m, out, format);
+}
+
+util::StatusOr<MatrixFormat> ResolveMatrixFormat(const std::string& path,
+                                                 const std::string& name) {
+  if (name == "text") return MatrixFormat::kText;
+  if (name == "bin") return MatrixFormat::kBinary;
+  if (name != "auto") {
+    return util::Status::InvalidArgument("unknown matrix format '" + name +
+                                         "' (want auto, bin or text)");
+  }
+  auto is_bin = IsBinaryMatrixFile(path);
+  return is_bin.ok() && *is_bin ? MatrixFormat::kBinary : MatrixFormat::kText;
+}
+
+util::StatusOr<std::shared_ptr<const MatrixStore>> OpenMatrixStore(
+    const std::string& path, MatrixFormat format) {
+  if (format == MatrixFormat::kAuto) {
+    format = *ResolveMatrixFormat(path, "auto");
+  }
+  if (format == MatrixFormat::kBinary) {
+    auto m = MappedMatrix::Open(path);
+    if (!m.ok()) return m.status();
+    return std::shared_ptr<const MatrixStore>(
+        std::make_shared<const MappedMatrix>(*std::move(m)));
+  }
+  auto m = ReadMatrixFile(path, format);
+  if (!m.ok()) return m.status();
+  return std::shared_ptr<const MatrixStore>(
+      std::make_shared<const ExpressionMatrix>(*std::move(m)));
+}
+
+util::StatusOr<ExpressionMatrix> ReadMatrixFile(const std::string& path,
+                                                MatrixFormat format,
+                                                const TextFormat& text) {
+  if (format == MatrixFormat::kAuto) {
+    format = *ResolveMatrixFormat(path, "auto");
+  }
+  if (format == MatrixFormat::kBinary) return ReadBinaryMatrix(path);
+  auto m = LoadMatrix(path, text);
+  if (!m.ok()) {
+    return util::Status(m.status().code(),
+                        "loading " + path + ": " + m.status().message());
+  }
+  return m;
 }
 
 }  // namespace matrix

@@ -30,9 +30,11 @@
 #define REGCLUSTER_MATRIX_MATRIX_IO_H_
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 
 #include "matrix/expression_matrix.h"
+#include "matrix/store.h"
 #include "util/status.h"
 
 namespace regcluster {
@@ -72,6 +74,28 @@ util::Status WriteMatrix(const ExpressionMatrix& m, std::ostream& out,
 /// Saves a matrix to a file path.
 util::Status SaveMatrix(const ExpressionMatrix& m, const std::string& path,
                         const TextFormat& format = {});
+
+// The one matrix opener: every driver that reads a matrix file (the CLI's
+// subcommands, the daemon's resource cache) picks the text format or the
+// binary one (store.h) here.  Format names are the CLI's: "text", "bin" and
+// "auto", which sniffs the binary magic.  Text-reader errors are prefixed
+// "loading PATH: "; binary-reader errors name the file already.
+enum class MatrixFormat { kAuto, kText, kBinary };
+
+/// Resolves the format `name` for the file at `path`; never kAuto.  A file
+/// "auto" cannot read resolves to text, so the text reader names the error.
+/// An unknown name is InvalidArgument.
+util::StatusOr<MatrixFormat> ResolveMatrixFormat(const std::string& path,
+                                                 const std::string& name);
+
+/// Read-only: a binary matrix maps, a text matrix loads resident.
+util::StatusOr<std::shared_ptr<const MatrixStore>> OpenMatrixStore(
+    const std::string& path, MatrixFormat format = MatrixFormat::kAuto);
+
+/// Resident and mutable: ReadBinaryMatrix, or LoadMatrix with `text`.
+util::StatusOr<ExpressionMatrix> ReadMatrixFile(
+    const std::string& path, MatrixFormat format = MatrixFormat::kAuto,
+    const TextFormat& text = {});
 
 }  // namespace matrix
 }  // namespace regcluster

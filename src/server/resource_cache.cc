@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "io/checkpoint.h"
-#include "matrix/expression_matrix.h"
 #include "matrix/matrix_io.h"
 
 namespace regcluster {
@@ -37,23 +36,11 @@ ResourceCache::GetMatrix(const std::string& path, bool* hit) {
   ++stats_.matrix_misses;
   if (hit != nullptr) *hit = false;
 
-  // Sniff the binary magic exactly like the CLI: a text matrix can never
-  // start with it.  Binary matrices map (their pages are reclaimable and
-  // charge nothing against the budget); text matrices load resident.
-  std::shared_ptr<const matrix::MatrixStore> store;
-  auto is_bin = matrix::IsBinaryMatrixFile(path);
-  if (is_bin.ok() && *is_bin) {
-    auto m = matrix::MappedMatrix::Open(path);
-    if (!m.ok()) return m.status();
-    store = std::make_shared<const matrix::MappedMatrix>(*std::move(m));
-  } else {
-    auto m = matrix::LoadMatrix(path);
-    if (!m.ok()) {
-      return util::Status(m.status().code(),
-                          "loading " + path + ": " + m.status().message());
-    }
-    store = std::make_shared<const matrix::ExpressionMatrix>(*std::move(m));
-  }
+  // Binary matrices map (their pages are reclaimable and charge nothing
+  // against the budget); text matrices load resident.
+  auto opened = matrix::OpenMatrixStore(path);
+  if (!opened.ok()) return opened.status();
+  std::shared_ptr<const matrix::MatrixStore> store = *std::move(opened);
   if (store->HasMissingValues()) {
     return util::Status::FailedPrecondition(
         "matrix " + path +

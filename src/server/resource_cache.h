@@ -87,10 +87,9 @@ class ResourceCache {
   ResourceCache(const ResourceCache&) = delete;
   ResourceCache& operator=(const ResourceCache&) = delete;
 
-  /// Loads (or reuses) the matrix at `path`.  The binary magic is sniffed:
-  /// binary matrices map, text matrices load resident.  Missing values are
-  /// FailedPrecondition -- the service has no impute step; callers prepare
-  /// inputs with `regcluster convert`.  Load failures are not cached.
+  /// Loads (or reuses) the matrix at `path` with matrix::OpenMatrixStore.
+  /// Missing values are FailedPrecondition -- the service has no impute
+  /// step; callers prepare inputs with `regcluster convert`.  Load failures are not cached.
   /// `hit` (optional) reports whether an existing entry served the request.
   util::StatusOr<std::shared_ptr<const MatrixHandle>> GetMatrix(
       const std::string& path, bool* hit = nullptr);

@@ -103,7 +103,7 @@ ServiceResponse MiningService::HandleHttp(const std::string& method,
   // Strip a query string: /metrics?foo stays /metrics.
   std::string path = target.substr(0, target.find('?'));
   if (method == "GET" && path == "/healthz") return HandleHealth();
-  if (method == "GET" && path == "/metrics") return HandleMetrics();
+  if (method == "GET" && path == "/metrics") return HandleMetrics(false);
   if (method == "POST" &&
       (path == "/mine" || path == "/sweep" || path == "/append")) {
     requests_total_->Increment();
@@ -111,9 +111,8 @@ ServiceResponse MiningService::HandleHttp(const std::string& method,
     if (!parsed.ok()) {
       return ErrorResponse(400, "bad_json", parsed.status().message());
     }
-    if (path == "/mine") return HandleMine(*parsed);
-    if (path == "/sweep") return HandleSweep(*parsed);
-    return HandleAppend(*parsed);
+    if (path == "/append") return HandleAppend(*parsed);
+    return HandleSession(*parsed, /*sweep=*/path == "/sweep");
   }
   return ErrorResponse(404, "unknown_endpoint",
                        method + " " + path + " is not served here");
@@ -136,31 +135,16 @@ ServiceResponse MiningService::HandleFrame(const std::string& payload) {
       std::remove_if(body.members.begin(), body.members.end(),
                      [](const auto& m) { return m.first == "op"; }),
       body.members.end());
-  if (op->string_value == "health") return HandleHealth();
-  if (op->string_value == "metrics") {
+  const std::string& name = op->string_value;
+  if (name == "health") return HandleHealth();
+  if (name == "metrics") return HandleMetrics(/*json=*/true);
+  if (name == "mine" || name == "sweep" || name == "append") {
     requests_total_->Increment();
-    ServiceResponse r;
-    std::ostringstream out;
-    if (Status s = registry_.WriteJson(out); !s.ok()) {
-      return ErrorResponse(500, "metrics_error", s.message());
-    }
-    r.body = out.str();
-    return r;
-  }
-  if (op->string_value == "mine") {
-    requests_total_->Increment();
-    return HandleMine(body);
-  }
-  if (op->string_value == "sweep") {
-    requests_total_->Increment();
-    return HandleSweep(body);
-  }
-  if (op->string_value == "append") {
-    requests_total_->Increment();
-    return HandleAppend(body);
+    if (name == "append") return HandleAppend(body);
+    return HandleSession(body, /*sweep=*/name == "sweep");
   }
   return ErrorResponse(400, "unknown_op",
-                       "op \"" + op->string_value + "\" is not served here");
+                       "op \"" + name + "\" is not served here");
 }
 
 ServiceResponse MiningService::HandleHealth() {
@@ -170,27 +154,29 @@ ServiceResponse MiningService::HandleHealth() {
   return r;
 }
 
-ServiceResponse MiningService::HandleMetrics() {
+ServiceResponse MiningService::HandleMetrics(bool json) {
   requests_total_->Increment();
-  ServiceResponse r;
   std::ostringstream out;
-  if (Status s = registry_.WritePrometheus(out); !s.ok()) {
-    return ErrorResponse(500, "metrics_error", s.message());
-  }
-  r.content_type = "text/plain; version=0.0.4";
+  const Status s =
+      json ? registry_.WriteJson(out) : registry_.WritePrometheus(out);
+  if (!s.ok()) return ErrorResponse(500, "metrics_error", s.message());
+  ServiceResponse r;
+  if (!json) r.content_type = "text/plain; version=0.0.4";
   r.body = out.str();
   return r;
 }
 
-ServiceResponse MiningService::HandleMine(const JsonValue& body) {
-  auto request = ParseMineRequest(body, options_.defaults);
+ServiceResponse MiningService::HandleSession(const JsonValue& body,
+                                             bool sweep) {
+  auto request = sweep ? ParseSweepRequest(body, options_.defaults)
+                       : ParseMineRequest(body, options_.defaults);
   if (!request.ok()) {
     return ErrorResponse(400, "bad_request", request.status().message());
   }
   ServiceResponse shed;
   if (!Admit(&shed)) return shed;
   if (options_.session_hook) options_.session_hook();
-  ServiceResponse r = ExecuteMine(*request);
+  ServiceResponse r = RunSession(*request, sweep);
   Release();
   return r;
 }
@@ -230,45 +216,28 @@ ServiceResponse MiningService::HandleAppend(const JsonValue& body) {
   return r;
 }
 
-ServiceResponse MiningService::HandleSweep(const JsonValue& body) {
-  auto request = ParseSweepRequest(body, options_.defaults);
-  if (!request.ok()) {
-    return ErrorResponse(400, "bad_request", request.status().message());
-  }
-  ServiceResponse shed;
-  if (!Admit(&shed)) return shed;
-  if (options_.session_hook) options_.session_hook();
-  ServiceResponse r = ExecuteSweep(*request);
-  Release();
-  return r;
-}
-
 bool MiningService::Admit(ServiceResponse* shed) {
+  // A shed is a structured, retryable 503 with a Retry-After hint.
+  auto shed_as = [&](const std::string& name) {
+    shed_total_->Increment();
+    shed->http_status = 503;
+    shed->status_name = name;
+    shed->retry_after_s = options_.retry_after_s;
+    shed->body = "{\"status\":\"shed\",\"error_name\":\"" + name +
+                 "\",\"retry_after_s\":" +
+                 std::to_string(options_.retry_after_s) + "}\n";
+    return false;
+  };
   // Limit 1 -- memory: the cache already holds more than the global budget
   // allows, so taking on work that loads more is how a daemon OOMs.  Shed
   // with a hint; eviction and request completion make a retry meaningful.
   if (cache_.stats().resident_bytes > options_.memory_budget_bytes) {
-    shed_total_->Increment();
-    *shed = ErrorResponse(503, "shed_memory",
-                          "resource cache over the global memory budget");
-    shed->body = "{\"status\":\"shed\",\"error_name\":\"shed_memory\","
-                 "\"retry_after_s\":" +
-                 std::to_string(options_.retry_after_s) + "}\n";
-    shed->retry_after_s = options_.retry_after_s;
-    return false;
+    return shed_as("shed_memory");
   }
   // Limit 2 -- concurrency: max_active sessions mine, max_queued wait.
   std::unique_lock<std::mutex> lock(admission_mu_);
   if (active_ >= options_.max_active) {
-    if (queued_ >= options_.max_queued) {
-      shed_total_->Increment();
-      *shed = ErrorResponse(503, "shed_queue", "admission queue full");
-      shed->body = "{\"status\":\"shed\",\"error_name\":\"shed_queue\","
-                   "\"retry_after_s\":" +
-                   std::to_string(options_.retry_after_s) + "}\n";
-      shed->retry_after_s = options_.retry_after_s;
-      return false;
-    }
+    if (queued_ >= options_.max_queued) return shed_as("shed_queue");
     ++queued_;
     queue_depth_gauge_->Set(queued_);
     admission_cv_.wait(lock,
@@ -288,142 +257,76 @@ void MiningService::Release() {
   admission_cv_.notify_all();
 }
 
-ServiceResponse MiningService::ExecuteMine(const MineRequest& request) {
+ServiceResponse MiningService::RunSession(const MineRequest& request,
+                                          bool sweep) {
   bool matrix_hit = false;
   auto handle = cache_.GetMatrix(request.matrix_path, &matrix_hit);
   if (!handle.ok()) {
     return ErrorResponse(HttpStatusOf(handle.status()), "matrix_error",
                          handle.status().message());
   }
-  // One session: staged run on the shared pool, per-run drain, canonical
-  // finalize.  options.num_threads stays 1 -- it would describe a pool the
-  // session does not own (the sweep engine does the same).
-  core::MinerOptions opts = request.options;
-  opts.num_threads = 1;
   const matrix::MatrixStore& store = *(*handle)->store;
-  Status valid = core::ValidateMinerOptions(opts, store);
-  if (valid.ok()) valid = CheckMincFitsMatrix(opts, store);
-  if (!valid.ok()) return ErrorResponse(400, "bad_request", valid.message());
-  const core::GammaSpec spec{opts.gamma_policy, opts.gamma};
-  bool model_hit = false;
-  auto model =
-      cache_.GetModel(*handle, spec, opts.min_conditions, &model_hit);
-  if (!model.ok()) {
-    return ErrorResponse(HttpStatusOf(model.status()), "mine_error",
-                         model.status().message());
-  }
-  cache_hits_total_->Add((matrix_hit ? 1 : 0) + (model_hit ? 1 : 0));
-
-  opts.shared_model = *model;
-  core::RegClusterMiner miner(store, opts);
-  if (Status st = miner.Prepare(); !st.ok()) {
-    return ErrorResponse(HttpStatusOf(st), "mine_error", st.message());
-  }
-  if (pool_ != nullptr) {
-    miner.SubmitParallelWork(pool_.get());
-    miner.WaitParallelWork();
-  }
-  auto clusters = miner.Finalize();
-  if (!clusters.ok()) {
-    return ErrorResponse(500, "mine_error", clusters.status().message());
+  // A /mine is a one-point sweep whose bad point is the request's fault:
+  // 400 bad_request before any model is fetched.  A /sweep records the
+  // points failing validation or the MinC screen per run.
+  std::vector<core::MinerOptions> points = {request.options};
+  if (sweep) {
+    auto parsed = io::ParseSweepSpec(request.sweep_spec, request.options);
+    if (!parsed.ok()) {
+      return ErrorResponse(400, "bad_request", parsed.status().message());
+    }
+    if (parsed->size() > kMaxSweepPoints) {
+      return ErrorResponse(
+          400, "bad_request",
+          "sweep expands to " + std::to_string(parsed->size()) +
+              " points (limit " + std::to_string(kMaxSweepPoints) +
+              "); run it as a checkpointed CLI sweep");
+    }
+    points = *std::move(parsed);
+  } else {
+    Status valid = core::ValidateMinerOptions(request.options, store);
+    if (valid.ok()) valid = CheckMincFitsMatrix(request.options, store);
+    if (!valid.ok()) return ErrorResponse(400, "bad_request", valid.message());
   }
 
-  core::MinerStats stats = miner.stats();
-  core::MineOutcome outcome = miner.outcome();
-  if (request.deterministic_output) {
-    io::ZeroVolatileMineFields(&stats, &outcome);
-  }
-  std::ostringstream doc;
-  if (Status st =
-          io::WriteClustersJson(*clusters, &store, &outcome, &stats, doc);
-      !st.ok()) {
-    return ErrorResponse(500, "mine_error", st.message());
-  }
-  ServiceResponse r;
-  r.body = doc.str();
-  return r;
-}
-
-ServiceResponse MiningService::ExecuteSweep(const MineRequest& request) {
-  bool matrix_hit = false;
-  auto handle = cache_.GetMatrix(request.matrix_path, &matrix_hit);
-  if (!handle.ok()) {
-    return ErrorResponse(HttpStatusOf(handle.status()), "matrix_error",
-                         handle.status().message());
-  }
-  core::MinerOptions base = request.options;
-  base.num_threads = 1;
-  auto points = io::ParseSweepSpec(request.sweep_spec, base);
-  if (!points.ok()) {
-    return ErrorResponse(400, "bad_request", points.status().message());
-  }
-  if (points->size() > kMaxSweepPoints) {
-    return ErrorResponse(
-        400, "bad_request",
-        "sweep expands to " + std::to_string(points->size()) +
-            " points (limit " + std::to_string(kMaxSweepPoints) +
-            "); run it as a checkpointed CLI sweep");
-  }
-
-  // One cached model per core::GroupPointsByGamma group; points failing
-  // the request screen run without a shared model and Prepare() records
-  // the rejection per run.
-  const matrix::MatrixStore& store = *(*handle)->store;
-  const core::GammaGrouping grouping = core::GroupPointsByGamma(
-      *points, store, [&store](const core::MinerOptions& p) {
-        return CheckMincFitsMatrix(p, store);
-      });
-  std::vector<std::shared_ptr<const core::SharedGammaModel>> models;
-  models.reserve(grouping.groups.size());
   int64_t hits = matrix_hit ? 1 : 0;
-  for (const core::GammaGroup& group : grouping.groups) {
+  core::SweepOptions sopts;
+  sopts.pool = pool_.get();
+  sopts.model_source = [&](const core::GammaGroup& group) {
     bool model_hit = false;
     auto model = cache_.GetModel(*handle, group.spec,
                                  group.max_min_conditions, &model_hit);
-    if (!model.ok()) {
-      return ErrorResponse(HttpStatusOf(model.status()), "mine_error",
-                           model.status().message());
-    }
     hits += model_hit ? 1 : 0;
-    models.push_back(*model);
+    return model;
+  };
+  sopts.screen = [&store](const core::MinerOptions& p) {
+    return CheckMincFitsMatrix(p, store);
+  };
+  auto report = core::SweepEngine(store, std::move(sopts)).Run(points);
+  if (!report.ok()) {
+    return ErrorResponse(HttpStatusOf(report.status()), "mine_error",
+                         report.status().message());
   }
   cache_hits_total_->Add(hits);
 
-  core::SweepReport report;
-  report.runs.resize(points->size());
-  for (size_t i = 0; i < points->size(); ++i) {
-    core::SweepRun& run = report.runs[i];
-    run.options = (*points)[i];
-    if (grouping.group_of[i] >= 0) {
-      run.options.shared_model =
-          models[static_cast<size_t>(grouping.group_of[i])];
-      run.used_shared_model = true;
-    }
-    core::RegClusterMiner miner(store, run.options);
-    run.status = miner.Prepare();
-    if (!run.status.ok()) continue;
-    if (pool_ != nullptr) {
-      miner.SubmitParallelWork(pool_.get());
-      miner.WaitParallelWork();
-    }
-    auto clusters = miner.Finalize();
-    if (!clusters.ok()) {
-      run.status = clusters.status();
-      continue;
-    }
-    run.executed = true;
-    run.clusters = *std::move(clusters);
-    run.stats = miner.stats();
-    run.outcome = miner.outcome();
-    report.CountRun(run);
-  }
-  if (request.deterministic_output) {
-    io::ZeroVolatileSweepFields(&report);
-  }
   std::ostringstream doc;
-  if (Status st = io::WriteSweepJson(report, doc); !st.ok()) {
-    return ErrorResponse(500, "mine_error", st.message());
+  Status written;
+  if (sweep) {
+    if (request.deterministic_output) io::ZeroVolatileSweepFields(&*report);
+    written = io::WriteSweepJson(*report, doc);
+  } else {
+    core::SweepRun& run = report->runs[0];
+    if (!run.status.ok()) {
+      return ErrorResponse(HttpStatusOf(run.status), "mine_error",
+                           run.status.message());
+    }
+    if (request.deterministic_output) {
+      io::ZeroVolatileMineFields(&run.stats, &run.outcome);
+    }
+    written = io::WriteClustersJson(run.clusters, &store, &run.outcome,
+                                    &run.stats, doc);
   }
+  if (!written.ok()) return ErrorResponse(500, "mine_error", written.message());
   ServiceResponse r;
   r.body = doc.str();
   return r;

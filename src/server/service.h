@@ -2,13 +2,13 @@
 // session layer between the wire codecs (server/protocol.h) and the core
 // miner.
 //
-// Each request runs as a *session* on the service's shared TaskPool via
-// the staged miner API -- Prepare(), SubmitParallelWork(pool),
-// WaitParallelWork(), Finalize() -- so concurrent mines interleave at
-// phase-A (root / subtree task) granularity: the pool's work stealing
-// balances across requests instead of queueing them whole.
-// WaitParallelWork() is the per-run drain added for exactly this use;
-// TaskPool::Wait() would barrier on *every* session's tasks.
+// Each request runs as a *session* through core::SweepEngine -- /mine as a
+// one-point sweep, /sweep as the expanded grid -- with three inputs from
+// the service: its shared TaskPool (borrowed, so concurrent sessions
+// interleave at phase-A root / subtree granularity and the pool's work
+// stealing balances across requests instead of queueing them whole; each
+// run drains only its own tasks), a model source over the ResourceCache,
+// and the daemon's MinC screen.
 //
 // Admission control composes three limits, checked in order before any
 // work happens:
@@ -109,19 +109,19 @@ class MiningService {
   ResourceCache::Stats cache_stats() const { return cache_.stats(); }
 
  private:
-  ServiceResponse HandleMine(const JsonValue& body);
-  ServiceResponse HandleSweep(const JsonValue& body);
+  /// POST /mine (sweep = false) and /sweep: parse, admit, RunSession.
+  ServiceResponse HandleSession(const JsonValue& body, bool sweep);
   /// Widens a binary matrix on disk (atomic rewrite + rename) and drops
   /// exactly the cache entries the file backed: its path handle plus every
   /// gamma model keyed by its content hash.  Unrelated entries survive, so
   /// a warm mine on an untouched matrix stays a pure cache hit.
   ServiceResponse HandleAppend(const JsonValue& body);
-  ServiceResponse HandleMetrics();
+  /// Prometheus text (GET /metrics) or JSON (the "metrics" frame op).
+  ServiceResponse HandleMetrics(bool json);
   ServiceResponse HandleHealth();
 
-  /// Runs one parsed mine request end to end (cache, session, render).
-  ServiceResponse ExecuteMine(const MineRequest& request);
-  ServiceResponse ExecuteSweep(const MineRequest& request);
+  /// Runs one parsed request end to end (cache, engine, render).
+  ServiceResponse RunSession(const MineRequest& request, bool sweep);
 
   /// Returns true when admitted; fills `shed` otherwise.  Every admit must
   /// be paired with Release().

@@ -32,6 +32,19 @@ namespace {
 /// ' ', '\t', '\n', '\v', '\f' and '\r'.
 bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
+/// A rejected field as an error message quotes it: at most kMaxQuoted
+/// bytes, each non-printable byte as \xHH, then "..." when cut.  A binary
+/// file fed to the text reader must not put raw bytes on a terminal.
+std::string QuoteField(std::string_view field) {
+  constexpr size_t kMaxQuoted = 32;
+  std::string out = "'";
+  for (const unsigned char c : field.substr(0, kMaxQuoted)) {
+    out += c >= 0x20 && c < 0x7f ? std::string(1, static_cast<char>(c))
+                                 : StrFormat("\\x%02x", c);
+  }
+  return out + (field.size() > kMaxQuoted ? "'..." : "'");
+}
+
 }  // namespace
 
 std::string_view Trim(std::string_view s) {
@@ -70,18 +83,17 @@ StatusOr<double> ParseDouble(std::string_view s) {
   const std::from_chars_result r =
       std::from_chars(first, last, v, std::chars_format::general);
   if (r.ptr != last || r.ec == std::errc::invalid_argument) {
-    return Status::InvalidArgument("not a number: '" + std::string(t) + "'");
+    return Status::InvalidArgument("not a number: " + QuoteField(t));
   }
   // Overflow, underflow to zero and subnormal results are one verdict, the
   // one strtod's ERANGE gives: the value is not representable at full
   // precision.
   if (r.ec == std::errc::result_out_of_range ||
       (v != 0.0 && std::fabs(v) < std::numeric_limits<double>::min())) {
-    return Status::OutOfRange("number out of range: '" + std::string(t) + "'");
+    return Status::OutOfRange("number out of range: " + QuoteField(t));
   }
   if (!std::isfinite(v)) {
-    return Status::InvalidArgument("not a finite number: '" + std::string(t) +
-                                   "'");
+    return Status::InvalidArgument("not a finite number: " + QuoteField(t));
   }
   return v;
 }

@@ -1,0 +1,99 @@
+# CLI matrix-input contract:
+#   * every subcommand that reads a matrix accepts the binary format that
+#     `convert --out-format=bin` writes: stats, summarize, evaluate,
+#     significance, rwave and enrich print byte-identical stdout for the
+#     .tsv and the .rgx copy of one matrix;
+#   * a binary file forced through the text reader is a data error (exit 1)
+#     whose message quotes the bad field escaped and capped, never raw bytes;
+#   * a malformed numeric flag value or an unknown delimiter name is a usage
+#     error (exit 2) naming the flag, not a silent 0 / prefix / tab.
+file(MAKE_DIRECTORY ${WORKDIR})
+
+function(run_expect expected_rc)
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL ${expected_rc})
+    message(FATAL_ERROR
+            "expected exit ${expected_rc}, got ${rc}: ${ARGN}\n${out}\n${err}")
+  endif()
+  set(last_out "${out}" PARENT_SCOPE)
+  set(last_err "${err}" PARENT_SCOPE)
+endfunction()
+
+run_expect(0 ${CLI} generate --out-matrix=${WORKDIR}/m.tsv
+           --out-truth=${WORKDIR}/truth.txt --genes=120 --conditions=10
+           --clusters=3 --gene-fraction=0.08 --seed=5)
+run_expect(0 ${CLI} convert --in=${WORKDIR}/m.tsv --out=${WORKDIR}/m.rgx
+           --out-format=bin)
+run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.tsv
+           --out=${WORKDIR}/clusters.txt
+           --ming=5 --minc=4 --gamma=0.1 --epsilon=0.1)
+
+# --- read-only subcommands: .bin stdout == .tsv stdout ---------------------
+# Each entry is one subcommand's arguments joined by '|', with @M@ standing
+# for the matrix path.
+set(commands
+    "stats|--matrix=@M@"
+    "summarize|--clusters=${WORKDIR}/clusters.txt|--matrix=@M@"
+    "evaluate|--found=${WORKDIR}/clusters.txt|--truth=${WORKDIR}/truth.txt|--matrix=@M@|--gamma=0.1|--epsilon=0.1"
+    "significance|--matrix=@M@|--clusters=${WORKDIR}/clusters.txt|--gamma=0.1|--epsilon=0.1|--permutations=50"
+    "rwave|--matrix=@M@|--gene=3|--gamma=0.1"
+    "enrich|--matrix=@M@|--clusters=${WORKDIR}/clusters.txt")
+foreach(entry ${commands})
+  string(REPLACE "|" ";" parts "${entry}")
+  list(GET parts 0 name)
+  foreach(ext tsv rgx)
+    string(REPLACE "@M@" "${WORKDIR}/m.${ext}" args "${parts}")
+    run_expect(0 ${CLI} ${args})
+    set(out_${ext} "${last_out}")
+  endforeach()
+  if(out_tsv STREQUAL "")
+    message(FATAL_ERROR "${name}: no output on the text matrix")
+  endif()
+  if(NOT out_tsv STREQUAL out_rgx)
+    message(FATAL_ERROR "${name}: binary-matrix stdout differs from text:\n"
+                        "--- tsv\n${out_tsv}\n--- rgx\n${out_rgx}")
+  endif()
+endforeach()
+
+# --- a binary file read as text: escaped, capped error ---------------------
+run_expect(1 ${CLI} convert --in=${WORKDIR}/m.rgx --in-format=text
+           --out=${WORKDIR}/x.tsv)
+if(NOT last_err MATCHES "not a number: '[^']*\\\\x[0-9a-f][0-9a-f]")
+  message(FATAL_ERROR "binary bytes not escaped in: ${last_err}")
+endif()
+string(LENGTH "${last_err}" err_len)
+if(err_len GREATER 300)
+  message(FATAL_ERROR "error quotes too much of the field: ${last_err}")
+endif()
+
+# --- malformed flag values are usage errors naming the flag ----------------
+set(mine_base mine --matrix=${WORKDIR}/m.tsv --out=${WORKDIR}/bad.txt)
+foreach(bad --threads=abc --ming=5x --gamma=0.1zz --max-nodes=1e3
+        --epsilon=0.1.2 --threads=99999999999)
+  run_expect(2 ${CLI} ${mine_base} ${bad})
+  string(REGEX REPLACE "=.*" "" flag "${bad}")
+  if(NOT last_err MATCHES "malformed ${flag}=")
+    message(FATAL_ERROR "${bad}: error does not name the flag: ${last_err}")
+  endif()
+endforeach()
+if(EXISTS ${WORKDIR}/bad.txt)
+  message(FATAL_ERROR "a usage error must not mine")
+endif()
+run_expect(2 ${CLI} convert --in=${WORKDIR}/m.tsv --out=${WORKDIR}/x.tsv
+           --in-delimiter=semicolon)
+if(NOT last_err MATCHES "--in-delimiter=semicolon")
+  message(FATAL_ERROR "delimiter error does not name the flag: ${last_err}")
+endif()
+run_expect(2 ${CLI} convert --in=${WORKDIR}/m.tsv --out=${WORKDIR}/x.tsv
+           --out-delimiter=pipe)
+run_expect(2 ${CLI} stats --matrix=${WORKDIR}/m.tsv --worst=three)
+# Well-formed values still work, including a leading '+' on a double.
+run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.tsv --out=${WORKDIR}/ok.txt
+           --ming=5 --minc=4 --gamma=+0.1 --epsilon=0.1 --threads=2)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/clusters.txt ${WORKDIR}/ok.txt
+                RESULT_VARIABLE cmp_rc)
+if(NOT cmp_rc EQUAL 0)
+  message(FATAL_ERROR "well-formed flags changed the mined output")
+endif()

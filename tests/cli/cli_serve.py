@@ -258,6 +258,29 @@ def main():
     check(status == 400 and b'"error_name":"append_error"' in body,
           "text append: %s %r" % (status, body))
 
+    # -- a sweep screens out-of-range MinC points like /mine ----------------
+    # The widened m.rgx has 17 conditions: /mine rejects MinC 50 outright,
+    # and the same points in a sweep fail per run, unmined and model-less.
+    status, _, body = daemon.http("POST", "/mine", json.dumps({
+        "matrix": "m.rgx", "ming": 5, "minc": 50, "gamma": 0.1,
+        "epsilon": 0.1}))
+    want = "minc 50 exceeds the matrix's 17 conditions"
+    check(status == 400 and want.encode() in body,
+          "mine minc=50: %s %r" % (status, body))
+    status, _, body = daemon.http("POST", "/sweep", json.dumps({
+        "matrix": "m.rgx", "ming": 5, "gamma": 0.1, "epsilon": 0.1,
+        "spec": "minc=4;50;1000000", "deterministic_output": True}))
+    check(status == 200, "out-of-range sweep: %s %r" % (status, body[:200]))
+    runs = json.loads(body)["runs"]
+    check([r["executed"] for r in runs] == [True, False, False],
+          "out-of-range sweep executed %r" % [r["executed"] for r in runs])
+    check([r["shared_model"] for r in runs] == [True, False, False],
+          "out-of-range sweep models %r" % [r["shared_model"] for r in runs])
+    check(want in runs[1].get("error", ""),
+          "minc=50 run error: %r" % runs[1].get("error"))
+    check("minc 1000000 exceeds" in runs[2].get("error", ""),
+          "minc=1000000 run error: %r" % runs[2].get("error"))
+
     # -- SIGTERM drain with a request in flight -----------------------------
     # An explosive search bounded by its own deadline occupies the daemon,
     # SIGTERM arrives mid-mine, and the response must still complete.

@@ -8,18 +8,29 @@
 //  * sweep-level budgets truncate on a run boundary with the PR 3 contract:
 //    a deterministic, thread-count-invariant prefix plus first_unfinished
 //    as the resume point, and re-running the remaining points completes
-//    the grid.
+//    the grid;
+//  * the caller-supplied inputs: engines sharing one borrowed pool from
+//    several threads still render every point exactly as an independent
+//    Mine(); a model source and a point screen replace the engine's own
+//    builds and checks, and a failing source fails the sweep.
 
+#include <atomic>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/miner.h"
 #include "core/sweep.h"
+#include "io/checkpoint.h"
+#include "io/json_export.h"
 #include "matrix/expression_matrix.h"
 #include "synth/generator.h"
 #include "util/cancellation.h"
+#include "util/task_pool.h"
 
 namespace regcluster {
 namespace core {
@@ -223,6 +234,150 @@ TEST(SweepEngineTest, InvalidPointIsSoftFailureOthersRun) {
     EXPECT_TRUE(report->runs[i].executed) << i;
     EXPECT_EQ(report->runs[i].clusters, IndependentMine(data, points[i]))
         << i;
+  }
+}
+
+// A run rendered with its volatile fields zeroed: clusters plus every
+// deterministic work counter.
+std::string RenderRun(const matrix::ExpressionMatrix& data,
+                      const std::vector<RegCluster>& clusters,
+                      MinerStats stats, MineOutcome outcome) {
+  io::ZeroVolatileMineFields(&stats, &outcome);
+  std::ostringstream doc;
+  EXPECT_TRUE(
+      io::WriteClustersJson(clusters, &data, &outcome, &stats, doc).ok());
+  return doc.str();
+}
+
+// The independent reference of a point mined on a shared model (so its
+// stats, like a sweep run's, report no index build of its own).
+std::string RenderIndependentMine(const matrix::ExpressionMatrix& data,
+                                  MinerOptions point) {
+  point.shared_model = SharedGammaModel::Build(
+      data, {point.gamma_policy, point.gamma}, point.min_conditions);
+  RegClusterMiner miner(data, point);
+  auto clusters = miner.Mine();
+  EXPECT_TRUE(clusters.ok()) << clusters.status().ToString();
+  return RenderRun(data, *clusters, miner.stats(), miner.outcome());
+}
+
+TEST(SweepEngineTest, EnginesSharingABorrowedPoolMatchIndependentMines) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  std::vector<MinerOptions> grid_a = TestGrid();
+  std::vector<MinerOptions> grid_b = TestGrid();
+  for (MinerOptions& p : grid_b) p.epsilon = 0.08;
+  const std::vector<std::vector<MinerOptions>> grids = {grid_a, grid_b};
+  std::vector<std::vector<std::string>> want(grids.size());
+  for (size_t g = 0; g < grids.size(); ++g) {
+    for (const MinerOptions& p : grids[g]) {
+      want[g].push_back(RenderIndependentMine(data, p));
+    }
+  }
+
+  util::TaskPool pool(4);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> drivers;
+  for (size_t g = 0; g < grids.size(); ++g) {
+    drivers.emplace_back([&, g] {
+      for (int repeat = 0; repeat < 3; ++repeat) {
+        SweepOptions sopts;
+        sopts.pool = &pool;
+        auto report = SweepEngine(data, sopts).Run(grids[g]);
+        if (!report.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        for (size_t i = 0; i < grids[g].size(); ++i) {
+          const SweepRun& run = report->runs[i];
+          if (!run.executed ||
+              RenderRun(data, run.clusters, run.stats, run.outcome) !=
+                  want[g][i]) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& d : drivers) d.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(SweepEngineTest, ModelSourceAndScreenReplaceTheEngineOwnInputs) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  const std::vector<MinerOptions> points = TestGrid();  // minc {4, 5}
+
+  std::vector<GammaGroup> requested;
+  SweepOptions sopts;
+  sopts.model_source = [&](const GammaGroup& group)
+      -> util::StatusOr<std::shared_ptr<const SharedGammaModel>> {
+    requested.push_back(group);
+    return SharedGammaModel::Build(data, group.spec,
+                                   group.max_min_conditions);
+  };
+  sopts.screen = [](const MinerOptions& p) {
+    return p.min_conditions > 4
+               ? util::Status::InvalidArgument("minc over the screen")
+               : util::Status::OK();
+  };
+  auto report = SweepEngine(data, sopts).Run(points);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // One model per gamma, sized by the screened points only.
+  ASSERT_EQ(requested.size(), 2u);
+  for (const GammaGroup& group : requested) {
+    EXPECT_EQ(group.max_min_conditions, 4);
+  }
+  // Supplied models are not the engine's builds.
+  EXPECT_EQ(report->index_builds, 0);
+  EXPECT_EQ(report->shared_model_bytes, 0);
+  EXPECT_EQ(report->status, MineStatus::kComplete);
+  for (size_t i = 0; i < points.size(); ++i) {
+    const SweepRun& run = report->runs[i];
+    if (points[i].min_conditions > 4) {
+      EXPECT_FALSE(run.executed) << i;
+      EXPECT_FALSE(run.used_shared_model) << i;
+      EXPECT_EQ(run.status.message(), "minc over the screen") << i;
+    } else {
+      EXPECT_TRUE(run.executed) << i;
+      EXPECT_EQ(run.clusters, IndependentMine(data, points[i])) << i;
+    }
+  }
+}
+
+TEST(SweepEngineTest, FailingModelSourceFailsTheRun) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  util::TaskPool pool(2);
+  SweepOptions sopts;
+  sopts.pool = &pool;
+  sopts.model_source = [](const GammaGroup&)
+      -> util::StatusOr<std::shared_ptr<const SharedGammaModel>> {
+    return util::Status::Internal("no room for the model");
+  };
+  auto report = SweepEngine(data, sopts).Run(TestGrid());
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kInternal);
+  EXPECT_EQ(report.status().message(), "no room for the model");
+}
+
+// Screening happens before any run, so an invalid point beyond a truncation
+// boundary reports its error at every thread count (the serial walk used to
+// leave it unreported).
+TEST(SweepEngineTest, ScreenVerdictsDoNotDependOnTruncationOrThreads) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  std::vector<MinerOptions> points = TestGrid();
+  points[3].gamma = 2.0;  // invalid, after the cut below
+  auto full = SweepEngine(data, SweepOptions{}).Run(points);
+  ASSERT_TRUE(full.ok());
+  for (int threads : {1, 2, 4}) {
+    SweepOptions sopts;
+    sopts.num_threads = threads;
+    sopts.max_nodes = full->runs[0].stats.nodes_expanded;  // cut at run 1
+    auto report = SweepEngine(data, sopts).Run(points);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->first_unfinished, 1) << threads;
+    EXPECT_TRUE(report->runs[1].status.ok()) << threads;
+    EXPECT_TRUE(report->runs[2].status.ok()) << threads;
+    EXPECT_EQ(report->runs[3].status.code(), util::StatusCode::kInvalidArgument)
+        << threads;
   }
 }
 

@@ -577,6 +577,71 @@ TEST(ServerConcurrency, AppendInvalidatesExactlyTheTouchedEntries) {
   EXPECT_EQ(unknown.status_name, "bad_request") << unknown.body;
 }
 
+// A /sweep point whose MinC exceeds the matrix width gets /mine's 400
+// message as its per-run error: it is neither mined nor given a model, so
+// the cache sees exactly one model miss (for the one in-range point).
+TEST(ServerConcurrency, SweepScreensOutOfRangeMincPerPoint) {
+  synth::SyntheticConfig cfg;
+  cfg.num_genes = 200;
+  cfg.num_conditions = 12;
+  cfg.num_clusters = 4;
+  cfg.avg_cluster_genes_fraction = 0.05;
+  cfg.seed = 77;
+  auto ds = synth::GenerateSynthetic(cfg);
+  ASSERT_TRUE(ds.ok());
+  const std::string bin = ::testing::TempDir() +
+                          std::to_string(static_cast<long>(getpid())) +
+                          "_wide_minc.rgx";
+  ASSERT_TRUE(matrix::WriteBinaryMatrix(ds->data, bin).ok());
+
+  for (int threads : {1, 4}) {
+    MiningService::Options options;
+    options.num_threads = threads;
+    MiningService service(options);
+    const ServiceResponse mine = service.HandleHttp(
+        "POST", "/mine",
+        "{\"matrix\":\"" + bin +
+            "\",\"ming\":5,\"minc\":50,\"gamma\":0.1,\"epsilon\":0.1}");
+    ASSERT_EQ(mine.http_status, 400) << mine.body;
+    const std::string minc50 =
+        "minc 50 exceeds the matrix's 12 conditions; no cluster can satisfy "
+        "it";
+    ASSERT_NE(mine.body.find(minc50), std::string::npos) << mine.body;
+
+    const ServiceResponse sweep = service.HandleHttp(
+        "POST", "/sweep",
+        "{\"matrix\":\"" + bin +
+            "\",\"ming\":5,\"gamma\":0.1,\"epsilon\":0.1,"
+            "\"spec\":\"minc=4;50;1000000\",\"deterministic_output\":true}");
+    ASSERT_EQ(sweep.http_status, 200) << sweep.body;
+    EXPECT_NE(sweep.body.find("\"runs_executed\": 1,"), std::string::npos)
+        << sweep.body;
+    EXPECT_NE(sweep.body.find(minc50), std::string::npos) << sweep.body;
+    EXPECT_NE(sweep.body.find("minc 1000000 exceeds the matrix's 12 "
+                              "conditions"),
+              std::string::npos)
+        << sweep.body;
+    // Only run 0 executed, on the cached model; runs 1 and 2 have neither.
+    size_t executed = 0;
+    size_t shared = 0;
+    for (size_t at = 0;
+         (at = sweep.body.find("\"executed\": true", at)) != std::string::npos;
+         ++at) {
+      ++executed;
+    }
+    for (size_t at = 0; (at = sweep.body.find("\"shared_model\": true", at)) !=
+                        std::string::npos;
+         ++at) {
+      ++shared;
+    }
+    EXPECT_EQ(executed, 1u) << sweep.body;
+    EXPECT_EQ(shared, 1u) << sweep.body;
+    const ResourceCache::Stats s = service.cache_stats();
+    EXPECT_EQ(s.model_misses, 1) << "threads " << threads;
+    EXPECT_EQ(s.model_hits, 0) << "threads " << threads;
+  }
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace regcluster

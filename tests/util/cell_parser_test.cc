@@ -202,6 +202,33 @@ TEST(CellParserTest, RequiresTheWholeField) {
   }
 }
 
+// A rejected field is quoted printable and short: a binary matrix fed to
+// the text reader must not put raw bytes on the terminal.
+TEST(CellParserTest, ErrorQuotesEscapeAndCapTheField) {
+  const StatusOr<double> binary =
+      ParseDouble(std::string("\x01\xff" "A\x7f", 4));
+  ASSERT_FALSE(binary.ok());
+  EXPECT_EQ(binary.status().message(), "not a number: '\\x01\\xffA\\x7f'");
+
+  const std::string long_field(100, 'z');
+  const StatusOr<double> long_cell = ParseDouble(long_field);
+  ASSERT_FALSE(long_cell.ok());
+  EXPECT_EQ(long_cell.status().message(),
+            "not a number: '" + std::string(32, 'z') + "'...");
+
+  // Exactly at the cap: whole, no ellipsis.
+  const StatusOr<double> at_cap = ParseDouble(std::string(32, 'y'));
+  ASSERT_FALSE(at_cap.ok());
+  EXPECT_EQ(at_cap.status().message(),
+            "not a number: '" + std::string(32, 'y') + "'");
+
+  const std::string huge = "1e999" + std::string(40, '0');
+  const StatusOr<double> out_of_range = ParseDouble(huge);
+  ASSERT_FALSE(out_of_range.ok());
+  EXPECT_EQ(out_of_range.status().message(),
+            "number out of range: '" + huge.substr(0, 32) + "'...");
+}
+
 }  // namespace
 }  // namespace util
 }  // namespace regcluster

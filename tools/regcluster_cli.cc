@@ -18,6 +18,7 @@
 //      partial outputs on disk are valid and complete as written
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -107,20 +108,41 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  int GetInt(const std::string& name, int fallback) {
-    const std::string v = GetString(name, "");
-    return v.empty() ? fallback : std::atoi(v.c_str());
-  }
-
-  int64_t GetInt64(const std::string& name, int64_t fallback) {
+  /// Numeric flags parse the whole value ("--ming=5x" is an error, not 5);
+  /// a malformed value keeps the fallback and is reported by Check().
+  template <typename T = int>
+  T GetInt(const std::string& name, T fallback) {
     const std::string v = GetString(name, "");
     if (v.empty()) return fallback;
-    return static_cast<int64_t>(std::strtoll(v.c_str(), nullptr, 10));
+    T out = fallback;
+    const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+    if (ec != std::errc() || end != v.data() + v.size()) {
+      Malformed(name, v, "an integer in range");
+      return fallback;
+    }
+    return out;
   }
 
   double GetDouble(const std::string& name, double fallback) {
     const std::string v = GetString(name, "");
-    return v.empty() ? fallback : std::atof(v.c_str());
+    if (v.empty()) return fallback;
+    // The matrix cell grammar: a NaN spelling parses, so the option
+    // validators name it (e.g. "--gamma=nan" is an InvalidArgument gamma).
+    auto parsed = util::ParseDouble(v);
+    if (!parsed.ok()) {
+      Malformed(name, v, "a number");
+      return fallback;
+    }
+    return *parsed;
+  }
+
+  core::GammaPolicy GetGammaPolicy() {
+    const std::string v = GetString("gamma-policy", "range");
+    core::GammaPolicy policy = core::GammaPolicy::kRangeFraction;
+    if (!core::ParseGammaPolicy(v, &policy)) {
+      Malformed("gamma-policy", v, "range|stddev|mean|closest-gap|absolute");
+    }
+    return policy;
   }
 
   bool GetBool(const std::string& name, bool fallback = false) {
@@ -129,9 +151,10 @@ class Flags {
     return v == "true" || v == "1" || v == "yes";
   }
 
-  /// Returns InvalidArgument when an unconsumed flag remains (typo
-  /// protection).  Call after the last Get*.
-  util::Status RejectUnknown() const {
+  /// Returns InvalidArgument for the first malformed value, else when an
+  /// unconsumed flag remains (typo protection).  Call after the last Get*.
+  util::Status Check() const {
+    if (!malformed_.ok()) return malformed_;
     for (const auto& [name, value] : values_) {
       (void)value;
       if (used_.find(name) == used_.end()) {
@@ -144,8 +167,16 @@ class Flags {
  private:
   Flags() = default;
 
+  void Malformed(const std::string& name, const std::string& value,
+                 const char* want) {
+    if (!malformed_.ok()) return;
+    malformed_ = util::Status::InvalidArgument(
+        "malformed --" + name + "=" + value + ": want " + want);
+  }
+
   std::map<std::string, std::string> values_;
   std::set<std::string> used_;
+  util::Status malformed_;
 };
 
 int Fail(const util::Status& status) {
@@ -219,14 +250,15 @@ void WarnCheckpoint(const io::CheckpointConfig& config,
   }
 }
 
-util::StatusOr<matrix::ExpressionMatrix> LoadMatrixArg(
-    const std::string& path) {
-  auto m = matrix::LoadMatrix(path);
-  if (!m.ok()) {
-    return util::Status(m.status().code(),
-                        "loading " + path + ": " + m.status().message());
-  }
-  return m;
+/// Resolves a gene given by name or by 0-based index; -1 when neither.
+int FindGeneArg(const matrix::MatrixStore& m, const std::string& arg) {
+  const int gene = m.FindGene(arg);
+  if (gene >= 0) return gene;
+  char* end = nullptr;
+  const long index = std::strtol(arg.c_str(), &end, 10);
+  return *end == '\0' && index >= 0 && index < m.num_genes()
+             ? static_cast<int>(index)
+             : -1;
 }
 
 util::StatusOr<std::vector<core::RegCluster>> LoadClustersArg(
@@ -283,7 +315,7 @@ int CmdGenerate(Flags* flags) {
     cfg.seed = static_cast<uint64_t>(flags->GetInt("seed", 1999));
     cfg.num_modules = flags->GetInt("clusters", 25);
     cfg.noise_fraction = flags->GetDouble("noise", 0.05);
-    if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+    if (auto st = flags->Check(); !st.ok()) return UsageError(st);
     auto made = synth::MakeYeastSurrogate(cfg);
     if (!made.ok()) return Fail(made.status());
     ds = *std::move(made);
@@ -297,7 +329,7 @@ int CmdGenerate(Flags* flags) {
     cfg.negative_fraction = flags->GetDouble("negative-fraction", 0.3);
     cfg.noise_fraction = flags->GetDouble("noise", 0.0);
     cfg.seed = static_cast<uint64_t>(flags->GetInt("seed", 42));
-    if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+    if (auto st = flags->Check(); !st.ok()) return UsageError(st);
     auto made = synth::GenerateSynthetic(cfg);
     if (!made.ok()) return Fail(made.status());
     ds = *std::move(made);
@@ -521,14 +553,10 @@ int CmdMine(Flags* flags) {
   opts.epsilon = flags->GetDouble("epsilon", 1.0);
   opts.num_threads = flags->GetInt("threads", 1);
   opts.remove_dominated = flags->GetBool("remove-dominated", true);
-  opts.max_clusters = flags->GetInt64("max-clusters", -1);
-  opts.max_nodes = flags->GetInt64("max-nodes", -1);
+  opts.max_clusters = flags->GetInt<int64_t>("max-clusters", -1);
+  opts.max_nodes = flags->GetInt<int64_t>("max-nodes", -1);
   opts.deadline_ms = flags->GetDouble("deadline-ms", -1.0);
-  const std::string policy = flags->GetString("gamma-policy", "range");
-  if (!core::ParseGammaPolicy(policy, &opts.gamma_policy)) {
-    std::fprintf(stderr, "unknown --gamma-policy=%s\n", policy.c_str());
-    return 2;
-  }
+  opts.gamma_policy = flags->GetGammaPolicy();
   opts.collect_stats = flags->GetBool("collect-stats", true);
   const std::string report_path = flags->GetString("report", "");
   const std::string json_path = flags->GetString("json", "");
@@ -546,7 +574,7 @@ int CmdMine(Flags* flags) {
   const std::string require_gene = flags->GetString("require-gene", "");
   const std::string simd_name = flags->GetString("simd", "auto");
   const std::string matrix_format = flags->GetString("matrix-format", "auto");
-  const int64_t model_cache_mb = flags->GetInt64("model-cache-mb", -1);
+  const int64_t model_cache_mb = flags->GetInt<int64_t>("model-cache-mb", -1);
   opts.model_cache_shards = flags->GetInt("model-cache-shards", 8);
   if (model_cache_mb >= 0) {
     opts.model_cache_bytes = model_cache_mb * (int64_t{1} << 20);
@@ -560,7 +588,7 @@ int CmdMine(Flags* flags) {
   const std::string matrix_out = flags->GetString("matrix-out", "");
   const bool deterministic_output =
       flags->GetBool("deterministic-output", false);
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
   const bool incremental = !append_path.empty() || !incremental_out.empty();
   if (!append_path.empty() && prev_outcome.empty()) {
     std::fprintf(stderr, "--append needs --prev-outcome\n");
@@ -658,43 +686,47 @@ int CmdMine(Flags* flags) {
   }
 
   // Resolve the input reader: explicit --matrix-format, else sniff the
-  // binary magic (a text matrix can never start with it).
-  bool use_binary = false;
-  if (matrix_format == "bin") {
-    use_binary = true;
-  } else if (matrix_format == "auto") {
-    auto is_bin = matrix::IsBinaryMatrixFile(matrix_path);
-    use_binary = is_bin.ok() && *is_bin;
-  } else if (matrix_format != "text") {
+  // binary magic.
+  const auto format = matrix::ResolveMatrixFormat(matrix_path, matrix_format);
+  if (!format.ok()) {
     std::fprintf(stderr, "unknown --matrix-format=%s\n",
                  matrix_format.c_str());
     return 2;
   }
 
-  matrix::ExpressionMatrix data;               // resident (text) storage
-  std::optional<matrix::MappedMatrix> mapped;  // mmap-backed (bin) storage
-  if (use_binary) {
-    if (normalize != "none") {
-      std::fprintf(stderr,
-                   "--normalize applies at convert time for binary matrices "
-                   "(regcluster convert --out-format=bin --normalize=...)\n");
-      return 2;
-    }
-    auto m = matrix::MappedMatrix::Open(matrix_path);
+  // A binary matrix is read-only here: a plain mine maps it, and an
+  // incremental run -- which widens the matrix in memory -- reads it
+  // resident, once.  A text matrix loads resident and may be imputed and
+  // normalized.
+  const bool binary = *format == matrix::MatrixFormat::kBinary;
+  if (binary && normalize != "none") {
+    std::fprintf(stderr,
+                 "--normalize applies at convert time for binary matrices "
+                 "(regcluster convert --out-format=bin --normalize=...)\n");
+    return 2;
+  }
+  matrix::ExpressionMatrix data;                      // resident storage
+  std::shared_ptr<const matrix::MatrixStore> mapped;  // mmap-backed (bin)
+  if (binary && !incremental) {
+    auto m = matrix::OpenMatrixStore(matrix_path, *format);
     if (!m.ok()) return Fail(m.status());
-    mapped.emplace(*std::move(m));
-    if (mapped->HasMissingValues()) {
+    mapped = *std::move(m);
+  } else {
+    auto m = matrix::ReadMatrixFile(matrix_path, *format);
+    if (!m.ok()) return Fail(m.status());
+    data = *std::move(m);
+  }
+  const matrix::MatrixStore& store = mapped ? *mapped : data;
+  if (binary) {
+    if (store.HasMissingValues()) {
       return Fail(util::Status::FailedPrecondition(
           "binary matrix contains missing values; impute when converting "
           "(regcluster convert --impute=rowmean --out-format=bin)"));
     }
     std::printf("%s %d x %d binary matrix\n",
-                mapped->is_mapped() ? "mapped" : "loaded",
-                mapped->num_genes(), mapped->num_conditions());
+                store.mapped_bytes() > 0 ? "mapped" : "loaded",
+                store.num_genes(), store.num_conditions());
   } else {
-    auto loaded = LoadMatrixArg(matrix_path);
-    if (!loaded.ok()) return Fail(loaded.status());
-    data = *std::move(loaded);
     if (data.HasMissingValues()) {
       const int64_t missing = matrix::CountMissing(data);
       if (impute == "knn") {
@@ -722,19 +754,12 @@ int CmdMine(Flags* flags) {
       return 2;
     }
   }
-  const matrix::MatrixStore& store =
-      mapped ? static_cast<const matrix::MatrixStore&>(*mapped)
-             : static_cast<const matrix::MatrixStore&>(data);
 
   if (!require_gene.empty()) {
-    int gene = store.FindGene(require_gene);
+    const int gene = FindGeneArg(store, require_gene);
     if (gene < 0) {
-      char* end = nullptr;
-      gene = static_cast<int>(std::strtol(require_gene.c_str(), &end, 10));
-      if (*end != '\0' || gene < 0 || gene >= store.num_genes()) {
-        std::fprintf(stderr, "unknown gene: %s\n", require_gene.c_str());
-        return 1;
-      }
+      std::fprintf(stderr, "unknown gene: %s\n", require_gene.c_str());
+      return 1;
     }
     opts.required_genes = {gene};
     std::printf("targeted mining: clusters must contain %s\n",
@@ -753,41 +778,30 @@ int CmdMine(Flags* flags) {
   io::CheckpointStats ckpt_stats;
   const io::CheckpointStats* ckpt_for_metrics = nullptr;
   util::Status ckpt_status;
-  // The matrix the reports name genes from: `store`, or the widened
-  // resident copy an incremental run mines.
-  const matrix::MatrixStore* out_store = &store;
-  matrix::ExpressionMatrix inc_data;
   if (incremental) {
     // Incremental time-course mining: seed a chain (--incremental-out on a
     // plain mine) or extend one (--append + --prev-outcome).  Appends widen
-    // the matrix in memory, so binary inputs reload resident here.
-    if (use_binary) {
-      auto m = matrix::ReadBinaryMatrix(matrix_path);
-      if (!m.ok()) return Fail(m.status());
-      inc_data = *std::move(m);
-    } else {
-      inc_data = std::move(data);
-    }
-    out_store = &inc_data;
+    // the resident `data` in place, so the reports below name the widened
+    // matrix's genes and conditions.
     util::StatusOr<io::IncrementalMineResult> result =
         util::Status::Internal("unreachable");
     if (append_path.empty()) {
-      result = io::MineInitial(inc_data, opts);
+      result = io::MineInitial(data, opts);
     } else {
       auto prev = io::LoadIncrementalState(prev_outcome);
       if (!prev.ok()) return Fail(prev.status());
       // The appended columns arrive as a matrix over the same genes (same
       // order): one column per new condition, labels become the new
       // condition names.
-      auto cols = LoadMatrixArg(append_path);
+      auto cols = matrix::ReadMatrixFile(append_path);
       if (!cols.ok()) return Fail(cols.status());
-      if (cols->num_genes() != inc_data.num_genes()) {
+      if (cols->num_genes() != data.num_genes()) {
         return Fail(util::Status::InvalidArgument(
             "--append matrix has " + std::to_string(cols->num_genes()) +
             " genes; the base matrix has " +
-            std::to_string(inc_data.num_genes())));
+            std::to_string(data.num_genes())));
       }
-      const int first_new = inc_data.num_conditions();
+      const int first_new = data.num_conditions();
       std::vector<std::vector<double>> columns(
           static_cast<size_t>(cols->num_conditions()));
       for (int c = 0; c < cols->num_conditions(); ++c) {
@@ -798,12 +812,11 @@ int CmdMine(Flags* flags) {
               (*cols)(g, c);
         }
       }
-      if (auto st =
-              inc_data.AppendConditions(cols->condition_names(), columns);
+      if (auto st = data.AppendConditions(cols->condition_names(), columns);
           !st.ok()) {
         return Fail(st);
       }
-      result = io::MineIncremental(inc_data, first_new, opts, *prev);
+      result = io::MineIncremental(data, first_new, opts, *prev);
     }
     if (!result.ok()) return Fail(result.status());
     std::printf(
@@ -819,7 +832,7 @@ int CmdMine(Flags* flags) {
       std::printf("incremental state: %s\n", incremental_out.c_str());
     }
     if (!matrix_out.empty()) {
-      if (auto st = matrix::WriteBinaryMatrix(inc_data, matrix_out);
+      if (auto st = matrix::WriteBinaryMatrix(data, matrix_out);
           !st.ok()) {
         return Fail(st);
       }
@@ -900,12 +913,11 @@ int CmdMine(Flags* flags) {
   std::printf("archive: %s\n", out_path.c_str());
   util::Status st =
       WriteReportAtomic(report_path, "report", [&](std::ostream& out) {
-        return io::WriteReport(*clusters, out_store, out);
+        return io::WriteReport(*clusters, &store, out);
       });
   if (st.ok()) {
     st = WriteReportAtomic(json_path, "json", [&](std::ostream& out) {
-      return io::WriteClustersJson(*clusters, out_store, &outcome, &stats,
-                                   out);
+      return io::WriteClustersJson(*clusters, &store, &outcome, &stats, out);
     });
   }
   if (st.ok()) {
@@ -940,7 +952,7 @@ int CmdEvaluate(Flags* flags) {
   const std::string matrix_path = flags->GetString("matrix", "");
   const double gamma = flags->GetDouble("gamma", 0.05);
   const double epsilon = flags->GetDouble("epsilon", 1.0);
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
 
   auto found_or = LoadClustersArg(found_path);
   if (!found_or.ok()) return Fail(found_or.status());
@@ -960,7 +972,7 @@ int CmdEvaluate(Flags* flags) {
               r.cell_recovery);
 
   if (!matrix_path.empty()) {
-    auto data_or = LoadMatrixArg(matrix_path);
+    auto data_or = matrix::ReadMatrixFile(matrix_path);
     if (!data_or.ok()) return Fail(data_or.status());
     const matrix::ExpressionMatrix data = *std::move(data_or);
     int invalid = 0;
@@ -1001,9 +1013,9 @@ int CmdEnrich(Flags* flags) {
   eval::EnrichmentOptions eopts;
   eopts.max_p_value = flags->GetDouble("max-p", 0.05);
   const int top = flags->GetInt("top", 3);
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
 
-  auto data_or = LoadMatrixArg(matrix_path);
+  auto data_or = matrix::ReadMatrixFile(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
   const matrix::ExpressionMatrix data = *std::move(data_or);
   auto clusters_or = LoadClustersArg(clusters_path);
@@ -1063,7 +1075,7 @@ int CmdSummarize(Flags* flags) {
   }
   const std::string matrix_path = flags->GetString("matrix", "");
   const int top = flags->GetInt("top", 5);
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
 
   auto clusters_or = LoadClustersArg(clusters_path);
   if (!clusters_or.ok()) return Fail(clusters_or.status());
@@ -1082,7 +1094,7 @@ int CmdSummarize(Flags* flags) {
   }
 
   if (!matrix_path.empty()) {
-    auto data_or = LoadMatrixArg(matrix_path);
+    auto data_or = matrix::ReadMatrixFile(matrix_path);
     if (!data_or.ok()) return Fail(data_or.status());
     const matrix::ExpressionMatrix data = *std::move(data_or);
     const std::vector<int> ranked = eval::RankClusters(data, clusters);
@@ -1128,48 +1140,44 @@ int CmdConvert(Flags* flags) {
     std::fprintf(stderr, "--in and --out are required\n");
     return 2;
   }
-  auto delim = [](const std::string& name, char fallback) {
-    if (name == "tab") return '\t';
-    if (name == "comma") return ',';
-    return fallback;
-  };
-  matrix::TextFormat in_fmt;
-  in_fmt.delimiter = delim(flags->GetString("in-delimiter", "tab"), '\t');
-  matrix::TextFormat out_fmt;
-  out_fmt.delimiter = delim(flags->GetString("out-delimiter", "tab"), '\t');
+  const std::string in_delimiter = flags->GetString("in-delimiter", "tab");
+  const std::string out_delimiter = flags->GetString("out-delimiter", "tab");
   const std::string impute = flags->GetString("impute", "none");
   const int knn_k = flags->GetInt("knn-k", 10);
   const std::string transform = flags->GetString("transform", "none");
   const std::string normalize = flags->GetString("normalize", "none");
   const std::string in_format = flags->GetString("in-format", "auto");
   const std::string out_format = flags->GetString("out-format", "text");
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
   if (out_format != "text" && out_format != "bin") {
     std::fprintf(stderr, "unknown --out-format=%s\n", out_format.c_str());
     return 2;
   }
-
-  bool in_binary = false;
-  if (in_format == "bin") {
-    in_binary = true;
-  } else if (in_format == "auto") {
-    auto is_bin = matrix::IsBinaryMatrixFile(in_path);
-    in_binary = is_bin.ok() && *is_bin;
-  } else if (in_format != "text") {
+  // An unknown delimiter name is a usage error, not a silent tab.
+  auto text_format = [](const char* flag, const std::string& name,
+                        matrix::TextFormat* fmt) {
+    if (name != "tab" && name != "comma") {
+      std::fprintf(stderr, "unknown --%s=%s (want tab or comma)\n", flag,
+                   name.c_str());
+      return false;
+    }
+    fmt->delimiter = name == "tab" ? '\t' : ',';
+    return true;
+  };
+  matrix::TextFormat in_fmt;
+  matrix::TextFormat out_fmt;
+  if (!text_format("in-delimiter", in_delimiter, &in_fmt) ||
+      !text_format("out-delimiter", out_delimiter, &out_fmt)) {
+    return 2;
+  }
+  const auto format = matrix::ResolveMatrixFormat(in_path, in_format);
+  if (!format.ok()) {
     std::fprintf(stderr, "unknown --in-format=%s\n", in_format.c_str());
     return 2;
   }
-
-  matrix::ExpressionMatrix data;
-  if (in_binary) {
-    auto loaded = matrix::ReadBinaryMatrix(in_path);
-    if (!loaded.ok()) return Fail(loaded.status());
-    data = *std::move(loaded);
-  } else {
-    auto loaded = matrix::LoadMatrix(in_path, in_fmt);
-    if (!loaded.ok()) return Fail(loaded.status());
-    data = *std::move(loaded);
-  }
+  auto loaded = matrix::ReadMatrixFile(in_path, *format, in_fmt);
+  if (!loaded.ok()) return Fail(loaded.status());
+  matrix::ExpressionMatrix data = *std::move(loaded);
 
   if (impute == "rowmean") {
     data = matrix::ImputeRowMean(data);
@@ -1237,8 +1245,8 @@ int CmdStats(Flags* flags) {
     return 2;
   }
   const int worst = flags->GetInt("worst", 5);
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
-  auto data_or = LoadMatrixArg(matrix_path);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
+  auto data_or = matrix::ReadMatrixFile(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
   const matrix::ExpressionMatrix data = *std::move(data_or);
   if (auto st = matrix::WriteStatsReport(data, std::cout, worst); !st.ok()) {
@@ -1272,9 +1280,9 @@ int CmdSignificance(Flags* flags) {
   opts.epsilon = flags->GetDouble("epsilon", 1.0);
   opts.permutations = flags->GetInt("permutations", 2000);
   opts.seed = static_cast<uint64_t>(flags->GetInt("seed", 101));
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
 
-  auto data_or = LoadMatrixArg(matrix_path);
+  auto data_or = matrix::ReadMatrixFile(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
   matrix::ExpressionMatrix data = *std::move(data_or);
   if (data.HasMissingValues()) data = matrix::ImputeRowMean(data);
@@ -1317,25 +1325,17 @@ int CmdRWave(Flags* flags) {
   }
   core::GammaSpec spec;
   spec.gamma = flags->GetDouble("gamma", 0.1);
-  const std::string policy = flags->GetString("gamma-policy", "range");
-  if (!core::ParseGammaPolicy(policy, &spec.policy)) {
-    std::fprintf(stderr, "unknown --gamma-policy=%s\n", policy.c_str());
-    return 2;
-  }
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  spec.policy = flags->GetGammaPolicy();
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
 
-  auto data_or = LoadMatrixArg(matrix_path);
+  auto data_or = matrix::ReadMatrixFile(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
   matrix::ExpressionMatrix data = *std::move(data_or);
   if (data.HasMissingValues()) data = matrix::ImputeRowMean(data);
-  int gene = data.FindGene(gene_arg);
+  const int gene = FindGeneArg(data, gene_arg);
   if (gene < 0) {
-    char* end = nullptr;
-    gene = static_cast<int>(std::strtol(gene_arg.c_str(), &end, 10));
-    if (*end != '\0' || gene < 0 || gene >= data.num_genes()) {
-      std::fprintf(stderr, "unknown gene: %s\n", gene_arg.c_str());
-      return 1;
-    }
+    std::fprintf(stderr, "unknown gene: %s\n", gene_arg.c_str());
+    return 1;
   }
 
   const double gamma_abs = core::AbsoluteGamma(data, gene, spec);
@@ -1403,9 +1403,9 @@ int CmdServe(Flags* flags) {
   opts.service.max_active = flags->GetInt("max-active", 2);
   opts.service.max_queued = flags->GetInt("max-queued", 8);
   opts.service.memory_budget_bytes =
-      flags->GetInt64("memory-budget-mb", 512) * (int64_t{1} << 20);
+      flags->GetInt<int64_t>("memory-budget-mb", 512) * (int64_t{1} << 20);
   opts.service.cache_bytes =
-      flags->GetInt64("cache-mb", 256) * (int64_t{1} << 20);
+      flags->GetInt<int64_t>("cache-mb", 256) * (int64_t{1} << 20);
   opts.service.retry_after_s = flags->GetInt("retry-after-s", 1);
   core::MinerOptions& defaults = opts.service.defaults;
   defaults.min_genes = flags->GetInt("ming", 20);
@@ -1413,13 +1413,9 @@ int CmdServe(Flags* flags) {
   defaults.gamma = flags->GetDouble("gamma", 0.05);
   defaults.epsilon = flags->GetDouble("epsilon", 1.0);
   defaults.collect_stats = true;
-  const std::string policy = flags->GetString("gamma-policy", "range");
-  if (!core::ParseGammaPolicy(policy, &defaults.gamma_policy)) {
-    std::fprintf(stderr, "unknown --gamma-policy=%s\n", policy.c_str());
-    return 2;
-  }
+  defaults.gamma_policy = flags->GetGammaPolicy();
   const std::string simd_name = flags->GetString("simd", "auto");
-  if (auto st = flags->RejectUnknown(); !st.ok()) return UsageError(st);
+  if (auto st = flags->Check(); !st.ok()) return UsageError(st);
   if (auto st = util::simd::ApplySimdFlag(simd_name); !st.ok()) {
     return UsageError(st);
   }
