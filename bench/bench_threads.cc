@@ -423,10 +423,10 @@ int Main(int argc, char** argv) {
   }
 
   // Incremental time-course append: one new condition arrives at the
-  // steady-state expression level, and MineIncremental (delta gamma-model
-  // update + dirty roots only, clean roots spliced from the recorded state)
-  // races a from-scratch Mine() of the grown matrix it must reproduce
-  // byte-for-byte.  The matrix is a pure shift pattern over flat levels --
+  // steady-state expression level, and MineIncremental (gamma-model build
+  // at the new width + dirty roots only, clean roots spliced from the
+  // recorded state) races a from-scratch Mine() of the grown matrix it must
+  // reproduce byte-for-byte.  The matrix is a pure shift pattern over flat levels --
   // 10 apart under an absolute gamma of 4, so same-level conditions are
   // unregulated -- with most conditions at level 0 and a handful of
   // singleton upper levels.  Appending a level-0 condition keeps every
@@ -486,7 +486,7 @@ int Main(int argc, char** argv) {
     auto run_incremental = [&]() {
       util::WallTimer timer;
       auto r = io::MineIncremental(inc_grown, cfg.num_conditions, inc_opts,
-                                   seeded->state, seeded->model);
+                                   seeded->state);
       const double secs = timer.ElapsedSeconds();
       if (!r.ok()) {
         std::fprintf(stderr, "incremental mine: %s\n",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -304,20 +303,18 @@ struct RegClusterMiner::RunState {
 
 namespace {
 
-/// Gene-striped index bake shared by both model builders: each stripe task
-/// fetches its genes' models via `model_of` and writes their (disjoint)
-/// index slices.  Byte-identical at any thread count because a gene's slice
-/// depends only on its own model.
-template <typename ModelOf>
+/// Gene-striped index bake shared by both model builders: sizes `index`,
+/// then `bake_gene(g, scratch)` bakes gene g's (disjoint) index slice from
+/// g's model, with one bake scratch per worker.  Byte-identical at any
+/// thread count because a gene's slice depends only on its own model.
+template <typename BakeGene>
 void BakeIndexStriped(RWaveBitmapIndex* index, int num_genes, int num_conds,
                       int max_chain_need, int num_threads,
-                      const ModelOf& model_of) {
+                      const BakeGene& bake_gene) {
   index->BeginBuild(num_genes, num_conds, max_chain_need);
   if (num_threads == 1 || num_genes == 0) {
     RWaveBitmapIndex::BuildScratch scratch;
-    for (int g = 0; g < num_genes; ++g) {
-      index->BuildGene(g, *model_of(g), &scratch);
-    }
+    for (int g = 0; g < num_genes; ++g) bake_gene(g, &scratch);
     return;
   }
   util::TaskPool pool(num_threads);
@@ -329,10 +326,9 @@ void BakeIndexStriped(RWaveBitmapIndex* index, int num_genes, int num_conds,
   for (int begin = 0; begin < num_genes; begin += stripe) {
     const int end = std::min(begin + stripe, num_genes);
     pool.Submit([&, begin, end](int worker) {
-      auto& scratch = scratches[static_cast<size_t>(worker)];
-      for (int g = begin; g < end; ++g) {
-        index->BuildGene(g, *model_of(g), &scratch);
-      }
+      RWaveBitmapIndex::BuildScratch* scratch =
+          &scratches[static_cast<size_t>(worker)];
+      for (int g = begin; g < end; ++g) bake_gene(g, scratch);
     });
   }
   pool.Wait();
@@ -346,15 +342,19 @@ std::shared_ptr<const SharedGammaModel> SharedGammaModel::Build(
   auto model = std::make_shared<SharedGammaModel>();
   model->spec = spec;
   model->max_chain_need = max_chain_need;
+  const int num_conds = data.num_conditions();
+  RWaveBitmapIndex* index = &model->index;
   util::WallTimer timer;
-  model->rwaves = BuildRWaveModels(
-      data, [&data, &spec](int g) { return AbsoluteGamma(data, g, spec); },
-      num_threads);
-  model->rwave_build_seconds = timer.ElapsedSeconds();
-  timer.Reset();
-  BakeIndexStriped(&model->index, data.num_genes(), data.num_conditions(),
-                   max_chain_need, num_threads,
-                   [&model](int g) { return &model->rwaves[static_cast<size_t>(g)]; });
+  // A gene's model lives only as long as its own slice bake.
+  BakeIndexStriped(
+      index, data.num_genes(), num_conds, max_chain_need, num_threads,
+      [&](int g, RWaveBitmapIndex::BuildScratch* scratch) {
+        thread_local util::simd::SortScratch sort_scratch;
+        const RWaveModel m =
+            RWaveModel::Build(data.row_data(g), num_conds,
+                              AbsoluteGamma(data, g, spec), &sort_scratch);
+        index->BuildGene(g, m, scratch);
+      });
   model->index_build_seconds = timer.ElapsedSeconds();
   return model;
 }
@@ -378,98 +378,24 @@ std::shared_ptr<const SharedGammaModel> SharedGammaModel::BuildOutOfCore(
                                  AbsoluteGamma(data, g, spec), &scratch);
       },
       copts);
-  // The index bake *is* the model-build pass here: every gene streams
-  // through the cache exactly where its index slice needs it, so no
-  // separate rwave phase exists and its time reports as 0.
+  // As on the eager path, the index bake *is* the model-build pass: every
+  // gene streams through the cache exactly where its index slice needs it.
+  ModelCache* cache = model->cache.get();
+  RWaveBitmapIndex* index = &model->index;
   util::WallTimer timer;
-  BakeIndexStriped(&model->index, data.num_genes(), num_conds, max_chain_need,
+  BakeIndexStriped(index, data.num_genes(), num_conds, max_chain_need,
                    num_threads,
-                   [&model](int g) { return model->cache->Get(g); });
-  model->index_build_seconds = timer.ElapsedSeconds();
-  return model;
-}
-
-std::shared_ptr<const SharedGammaModel> SharedGammaModel::UpdateAppend(
-    const SharedGammaModel& prev, const matrix::MatrixStore& new_data,
-    int first_new, int num_threads) {
-  const int num_genes = new_data.num_genes();
-  const int num_conds = new_data.num_conditions();
-  assert(prev.index.num_conditions() == first_new);
-  (void)first_new;
-  if (prev.cache != nullptr ||
-      static_cast<int>(prev.rwaves.size()) != num_genes) {
-    // An out-of-core model keeps no resident per-gene models to delta-update;
-    // rebuild from scratch (byte-identical by the builders' contracts).
-    return Build(new_data, prev.spec, prev.max_chain_need, num_threads);
-  }
-  auto model = std::make_shared<SharedGammaModel>();
-  model->spec = prev.spec;
-  model->max_chain_need = prev.max_chain_need;
-  model->rwaves.resize(static_cast<size_t>(num_genes));
-  util::WallTimer timer;
-  // Per gene: when the append leaves the absolute threshold bitwise
-  // unchanged (e.g. the new values stay inside the row range under
-  // kRangeFraction), the old sorted order is reusable and
-  // RWaveModel::AppendConditions merges just the appended columns; a moved
-  // threshold (or a policy whose statistic shifted) invalidates every
-  // pointer, so those genes rebuild from scratch.  Either path is
-  // byte-identical to a fresh Build at the new width.
-  const auto update_range = [&](int begin, int end,
-                                util::simd::SortScratch* scratch) {
-    for (int g = begin; g < end; ++g) {
-      const double gamma_abs = AbsoluteGamma(new_data, g, model->spec);
-      const RWaveModel& old = prev.rwaves[static_cast<size_t>(g)];
-      if (std::bit_cast<uint64_t>(gamma_abs) ==
-          std::bit_cast<uint64_t>(old.gamma_abs())) {
-        RWaveModel m = old;
-        m.AppendConditions(new_data.row_data(g), num_conds);
-        model->rwaves[static_cast<size_t>(g)] = std::move(m);
-      } else {
-        model->rwaves[static_cast<size_t>(g)] = RWaveModel::Build(
-            new_data.row_data(g), num_conds, gamma_abs, scratch);
-      }
-    }
-  };
-  if (num_threads == 1 || num_genes == 0) {
-    util::simd::SortScratch scratch;
-    update_range(0, num_genes, &scratch);
-  } else {
-    // Same striping as BuildRWaveModels: slot-assigned writes keep the
-    // result byte-identical at any thread count.
-    util::TaskPool pool(num_threads);
-    const int workers = pool.num_workers();
-    int stripe = (num_genes + workers * 4 - 1) / (workers * 4);
-    stripe = std::max(stripe, 64);
-    std::vector<util::simd::SortScratch> scratches(
-        static_cast<size_t>(workers));
-    for (int begin = 0; begin < num_genes; begin += stripe) {
-      const int end = std::min(begin + stripe, num_genes);
-      pool.Submit([&, begin, end](int worker) {
-        update_range(begin, end, &scratches[static_cast<size_t>(worker)]);
-      });
-    }
-    pool.Wait();
-  }
-  model->rwave_build_seconds = timer.ElapsedSeconds();
-  timer.Reset();
-  // The bitmap tables are position-indexed with a word stride of
-  // WordsForBits(num_conditions), so the index re-bakes at the new width
-  // regardless of how many models took the delta path.
-  BakeIndexStriped(
-      &model->index, num_genes, num_conds, model->max_chain_need, num_threads,
-      [&model](int g) { return &model->rwaves[static_cast<size_t>(g)]; });
+                   [&](int g, RWaveBitmapIndex::BuildScratch* scratch) {
+                     index->BuildGene(g, *cache->Get(g), scratch);
+                   });
   model->index_build_seconds = timer.ElapsedSeconds();
   return model;
 }
 
 size_t SharedGammaModel::MemoryBytes() const {
-  // Index tables exactly; resident per-gene models by their table capacities
-  // (the same figure the ModelCache charges per entry); plus whatever the
-  // cache currently retains on the out-of-core path.
+  // Index tables exactly, plus whatever the cache currently retains on the
+  // out-of-core path.
   size_t total = index.MemoryBytes();
-  for (const RWaveModel& m : rwaves) {
-    total += m.MemoryBytes();
-  }
   if (cache != nullptr) {
     total += static_cast<size_t>(cache->resident_bytes());
   }

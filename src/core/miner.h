@@ -122,18 +122,20 @@ struct MineOutcome {
   int64_t model_cache_evictions = 0;
   /// Bytes of RWave models resident in the cache when the run finished.
   int64_t model_cache_resident_bytes = 0;
-  /// Heap bytes of the gamma model (index + resident models + cache).
+  /// Heap bytes of the gamma model (index + cache residents).
   int64_t model_bytes = 0;
   /// Bytes of the input matrix served by a file mapping (matrix::MappedMatrix)
   /// rather than heap; 0 for resident matrices.
   int64_t mapped_bytes = 0;
 };
 
-/// Immutable per-gamma model state: the per-gene RWave^gamma models plus the
-/// successor-bitmap index baked from them.  Everything the miner derives from
-/// (matrix, gamma spec) alone -- independent of MinG / MinC / epsilon / budget
-/// knobs -- lives here, so one instance can back any number of concurrent
-/// Mine() calls that agree on the gamma spec (see MinerOptions::shared_model).
+/// Immutable per-gamma model state: the successor-bitmap index baked from the
+/// per-gene RWave^gamma models.  The search probes only the index (plus the
+/// matrix rows), so the eager build drops each gene's model as soon as its
+/// index slice is baked.  Everything the miner derives from (matrix, gamma
+/// spec) alone -- independent of MinG / MinC / epsilon / budget knobs --
+/// lives here, so one instance can back any number of concurrent Mine()
+/// calls that agree on the gamma spec (see MinerOptions::shared_model).
 /// The index is built with eligibility rows for chain requirements up to
 /// `max_chain_need`; index queries clamp into that range, so a model built
 /// with the *largest* MinC of a batch answers every smaller MinC with
@@ -141,59 +143,42 @@ struct MineOutcome {
 struct SharedGammaModel {
   GammaSpec spec;
   int max_chain_need = 0;
-  /// Every gene's model, resident (eager Build); empty on the out-of-core
-  /// path, where models live in `cache` instead.
-  std::vector<RWaveModel> rwaves;
   /// Lazily built models (BuildOutOfCore); null on the eager path.  The
   /// index bakes eagerly either way -- it is the structure the search
   /// actually probes -- so post-build the cache only serves explicit
   /// model lookups and may shrink to its floor untouched.
   std::shared_ptr<ModelCache> cache;
   RWaveBitmapIndex index;
+  /// Always 0: each gene's model is built inside its index slice bake, so
+  /// the whole build reports in index_build_seconds.
   double rwave_build_seconds = 0.0;
   double index_build_seconds = 0.0;
 
-  /// Builds the models and the index for `data` under `spec`.  The matrix
-  /// must outlive the returned model.  `max_chain_need` must be >= the
-  /// largest MinC any sharing run will use (Mine() rejects a model whose
-  /// ceiling is below its MinC).  `num_threads` != 1 builds gene stripes on
-  /// a TaskPool (0 = hardware concurrency); models land in pre-assigned
-  /// slots and each gene's index slice is disjoint, so the result is
-  /// byte-identical at any thread count.
+  /// Builds the index for `data` under `spec` in one gene-striped pass: a
+  /// worker builds gene g's RWaveModel, bakes g's slice and drops the
+  /// model.  The matrix must outlive the returned model.  `max_chain_need`
+  /// must be >= the largest MinC any sharing run will use (Mine() rejects a
+  /// model whose ceiling is below its MinC).  `num_threads` != 1 bakes gene
+  /// stripes on a TaskPool (0 = hardware concurrency); each gene's index
+  /// slice is disjoint, so the result is byte-identical at any thread count.
   static std::shared_ptr<const SharedGammaModel> Build(
       const matrix::MatrixStore& data, const GammaSpec& spec,
       int max_chain_need, int num_threads = 1);
 
-  /// Out-of-core variant: never materializes the full model vector.  Genes
-  /// stream through a ModelCache bounded by `cache_bytes` (< 0 = unbounded)
-  /// split over `cache_shards` LRU shards while the index builds in gene
-  /// stripes; afterwards only the index plus at most `cache_bytes` of hot
-  /// models stay resident.  Model construction is deterministic, so the
-  /// baked index -- and hence the mined output -- is byte-identical to the
-  /// eager path at any thread count and any budget (>= the one-model-per-
-  /// shard floor).
+  /// Out-of-core variant: genes stream through a ModelCache bounded by
+  /// `cache_bytes` (< 0 = unbounded) split over `cache_shards` LRU shards
+  /// while the index builds in gene stripes; afterwards the index plus at
+  /// most `cache_bytes` of hot models stay resident.  Model construction is
+  /// deterministic, so the baked index -- and hence the mined output -- is
+  /// byte-identical to the eager path at any thread count and any budget
+  /// (>= the one-model-per-shard floor).
   static std::shared_ptr<const SharedGammaModel> BuildOutOfCore(
       const matrix::MatrixStore& data, const GammaSpec& spec,
       int max_chain_need, int64_t cache_bytes, int cache_shards,
       int num_threads);
 
-  /// Delta update after a condition append.  `prev` must have been built
-  /// over exactly the first `first_new` columns of `new_data` (same genes,
-  /// same values, same spec); the returned model covers all of `new_data`
-  /// and is byte-identical to Build(new_data, prev.spec, ...).  Genes whose
-  /// absolute threshold is unchanged by the append reuse their old sorted
-  /// order via RWaveModel::AppendConditions; genes whose threshold moved
-  /// (e.g. the append widened the row range under kRangeFraction) rebuild
-  /// from scratch.  The bitmap index is re-baked at the new width either
-  /// way (positions shift; see RWaveBitmapIndex::AppendConditions).  A
-  /// `prev` from BuildOutOfCore has no resident models to delta-update and
-  /// falls back to a full Build.
-  static std::shared_ptr<const SharedGammaModel> UpdateAppend(
-      const SharedGammaModel& prev, const matrix::MatrixStore& new_data,
-      int first_new, int num_threads = 1);
-
-  /// Heap footprint of the baked tables (models + index + cache residents),
-  /// for reporting.
+  /// Heap footprint of the baked tables (index + cache residents), for
+  /// reporting.
   size_t MemoryBytes() const;
 };
 

@@ -32,8 +32,10 @@ struct MinerStats {
   /// RWave models + index, 0 when MinerOptions::shared_model was reused.
   /// This is how index sharing is observable (sweep_test asserts it).
   int64_t index_builds = 0;
-  double rwave_build_seconds = 0.0;  ///< 0 when the model was shared
-  double index_build_seconds = 0.0;  ///< RWaveBitmapIndex bake time (0 if shared)
+  /// Always 0: models are built inside the index bake, which
+  /// index_build_seconds times (both 0 when the model was shared).
+  double rwave_build_seconds = 0.0;
+  double index_build_seconds = 0.0;
   double mine_seconds = 0.0;
 
   /// Detailed work counters, collected only when

@@ -1,12 +1,11 @@
 // Sharded, byte-budgeted LRU cache of per-gene RWave models, backing the
 // miner's out-of-core execution path.
 //
-// Eager mining materializes every gene's RWaveModel up front -- ~1.3 KB per
-// gene at 40 conditions, which is the largest resident structure after the
-// bitmap index at genome scale.  The index build (and any other bulk
-// consumer) only ever needs one gene's model at a time, so the out-of-core
-// path builds models on first use through this cache and lets cold ones be
-// evicted once the byte budget is exceeded.
+// Eager mining builds each gene's RWaveModel inside that gene's index bake
+// and drops it right after, so no model outlives its index slice.  The
+// out-of-core path instead builds models on first use through this cache,
+// which keeps hot ones (~1.3 KB per gene at 40 conditions) for explicit
+// model lookups and evicts cold ones once the byte budget is exceeded.
 //
 // Correctness rests on deterministic construction: RWaveModel::Build is a
 // pure function of (profile bytes, gamma_abs), so a model rebuilt after

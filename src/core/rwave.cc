@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 
 #include "util/simd/radix_sort.h"
 #include "util/task_pool.h"
@@ -48,13 +47,6 @@ RWaveModel RWaveModel::Build(const double* values, int n, double gamma_abs,
     // +0.0, but value_at() promises the original matrix values.
     m.sorted_values_[static_cast<size_t>(p)] = values[cond];
   }
-  m.FinishFromSortedOrder();
-  return m;
-}
-
-void RWaveModel::FinishFromSortedOrder() {
-  const int n = num_conditions();
-  const double gamma_abs = gamma_abs_;
 
   // Pointer construction (Figure 5, model-construction phase): walk the
   // sorted order; for each position j locate the closest regulation
@@ -68,16 +60,15 @@ void RWaveModel::FinishFromSortedOrder() {
   // disagree with direct pairwise checks -- is non-decreasing in j (vj is
   // non-descending), so one forward-only edge pointer replaces the per-j
   // binary search: O(n) total instead of O(n log n).
-  pointers_.clear();
-  const double* sv = sorted_values_.data();
+  const double* sv = m.sorted_values_.data();
   int k_edge = 0;  // first position in [0, j) whose value is NOT regulated
   for (int j = 1; j < n; ++j) {
     const double vj = sv[j];
     while (k_edge < j && vj - sv[k_edge] > gamma_abs) ++k_edge;
     if (k_edge == 0) continue;  // no predecessor
     const int k = k_edge - 1;
-    if (!pointers_.empty() && pointers_.back().tail_pos >= k) continue;
-    pointers_.push_back(RegulationPointer{k, j});
+    if (!m.pointers_.empty() && m.pointers_.back().tail_pos >= k) continue;
+    m.pointers_.push_back(RegulationPointer{k, j});
   }
 
   // Longest-chain tables.  A regulated step up from position p lands at any
@@ -88,79 +79,34 @@ void RWaveModel::FinishFromSortedOrder() {
   // (resp. "last pointer with head <= p") index moves monotonically with p
   // and each sweep amortizes to O(n + P) -- same answers as the binary
   // searches in FirstSuccessorPos / LastPredecessorPos.
-  const int num_ptrs = static_cast<int>(pointers_.size());
-  max_up_.assign(static_cast<size_t>(n), 1);
+  const int num_ptrs = static_cast<int>(m.pointers_.size());
+  m.max_up_.assign(static_cast<size_t>(n), 1);
   int j0 = num_ptrs;  // first pointer with tail_pos >= p (p descending)
   for (int p = n - 1; p >= 0; --p) {
-    while (j0 > 0 && pointers_[static_cast<size_t>(j0 - 1)].tail_pos >= p) {
+    while (j0 > 0 &&
+           m.pointers_[static_cast<size_t>(j0 - 1)].tail_pos >= p) {
       --j0;
     }
     if (j0 < num_ptrs) {
-      const int h = pointers_[static_cast<size_t>(j0)].head_pos;
-      max_up_[static_cast<size_t>(p)] = 1 + max_up_[static_cast<size_t>(h)];
+      const int h = m.pointers_[static_cast<size_t>(j0)].head_pos;
+      m.max_up_[static_cast<size_t>(p)] =
+          1 + m.max_up_[static_cast<size_t>(h)];
     }
   }
-  max_down_.assign(static_cast<size_t>(n), 1);
+  m.max_down_.assign(static_cast<size_t>(n), 1);
   int j1 = -1;  // last pointer with head_pos <= p (p ascending)
   for (int p = 0; p < n; ++p) {
     while (j1 + 1 < num_ptrs &&
-           pointers_[static_cast<size_t>(j1 + 1)].head_pos <= p) {
+           m.pointers_[static_cast<size_t>(j1 + 1)].head_pos <= p) {
       ++j1;
     }
     if (j1 >= 0) {
-      const int t = pointers_[static_cast<size_t>(j1)].tail_pos;
-      max_down_[static_cast<size_t>(p)] =
-          1 + max_down_[static_cast<size_t>(t)];
+      const int t = m.pointers_[static_cast<size_t>(j1)].tail_pos;
+      m.max_down_[static_cast<size_t>(p)] =
+          1 + m.max_down_[static_cast<size_t>(t)];
     }
   }
-}
-
-void RWaveModel::AppendConditions(const double* values, int n_new) {
-  const int n_old = num_conditions();
-  assert(n_new >= n_old);
-  if (n_new == n_old) return;
-
-  // Sort only the appended ids by (order key, id).  Build's stable radix
-  // sort over ascending-id base order is exactly the (OrderKey, id)
-  // comparator, so merging the old order (already in that order, and with
-  // every old id smaller than every appended id) against this run -- old
-  // side first on key ties -- reproduces the fresh sort byte for byte.
-  std::vector<int> added(static_cast<size_t>(n_new - n_old));
-  std::iota(added.begin(), added.end(), n_old);
-  std::sort(added.begin(), added.end(), [values](int a, int b) {
-    const uint64_t ka = util::simd::OrderKey(values[a]);
-    const uint64_t kb = util::simd::OrderKey(values[b]);
-    return ka != kb ? ka < kb : a < b;
-  });
-
-  std::vector<int> order(static_cast<size_t>(n_new));
-  std::vector<double> sorted_values(static_cast<size_t>(n_new));
-  size_t i = 0;  // next old position
-  size_t j = 0;  // next appended item
-  for (size_t out = 0; out < static_cast<size_t>(n_new); ++out) {
-    const bool take_old =
-        i < static_cast<size_t>(n_old) &&
-        (j >= added.size() ||
-         util::simd::OrderKey(sorted_values_[i]) <=
-             util::simd::OrderKey(values[added[j]]));
-    if (take_old) {
-      order[out] = order_[i];
-      sorted_values[out] = sorted_values_[i];
-      ++i;
-    } else {
-      const int cond = added[j++];
-      assert(std::isfinite(values[cond]) && "RWave input must be imputed");
-      order[out] = cond;
-      sorted_values[out] = values[cond];
-    }
-  }
-  order_ = std::move(order);
-  sorted_values_ = std::move(sorted_values);
-  pos_.resize(static_cast<size_t>(n_new));
-  for (int p = 0; p < n_new; ++p) {
-    pos_[static_cast<size_t>(order_[static_cast<size_t>(p)])] = p;
-  }
-  FinishFromSortedOrder();
+  return m;
 }
 
 RWaveModel RWaveModel::BuildForGene(const matrix::MatrixStore& data, int gene,

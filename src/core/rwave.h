@@ -56,8 +56,8 @@ class RWaveModel {
   static RWaveModel Build(const double* values, int n, double gamma_abs);
 
   /// Same, reusing caller-owned sort buffers so bulk builders (RWaveSet,
-  /// SharedGammaModel) do not allocate per gene.  `scratch` may be shared
-  /// across calls but not across threads.
+  /// SharedGammaModel) do not allocate them per gene.  `scratch` may be
+  /// shared across calls but not across threads.
   static RWaveModel Build(const double* values, int n, double gamma_abs,
                           util::simd::SortScratch* scratch);
 
@@ -65,19 +65,6 @@ class RWaveModel {
   /// threshold gamma in [0, 1]: gamma_i = gamma * (row max - row min), Eq. 4.
   static RWaveModel BuildForGene(const matrix::MatrixStore& data, int gene,
                                  double gamma);
-
-  /// Delta update for appended conditions.  `values` is the gene's *full*
-  /// row after the append (the first num_conditions() entries must be the
-  /// values this model was built from) and `n_new` its new length.  The
-  /// appended conditions are merged into the sorted order and the pointer /
-  /// chain tables are recomputed -- byte-identical to Build(values, n_new,
-  /// gamma_abs()) at a fraction of the sort cost, because the old order is
-  /// reused and only the appended items are sorted.
-  ///
-  /// Only valid while the absolute threshold is unchanged: when the append
-  /// moves the row range (or any other policy input), the caller must
-  /// rebuild from scratch with the new gamma_abs instead.
-  void AppendConditions(const double* values, int n_new);
 
   int num_conditions() const { return static_cast<int>(order_.size()); }
 
@@ -132,13 +119,6 @@ class RWaveModel {
   }
 
  private:
-  /// Rebuilds pointers_ / max_up_ / max_down_ from the already-populated
-  /// order_ / pos_ / sorted_values_ tables (the phase of Build that follows
-  /// the sort).  Factored out so AppendConditions can reuse it verbatim:
-  /// identical code over identical sorted arrays is what makes the delta
-  /// path byte-identical to a fresh Build.
-  void FinishFromSortedOrder();
-
   double gamma_abs_ = 0.0;
   std::vector<int> order_;            // position -> condition id
   std::vector<int> pos_;              // condition id -> position
@@ -174,8 +154,9 @@ class RWaveSet {
 /// for gene g supplied by `gamma_abs_fn(g)`.  num_threads != 1 stripes gene
 /// ranges over a TaskPool (0 = hardware concurrency); every model lands in
 /// its pre-assigned slot, so the output is byte-identical at any thread
-/// count.  This is the shared bulk builder behind RWaveSet and the miner's
-/// SharedGammaModel.
+/// count.  This is the bulk builder behind RWaveSet, and with
+/// RWaveBitmapIndex::Build the two-pass reference for the miner's one-pass
+/// SharedGammaModel::Build.
 std::vector<RWaveModel> BuildRWaveModels(
     const matrix::MatrixStore& data,
     const std::function<double(int)>& gamma_abs_fn, int num_threads);

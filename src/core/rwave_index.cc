@@ -16,15 +16,6 @@ void RWaveBitmapIndex::Build(const std::vector<RWaveModel>& models,
   }
 }
 
-void RWaveBitmapIndex::AppendConditions(const std::vector<RWaveModel>& models,
-                                        int num_conditions,
-                                        int max_chain_need) {
-  // The re-layout is a full bake (see the header for why); routing through
-  // Build keeps one definition of the table contents, and the assign()s in
-  // BeginBuild reuse whatever capacity the old layout already holds.
-  Build(models, num_conditions, max_chain_need);
-}
-
 void RWaveBitmapIndex::BeginBuild(int num_genes, int num_conditions,
                                   int max_chain_need) {
   num_genes_ = num_genes;

@@ -75,20 +75,6 @@ class RWaveBitmapIndex {
   void BeginBuild(int num_genes, int num_conditions, int max_chain_need);
   void BuildGene(int gene, const RWaveModel& model, BuildScratch* scratch);
 
-  /// Widens the index to `num_conditions` columns after a condition append,
-  /// given the (delta-updated) per-gene models at the new width.  Appended
-  /// conditions insert anywhere in a gene's sorted order, shifting every
-  /// position at or above the insertion point, and the bitmap tables are
-  /// position-indexed with a row stride of WordsForBits(num_conditions) --
-  /// so the tables are re-laid out at the new word count and every gene's
-  /// slice is re-baked from its model (existing rows are widened in place
-  /// within the new layout; the delta saving of an append lives in the
-  /// model update, not here).  Byte-identical to Build() at the new width
-  /// -- the widening property test pins this across word boundaries
-  /// (63/64/65 conditions).
-  void AppendConditions(const std::vector<RWaveModel>& models,
-                        int num_conditions, int max_chain_need);
-
   int num_genes() const { return num_genes_; }
   int num_conditions() const { return num_conditions_; }
   /// Words per bitmap row.

@@ -75,13 +75,12 @@ util::Status ValidateIncrementalOptions(const core::MinerOptions& o,
   }
   if (o.shared_model != nullptr) {
     return util::Status::InvalidArgument(
-        "incremental mining manages the gamma model itself; pass the "
-        "previous step's model as prev_model");
+        "incremental mining builds its own gamma model at each width");
   }
   if (o.model_cache_bytes >= 0) {
     return util::Status::InvalidArgument(
         "incremental mining requires the resident model path "
-        "(model_cache_bytes < 0): delta updates need the previous models");
+        "(model_cache_bytes < 0)");
   }
   return core::ValidateMinerOptions(o, data);
 }
@@ -107,7 +106,7 @@ util::Status MineRootSlices(const matrix::MatrixStore& data,
 /// Assembles the final result from the full per-root slice vector.
 IncrementalMineResult AssembleResult(
     const matrix::MatrixStore& data, const core::MinerOptions& options,
-    std::shared_ptr<const core::SharedGammaModel> model,
+    const core::SharedGammaModel& model,
     std::vector<core::RootMineResult> slices, const util::WallTimer& timer) {
   IncrementalMineResult r;
   r.state.context = MineContext(data, data.num_conditions(), options);
@@ -124,13 +123,12 @@ IncrementalMineResult AssembleResult(
   // non-shared Mine() would have reported: one model build (ours), its
   // build times, and this call's wall clock, dominance pass included.
   r.stats.index_builds = 1;
-  r.stats.rwave_build_seconds = model->rwave_build_seconds;
-  r.stats.index_build_seconds = model->index_build_seconds;
+  r.stats.rwave_build_seconds = model.rwave_build_seconds;
+  r.stats.index_build_seconds = model.index_build_seconds;
   r.stats.mine_seconds = timer.ElapsedSeconds();
   r.outcome.roots_completed = data.num_conditions();
   r.outcome.roots_total = data.num_conditions();
   r.outcome.simd_level = util::simd::Ops().level;
-  r.model = std::move(model);
   return r;
 }
 
@@ -176,14 +174,12 @@ util::StatusOr<IncrementalMineResult> MineInitial(
   std::vector<core::RootMineResult> slices;
   // Empty root_set = a plain full run; the capture hook records every root.
   REGCLUSTER_RETURN_IF_ERROR(MineRootSlices(data, options, model, {}, &slices));
-  return AssembleResult(data, options, std::move(model), std::move(slices),
-                        timer);
+  return AssembleResult(data, options, *model, std::move(slices), timer);
 }
 
 util::StatusOr<IncrementalMineResult> MineIncremental(
     const matrix::MatrixStore& new_data, int first_new,
-    const core::MinerOptions& options, const IncrementalState& prev,
-    std::shared_ptr<const core::SharedGammaModel> prev_model) {
+    const core::MinerOptions& options, const IncrementalState& prev) {
   REGCLUSTER_RETURN_IF_ERROR(ValidateIncrementalOptions(options, new_data));
   const int num_genes = new_data.num_genes();
   const int num_conds = new_data.num_conditions();
@@ -223,22 +219,8 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
   const int threads = util::ResolveThreadCount(options.num_threads);
   const core::GammaSpec spec{options.gamma_policy, options.gamma};
   util::WallTimer timer;
-  std::shared_ptr<const core::SharedGammaModel> model;
-  const bool model_compatible =
-      prev_model != nullptr && prev_model->cache == nullptr &&
-      prev_model->index.num_genes() == num_genes &&
-      prev_model->index.num_conditions() == first_new &&
-      prev_model->spec.policy == spec.policy &&
-      std::bit_cast<uint64_t>(prev_model->spec.gamma) ==
-          std::bit_cast<uint64_t>(spec.gamma) &&
-      prev_model->max_chain_need >= options.min_conditions;
-  if (model_compatible) {
-    model = core::SharedGammaModel::UpdateAppend(*prev_model, new_data,
-                                                 first_new, threads);
-  } else {
-    model = core::SharedGammaModel::Build(new_data, spec,
-                                          options.min_conditions, threads);
-  }
+  auto model = core::SharedGammaModel::Build(new_data, spec,
+                                             options.min_conditions, threads);
 
   // All-dirty fallbacks first: a moved per-gene threshold changes regulation
   // among the *old* conditions, and a grown bitmap word count changes every
@@ -280,8 +262,8 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
       slices.push_back(prev.roots[static_cast<size_t>(c)]);
     }
   }
-  auto result = AssembleResult(new_data, options, std::move(model),
-                               std::move(slices), timer);
+  auto result =
+      AssembleResult(new_data, options, *model, std::move(slices), timer);
   result.roots_remined = static_cast<int>(dirty.size());
   result.roots_spliced = num_conds - static_cast<int>(dirty.size());
   return result;

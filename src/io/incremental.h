@@ -1,14 +1,12 @@
-// Incremental time-course mining: condition-append delta updates.
+// Incremental time-course mining: condition appends re-mine only dirty roots.
 //
-// Expression time courses grow condition by condition (ROADMAP item 4), and
-// a full reload + RWave rebuild + re-mine after every new array throws away
-// everything the previous run computed.  This module makes the append a
-// delta: the gamma model updates through SharedGammaModel::UpdateAppend
-// (genes whose absolute threshold is unchanged merge just the new columns
-// into their sorted order), and the search re-runs only the *dirty roots* --
-// level-1 conditions whose subtree can possibly involve an appended
-// condition -- splicing every other root's (stats, clusters) slice from the
-// previous run's recorded per-root results (MinerOptions::root_set +
+// Expression time courses grow condition by condition, and a full re-mine
+// after every new array throws away everything the previous run computed.
+// This module makes the search a delta: the gamma model is rebuilt at the
+// new width, and the search re-runs only the *dirty roots* -- level-1
+// conditions whose subtree can possibly involve an appended condition --
+// splicing every other root's (stats, clusters) slice from the previous
+// run's recorded per-root results (MinerOptions::root_set +
 // capture_root_results).
 //
 // Dirty-set rule (proof sketch in DESIGN.md): regulation reachability is
@@ -39,7 +37,6 @@
 #define REGCLUSTER_IO_INCREMENTAL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,9 +74,6 @@ struct IncrementalMineResult {
   core::MineOutcome outcome;
   /// State to feed the next MineIncremental call.
   IncrementalState state;
-  /// The gamma model at the mined width; pass it back as `prev_model` so
-  /// the next in-process append takes the UpdateAppend delta path.
-  std::shared_ptr<const core::SharedGammaModel> model;
   int roots_remined = 0;  ///< dirty roots searched this call
   int roots_spliced = 0;  ///< clean roots served from the previous state
 };
@@ -96,17 +90,13 @@ util::StatusOr<IncrementalMineResult> MineInitial(
 
 /// Re-mines only the dirty roots of `new_data` -- the matrix after appending
 /// conditions at the end, `first_new` = the previous condition count -- and
-/// splices every clean root from `prev`.  `prev_model` (may be null) is the
-/// gamma model of the previous step at width `first_new`; when compatible it
-/// delta-updates via SharedGammaModel::UpdateAppend, otherwise the model is
-/// rebuilt at the new width (same bytes either way).  Validates that `prev`
-/// matches the options (semantic hash, dominance flag) and that the first
-/// `first_new` columns of `new_data` are content-identical to the matrix
-/// `prev` was mined over; each mismatch is a distinct FailedPrecondition.
+/// splices every clean root from `prev`.  Validates that `prev` matches the
+/// options (semantic hash, dominance flag) and that the first `first_new`
+/// columns of `new_data` are content-identical to the matrix `prev` was
+/// mined over; each mismatch is a distinct FailedPrecondition.
 util::StatusOr<IncrementalMineResult> MineIncremental(
     const matrix::MatrixStore& new_data, int first_new,
-    const core::MinerOptions& options, const IncrementalState& prev,
-    std::shared_ptr<const core::SharedGammaModel> prev_model = nullptr);
+    const core::MinerOptions& options, const IncrementalState& prev);
 
 /// Serializes `state` to the RGCXINC1 wire format: a 16-byte preamble
 /// (magic, version, endian tag) followed by CRC32C-framed records

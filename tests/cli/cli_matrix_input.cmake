@@ -5,8 +5,12 @@
 #     .tsv and the .rgx copy of one matrix;
 #   * a binary file forced through the text reader is a data error (exit 1)
 #     whose message quotes the bad field escaped and capped, never raw bytes;
-#   * a malformed numeric flag value or an unknown delimiter name is a usage
-#     error (exit 2) naming the flag, not a silent 0 / prefix / tab.
+#   * a malformed numeric flag value or an unknown delimiter, --impute or
+#     --normalize name is a usage error (exit 2) naming the flag, not a
+#     silent 0 / prefix / tab / default -- also on a complete matrix, where
+#     --impute has nothing to do;
+#   * `mine` reports the whole gamma-model build time, non-zero on a
+#     3000 x 40 matrix, on the eager and on the out-of-core path.
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)
@@ -88,6 +92,20 @@ endif()
 run_expect(2 ${CLI} convert --in=${WORKDIR}/m.tsv --out=${WORKDIR}/x.tsv
            --out-delimiter=pipe)
 run_expect(2 ${CLI} stats --matrix=${WORKDIR}/m.tsv --worst=three)
+foreach(bad --impute=bogus --normalize=bogus)
+  run_expect(2 ${CLI} ${mine_base} ${bad})
+  if(NOT last_err MATCHES "malformed ${bad}: want ")
+    message(FATAL_ERROR "${bad}: error does not name the flag: ${last_err}")
+  endif()
+endforeach()
+if(EXISTS ${WORKDIR}/bad.txt)
+  message(FATAL_ERROR "a usage error must not mine")
+endif()
+run_expect(2 ${CLI} mine --matrix=${WORKDIR}/m.rgx --out=${WORKDIR}/bad.txt
+           --normalize=quantile)
+if(NOT last_err MATCHES "--normalize applies at convert time")
+  message(FATAL_ERROR "binary + --normalize: unexpected error: ${last_err}")
+endif()
 # Well-formed values still work, including a leading '+' on a double.
 run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.tsv --out=${WORKDIR}/ok.txt
            --ming=5 --minc=4 --gamma=+0.1 --epsilon=0.1 --threads=2)
@@ -97,3 +115,24 @@ execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
 if(NOT cmp_rc EQUAL 0)
   message(FATAL_ERROR "well-formed flags changed the mined output")
 endif()
+
+# --- the reported model build time covers the whole build ------------------
+# MinG = every gene prunes the search at the roots, so the run is the load
+# plus the gamma-model build.
+run_expect(0 ${CLI} generate --out-matrix=${WORKDIR}/big.tsv --genes=3000
+           --conditions=40 --clusters=5 --seed=3)
+run_expect(0 ${CLI} convert --in=${WORKDIR}/big.tsv --out=${WORKDIR}/big.rgx
+           --out-format=bin)
+foreach(variant "big.tsv" "big.rgx|--model-cache-mb=1")
+  string(REPLACE "|" ";" extra "${variant}")
+  list(POP_FRONT extra matrix)
+  run_expect(0 ${CLI} mine --matrix=${WORKDIR}/${matrix}
+             --out=${WORKDIR}/big_out.txt --ming=3000 --minc=40 --gamma=0.1
+             --epsilon=0.1 ${extra})
+  if(NOT last_out MATCHES "model build ([0-9]+\\.[0-9]+) s")
+    message(FATAL_ERROR "${variant}: no model build time in: ${last_out}")
+  endif()
+  if(CMAKE_MATCH_1 STREQUAL "0.000")
+    message(FATAL_ERROR "${variant}: model build reported as 0: ${last_out}")
+  endif()
+endforeach()

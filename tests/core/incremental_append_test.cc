@@ -2,12 +2,11 @@
 // (io/incremental.h).  The contract under test: after ANY sequence of
 // condition appends, MineIncremental's clusters and every deterministic
 // MinerStats counter are byte-identical to a from-scratch
-// RegClusterMiner::Mine() over the grown matrix, at any thread count --
-// and the delta-updated gamma model / bitmap index are byte-identical to
-// ones freshly built at the new width, including across 64-bit word
-// boundaries.  A tiny-matrix leg re-checks each step against the
-// exhaustive first-principles oracle, so the equivalence is not just
-// "incremental == miner" but "incremental == Definition 3.3".
+// RegClusterMiner::Mine() over the grown matrix, at any thread count,
+// including across 64-bit word boundaries.  A tiny-matrix leg re-checks
+// each step against the exhaustive first-principles oracle, so the
+// equivalence is not just "incremental == miner" but "incremental ==
+// Definition 3.3".
 
 #include <cstdint>
 #include <cstdio>
@@ -111,9 +110,8 @@ Reference FromScratch(const ExpressionMatrix& data,
 // Runs a whole append chain -- MineInitial on the first `start` columns of
 // `full`, then appends in steps of `k` -- comparing clusters and stats
 // against from-scratch mines at every width, threading the durable state
-// AND the in-process model so both the UpdateAppend delta path and the
-// splice logic are exercised.  Records the encoded state bytes at every
-// step in `encoded` so callers can pin cross-thread byte-identity.
+// through the splice logic.  Records the encoded state bytes at every step
+// in `encoded` so callers can pin cross-thread byte-identity.
 void RunChain(const ExpressionMatrix& full, int start, int k,
               const MinerOptions& options, const std::string& tag,
               std::vector<std::string>* encoded) {
@@ -141,8 +139,7 @@ void RunChain(const ExpressionMatrix& full, int start, int k,
     const std::string where =
         tag + " width " + std::to_string(width) + " (+" + std::to_string(step) + ")";
 
-    auto next = MineIncremental(grown, first_new, options, result->state,
-                                result->model);
+    auto next = MineIncremental(grown, first_new, options, result->state);
     ASSERT_TRUE(next.ok()) << where << ": " << next.status().ToString();
     EXPECT_EQ(next->roots_remined + next->roots_spliced, width) << where;
 
@@ -256,8 +253,7 @@ TEST(IncrementalAppendDifferential, OracleDifferentialOnTinyMatrices) {
 
     for (int width = 4; width < full.num_conditions(); ++width) {
       AppendColumnsFrom(full, width, 1, &grown);
-      auto next =
-          MineIncremental(grown, width, o, result->state, result->model);
+      auto next = MineIncremental(grown, width, o, result->state);
       ASSERT_TRUE(next.ok()) << next.status().ToString();
       ExpectClustersEqual(
           testing::Canonicalize(next->clusters),
@@ -271,117 +267,7 @@ TEST(IncrementalAppendDifferential, OracleDifferentialOnTinyMatrices) {
 }
 
 // ---------------------------------------------------------------------
-// Model / index delta equivalence.
-
-void ExpectModelsEqual(const core::SharedGammaModel& got,
-                       const core::SharedGammaModel& want,
-                       const std::string& where) {
-  ASSERT_EQ(got.rwaves.size(), want.rwaves.size()) << where;
-  for (size_t g = 0; g < got.rwaves.size(); ++g) {
-    const core::RWaveModel& a = got.rwaves[g];
-    const core::RWaveModel& b = want.rwaves[g];
-    const std::string at = where + " gene " + std::to_string(g);
-    ASSERT_EQ(a.num_conditions(), b.num_conditions()) << at;
-    EXPECT_EQ(a.gamma_abs(), b.gamma_abs()) << at;
-    for (int p = 0; p < a.num_conditions(); ++p) {
-      ASSERT_EQ(a.condition_at(p), b.condition_at(p)) << at << " pos " << p;
-      ASSERT_EQ(a.FirstSuccessorPos(p), b.FirstSuccessorPos(p))
-          << at << " pos " << p;
-      ASSERT_EQ(a.LastPredecessorPos(p), b.LastPredecessorPos(p))
-          << at << " pos " << p;
-    }
-  }
-  const core::RWaveBitmapIndex& ia = got.index;
-  const core::RWaveBitmapIndex& ib = want.index;
-  ASSERT_EQ(ia.num_genes(), ib.num_genes()) << where;
-  ASSERT_EQ(ia.num_conditions(), ib.num_conditions()) << where;
-  ASSERT_EQ(ia.num_words(), ib.num_words()) << where;
-  for (int g = 0; g < ia.num_genes(); ++g) {
-    for (int c = 0; c < ia.num_conditions(); ++c) {
-      ASSERT_EQ(ia.position(g, c), ib.position(g, c))
-          << where << " gene " << g << " cond " << c;
-    }
-    for (int p = 0; p < ia.num_conditions(); ++p) {
-      const uint64_t* ua = ia.UpCandidates(g, p);
-      const uint64_t* ub = ib.UpCandidates(g, p);
-      const uint64_t* da = ia.DownCandidates(g, p);
-      const uint64_t* db = ib.DownCandidates(g, p);
-      for (int w = 0; w < ia.num_words(); ++w) {
-        ASSERT_EQ(ua[w], ub[w])
-            << where << " up gene " << g << " pos " << p << " word " << w;
-        ASSERT_EQ(da[w], db[w])
-            << where << " down gene " << g << " pos " << p << " word " << w;
-      }
-    }
-  }
-}
-
-// UpdateAppend == fresh Build, under a policy where thresholds never move
-// (kAbsolute) and one where the append widens ranges and forces per-gene
-// rebuilds (kRangeFraction).
-TEST(IncrementalModelDelta, UpdateAppendMatchesFreshBuild) {
-  for (const core::GammaPolicy policy :
-       {core::GammaPolicy::kAbsolute, core::GammaPolicy::kRangeFraction}) {
-    const ExpressionMatrix full = RandomMatrix(777, 10, 12);
-    std::vector<int> all_genes, prefix_conds;
-    for (int g = 0; g < 10; ++g) all_genes.push_back(g);
-    for (int c = 0; c < 9; ++c) prefix_conds.push_back(c);
-    ExpressionMatrix grown = full.Submatrix(all_genes, prefix_conds);
-
-    core::GammaSpec spec;
-    spec.policy = policy;
-    spec.gamma = (policy == core::GammaPolicy::kAbsolute) ? 1.0 : 0.1;
-    auto prev = core::SharedGammaModel::Build(grown, spec, /*max_chain_need=*/4);
-    ASSERT_NE(prev, nullptr);
-
-    AppendColumnsFrom(full, 9, 3, &grown);
-    auto delta = core::SharedGammaModel::UpdateAppend(*prev, grown, 9);
-    auto fresh = core::SharedGammaModel::Build(grown, spec, 4);
-    ASSERT_NE(delta, nullptr);
-    ASSERT_NE(fresh, nullptr);
-    ExpectModelsEqual(*delta, *fresh,
-                      std::string("policy ") +
-                          (policy == core::GammaPolicy::kAbsolute ? "abs"
-                                                                  : "range"));
-    if (HasFatalFailure()) return;
-  }
-}
-
-// Satellite 3: bitmap widening across 64-bit word boundaries.  Starting
-// widths straddle the boundary (63, 64) and appends of 1 and 2 columns
-// produce 63->64, 63->65, 64->65, 64->66; every successor/predecessor
-// row must be word-identical to a fresh-built index.
-TEST(IncrementalModelDelta, WordBoundaryWideningMatchesFreshIndex) {
-  for (const int start : {63, 64}) {
-    for (const int step : {1, 2}) {
-      const int final_width = start + step;
-      const ExpressionMatrix full = RandomMatrix(
-          1000 + static_cast<uint64_t>(start * 10 + step), 6, final_width);
-      std::vector<int> all_genes, prefix_conds;
-      for (int g = 0; g < 6; ++g) all_genes.push_back(g);
-      for (int c = 0; c < start; ++c) prefix_conds.push_back(c);
-      ExpressionMatrix grown = full.Submatrix(all_genes, prefix_conds);
-
-      core::GammaSpec spec;
-      spec.policy = core::GammaPolicy::kAbsolute;
-      spec.gamma = 1.0;
-      auto prev = core::SharedGammaModel::Build(grown, spec, 4);
-      ASSERT_NE(prev, nullptr);
-      ASSERT_EQ(prev->index.num_words(), (start + 63) / 64);
-
-      AppendColumnsFrom(full, start, step, &grown);
-      auto delta = core::SharedGammaModel::UpdateAppend(*prev, grown, start);
-      auto fresh = core::SharedGammaModel::Build(grown, spec, 4);
-      ASSERT_NE(delta, nullptr);
-      ASSERT_NE(fresh, nullptr);
-      ASSERT_EQ(fresh->index.num_words(), (final_width + 63) / 64);
-      ExpectModelsEqual(*delta, *fresh,
-                        std::to_string(start) + "->" +
-                            std::to_string(final_width));
-      if (HasFatalFailure()) return;
-    }
-  }
-}
+// Append shapes: word-boundary growth, clean-root splicing, dirty roots.
 
 // End-to-end mine across the 64-bit word boundary (64 -> 65 conditions,
 // WordsForBits 1 -> 2): the word count grows, which trips the all-dirty
@@ -418,7 +304,7 @@ TEST(IncrementalModelDelta, MineAcrossWordBoundaryAllDirty) {
   for (int g = 0; g < genes; ++g) col[static_cast<size_t>(g)] = 1000.0 * g;
   ASSERT_TRUE(grown.AppendConditions({"c64"}, {col}).ok());
 
-  auto next = MineIncremental(grown, start, o, seeded->state, seeded->model);
+  auto next = MineIncremental(grown, start, o, seeded->state);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(next->roots_spliced, 0) << "word growth must invalidate all roots";
   EXPECT_EQ(next->roots_remined, start + 1);
@@ -460,7 +346,7 @@ TEST(IncrementalModelDelta, ShiftPatternAppendSplicesCleanRoots) {
   for (int g = 0; g < genes; ++g) col[static_cast<size_t>(g)] = 1000.0 * g;
   ASSERT_TRUE(grown.AppendConditions({"late"}, {col}).ok());
 
-  auto next = MineIncremental(grown, start, o, seeded->state, seeded->model);
+  auto next = MineIncremental(grown, start, o, seeded->state);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(next->roots_spliced, 9) << "level-0 roots must be spliced";
   EXPECT_EQ(next->roots_remined, 4) << "levels 1-3 plus the appended root";

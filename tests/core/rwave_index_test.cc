@@ -4,17 +4,24 @@
 // it is checked the blunt way -- randomized profiles, all-pairs regulation
 // queries, full successor/predecessor set comparison, and eligibility rows
 // against the MaxChainUp/Down tables -- across the gamma range and across
-// condition counts straddling the 64-bit word boundary.
+// condition counts straddling the 64-bit word boundary.  The eager gamma
+// model's one-pass striped bake (SharedGammaModel::Build) is held word for
+// word to the two-pass reference -- every model first, then
+// RWaveBitmapIndex::Build -- at several thread counts.
 
 #include "core/rwave_index.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "core/miner.h"
 #include "core/rwave.h"
+#include "core/threshold.h"
+#include "matrix/expression_matrix.h"
 #include "util/bitset.h"
 #include "util/prng.h"
 #include "util/simd/dispatch.h"
@@ -260,6 +267,97 @@ TEST(RWaveIndexTest, MemoryBytesAccountsForTheTables) {
   // 10 genes * 40 conds * 1 word * 2 directions of candidate rows is a firm
   // lower bound; the exact figure depends on vector capacities.
   EXPECT_GE(index.MemoryBytes(), 10u * 40u * sizeof(uint64_t) * 2);
+}
+
+// Word-for-word comparison of a gamma model's baked index against a
+// reference index: positions, candidate rows and eligibility rows.
+void ExpectModelsEqual(const SharedGammaModel& got,
+                       const RWaveBitmapIndex& want,
+                       const std::string& where) {
+  const RWaveBitmapIndex& ia = got.index;
+  ASSERT_EQ(ia.num_genes(), want.num_genes()) << where;
+  ASSERT_EQ(ia.num_conditions(), want.num_conditions()) << where;
+  ASSERT_EQ(ia.num_words(), want.num_words()) << where;
+  ASSERT_EQ(ia.max_chain_need(), want.max_chain_need()) << where;
+  const size_t row_bytes = static_cast<size_t>(ia.num_words()) * 8;
+  for (int g = 0; g < ia.num_genes(); ++g) {
+    for (int c = 0; c < ia.num_conditions(); ++c) {
+      ASSERT_EQ(ia.position(g, c), want.position(g, c))
+          << where << " gene " << g << " cond " << c;
+    }
+    for (int p = 0; p < ia.num_conditions(); ++p) {
+      ASSERT_EQ(0, std::memcmp(ia.UpCandidates(g, p),
+                               want.UpCandidates(g, p), row_bytes))
+          << where << " up gene " << g << " pos " << p;
+      ASSERT_EQ(0, std::memcmp(ia.DownCandidates(g, p),
+                               want.DownCandidates(g, p), row_bytes))
+          << where << " down gene " << g << " pos " << p;
+    }
+    for (int need = 0; need <= ia.max_chain_need(); ++need) {
+      ASSERT_EQ(0, std::memcmp(ia.UpEligible(g, need),
+                               want.UpEligible(g, need), row_bytes))
+          << where << " up-elig gene " << g << " need " << need;
+      ASSERT_EQ(0, std::memcmp(ia.DownEligible(g, need),
+                               want.DownEligible(g, need), row_bytes))
+          << where << " down-elig gene " << g << " need " << need;
+    }
+  }
+}
+
+matrix::ExpressionMatrix RandomMatrix(util::Prng* prng, int genes,
+                                      int conds) {
+  matrix::ExpressionMatrix m(genes, conds);
+  for (int g = 0; g < genes; ++g) {
+    const auto v = RandomProfile(conds, prng, g % 3 == 0);
+    for (int c = 0; c < conds; ++c) m(g, c) = v[static_cast<size_t>(c)];
+  }
+  return m;
+}
+
+// The eager build bakes each gene's slice from a model it drops right
+// after; the result must equal building every model first and baking
+// them in a second pass, at any thread count, on both sides of the
+// 64-bit word boundary, and under a fixed and a data-dependent threshold.
+// 300 genes make several 64-gene stripes, so 2 and 4 threads really
+// interleave.
+TEST(SharedGammaModelBuild, MatchesTwoPassReferenceAtAnyThreadCount) {
+  util::Prng prng(8675309);
+  for (const int conds : {63, 64, 65}) {
+    const matrix::ExpressionMatrix data = RandomMatrix(&prng, 300, conds);
+    for (const GammaPolicy policy :
+         {GammaPolicy::kAbsolute, GammaPolicy::kRangeFraction}) {
+      const GammaSpec spec{policy,
+                           policy == GammaPolicy::kAbsolute ? 1.0 : 0.1};
+      RWaveBitmapIndex reference;
+      reference.Build(
+          BuildRWaveModels(
+              data, [&](int g) { return AbsoluteGamma(data, g, spec); }, 1),
+          conds, kMaxNeed);
+      for (const int threads : {1, 2, 4}) {
+        const auto model =
+            SharedGammaModel::Build(data, spec, kMaxNeed, threads);
+        ASSERT_NE(model, nullptr);
+        EXPECT_EQ(model->rwave_build_seconds, 0.0);
+        ExpectModelsEqual(
+            *model, reference,
+            std::to_string(conds) + " conds, " +
+                (policy == GammaPolicy::kAbsolute ? "absolute" : "range") +
+                ", " + std::to_string(threads) + " threads");
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+// The eager gamma model holds nothing but its index.
+TEST(SharedGammaModelBuild, EagerModelBytesAreTheIndex) {
+  util::Prng prng(4242);
+  const matrix::ExpressionMatrix data = RandomMatrix(&prng, 200, 40);
+  const auto model = SharedGammaModel::Build(
+      data, GammaSpec{GammaPolicy::kRangeFraction, 0.1}, kMaxNeed, 4);
+  ASSERT_NE(model, nullptr);
+  EXPECT_EQ(model->cache, nullptr);
+  EXPECT_EQ(model->MemoryBytes(), model->index.MemoryBytes());
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/coherence.h"
@@ -136,6 +137,21 @@ class Flags {
     return *parsed;
   }
 
+  /// A flag whose value must be one of the '|'-separated `choices`; any
+  /// other value keeps the fallback and is reported by Check().
+  std::string GetChoice(const std::string& name, const std::string& fallback,
+                        std::string_view choices) {
+    const std::string v = GetString(name, fallback);
+    for (std::string_view rest = choices;;) {
+      const size_t bar = rest.find('|');
+      if (rest.substr(0, bar) == v) return v;
+      if (bar == std::string_view::npos) break;
+      rest.remove_prefix(bar + 1);
+    }
+    Malformed(name, v, std::string(choices));
+    return fallback;
+  }
+
   core::GammaPolicy GetGammaPolicy() {
     const std::string v = GetString("gamma-policy", "range");
     core::GammaPolicy policy = core::GammaPolicy::kRangeFraction;
@@ -168,7 +184,7 @@ class Flags {
   Flags() = default;
 
   void Malformed(const std::string& name, const std::string& value,
-                 const char* want) {
+                 const std::string& want) {
     if (!malformed_.ok()) return;
     malformed_ = util::Status::InvalidArgument(
         "malformed --" + name + "=" + value + ": want " + want);
@@ -567,9 +583,11 @@ int CmdMine(Flags* flags) {
   if (!metrics_format.ok()) {
     return UsageError(metrics_format.status());
   }
-  const std::string impute = flags->GetString("impute", "rowmean");
+  const std::string impute =
+      flags->GetChoice("impute", "rowmean", "rowmean|knn");
   const int knn_k = flags->GetInt("knn-k", 10);
-  const std::string normalize = flags->GetString("normalize", "none");
+  const std::string normalize =
+      flags->GetChoice("normalize", "none", "none|quantile");
   const double merge_overlap = flags->GetDouble("merge-overlap", 0.0);
   const std::string require_gene = flags->GetString("require-gene", "");
   const std::string simd_name = flags->GetString("simd", "auto");
@@ -735,13 +753,10 @@ int CmdMine(Flags* flags) {
         data = *std::move(imputed);
         std::printf("imputed %lld missing cells with %d-NN\n",
                     static_cast<long long>(missing), knn_k);
-      } else if (impute == "rowmean") {
+      } else {
         data = matrix::ImputeRowMean(data);
         std::printf("imputed %lld missing cells with row means\n",
                     static_cast<long long>(missing));
-      } else {
-        std::fprintf(stderr, "unknown --impute=%s\n", impute.c_str());
-        return 2;
       }
     }
     if (normalize == "quantile") {
@@ -749,9 +764,6 @@ int CmdMine(Flags* flags) {
       if (!normalized.ok()) return Fail(normalized.status());
       data = *std::move(normalized);
       std::printf("quantile-normalized columns\n");
-    } else if (normalize != "none") {
-      std::fprintf(stderr, "unknown --normalize=%s\n", normalize.c_str());
-      return 2;
     }
   }
 
@@ -899,7 +911,8 @@ int CmdMine(Flags* flags) {
     std::printf(
         "mined %zu clusters in %.3f s (model build %.3f s, %lld nodes, "
         "%lld extensions)\n",
-        clusters->size(), stats.mine_seconds, stats.rwave_build_seconds,
+        clusters->size(), stats.mine_seconds,
+        stats.rwave_build_seconds + stats.index_build_seconds,
         static_cast<long long>(stats.nodes_expanded),
         static_cast<long long>(stats.extensions_tested));
   }
@@ -1140,36 +1153,25 @@ int CmdConvert(Flags* flags) {
     std::fprintf(stderr, "--in and --out are required\n");
     return 2;
   }
-  const std::string in_delimiter = flags->GetString("in-delimiter", "tab");
-  const std::string out_delimiter = flags->GetString("out-delimiter", "tab");
-  const std::string impute = flags->GetString("impute", "none");
+  const std::string in_delimiter =
+      flags->GetChoice("in-delimiter", "tab", "tab|comma");
+  const std::string out_delimiter =
+      flags->GetChoice("out-delimiter", "tab", "tab|comma");
+  const std::string impute =
+      flags->GetChoice("impute", "none", "none|rowmean|knn");
   const int knn_k = flags->GetInt("knn-k", 10);
-  const std::string transform = flags->GetString("transform", "none");
-  const std::string normalize = flags->GetString("normalize", "none");
+  const std::string transform =
+      flags->GetChoice("transform", "none", "none|log|exp|zscore");
+  const std::string normalize =
+      flags->GetChoice("normalize", "none", "none|quantile");
   const std::string in_format = flags->GetString("in-format", "auto");
-  const std::string out_format = flags->GetString("out-format", "text");
+  const std::string out_format =
+      flags->GetChoice("out-format", "text", "text|bin");
   if (auto st = flags->Check(); !st.ok()) return UsageError(st);
-  if (out_format != "text" && out_format != "bin") {
-    std::fprintf(stderr, "unknown --out-format=%s\n", out_format.c_str());
-    return 2;
-  }
-  // An unknown delimiter name is a usage error, not a silent tab.
-  auto text_format = [](const char* flag, const std::string& name,
-                        matrix::TextFormat* fmt) {
-    if (name != "tab" && name != "comma") {
-      std::fprintf(stderr, "unknown --%s=%s (want tab or comma)\n", flag,
-                   name.c_str());
-      return false;
-    }
-    fmt->delimiter = name == "tab" ? '\t' : ',';
-    return true;
-  };
   matrix::TextFormat in_fmt;
   matrix::TextFormat out_fmt;
-  if (!text_format("in-delimiter", in_delimiter, &in_fmt) ||
-      !text_format("out-delimiter", out_delimiter, &out_fmt)) {
-    return 2;
-  }
+  in_fmt.delimiter = in_delimiter == "tab" ? '\t' : ',';
+  out_fmt.delimiter = out_delimiter == "tab" ? '\t' : ',';
   const auto format = matrix::ResolveMatrixFormat(in_path, in_format);
   if (!format.ok()) {
     std::fprintf(stderr, "unknown --in-format=%s\n", in_format.c_str());
@@ -1185,9 +1187,6 @@ int CmdConvert(Flags* flags) {
     auto imputed = matrix::ImputeKnn(data, knn_k);
     if (!imputed.ok()) return Fail(imputed.status());
     data = *std::move(imputed);
-  } else if (impute != "none") {
-    std::fprintf(stderr, "unknown --impute=%s\n", impute.c_str());
-    return 2;
   }
 
   if (transform == "log") {
@@ -1200,18 +1199,12 @@ int CmdConvert(Flags* flags) {
     data = *std::move(t);
   } else if (transform == "zscore") {
     data = matrix::ZScoreRows(data);
-  } else if (transform != "none") {
-    std::fprintf(stderr, "unknown --transform=%s\n", transform.c_str());
-    return 2;
   }
 
   if (normalize == "quantile") {
     auto n = matrix::QuantileNormalizeColumns(data);
     if (!n.ok()) return Fail(n.status());
     data = *std::move(n);
-  } else if (normalize != "none") {
-    std::fprintf(stderr, "unknown --normalize=%s\n", normalize.c_str());
-    return 2;
   }
 
   if (out_format == "bin") {
