@@ -17,11 +17,11 @@
 //
 // A fourth, memory-capped scenario exercises the out-of-core path at
 // genome scale and records its peak RSS into BENCH_miner.json:
-//   bench_scalability --sweep=outofcore --oc-genes=100000 --oc-cache-mb=64
+//   bench_scalability --sweep=outofcore --oc-genes=100000
 // The dataset is written to disk in the binary matrix format, mined through
-// an mmap-backed MappedMatrix with a bounded model cache, and the
-// "scalability" section (gated by tools/bench_check.py --max-peak-rss)
-// reports wall time, peak RSS and the cache counters.
+// an mmap-backed MappedMatrix, and the "scalability" section (gated by
+// tools/bench_check.py --max-peak-rss) reports wall time, peak RSS and the
+// mapped and model (bitmap index) bytes.
 
 #include <sys/resource.h>
 
@@ -137,8 +137,6 @@ int RunOutOfCore(int argc, char** argv) {
   const int genes = IntFlag(argc, argv, "oc-genes", 100000);
   const int conditions = IntFlag(argc, argv, "oc-conditions", 40);
   const int implants = IntFlag(argc, argv, "oc-clusters", 30);
-  const int cache_mb = IntFlag(argc, argv, "oc-cache-mb", 64);
-  const int shards = IntFlag(argc, argv, "oc-shards", 8);
   const int threads = IntFlag(argc, argv, "oc-threads", 1);
   const uint64_t seed =
       static_cast<uint64_t>(IntFlag(argc, argv, "oc-seed", 2026));
@@ -147,8 +145,7 @@ int RunOutOfCore(int argc, char** argv) {
   const std::string matrix_path = FlagValue(
       argc, argv, "oc-matrix", "/tmp/regcluster_bench_outofcore.rgx");
 
-  std::printf("\n# out-of-core: %d x %d, cache %d MiB over %d shards\n",
-              genes, conditions, cache_mb, shards);
+  std::printf("\n# out-of-core: %d x %d\n", genes, conditions);
 
   util::WallTimer total_timer;
   int64_t file_bytes = 0;
@@ -189,8 +186,6 @@ int RunOutOfCore(int argc, char** argv) {
   opts.gamma = 0.1;
   opts.epsilon = 0.01;
   opts.num_threads = threads;
-  opts.model_cache_bytes = static_cast<int64_t>(cache_mb) << 20;
-  opts.model_cache_shards = shards;
 
   util::WallTimer mine_timer;
   core::RegClusterMiner miner(*mapped, opts);
@@ -209,13 +204,9 @@ int RunOutOfCore(int argc, char** argv) {
               static_cast<long long>(clusters->size()));
   std::printf("%-24s %12.1f MiB\n", "peak RSS",
               static_cast<double>(peak_rss) / (1 << 20));
-  std::printf("%-24s %12.1f MiB mapped, %.1f MiB models\n", "footprint",
+  std::printf("%-24s %12.1f MiB mapped, %.1f MiB model\n", "footprint",
               static_cast<double>(outcome.mapped_bytes) / (1 << 20),
               static_cast<double>(outcome.model_bytes) / (1 << 20));
-  std::printf("%-24s %12lld hits, %lld misses, %lld evictions\n", "cache",
-              static_cast<long long>(outcome.model_cache_hits),
-              static_cast<long long>(outcome.model_cache_misses),
-              static_cast<long long>(outcome.model_cache_evictions));
 
   const std::string section = JsonObject({
       JsonField("dataset",
@@ -224,8 +215,6 @@ int RunOutOfCore(int argc, char** argv) {
                             JsonField("implanted_clusters", JsonInt(implants)),
                             JsonField("seed",
                                       JsonInt(static_cast<int64_t>(seed)))})),
-      JsonField("cache_budget_bytes", JsonInt(opts.model_cache_bytes)),
-      JsonField("cache_shards", JsonInt(shards)),
       JsonField("threads", JsonInt(threads)),
       JsonField("matrix_file_bytes", JsonInt(file_bytes)),
       JsonField("generate_seconds", JsonDouble(generate_seconds)),
@@ -234,12 +223,6 @@ int RunOutOfCore(int argc, char** argv) {
       JsonField("peak_rss_bytes", JsonInt(peak_rss)),
       JsonField("mapped_bytes", JsonInt(outcome.mapped_bytes)),
       JsonField("model_bytes", JsonInt(outcome.model_bytes)),
-      JsonField("model_cache_hits", JsonInt(outcome.model_cache_hits)),
-      JsonField("model_cache_misses", JsonInt(outcome.model_cache_misses)),
-      JsonField("model_cache_evictions",
-                JsonInt(outcome.model_cache_evictions)),
-      JsonField("model_cache_resident_bytes",
-                JsonInt(outcome.model_cache_resident_bytes)),
   });
   if (!UpsertBenchSection(bench_json, "scalability", section) ||
       !UpsertBenchSection(bench_json, "provenance", ProvenanceObject())) {

@@ -301,105 +301,49 @@ struct RegClusterMiner::RunState {
   }
 };
 
-namespace {
-
-/// Gene-striped index bake shared by both model builders: sizes `index`,
-/// then `bake_gene(g, scratch)` bakes gene g's (disjoint) index slice from
-/// g's model, with one bake scratch per worker.  Byte-identical at any
-/// thread count because a gene's slice depends only on its own model.
-template <typename BakeGene>
-void BakeIndexStriped(RWaveBitmapIndex* index, int num_genes, int num_conds,
-                      int max_chain_need, int num_threads,
-                      const BakeGene& bake_gene) {
-  index->BeginBuild(num_genes, num_conds, max_chain_need);
-  if (num_threads == 1 || num_genes == 0) {
-    RWaveBitmapIndex::BuildScratch scratch;
-    for (int g = 0; g < num_genes; ++g) bake_gene(g, &scratch);
-    return;
-  }
-  util::TaskPool pool(num_threads);
-  const int workers = pool.num_workers();
-  int stripe = (num_genes + workers * 4 - 1) / (workers * 4);
-  stripe = std::max(stripe, 64);
-  std::vector<RWaveBitmapIndex::BuildScratch> scratches(
-      static_cast<size_t>(workers));
-  for (int begin = 0; begin < num_genes; begin += stripe) {
-    const int end = std::min(begin + stripe, num_genes);
-    pool.Submit([&, begin, end](int worker) {
-      RWaveBitmapIndex::BuildScratch* scratch =
-          &scratches[static_cast<size_t>(worker)];
-      for (int g = begin; g < end; ++g) bake_gene(g, scratch);
-    });
-  }
-  pool.Wait();
-}
-
-}  // namespace
-
 std::shared_ptr<const SharedGammaModel> SharedGammaModel::Build(
     const matrix::MatrixStore& data, const GammaSpec& spec,
     int max_chain_need, int num_threads) {
   auto model = std::make_shared<SharedGammaModel>();
   model->spec = spec;
   model->max_chain_need = max_chain_need;
+  const int num_genes = data.num_genes();
   const int num_conds = data.num_conditions();
   RWaveBitmapIndex* index = &model->index;
   util::WallTimer timer;
-  // A gene's model lives only as long as its own slice bake.
-  BakeIndexStriped(
-      index, data.num_genes(), num_conds, max_chain_need, num_threads,
-      [&](int g, RWaveBitmapIndex::BuildScratch* scratch) {
-        thread_local util::simd::SortScratch sort_scratch;
-        const RWaveModel m =
-            RWaveModel::Build(data.row_data(g), num_conds,
-                              AbsoluteGamma(data, g, spec), &sort_scratch);
-        index->BuildGene(g, m, scratch);
+  index->BeginBuild(num_genes, num_conds, max_chain_need);
+  // A gene's model lives only as long as its own (disjoint) slice bake, so
+  // the index is byte-identical at any thread count.
+  const auto bake_genes = [&](int begin, int end,
+                              RWaveBitmapIndex::BuildScratch* scratch) {
+    thread_local util::simd::SortScratch sort_scratch;
+    for (int g = begin; g < end; ++g) {
+      const RWaveModel m =
+          RWaveModel::Build(data.row_data(g), num_conds,
+                            AbsoluteGamma(data, g, spec), &sort_scratch);
+      index->BuildGene(g, m, scratch);
+    }
+  };
+  if (num_threads == 1 || num_genes == 0) {
+    RWaveBitmapIndex::BuildScratch scratch;
+    bake_genes(0, num_genes, &scratch);
+  } else {
+    util::TaskPool pool(num_threads);
+    const int workers = pool.num_workers();
+    const int stripe =
+        std::max((num_genes + workers * 4 - 1) / (workers * 4), 64);
+    std::vector<RWaveBitmapIndex::BuildScratch> scratches(
+        static_cast<size_t>(workers));
+    for (int begin = 0; begin < num_genes; begin += stripe) {
+      const int end = std::min(begin + stripe, num_genes);
+      pool.Submit([&, begin, end](int worker) {
+        bake_genes(begin, end, &scratches[static_cast<size_t>(worker)]);
       });
-  model->index_build_seconds = timer.ElapsedSeconds();
-  return model;
-}
-
-std::shared_ptr<const SharedGammaModel> SharedGammaModel::BuildOutOfCore(
-    const matrix::MatrixStore& data, const GammaSpec& spec,
-    int max_chain_need, int64_t cache_bytes, int cache_shards,
-    int num_threads) {
-  auto model = std::make_shared<SharedGammaModel>();
-  model->spec = spec;
-  model->max_chain_need = max_chain_need;
-  ModelCache::Options copts;
-  copts.byte_budget = cache_bytes;
-  copts.num_shards = cache_shards;
-  const int num_conds = data.num_conditions();
-  model->cache = std::make_shared<ModelCache>(
-      data.num_genes(),
-      [&data, spec, num_conds](int g) {
-        thread_local util::simd::SortScratch scratch;
-        return RWaveModel::Build(data.row_data(g), num_conds,
-                                 AbsoluteGamma(data, g, spec), &scratch);
-      },
-      copts);
-  // As on the eager path, the index bake *is* the model-build pass: every
-  // gene streams through the cache exactly where its index slice needs it.
-  ModelCache* cache = model->cache.get();
-  RWaveBitmapIndex* index = &model->index;
-  util::WallTimer timer;
-  BakeIndexStriped(index, data.num_genes(), num_conds, max_chain_need,
-                   num_threads,
-                   [&](int g, RWaveBitmapIndex::BuildScratch* scratch) {
-                     index->BuildGene(g, *cache->Get(g), scratch);
-                   });
-  model->index_build_seconds = timer.ElapsedSeconds();
-  return model;
-}
-
-size_t SharedGammaModel::MemoryBytes() const {
-  // Index tables exactly, plus whatever the cache currently retains on the
-  // out-of-core path.
-  size_t total = index.MemoryBytes();
-  if (cache != nullptr) {
-    total += static_cast<size_t>(cache->resident_bytes());
+    }
+    pool.Wait();
   }
-  return total;
+  model->index_build_seconds = timer.ElapsedSeconds();
+  return model;
 }
 
 RegClusterMiner::RegClusterMiner(const matrix::MatrixStore& data,
@@ -420,19 +364,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Mine() {
     outcome_.pool_queue_high_water = pool.queue_depth_high_water();
   }
   return Finalize();
-}
-
-std::shared_ptr<const SharedGammaModel> BuildGammaModel(
-    const matrix::MatrixStore& data, const MinerOptions& options,
-    int num_threads) {
-  const GammaSpec spec{options.gamma_policy, options.gamma};
-  if (options.model_cache_bytes >= 0) {
-    return SharedGammaModel::BuildOutOfCore(
-        data, spec, options.min_conditions, options.model_cache_bytes,
-        options.model_cache_shards, num_threads);
-  }
-  return SharedGammaModel::Build(data, spec, options.min_conditions,
-                                 num_threads);
 }
 
 util::Status ValidateMinerOptions(const MinerOptions& o,
@@ -475,9 +406,6 @@ util::Status ValidateMinerOptions(const MinerOptions& o,
   if (o.budget_check_interval < 1) {
     return util::Status::InvalidArgument("budget_check_interval must be >= 1");
   }
-  if (o.model_cache_shards < 1) {
-    return util::Status::InvalidArgument("model_cache_shards must be >= 1");
-  }
   if (o.resume.can_resume()) {
     if (o.resume.options_hash != RegClusterMiner::SemanticOptionsHash(o)) {
       return util::Status::InvalidArgument(
@@ -515,17 +443,11 @@ util::Status ValidateMinerOptions(const MinerOptions& o,
   return util::Status::OK();
 }
 
-util::Status RegClusterMiner::Prepare() {
-  REGCLUSTER_RETURN_IF_ERROR(ValidateMinerOptions(options_, data_));
-  // The one check that reads every cell stays here, once per run: callers
-  // that screen options ahead of Prepare() (per request, per sweep point)
-  // would otherwise pay the scan twice.  NaN is a missing value the caller
-  // can impute; +-inf has no RWave order and is named by its cell; a row
-  // whose range overflows has no finite gamma threshold or coherence
-  // denominator bound and is named by its gene.
-  const int num_conds = data_.num_conditions();
-  for (int g = 0; g < data_.num_genes(); ++g) {
-    const double* row = data_.row_data(g);
+util::Status ValidateMatrixValues(const matrix::MatrixStore& data,
+                                  const std::string& missing_message) {
+  const int num_conds = data.num_conditions();
+  for (int g = 0; g < data.num_genes(); ++g) {
+    const double* row = data.row_data(g);
     double lo = num_conds > 0 ? row[0] : 0.0;
     double hi = lo;
     for (int c = 0; c < num_conds; ++c) {
@@ -533,23 +455,27 @@ util::Status RegClusterMiner::Prepare() {
       hi = std::max(hi, row[c]);
       if (std::isfinite(row[c])) continue;
       if (std::isnan(row[c])) {
-        return util::Status::FailedPrecondition(
-            "matrix contains missing values; impute first "
-            "(matrix::ImputeRowMean)");
+        return util::Status::FailedPrecondition(missing_message);
       }
       return util::Status::FailedPrecondition(util::StrFormat(
           "matrix cell of gene '%s' at condition '%s' is %s; every "
           "expression value must be finite",
-          data_.gene_name(g).c_str(), data_.condition_name(c).c_str(),
+          data.gene_name(g).c_str(), data.condition_name(c).c_str(),
           row[c] > 0 ? "+inf" : "-inf"));
     }
     if (!std::isfinite(hi - lo)) {
       return util::Status::FailedPrecondition(util::StrFormat(
           "expression range of gene '%s' overflows: max %g - min %g is not "
           "a finite number; rescale the matrix",
-          data_.gene_name(g).c_str(), hi, lo));
+          data.gene_name(g).c_str(), hi, lo));
     }
   }
+  return util::Status::OK();
+}
+
+util::Status RegClusterMiner::Prepare() {
+  REGCLUSTER_RETURN_IF_ERROR(ValidateMinerOptions(options_, data_));
+  REGCLUSTER_RETURN_IF_ERROR(ValidateMatrixValues(data_));
   allowed_cond_.assign(static_cast<size_t>(data_.num_conditions()),
                        options_.allowed_conditions.empty() ? 1 : 0);
   for (int c : options_.allowed_conditions) {
@@ -614,7 +540,8 @@ util::Status RegClusterMiner::Prepare() {
     }
     model_ = options_.shared_model;
   } else {
-    model_ = BuildGammaModel(data_, options_, run->threads);
+    model_ = SharedGammaModel::Build(data_, spec, options_.min_conditions,
+                                     run->threads);
     stats_.index_builds = 1;
     stats_.rwave_build_seconds = model_->rwave_build_seconds;
     stats_.index_build_seconds = model_->index_build_seconds;
@@ -641,10 +568,10 @@ void RegClusterMiner::EnsureGuard(int num_slots) {
   if (!limits.any()) return;
   // One byte-report slot per pool worker plus one for the finalize pass.
   guard_ = std::make_unique<util::BudgetGuard>(limits, num_slots);
-  if (options_.model_cache_bytes >= 0 && options_.shared_model == nullptr) {
-    // Out-of-core: the memory stop bounds what the process actually holds
-    // live, so the mapped matrix + resident model/index/cache bytes enter
-    // the summed total exactly once as a fixed base (never per slot).
+  if (data_.mapped_bytes() > 0 && options_.shared_model == nullptr) {
+    // A mapped run bounds what the process actually holds live, so the
+    // mapped matrix + this run's own model bytes enter the summed total
+    // exactly once as a fixed base (never per slot).
     guard_->set_base_bytes(
         data_.mapped_bytes() +
         static_cast<int64_t>(model_->MemoryBytes()));
@@ -892,13 +819,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   outcome_.budget_polls = guard_ != nullptr ? guard_->total_polls() : 0;
   outcome_.model_bytes = static_cast<int64_t>(model_->MemoryBytes());
   outcome_.mapped_bytes = data_.mapped_bytes();
-  if (model_->cache != nullptr) {
-    const ModelCache::Stats cs = model_->cache->stats();
-    outcome_.model_cache_hits = cs.hits;
-    outcome_.model_cache_misses = cs.misses;
-    outcome_.model_cache_evictions = cs.evictions;
-    outcome_.model_cache_resident_bytes = cs.resident_bytes;
-  }
   if (truncated && !targeted) {
     // A targeted run's cut point is an index into root_set, not a canonical
     // prefix boundary, and resume + root_set is rejected anyway -- so no

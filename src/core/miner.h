@@ -36,12 +36,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/bicluster.h"
 #include "core/miner_stats.h"
-#include "core/model_cache.h"
 #include "core/rwave.h"
 #include "core/rwave_index.h"
 #include "core/threshold.h"
@@ -113,16 +113,14 @@ struct MineOutcome {
   /// mined output is byte-identical across levels by contract.
   util::simd::Level simd_level = util::simd::Level::kScalar;
 
-  /// Out-of-core telemetry (all 0 on the eager path).  The hit/miss split is
-  /// schedule-dependent when the model build runs parallel -- racing misses
-  /// on one gene each count a miss -- but totals are exact, and with a
-  /// serial build they are a pure function of the access sequence.
+  /// Always 0 (no model cache exists).  Kept only because
+  /// benchmark/trace_driver.cc reads them and the RGCXCKP1 layout and the
+  /// metric snapshots carry them.
   int64_t model_cache_hits = 0;
   int64_t model_cache_misses = 0;
   int64_t model_cache_evictions = 0;
-  /// Bytes of RWave models resident in the cache when the run finished.
   int64_t model_cache_resident_bytes = 0;
-  /// Heap bytes of the gamma model (index + cache residents).
+  /// Heap bytes of the gamma model (its bitmap index).
   int64_t model_bytes = 0;
   /// Bytes of the input matrix served by a file mapping (matrix::MappedMatrix)
   /// rather than heap; 0 for resident matrices.
@@ -131,8 +129,8 @@ struct MineOutcome {
 
 /// Immutable per-gamma model state: the successor-bitmap index baked from the
 /// per-gene RWave^gamma models.  The search probes only the index (plus the
-/// matrix rows), so the eager build drops each gene's model as soon as its
-/// index slice is baked.  Everything the miner derives from (matrix, gamma
+/// matrix rows), so the build drops each gene's model as soon as its index
+/// slice is baked.  Everything the miner derives from (matrix, gamma
 /// spec) alone -- independent of MinG / MinC / epsilon / budget knobs --
 /// lives here, so one instance can back any number of concurrent Mine()
 /// calls that agree on the gamma spec (see MinerOptions::shared_model).
@@ -143,11 +141,6 @@ struct MineOutcome {
 struct SharedGammaModel {
   GammaSpec spec;
   int max_chain_need = 0;
-  /// Lazily built models (BuildOutOfCore); null on the eager path.  The
-  /// index bakes eagerly either way -- it is the structure the search
-  /// actually probes -- so post-build the cache only serves explicit
-  /// model lookups and may shrink to its floor untouched.
-  std::shared_ptr<ModelCache> cache;
   RWaveBitmapIndex index;
   /// Always 0: each gene's model is built inside its index slice bake, so
   /// the whole build reports in index_build_seconds.
@@ -165,21 +158,16 @@ struct SharedGammaModel {
       const matrix::MatrixStore& data, const GammaSpec& spec,
       int max_chain_need, int num_threads = 1);
 
-  /// Out-of-core variant: genes stream through a ModelCache bounded by
-  /// `cache_bytes` (< 0 = unbounded) split over `cache_shards` LRU shards
-  /// while the index builds in gene stripes; afterwards the index plus at
-  /// most `cache_bytes` of hot models stay resident.  Model construction is
-  /// deterministic, so the baked index -- and hence the mined output -- is
-  /// byte-identical to the eager path at any thread count and any budget
-  /// (>= the one-model-per-shard floor).
+  /// Same as Build; kept only because benchmark/trace_driver.cc calls it.
   static std::shared_ptr<const SharedGammaModel> BuildOutOfCore(
       const matrix::MatrixStore& data, const GammaSpec& spec,
-      int max_chain_need, int64_t cache_bytes, int cache_shards,
-      int num_threads);
+      int max_chain_need, int64_t /*cache_bytes*/, int /*cache_shards*/,
+      int num_threads) {
+    return Build(data, spec, max_chain_need, num_threads);
+  }
 
-  /// Heap footprint of the baked tables (index + cache residents), for
-  /// reporting.
-  size_t MemoryBytes() const;
+  /// Heap footprint of the baked index tables, for reporting.
+  size_t MemoryBytes() const { return index.MemoryBytes(); }
 };
 
 /// Mining parameters (paper notation in comments).
@@ -250,23 +238,15 @@ struct MinerOptions {
   double deadline_ms = -1.0;
 
   /// Approximate ceiling on live mining memory (per-worker scratch arenas +
-  /// buffered output clusters).  On the eager path the fixed model/index
-  /// allocations are not counted; on the out-of-core path
-  /// (model_cache_bytes >= 0) the mapped matrix + model/index/cache
-  /// resident bytes enter the sum once as a fixed base, so the limit bounds
-  /// what the process actually holds live.  Hard stop like deadline_ms;
-  /// < 0 disables.
+  /// buffered output clusters).  For a resident matrix, or a model given in
+  /// shared_model, the fixed matrix and model allocations are not counted;
+  /// a run that maps its matrix (matrix::MappedMatrix) and builds its own
+  /// model adds the mapped bytes + model bytes once as a fixed base, so the
+  /// limit bounds what the process actually holds live.  Hard stop like
+  /// deadline_ms; < 0 disables.
   int64_t soft_memory_limit_bytes = -1;
 
-  /// Out-of-core execution: >= 0 builds the gamma model lazily through a
-  /// byte-budgeted ModelCache (that many bytes across all shards; 0 =
-  /// degenerate one-model-per-shard floor) instead of materializing every
-  /// gene's RWave model.  Purely an execution knob -- excluded from
-  /// SemanticOptionsHash, so resume tokens splice across paths -- and the
-  /// mined output is byte-identical to the resident path at any thread
-  /// count.  Ignored when shared_model is set.  < 0 = eager (default).
-  int64_t model_cache_bytes = -1;
-  /// LRU shards of the out-of-core model cache (clamped to [1, num_genes]).
+  /// No effect; kept only because benchmark/trace_driver.cc reads it.
   int model_cache_shards = 8;
 
   /// Optional external cancel signal (SIGINT handlers, RPC contexts).  Hard
@@ -332,21 +312,26 @@ struct MinerOptions {
 /// built: RegClusterMiner::Prepare(), the sweep engine's gamma grouping,
 /// the incremental drivers and the mining service.  Checks the paper's
 /// parameters (MinG >= 1, MinC >= 2, finite gamma in range for its policy,
-/// epsilon >= 0 and not NaN), the execution knobs (threads, check interval,
-/// cache shards), and targeting, resume and root_set against `data`'s
-/// shape; InvalidArgument / OutOfRange name the first violation.  Reads
-/// only the dimensions of `data`: the O(cells) missing-value scan is
-/// Prepare()'s (FailedPrecondition), once per run.
+/// epsilon >= 0 and not NaN), the execution knobs (threads, check
+/// interval), and targeting, resume and root_set against `data`'s shape;
+/// InvalidArgument / OutOfRange name the first violation.  Reads only the
+/// dimensions of `data`: the O(cells) scan is ValidateMatrixValues.
 util::Status ValidateMinerOptions(const MinerOptions& options,
                                   const matrix::MatrixStore& data);
 
-/// The gamma model Prepare() builds when no shared_model is given: through a
-/// byte-budgeted ModelCache when model_cache_bytes >= 0, resident otherwise,
-/// with an eligibility ceiling of MinC.  `options` must pass
-/// ValidateMinerOptions.
-std::shared_ptr<const SharedGammaModel> BuildGammaModel(
-    const matrix::MatrixStore& data, const MinerOptions& options,
-    int num_threads);
+/// The one cell screen every path runs before it builds a gamma model
+/// (Prepare(), the sweep engine, the checkpointed and incremental drivers,
+/// the daemon's matrix cache).  A NaN is a missing value the caller can
+/// impute, reported as FailedPrecondition(`missing_message`): how to impute
+/// depends on the caller.  A +-inf cell has no RWave order and is
+/// named by its gene and condition; a row whose range overflows has no
+/// finite gamma threshold or coherence denominator bound and is named by
+/// its gene.  Both are FailedPrecondition.
+util::Status ValidateMatrixValues(
+    const matrix::MatrixStore& data,
+    const std::string& missing_message =
+        "matrix contains missing values; impute first "
+        "(matrix::ImputeRowMean)");
 
 /// One root's slice of a mining run, captured when
 /// MinerOptions::capture_root_results is set: the root id, the root's own

@@ -108,8 +108,7 @@ class RWaveModel {
   /// downward (including `pos` itself); >= 1.
   int MaxChainDown(int pos) const { return max_down_[static_cast<size_t>(pos)]; }
 
-  /// Heap bytes held by this model's tables (capacity, not size -- the
-  /// figure the ModelCache budget charges per entry).
+  /// Heap bytes held by this model's tables (capacity, not size).
   size_t MemoryBytes() const {
     return (order_.capacity() + pos_.capacity() + max_up_.capacity() +
             max_down_.capacity()) *

@@ -45,10 +45,10 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     return util::Status::InvalidArgument("num_threads must be >= 0");
   }
   // The O(cells) scan guards the engine's own builds; a model source owns
-  // its inputs (the daemon's cache rejects missing values at load).
-  if (!options_.model_source && data_.HasMissingValues()) {
-    return util::Status::FailedPrecondition(
-        "matrix has missing values; impute before mining");
+  // its inputs (the daemon's cache screens every matrix at load).
+  if (!options_.model_source) {
+    REGCLUSTER_RETURN_IF_ERROR(ValidateMatrixValues(
+        data_, "matrix has missing values; impute before mining"));
   }
   const int threads = util::ResolveThreadCount(options_.num_threads);
 

@@ -688,11 +688,6 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     result.outcome.simd_level = util::simd::CurrentLevel();
     if (last_chunk != nullptr) {
       result.outcome.simd_level = last_chunk->simd_level;
-      result.outcome.model_cache_hits = last_chunk->model_cache_hits;
-      result.outcome.model_cache_misses = last_chunk->model_cache_misses;
-      result.outcome.model_cache_evictions = last_chunk->model_cache_evictions;
-      result.outcome.model_cache_resident_bytes =
-          last_chunk->model_cache_resident_bytes;
       result.outcome.model_bytes = last_chunk->model_bytes;
       result.outcome.mapped_bytes = last_chunk->mapped_bytes;
     }
@@ -713,12 +708,14 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   }
 
   // Build the gamma model once for all chunks (Mine() would otherwise
-  // rebuild it per chunk).  Resident or out-of-core per the user's knobs.
-  // Invalid options build nothing: the first chunk's Mine() surfaces the
-  // rejection verbatim.
+  // rebuild it per chunk).  Invalid options build nothing: the first
+  // chunk's Mine() surfaces the rejection verbatim.
   std::shared_ptr<const core::SharedGammaModel> model = options.shared_model;
   if (model == nullptr && core::ValidateMinerOptions(options, data).ok()) {
-    model = core::BuildGammaModel(data, options, options.num_threads);
+    REGCLUSTER_RETURN_IF_ERROR(core::ValidateMatrixValues(data));
+    model = core::SharedGammaModel::Build(
+        data, {options.gamma_policy, options.gamma}, options.min_conditions,
+        options.num_threads);
   }
   // One logical run builds the model once; report it that way (chunks all
   // run with a shared model, contributing index_builds == 0).

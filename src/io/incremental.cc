@@ -41,7 +41,7 @@ constexpr char kLabel[] = "incremental-state";
 
 /// The execution shapes root-granular splicing cannot reproduce.  Each is a
 /// distinct InvalidArgument so callers learn which knob to drop.  The
-/// miner's own screen runs last, before any model build.
+/// miner's own option and cell screens run last, before any model build.
 util::Status ValidateIncrementalOptions(const core::MinerOptions& o,
                                         const matrix::MatrixStore& data) {
   if (o.max_nodes >= 0 || o.max_clusters >= 0) {
@@ -77,12 +77,8 @@ util::Status ValidateIncrementalOptions(const core::MinerOptions& o,
     return util::Status::InvalidArgument(
         "incremental mining builds its own gamma model at each width");
   }
-  if (o.model_cache_bytes >= 0) {
-    return util::Status::InvalidArgument(
-        "incremental mining requires the resident model path "
-        "(model_cache_bytes < 0)");
-  }
-  return core::ValidateMinerOptions(o, data);
+  REGCLUSTER_RETURN_IF_ERROR(core::ValidateMinerOptions(o, data));
+  return core::ValidateMatrixValues(data);
 }
 
 /// Mines the given roots of `data` on `model`, capturing per-root slices.

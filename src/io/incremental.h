@@ -83,8 +83,9 @@ struct IncrementalMineResult {
 /// to a plain RegClusterMiner::Mine() under the same options.  Rejects
 /// (InvalidArgument) options the incremental contract cannot splice:
 /// budgets, deadline, memory limit, cancel token, resume, root_set,
-/// capture_root_results, shared_model, and out-of-core model_cache_bytes;
-/// then applies core::ValidateMinerOptions before building any model.
+/// capture_root_results and shared_model; then applies
+/// core::ValidateMinerOptions and core::ValidateMatrixValues before building
+/// any model.
 util::StatusOr<IncrementalMineResult> MineInitial(
     const matrix::MatrixStore& data, const core::MinerOptions& options);
 

@@ -120,10 +120,9 @@ util::Status RegisterMinerMetrics(const core::MinerStats& stats,
                    "every level is bit-identical",
                    static_cast<double>(static_cast<int>(outcome.simd_level)));
 
-  // Out-of-core telemetry (all 0 on the eager resident path).  With the
-  // model build forced serial the hit/miss totals are a pure function of
-  // the access sequence; under a parallel build racing misses on one gene
-  // can split differently, but hits + misses still equals total accesses.
+  // The model_cache rows always read 0 (the gamma model is its bitmap
+  // index, built in one pass); they stay because the exposition snapshots
+  // and benchmark/ pin them.
   REGCLUSTER_COUNTER("regcluster_model_cache_hits_total",
                      "RWave model cache lookups served from a resident entry",
                      outcome.model_cache_hits);

@@ -41,12 +41,10 @@ ResourceCache::GetMatrix(const std::string& path, bool* hit) {
   auto opened = matrix::OpenMatrixStore(path);
   if (!opened.ok()) return opened.status();
   std::shared_ptr<const matrix::MatrixStore> store = *std::move(opened);
-  if (store->HasMissingValues()) {
-    return util::Status::FailedPrecondition(
-        "matrix " + path +
-        " contains missing values; impute offline first "
-        "(regcluster convert --impute=rowmean)");
-  }
+  REGCLUSTER_RETURN_IF_ERROR(core::ValidateMatrixValues(
+      *store, "matrix " + path +
+                  " contains missing values; impute offline first "
+                  "(regcluster convert --impute=rowmean)"));
 
   auto handle = std::make_shared<MatrixHandle>();
   handle->store = store;

@@ -52,8 +52,8 @@ class ResourceCache {
   struct Options {
     /// Combined budget over matrix handles and models.  Eviction runs from
     /// the global LRU tail until resident bytes fit; the most recently
-    /// touched entry always survives (one-entry floor, as in
-    /// core::ModelCache), so a single oversized matrix still mines.
+    /// touched entry always survives (one-entry floor), so a single
+    /// oversized matrix still mines.
     int64_t byte_budget = int64_t{256} << 20;
     /// Threads for model builds (0 = hardware concurrency).
     int build_threads = 1;
@@ -89,7 +89,9 @@ class ResourceCache {
 
   /// Loads (or reuses) the matrix at `path` with matrix::OpenMatrixStore.
   /// Missing values are FailedPrecondition -- the service has no impute
-  /// step; callers prepare inputs with `regcluster convert`.  Load failures are not cached.
+  /// step; callers prepare inputs with `regcluster convert` -- and so is
+  /// every other cell core::ValidateMatrixValues rejects, before any model
+  /// is built.  Load failures are not cached.
   /// `hit` (optional) reports whether an existing entry served the request.
   util::StatusOr<std::shared_ptr<const MatrixHandle>> GetMatrix(
       const std::string& path, bool* hit = nullptr);

@@ -10,7 +10,7 @@
 #     silent 0 / prefix / tab / default -- also on a complete matrix, where
 #     --impute has nothing to do;
 #   * `mine` reports the whole gamma-model build time, non-zero on a
-#     3000 x 40 matrix, on the eager and on the out-of-core path.
+#     3000 x 40 matrix, on the resident and on the mapped binary matrix.
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)
@@ -123,12 +123,10 @@ run_expect(0 ${CLI} generate --out-matrix=${WORKDIR}/big.tsv --genes=3000
            --conditions=40 --clusters=5 --seed=3)
 run_expect(0 ${CLI} convert --in=${WORKDIR}/big.tsv --out=${WORKDIR}/big.rgx
            --out-format=bin)
-foreach(variant "big.tsv" "big.rgx|--model-cache-mb=1")
-  string(REPLACE "|" ";" extra "${variant}")
-  list(POP_FRONT extra matrix)
-  run_expect(0 ${CLI} mine --matrix=${WORKDIR}/${matrix}
+foreach(variant "big.tsv" "big.rgx")
+  run_expect(0 ${CLI} mine --matrix=${WORKDIR}/${variant}
              --out=${WORKDIR}/big_out.txt --ming=3000 --minc=40 --gamma=0.1
-             --epsilon=0.1 ${extra})
+             --epsilon=0.1)
   if(NOT last_out MATCHES "model build ([0-9]+\\.[0-9]+) s")
     message(FATAL_ERROR "${variant}: no model build time in: ${last_out}")
   endif()

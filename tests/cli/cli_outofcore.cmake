@@ -1,11 +1,13 @@
 # End-to-end out-of-core mining contract:
 #   * `convert --out-format=bin` produces a binary matrix that round-trips
 #     back through `convert --out-format=text`
-#   * `mine --matrix-format=bin --model-cache-mb=N` mines the mapped file
-#     through the model cache and emits output identical to the resident
-#     text-path mine
+#   * `mine --matrix-format=bin` mines the mapped file and emits output
+#     identical to the resident text-path mine; `--model-cache-mb=N` is
+#     still accepted and changes nothing
 #   * --matrix-format=auto sniffs the binary magic
-#   * the cache telemetry reaches the Prometheus export
+#   * the model bytes reach the Prometheus export, and the model-cache rows
+#     read 0 (the gamma model is its bitmap index; no cache exists)
+#   * a malformed --model-cache-mb is still a usage error (2)
 #   * misuse (binary + --normalize, bad formats) is a usage error (2)
 file(MAKE_DIRECTORY ${WORKDIR})
 
@@ -44,7 +46,7 @@ run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.tsv
 
 # --- out-of-core mine must be byte-identical -------------------------------
 run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.rgx --matrix-format=bin
-           --model-cache-mb=1 --model-cache-shards=4
+           --model-cache-mb=1
            --out=${WORKDIR}/outofcore.txt
            --ming=6 --minc=5 --gamma=0.1 --epsilon=0.05
            --metrics-out=${WORKDIR}/outofcore.prom --metrics-format=prom)
@@ -55,10 +57,10 @@ if(NOT cmp_rc EQUAL 0)
   message(FATAL_ERROR "out-of-core mine differs from the resident mine")
 endif()
 
-# Cache telemetry reaches the export, with real traffic behind it.
+# The model bytes reach the export; the model-cache rows stay, at 0.
 file(READ ${WORKDIR}/outofcore.prom prom)
-if(NOT prom MATCHES "\nregcluster_model_cache_misses_total [1-9][0-9]*\n")
-  message(FATAL_ERROR "out-of-core mine exported no cache misses:\n${prom}")
+if(NOT prom MATCHES "\nregcluster_model_cache_misses_total 0\n")
+  message(FATAL_ERROR "out-of-core mine exported cache misses:\n${prom}")
 endif()
 if(NOT prom MATCHES "\nregcluster_model_bytes [1-9][0-9]*\n")
   message(FATAL_ERROR "out-of-core mine exported no model bytes:\n${prom}")
@@ -76,8 +78,7 @@ if(NOT cmp_rc EQUAL 0)
   message(FATAL_ERROR "auto-sniffed binary mine differs from resident mine")
 endif()
 
-# A mapped mine without any cache budget (eager models over the mapping)
-# must also agree.
+# A mapped mine without --model-cache-mb must also agree.
 run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.rgx --matrix-format=bin
            --out=${WORKDIR}/mapped_eager.txt
            --ming=6 --minc=5 --gamma=0.1 --epsilon=0.05)
@@ -98,6 +99,12 @@ if(EXISTS ${WORKDIR}/x.txt)
 endif()
 run_expect(2 ${CLI} mine --matrix=${WORKDIR}/m.rgx --matrix-format=elf
            --out=${WORKDIR}/x2.txt)
+run_expect(2 ${CLI} mine --matrix=${WORKDIR}/m.rgx --model-cache-mb=1x
+           --out=${WORKDIR}/x4.txt --ming=6 --minc=5 --gamma=0.1
+           --epsilon=0.05)
+if(EXISTS ${WORKDIR}/x4.txt)
+  message(FATAL_ERROR "malformed --model-cache-mb must not mine")
+endif()
 run_expect(2 ${CLI} convert --in=${WORKDIR}/m.tsv
            --out=${WORKDIR}/x.rgx --out-format=parquet)
 

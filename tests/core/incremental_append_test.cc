@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -530,11 +531,38 @@ TEST(IncrementalState, UnspliceableOptionsAreRejected) {
     o.capture_root_results = true;
     expect_invalid(o, "capture_root_results");
   }
-  {
-    MinerOptions o = base;
-    o.model_cache_bytes = 1 << 20;
-    expect_invalid(o, "model_cache_bytes");
-  }
+}
+
+TEST(IncrementalState, NonFiniteCellIsFailedPreconditionNamingTheCell) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const ExpressionMatrix full = RandomMatrix(707, 7, 9);
+  std::vector<int> all_genes, prefix_conds;
+  for (int g = 0; g < 7; ++g) all_genes.push_back(g);
+  for (int c = 0; c < 7; ++c) prefix_conds.push_back(c);
+  MinerOptions o;
+  o.min_genes = 2;
+  o.min_conditions = 2;
+  auto expect_named = [](const util::Status& st, const ExpressionMatrix& m,
+                         int g, int c) {
+    EXPECT_EQ(st.code(), util::StatusCode::kFailedPrecondition);
+    const std::string cell = "gene '" + m.gene_name(g) + "' at condition '" +
+                             m.condition_name(c) + "' is +inf";
+    EXPECT_NE(st.message().find(cell), std::string::npos) << st.message();
+  };
+
+  // The seed mine.
+  ExpressionMatrix bad_seed = full.Submatrix(all_genes, prefix_conds);
+  bad_seed(4, 1) = kInf;
+  expect_named(MineInitial(bad_seed, o).status(), bad_seed, 4, 1);
+
+  // An append whose new column holds the cell.
+  ExpressionMatrix grown = full.Submatrix(all_genes, prefix_conds);
+  auto seeded = MineInitial(grown, o);
+  ASSERT_TRUE(seeded.ok());
+  AppendColumnsFrom(full, 7, 2, &grown);
+  grown(2, 8) = kInf;
+  expect_named(MineIncremental(grown, 7, o, seeded->state).status(), grown, 2,
+               8);
 }
 
 TEST(IncrementalState, MismatchedPrevIsFailedPrecondition) {

@@ -1,11 +1,13 @@
-// Out-of-core mining differentials: the lazy model-cache path and the
-// mmap-backed matrix path must both produce clusters byte-identical to the
-// eager resident search at any cache budget and thread count, and resume
-// tokens must splice across the paths.
+// Out-of-core mining differentials: a mine of the mmap-backed matrix must
+// produce clusters byte-identical to the resident search at any thread
+// count, its gamma model must be nothing but the bitmap index, its memory
+// stop must charge the mapping and the model, and resume tokens must
+// splice across the two storage paths.
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -48,88 +50,89 @@ void ExpectSameClusters(const std::vector<RegCluster>& a,
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "cluster " << i;
 }
 
-class CacheBudgetSweep
-    : public ::testing::TestWithParam<std::pair<int64_t, int>> {};
-
-TEST_P(CacheBudgetSweep, LazyPathMatchesResident) {
-  const auto ds = Dataset();
-  const auto [budget, threads] = GetParam();
-
-  auto resident = RegClusterMiner(ds.data, BaseOptions()).Mine();
-  ASSERT_TRUE(resident.ok());
-  ASSERT_FALSE(resident->empty()) << "differential is vacuous";
-
-  MinerOptions lazy = BaseOptions();
-  lazy.model_cache_bytes = budget;
-  lazy.num_threads = threads;
-  RegClusterMiner miner(ds.data, lazy);
-  auto cached = miner.Mine();
-  ASSERT_TRUE(cached.ok());
-  ExpectSameClusters(*resident, *cached);
-
-  // The lazy path reports cache telemetry; every gene was built at least
-  // once during the index bake.
-  EXPECT_GE(miner.outcome().model_cache_misses, ds.data.num_genes());
-  EXPECT_GT(miner.outcome().model_bytes, 0);
+/// Writes `ds` as a binary matrix under TempDir() and maps it.
+matrix::MappedMatrix MapDataset(const synth::SyntheticDataset& ds,
+                                const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(matrix::WriteBinaryMatrix(ds.data, path).ok());
+  auto mapped = matrix::MappedMatrix::Open(path);
+  EXPECT_TRUE(mapped.ok()) << mapped.status().message();
+  std::remove(path.c_str());  // the mapping outlives the directory entry
+  return *std::move(mapped);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Budgets, CacheBudgetSweep,
-    ::testing::Values(std::make_pair(int64_t{1} << 30, 1),   // unbounded-ish
-                      std::make_pair(int64_t{1} << 30, 4),
-                      std::make_pair(int64_t{96} << 10, 1),  // partial
-                      std::make_pair(int64_t{96} << 10, 4),
-                      std::make_pair(int64_t{0}, 1),         // shard floor
-                      std::make_pair(int64_t{0}, 4)));
 
 TEST(MinerOutOfCoreTest, MappedMatrixMatchesResident) {
   const auto ds = Dataset();
-  const std::string path =
-      ::testing::TempDir() + "/outofcore_differential.rgx";
-  ASSERT_TRUE(matrix::WriteBinaryMatrix(ds.data, path).ok());
-  auto mapped = matrix::MappedMatrix::Open(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-
+  const matrix::MappedMatrix mapped =
+      MapDataset(ds, "outofcore_differential.rgx");
   auto resident = RegClusterMiner(ds.data, BaseOptions()).Mine();
   ASSERT_TRUE(resident.ok());
+  ASSERT_FALSE(resident->empty()) << "differential is vacuous";
+  const MinerOptions base = BaseOptions();
+  const size_t index_bytes =
+      SharedGammaModel::Build(ds.data, {base.gamma_policy, base.gamma},
+                              base.min_conditions)
+          ->index.MemoryBytes();
 
-  MinerOptions lazy = BaseOptions();
-  lazy.model_cache_bytes = 128 << 10;
-  RegClusterMiner miner(*mapped, lazy);
-  auto from_mapped = miner.Mine();
-  ASSERT_TRUE(from_mapped.ok());
-  ExpectSameClusters(*resident, *from_mapped);
-  if (mapped->is_mapped()) {
-    EXPECT_GT(miner.outcome().mapped_bytes, 0);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    MinerOptions o = BaseOptions();
+    o.num_threads = threads;
+    RegClusterMiner miner(mapped, o);
+    auto from_mapped = miner.Mine();
+    ASSERT_TRUE(from_mapped.ok());
+    ExpectSameClusters(*resident, *from_mapped);
+    // The model is its bitmap index, nothing besides.
+    EXPECT_EQ(miner.outcome().model_bytes, static_cast<int64_t>(index_bytes));
+    EXPECT_EQ(miner.outcome().model_cache_misses, 0);
+    if (mapped.is_mapped()) {
+      EXPECT_EQ(miner.outcome().mapped_bytes, mapped.mapped_bytes());
+      EXPECT_GT(miner.outcome().mapped_bytes, 0);
+    }
   }
-  std::remove(path.c_str());
 }
 
-TEST(MinerOutOfCoreTest, CacheStatsInvariantAcrossIdenticalSerialRuns) {
-  // With a serial model build the hit/miss/eviction totals are a pure
-  // function of the access sequence -- two identical runs agree exactly.
+TEST(MinerOutOfCoreTest, MemoryStopChargesMappedMatrixAndModel) {
+  // A mapped run that builds its own model charges mapped + model bytes as
+  // a fixed base, so a limit below that base stops it; a resident run
+  // counts only its scratch and completes under the same limit.
   const auto ds = Dataset();
+  const matrix::MappedMatrix mapped = MapDataset(ds, "outofcore_memory.rgx");
+  if (!mapped.is_mapped()) GTEST_SKIP() << "no file mapping on this platform";
   MinerOptions o = BaseOptions();
-  o.model_cache_bytes = 64 << 10;
-  o.num_threads = 1;
+  const int64_t index_bytes = static_cast<int64_t>(
+      SharedGammaModel::Build(ds.data, {o.gamma_policy, o.gamma},
+                              o.min_conditions)
+          ->index.MemoryBytes());
+  o.soft_memory_limit_bytes = mapped.mapped_bytes() + index_bytes - 1;
+  o.budget_check_interval = 1;
 
-  RegClusterMiner first(ds.data, o);
-  RegClusterMiner second(ds.data, o);
-  ASSERT_TRUE(first.Mine().ok());
-  ASSERT_TRUE(second.Mine().ok());
-  EXPECT_EQ(first.outcome().model_cache_hits,
-            second.outcome().model_cache_hits);
-  EXPECT_EQ(first.outcome().model_cache_misses,
-            second.outcome().model_cache_misses);
-  EXPECT_EQ(first.outcome().model_cache_evictions,
-            second.outcome().model_cache_evictions);
+  RegClusterMiner resident(ds.data, o);
+  ASSERT_TRUE(resident.Mine().ok());
+  EXPECT_EQ(resident.outcome().status, MineStatus::kComplete);
+  ASSERT_LT(resident.outcome().peak_scratch_bytes, o.soft_memory_limit_bytes)
+      << "the limit must leave the resident run room to complete";
+
+  RegClusterMiner from_mapped(mapped, o);
+  ASSERT_TRUE(from_mapped.Mine().ok());
+  EXPECT_EQ(from_mapped.outcome().status, MineStatus::kTruncated);
+  EXPECT_EQ(from_mapped.outcome().stop_reason,
+            util::StopReason::kMemoryBudget);
+
+  // A shared model is the caller's allocation: nothing is charged for it.
+  o.shared_model = SharedGammaModel::Build(
+      mapped, {o.gamma_policy, o.gamma}, o.min_conditions);
+  RegClusterMiner shared(mapped, o);
+  ASSERT_TRUE(shared.Mine().ok());
+  EXPECT_EQ(shared.outcome().status, MineStatus::kComplete);
 }
 
 TEST(MinerOutOfCoreTest, ResumeTokenSplicesAcrossPaths) {
-  // Truncate an eager resident run, then finish it on the out-of-core path:
-  // the concatenation must equal the untruncated resident answer.  The
-  // semantic hash excludes the cache knobs, so the token is accepted.
+  // Truncate a resident run, then finish it on the mapped matrix: the
+  // concatenation must equal the untruncated resident answer.  The
+  // semantic hash excludes execution knobs, so the token is accepted.
   const auto ds = Dataset();
+  const matrix::MappedMatrix mapped = MapDataset(ds, "outofcore_resume.rgx");
   auto reference = RegClusterMiner(ds.data, BaseOptions()).Mine();
   ASSERT_TRUE(reference.ok());
 
@@ -142,10 +145,9 @@ TEST(MinerOutOfCoreTest, ResumeTokenSplicesAcrossPaths) {
   ASSERT_TRUE(first.outcome().resume.can_resume());
 
   MinerOptions rest = BaseOptions();
-  rest.model_cache_bytes = 32 << 10;  // continue out-of-core
   rest.num_threads = 2;
   rest.resume = first.outcome().resume;
-  RegClusterMiner second(ds.data, rest);
+  RegClusterMiner second(mapped, rest);
   auto tail = second.Mine();
   ASSERT_TRUE(tail.ok());
   EXPECT_EQ(second.outcome().status, MineStatus::kComplete);
@@ -169,20 +171,6 @@ TEST(MinerOutOfCoreTest, EagerPathReportsNoCacheTraffic) {
   EXPECT_EQ(miner.outcome().model_cache_evictions, 0);
   EXPECT_EQ(miner.outcome().mapped_bytes, 0);
   EXPECT_GT(miner.outcome().model_bytes, 0);
-}
-
-TEST(MinerOutOfCoreTest, InvalidShardCountRejected) {
-  const auto data = regcluster::testing::RunningDataset();
-  MinerOptions o;
-  o.min_genes = 3;
-  o.min_conditions = 5;
-  o.gamma = 0.15;
-  o.epsilon = 0.1;
-  o.model_cache_bytes = 0;
-  o.model_cache_shards = 0;
-  auto result = RegClusterMiner(data, o).Mine();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

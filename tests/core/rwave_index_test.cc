@@ -349,14 +349,13 @@ TEST(SharedGammaModelBuild, MatchesTwoPassReferenceAtAnyThreadCount) {
   }
 }
 
-// The eager gamma model holds nothing but its index.
+// The gamma model holds nothing but its index.
 TEST(SharedGammaModelBuild, EagerModelBytesAreTheIndex) {
   util::Prng prng(4242);
   const matrix::ExpressionMatrix data = RandomMatrix(&prng, 200, 40);
   const auto model = SharedGammaModel::Build(
       data, GammaSpec{GammaPolicy::kRangeFraction, 0.1}, kMaxNeed, 4);
   ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->cache, nullptr);
   EXPECT_EQ(model->MemoryBytes(), model->index.MemoryBytes());
 }
 

@@ -15,6 +15,7 @@
 //    builds and checks, and a failing source fails the sweep.
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -379,6 +380,21 @@ TEST(SweepEngineTest, ScreenVerdictsDoNotDependOnTruncationOrThreads) {
     EXPECT_EQ(report->runs[3].status.code(), util::StatusCode::kInvalidArgument)
         << threads;
   }
+}
+
+TEST(SweepEngineTest, NonFiniteCellFailsTheSweepBeforeAnyModelBuild) {
+  // The engine screens every cell before its own builds: a +inf cell fails
+  // the whole sweep, naming the cell, instead of building each gamma
+  // group's model and failing every point.
+  matrix::ExpressionMatrix data = TestMatrix();
+  data(7, 3) = std::numeric_limits<double>::infinity();
+  auto report = SweepEngine(data, SweepOptions{}).Run(TestGrid());
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), util::StatusCode::kFailedPrecondition);
+  const std::string cell = "gene '" + data.gene_name(7) + "' at condition '" +
+                           data.condition_name(3) + "' is +inf";
+  EXPECT_NE(report.status().message().find(cell), std::string::npos)
+      << report.status().message();
 }
 
 TEST(SweepEngineTest, EmptyPointListIsAnError) {

@@ -10,7 +10,7 @@
 // The contract under test: the surviving run's --deterministic-output JSON
 // and cluster archive are byte-identical to an uninterrupted reference run,
 // regardless of where the kills landed, at 1 and 4 threads, on both the
-// resident text path and the mmap + model-cache out-of-core path.
+// resident text path and the mapped binary-matrix (out-of-core) path.
 //
 // The suite schedules >= 100 kill points in total (25 per mine scenario x 4
 // scenarios, plus the sweep scenario's kills).
@@ -197,7 +197,6 @@ TEST_P(MineKillResume, FinalOutputByteIdenticalToUninterruptedRun) {
   if (sc.out_of_core) {
     args.push_back("--matrix=" + matrix_bin_);
     args.push_back("--matrix-format=bin");
-    args.push_back("--model-cache-mb=1");
   } else {
     args.push_back("--matrix=" + matrix_tsv_);
   }

@@ -16,6 +16,7 @@
 
 #include "io/checkpoint.h"
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -755,6 +756,23 @@ TEST(RunCheckpointedMineTest, RejectsSnapshotFromDifferentOptions) {
       RunCheckpointedMine(data, different, CheckpointConfig{}, &ckpt->mine);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), util::StatusCode::kFailedPrecondition);
+}
+
+TEST(RunCheckpointedMineTest, NonFiniteCellIsRejectedBeforeAnySnapshot) {
+  matrix::ExpressionMatrix data = TestMatrix();
+  data(5, 2) = std::numeric_limits<double>::infinity();
+
+  CheckpointConfig config;
+  config.path = TempPath("ckm_nonfinite");
+  config.synchronous = true;
+  auto got = RunCheckpointedMine(data, TestOptions(), config, nullptr);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), util::StatusCode::kFailedPrecondition);
+  EXPECT_THAT(got.status().message(),
+              HasSubstr("gene '" + data.gene_name(5) + "' at condition '" +
+                        data.condition_name(2) + "' is +inf"));
+  EXPECT_EQ(LoadCheckpoint(config.path).status().code(),
+            util::StatusCode::kNotFound);
 }
 
 // ---------------------------------------------------------------------------

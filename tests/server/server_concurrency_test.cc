@@ -15,6 +15,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -276,6 +278,32 @@ TEST(ServerConcurrency, CacheCountersAreAPureFunctionOfRequestOrder) {
   EXPECT_NE(metrics.body.find("regcluster_server_cache_hits 6"),
             std::string::npos)
       << metrics.body;
+}
+
+TEST(ServerConcurrency, NonFiniteMatrixIsRejectedBeforeAnyModelBuild) {
+  // The matrix cache screens every cell at load, so a +inf cell fails the
+  // request naming the cell, and no gamma model is built or cached.
+  matrix::ExpressionMatrix data = MatrixA().data;
+  data(9, 4) = std::numeric_limits<double>::infinity();
+  const std::string path = ::testing::TempDir() +
+                           std::to_string(static_cast<long>(getpid())) +
+                           "_conc_inf.rgx";
+  ASSERT_TRUE(matrix::WriteBinaryMatrix(data, path).ok());
+  TestMatrix bad{path, data};
+
+  MiningService service(MiningService::Options{});
+  const ServiceResponse r =
+      service.HandleHttp("POST", "/mine", MineBodyJson({&bad, 5, 4, "0.1",
+                                                        "0.05"}));
+  EXPECT_NE(r.http_status, 200);
+  const std::string cell = "gene '" + data.gene_name(9) + "' at condition '" +
+                           data.condition_name(4) + "' is +inf";
+  EXPECT_NE(r.body.find(cell), std::string::npos) << r.body;
+  const ResourceCache::Stats s = service.cache_stats();
+  EXPECT_EQ(s.matrix_misses, 1);
+  EXPECT_EQ(s.model_misses, 0);
+  EXPECT_EQ(s.model_hits, 0);
+  std::remove(path.c_str());
 }
 
 TEST(ServerConcurrency, EvictionUnderLoadNeverInvalidatesPinnedHandles) {

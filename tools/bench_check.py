@@ -83,7 +83,7 @@ to the cold one.  Same fallback and skip-with-notice behaviour.
 
 The out-of-core path is gated through the ``scalability`` section written
 by ``bench_scalability --sweep=outofcore``: it records the peak RSS of a
-memory-capped genome-scale mine through the mmap + model-cache path.
+memory-capped genome-scale mine of a mapped binary matrix.
 ``--max-peak-rss`` (bytes; 0 disables) fails the check when the recorded
 high-water mark exceeds the cap -- the section is the committed proof that
 the bounded-memory contract holds.  Same fresh-then-baseline fallback and

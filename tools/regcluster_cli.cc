@@ -478,8 +478,7 @@ int CmdMine(Flags* flags) {
         "  [--ming=20] [--minc=6] [--gamma=0.05]\n"
         "  [--gamma-policy=range|stddev|mean|closest-gap|absolute]\n"
         "  [--epsilon=1.0] [--threads=1] [--remove-dominated=true]\n"
-        "  [--matrix-format=auto|bin|text] [--model-cache-mb=-1]\n"
-        "  [--model-cache-shards=8]\n"
+        "  [--matrix-format=auto|bin|text]\n"
         "  [--impute=rowmean|knn] [--knn-k=10] [--normalize=none|quantile]\n"
         "  [--merge-overlap=0] [--require-gene=NAME_OR_INDEX]\n"
         "  [--report=PATH] [--json=PATH]\n"
@@ -511,10 +510,8 @@ int CmdMine(Flags* flags) {
         "auto (sniff the binary magic; the default).  Binary matrices are\n"
         "mapped, not loaded, so genome-scale inputs mine without slurping\n"
         "the matrix into RAM; impute/normalize must happen at convert time.\n"
-        "--model-cache-mb >= 0 additionally builds the per-gene RWave\n"
-        "models out-of-core through a byte-budgeted LRU cache of that many\n"
-        "MiB (split over --model-cache-shards) instead of materializing all\n"
-        "of them; the mined output is byte-identical either way.\n"
+        "The gamma model is always the bitmap index, built in one pass, on\n"
+        "either input; --model-cache-mb=N is accepted but has no effect.\n"
         "--merge-overlap > 0 runs the consensus merge post-pass.\n"
         "Budgets (--max-clusters/--max-nodes/--deadline-ms) and Ctrl-C stop\n"
         "the search at a deterministic root boundary: the outputs are then a\n"
@@ -592,11 +589,9 @@ int CmdMine(Flags* flags) {
   const std::string require_gene = flags->GetString("require-gene", "");
   const std::string simd_name = flags->GetString("simd", "auto");
   const std::string matrix_format = flags->GetString("matrix-format", "auto");
-  const int64_t model_cache_mb = flags->GetInt<int64_t>("model-cache-mb", -1);
-  opts.model_cache_shards = flags->GetInt("model-cache-shards", 8);
-  if (model_cache_mb >= 0) {
-    opts.model_cache_bytes = model_cache_mb * (int64_t{1} << 20);
-  }
+  // Parsed (a malformed value is still a usage error) but ignored; kept only
+  // because benchmark/workloads.py passes it.
+  (void)flags->GetInt<int64_t>("model-cache-mb", -1);
   const std::string checkpoint_path = flags->GetString("checkpoint", "");
   const int checkpoint_every_ms = flags->GetInt("checkpoint-every-ms", 1000);
   const std::string resume_from = flags->GetString("resume-from", "");
