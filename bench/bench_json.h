@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "io/json_export.h"
-#include "util/simd/dispatch.h"
 
 namespace regcluster {
 namespace bench {
@@ -108,11 +107,6 @@ inline std::string ProvenanceObject() {
       JsonField("compiler", JsonString(compiler)),
       JsonField("build_type", JsonString(build_type)),
       JsonField("cxx_flags", JsonString(flags)),
-      // The kernel set the harness actually ran with (scalar/avx2/neon):
-      // numbers from different levels are not comparable, so the committed
-      // file says which one produced them.
-      JsonField("simd_level",
-                JsonString(util::simd::LevelName(util::simd::CurrentLevel()))),
   });
 }
 

@@ -25,7 +25,7 @@
 #include "util/bitset.h"
 #include "util/math_util.h"
 #include "util/prng.h"
-#include "util/simd/dispatch.h"
+#include "util/radix_sort.h"
 
 namespace regcluster {
 namespace {
@@ -130,32 +130,6 @@ void BM_CoherenceWindowExtension(benchmark::State& state) {
 }
 BENCHMARK(BM_CoherenceWindowExtension)->Unit(benchmark::kMillisecond);
 
-// -- SIMD kernel microbenches -------------------------------------------
-//
-// Each pair compares the portable scalar kernel against the level the
-// dispatcher would pick on this machine ("dispatched"; identical to scalar
-// on a host without AVX2/NEON).  The kernels are fetched once with the level
-// pinned and called through the captured table, so the numbers isolate the
-// kernel itself -- no per-call dispatch resolution, no Auto-wrapper width
-// shortcut.  bench_check.py gates the dispatched sort against the committed
-// baseline like any other micro row; the end-to-end win is gated separately
-// through the threads section's sort_speedup.
-
-/// The SimdOps table that level `level` resolves to, without leaving the
-/// process-wide level changed.
-util::simd::SimdOps OpsAt(util::simd::Level level) {
-  const util::simd::Level entry = util::simd::CurrentLevel();
-  if (!util::simd::SetLevel(level).ok()) std::abort();
-  const util::simd::SimdOps ops = util::simd::Ops();
-  if (!util::simd::SetLevel(entry).ok()) std::abort();
-  return ops;
-}
-
-util::simd::Level BenchLevel(bool dispatched) {
-  return dispatched ? util::simd::DetectBestLevel()
-                    : util::simd::Level::kScalar;
-}
-
 /// One scored column shaped like the miner's: two gene-ascending halves
 /// (surviving members then re-tested drops) and scores that are a mix of a
 /// tight cluster near 1.0 (the coherent mass radix sort must split on low
@@ -183,9 +157,8 @@ ScoredColumn MakeScoredColumn(int n, util::Prng* prng) {
   return col;
 }
 
-void BM_RadixSortPhase(benchmark::State& state, bool dispatched) {
+void BM_RadixSortPhase(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const util::simd::SimdOps ops = OpsAt(BenchLevel(dispatched));
   constexpr int kPool = 64;  // rotate columns so none stays cache-resident
   util::Prng prng(2026);
   std::vector<ScoredColumn> pool;
@@ -193,12 +166,12 @@ void BM_RadixSortPhase(benchmark::State& state, bool dispatched) {
   for (int p = 0; p < kPool; ++p) pool.push_back(MakeScoredColumn(n, &prng));
   std::vector<int> order(static_cast<size_t>(n));
   std::vector<double> sorted_h(static_cast<size_t>(n));
-  util::simd::SortScratch scratch;
+  util::SortScratch scratch;
   size_t p = 0;
   for (auto _ : state) {
     const ScoredColumn& col = pool[p];
-    ops.sort_scored(col.h.data(), col.gene.data(), col.split, n, order.data(),
-                    sorted_h.data(), &scratch);
+    util::RadixSortScored(col.h.data(), col.gene.data(), col.split, n,
+                          order.data(), sorted_h.data(), &scratch);
     benchmark::DoNotOptimize(order.data());
     benchmark::ClobberMemory();
     p = (p + 1) % kPool;
@@ -208,10 +181,7 @@ void BM_RadixSortPhase(benchmark::State& state, bool dispatched) {
 // 80 sits in the miner's typical per-node range (n in [48, 96] on the
 // reference dataset); 320 is the hybrid/full-LSD boundary; 2000 is the
 // root-level sort of a large dataset.
-BENCHMARK_CAPTURE(BM_RadixSortPhase, scalar, false)
-    ->Arg(80)->Arg(320)->Arg(2000);
-BENCHMARK_CAPTURE(BM_RadixSortPhase, dispatched, true)
-    ->Arg(80)->Arg(320)->Arg(2000);
+BENCHMARK(BM_RadixSortPhase)->Arg(80)->Arg(320)->Arg(2000);
 
 // The coherence pre-screen the miner runs before that sort, over the same
 // deterministic columns at epsilon = 0.01.  Half of each column sits within
@@ -319,30 +289,6 @@ void BM_ReadMatrixText(benchmark::State& state) {
                           static_cast<int64_t>(tsv.size()));
 }
 BENCHMARK(BM_ReadMatrixText)->Unit(benchmark::kMillisecond);
-
-void BM_BitsetAnd(benchmark::State& state, bool dispatched) {
-  // The index row combine the miner leans on: dst = a & b.  At 1 word (a
-  // <= 64-condition matrix) the Auto wrappers would bypass dispatch
-  // entirely; the wide rows are where the vector kernels earn their keep.
-  const int words = static_cast<int>(state.range(0));
-  const util::simd::SimdOps ops = OpsAt(BenchLevel(dispatched));
-  util::Prng prng(99);
-  std::vector<uint64_t> a(static_cast<size_t>(words));
-  std::vector<uint64_t> b(static_cast<size_t>(words));
-  std::vector<uint64_t> dst(static_cast<size_t>(words));
-  for (int w = 0; w < words; ++w) {
-    a[static_cast<size_t>(w)] = prng.Next64();
-    b[static_cast<size_t>(w)] = prng.Next64();
-  }
-  for (auto _ : state) {
-    ops.and_words(dst.data(), a.data(), b.data(), words);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * words);
-}
-BENCHMARK_CAPTURE(BM_BitsetAnd, scalar, false)->Arg(8)->Arg(64);
-BENCHMARK_CAPTURE(BM_BitsetAnd, dispatched, true)->Arg(8)->Arg(64);
 
 void BM_CoherenceScore(benchmark::State& state) {
   const std::vector<double> row = RandomProfile(64, 77);

@@ -23,7 +23,6 @@
 #include "io/incremental.h"
 #include "matrix/expression_matrix.h"
 #include "matrix/matrix_io.h"
-#include "util/simd/dispatch.h"
 #include "util/timer.h"
 
 namespace regcluster {
@@ -171,50 +170,6 @@ int Main(int argc, char** argv) {
       ps.emit_ns / 1e6, ps.mine_seconds * 1e3,
       ps.index_build_seconds * 1e3);
 
-  // SIMD ablation: the same profiled serial mine, forced-scalar vs the best
-  // kernel set this machine supports, interleaved best-of-3 per side so one
-  // noisy run cannot invent or erase a speedup.  The sort phase is the one
-  // the radix pipeline replaces outright (comparator std::sort at the
-  // scalar level), so its ratio is the headline number, gated (>= 1.5x
-  // where a vector level exists) by tools/bench_check.py
-  // --min-sort-speedup.
-  const util::simd::Level entry_level = util::simd::CurrentLevel();
-  const util::simd::Level best_level = util::simd::DetectBestLevel();
-  int64_t scalar_sort_ns = INT64_MAX;
-  int64_t best_sort_ns = INT64_MAX;
-  auto profiled_sort_ns = [&](util::simd::Level level) -> int64_t {
-    if (!util::simd::SetLevel(level).ok()) return -1;
-    core::RegClusterMiner m(ds->data, prof);
-    if (!m.Mine().ok()) return -1;
-    return m.stats().sort_ns;
-  };
-  for (int rep = 0; rep < 3; ++rep) {
-    const bool scalar_first = (rep % 2) == 0;
-    const int64_t first =
-        profiled_sort_ns(scalar_first ? util::simd::Level::kScalar
-                                      : best_level);
-    const int64_t second =
-        profiled_sort_ns(scalar_first ? best_level
-                                      : util::simd::Level::kScalar);
-    if (first < 0 || second < 0) {
-      std::fprintf(stderr, "simd ablation runs failed\n");
-      return 1;
-    }
-    scalar_sort_ns =
-        std::min(scalar_sort_ns, scalar_first ? first : second);
-    best_sort_ns = std::min(best_sort_ns, scalar_first ? second : first);
-  }
-  if (!util::simd::SetLevel(entry_level).ok()) return 1;
-  const double sort_speedup =
-      best_sort_ns > 0
-          ? static_cast<double>(scalar_sort_ns) / best_sort_ns
-          : 0.0;
-  std::printf(
-      "simd sort ablation: scalar %.1f ms vs %s %.1f ms -> %.2fx "
-      "(active level %s)\n",
-      scalar_sort_ns / 1e6, util::simd::LevelName(best_level),
-      best_sort_ns / 1e6, sort_speedup, util::simd::LevelName(entry_level));
-
   std::vector<std::string> fields = {
       JsonField("dataset", JsonObject({
                     JsonField("genes", JsonInt(cfg.num_genes)),
@@ -248,17 +203,6 @@ int Main(int argc, char** argv) {
           JsonField("mine_seconds", JsonDouble(ps.mine_seconds)),
           JsonField("index_build_seconds",
                     JsonDouble(ps.index_build_seconds)),
-      })));
-  fields.push_back(JsonField(
-      "simd",
-      JsonObject({
-          JsonField("level",
-                    JsonString(util::simd::LevelName(entry_level))),
-          JsonField("best_level",
-                    JsonString(util::simd::LevelName(best_level))),
-          JsonField("scalar_sort_ns", JsonInt(scalar_sort_ns)),
-          JsonField("best_sort_ns", JsonInt(best_sort_ns)),
-          JsonField("sort_speedup", JsonDouble(sort_speedup)),
       })));
   const std::string section = JsonObject(fields);
   if (!UpsertBenchSection(out_path, "threads", section)) {

@@ -14,7 +14,7 @@
 #include "core/coherence.h"
 #include "obs/metrics.h"
 #include "util/bitset.h"
-#include "util/simd/radix_sort.h"
+#include "util/radix_sort.h"
 #include "util/string_util.h"
 #include "util/task_pool.h"
 #include "util/timer.h"
@@ -133,7 +133,7 @@ struct RegClusterMiner::MinerScratch {
   NodeFrame root_frame;         ///< the level-1 node (SeedRoot only)
   std::vector<uint64_t> gene_epoch;  ///< gene id -> last-marked epoch
   uint64_t epoch = 0;
-  util::simd::SortScratch sort_scratch;  ///< radix-sort key/index buffers
+  util::SortScratch sort_scratch;  ///< radix-sort key/index buffers
   std::vector<int> screen_counts;  ///< CoherenceWindowPossible buckets
 
   void Init(int num_conds, int num_genes) {
@@ -316,7 +316,7 @@ std::shared_ptr<const SharedGammaModel> SharedGammaModel::Build(
   // the index is byte-identical at any thread count.
   const auto bake_genes = [&](int begin, int end,
                               RWaveBitmapIndex::BuildScratch* scratch) {
-    thread_local util::simd::SortScratch sort_scratch;
+    thread_local util::SortScratch sort_scratch;
     for (int g = begin; g < end; ++g) {
       const RWaveModel m =
           RWaveModel::Build(data.row_data(g), num_conds,
@@ -500,10 +500,6 @@ util::Status RegClusterMiner::Prepare() {
   stats_ = MinerStats();
   outcome_ = MineOutcome();
   root_results_.clear();
-  // Resolve the kernel dispatch once per run: the hot loops then pay a plain
-  // indirect call, and the outcome records which kernel set actually ran.
-  ops_ = &util::simd::Ops();
-  outcome_.simd_level = ops_->level;
   guard_.reset();
   run_.reset();
   index_ = nullptr;
@@ -916,7 +912,7 @@ void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
                        : index_->DownEligible(g, need))
                  : ones;
       uint64_t* dst = comb.data() + i * static_cast<size_t>(words);
-      util::simd::AndWordsAuto(*ops_, dst, cand_row, elig, words);
+      util::AndWords(dst, cand_row, elig, words);
       count.Add(dst);
       if (prune2) cut.AddAndNot(cand_row, dst);
     }
@@ -938,11 +934,10 @@ void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
   const size_t np = static_cast<size_t>(node->p.size());
   for (size_t i = 0; i < np; ++i) {
     const uint64_t* src = node->p_comb.data() + i * static_cast<size_t>(words);
-    util::simd::OrWordsIntoAuto(*ops_, node->cand_words.data(), src, words);
+    util::OrWordsInto(node->cand_words.data(), src, words);
   }
-  util::simd::AndWordsAuto(*ops_, node->cand_words.data(),
-                           node->cand_words.data(), allowed_words_.data(),
-                           words);
+  util::AndWords(node->cand_words.data(), node->cand_words.data(),
+                 allowed_words_.data(), words);
   if constexpr (kCollect) {
     stats->index_word_ops += static_cast<int64_t>(np + 1) * words;
   }
@@ -1232,17 +1227,18 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
 
     // Sort: gather the surviving column's genes and denominators by member
     // index (outside the phase timers, like the screen), then index-sort
-    // the score column; rows never move.  The dispatched kernel reproduces
-    // the (score asc, gene asc) comparator order byte for byte, and also
-    // emits the sorted score column so the window scan below runs over
-    // contiguous memory instead of chasing order[] indirections (see
-    // util/simd/radix_sort.h).
+    // the score column; rows never move.  The radix sort reproduces the
+    // (score asc, gene asc) comparator order byte for byte, and also emits
+    // the sorted score column so the window scan below runs over contiguous
+    // memory instead of chasing order[] indirections (see
+    // util/radix_sort.h).
     node.GatherScored(node.panel_idx.data() + col, split, total);
     if (profile) t0 = NowNs();
     node.order.resize(static_cast<size_t>(total));
     node.sc_hs.resize(static_cast<size_t>(total));
-    ops_->sort_scored(h, node.sc_gene.data(), split, total, node.order.data(),
-                      node.sc_hs.data(), &scratch->sort_scratch);
+    util::RadixSortScored(h, node.sc_gene.data(), split, total,
+                          node.order.data(), node.sc_hs.data(),
+                          &scratch->sort_scratch);
     if (profile) ctx->stats.sort_ns += NowNs() - t0;
 
     // Sliding window (step 5): maximal intervals of score span <= epsilon

@@ -108,9 +108,9 @@ struct MineOutcome {
   int64_t pool_steals = 0;       ///< TaskPool cross-worker task transfers
   int64_t pool_queue_high_water = 0;  ///< deepest single worker deque seen
   int64_t budget_polls = 0;      ///< BudgetGuard::Poll() calls, all workers
-  /// Which SIMD kernel set the run's hot loops dispatched to (resolved once
-  /// in Prepare(); see util/simd/dispatch.h).  Execution telemetry: the
-  /// mined output is byte-identical across levels by contract.
+  /// Always kScalar: one portable kernel path runs on every host.  Kept
+  /// only because the JSON "simd" field and the regcluster_simd_level
+  /// metric still carry it.
   util::simd::Level simd_level = util::simd::Level::kScalar;
 
   /// Always 0 (no model cache exists).  Kept only because
@@ -581,9 +581,6 @@ class RegClusterMiner {
   MinerStats stats_;
   MineOutcome outcome_;
   std::vector<RootMineResult> root_results_;
-  /// The dispatched kernel table, resolved once per run in Prepare() so the
-  /// hot loops pay one indirect call, never a dispatch lookup.
-  const util::simd::SimdOps* ops_ = &util::simd::Ops();
   /// Model state of the current run: either adopted from
   /// options_.shared_model or built (and owned) by Prepare().
   std::shared_ptr<const SharedGammaModel> model_;

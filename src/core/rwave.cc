@@ -4,19 +4,19 @@
 #include <cassert>
 #include <cmath>
 
-#include "util/simd/radix_sort.h"
+#include "util/radix_sort.h"
 #include "util/task_pool.h"
 
 namespace regcluster {
 namespace core {
 
 RWaveModel RWaveModel::Build(const double* values, int n, double gamma_abs) {
-  util::simd::SortScratch scratch;
+  util::SortScratch scratch;
   return Build(values, n, gamma_abs, &scratch);
 }
 
 RWaveModel RWaveModel::Build(const double* values, int n, double gamma_abs,
-                             util::simd::SortScratch* scratch) {
+                             util::SortScratch* scratch) {
   assert(n >= 0);
   assert(gamma_abs >= 0.0);
   RWaveModel m;
@@ -27,18 +27,18 @@ RWaveModel RWaveModel::Build(const double* values, int n, double gamma_abs,
   // Non-descending by value; ties broken by condition id for determinism.
   // The radix pipeline over order-preserving keys with an ascending-id base
   // order is exactly that comparator: stable passes keep the id order on
-  // value ties (see util/simd/radix_sort.h).
+  // value ties (see util/radix_sort.h).
   if (n > 0) {
     scratch->Reserve(n);
     uint64_t* keys = scratch->keys.data();
     int* idx = scratch->idx.data();
     for (int i = 0; i < n; ++i) {
       assert(std::isfinite(values[i]) && "RWave input must be imputed");
-      keys[i] = util::simd::OrderKey(values[i]);
+      keys[i] = util::OrderKey(values[i]);
       idx[i] = i;
     }
-    util::simd::SortPairsByKeyStable(n, scratch, m.order_.data(),
-                                     m.sorted_values_.data());
+    util::SortPairsByKeyStable(n, scratch, m.order_.data(),
+                               m.sorted_values_.data());
   }
   for (int p = 0; p < n; ++p) {
     const int cond = m.order_[static_cast<size_t>(p)];
@@ -161,14 +161,14 @@ std::vector<RWaveModel> BuildRWaveModels(
   const int num_conds = data.num_conditions();
   std::vector<RWaveModel> models(static_cast<size_t>(num_genes));
   const auto build_range = [&](int begin, int end,
-                               util::simd::SortScratch* scratch) {
+                               util::SortScratch* scratch) {
     for (int g = begin; g < end; ++g) {
       models[static_cast<size_t>(g)] = RWaveModel::Build(
           data.row_data(g), num_conds, gamma_abs_fn(g), scratch);
     }
   };
   if (num_threads == 1 || num_genes == 0) {
-    util::simd::SortScratch scratch;  // shared: one allocation for all genes
+    util::SortScratch scratch;  // shared: one allocation for all genes
     build_range(0, num_genes, &scratch);
     return models;
   }
@@ -179,8 +179,7 @@ std::vector<RWaveModel> BuildRWaveModels(
   const int workers = pool.num_workers();
   int stripe = (num_genes + workers * 4 - 1) / (workers * 4);
   stripe = std::max(stripe, 64);
-  std::vector<util::simd::SortScratch> scratches(
-      static_cast<size_t>(workers));
+  std::vector<util::SortScratch> scratches(static_cast<size_t>(workers));
   for (int begin = 0; begin < num_genes; begin += stripe) {
     const int end = std::min(begin + stripe, num_genes);
     pool.Submit([&, begin, end](int worker) {

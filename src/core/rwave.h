@@ -28,9 +28,7 @@
 
 namespace regcluster {
 namespace util {
-namespace simd {
 struct SortScratch;
-}  // namespace simd
 }  // namespace util
 namespace core {
 
@@ -59,7 +57,7 @@ class RWaveModel {
   /// SharedGammaModel) do not allocate them per gene.  `scratch` may be
   /// shared across calls but not across threads.
   static RWaveModel Build(const double* values, int n, double gamma_abs,
-                          util::simd::SortScratch* scratch);
+                          util::SortScratch* scratch);
 
   /// Convenience overload for a whole matrix row with the paper's relative
   /// threshold gamma in [0, 1]: gamma_i = gamma * (row max - row min), Eq. 4.

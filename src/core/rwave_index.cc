@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "util/simd/dispatch.h"
+#include "util/bitset.h"
 
 namespace regcluster {
 namespace core {
@@ -53,11 +53,6 @@ void RWaveBitmapIndex::BuildGene(int gene, const RWaveModel& m,
   const size_t w_count = static_cast<size_t>(words_);
   const size_t need_rows = static_cast<size_t>(max_chain_need_) + 1;
   const int g = gene;
-  // Row copies below go through the dispatched word-copy kernel: baking
-  // moves one full bitmap row per (gene, position), which is the index
-  // construction's memory-bound inner loop.
-  const util::simd::SimdOps& ops = util::simd::Ops();
-
   // Per-gene scratch: bitmap of conditions at sorted positions >= p
   // (suffix) and <= p (prefix).  suffix has C+1 rows so row C is empty.
   std::vector<uint64_t>& suffix = scratch->suffix;
@@ -74,12 +69,12 @@ void RWaveBitmapIndex::BuildGene(int gene, const RWaveModel& m,
               w_count * sizeof(uint64_t));
   for (int p = num_conditions_ - 1; p >= 0; --p) {
     uint64_t* row = suffix.data() + static_cast<size_t>(p) * w_count;
-    util::simd::CopyWordsAuto(ops, row, row + w_count, words_);
+    util::CopyWords(row, row + w_count, words_);
     util::SetBit(row, m.condition_at(p));
   }
   for (int p = 0; p < num_conditions_; ++p) {
     uint64_t* row = prefix.data() + static_cast<size_t>(p) * w_count;
-    if (p > 0) util::simd::CopyWordsAuto(ops, row, row - w_count, words_);
+    if (p > 0) util::CopyWords(row, row - w_count, words_);
     else std::memset(row, 0, w_count * sizeof(uint64_t));
     util::SetBit(row, m.condition_at(p));
   }
@@ -94,15 +89,13 @@ void RWaveBitmapIndex::BuildGene(int gene, const RWaveModel& m,
   for (int p = 0; p < num_conditions_; ++p) {
     const int h = m.FirstSuccessorPos(p);
     if (h >= 0) {
-      util::simd::CopyWordsAuto(ops, up_base + static_cast<size_t>(p) * w_count,
-                     suffix.data() + static_cast<size_t>(h) * w_count,
-                     words_);
+      util::CopyWords(up_base + static_cast<size_t>(p) * w_count,
+                      suffix.data() + static_cast<size_t>(h) * w_count, words_);
     }
     const int t = m.LastPredecessorPos(p);
     if (t >= 0) {
-      util::simd::CopyWordsAuto(ops, down_base + static_cast<size_t>(p) * w_count,
-                     prefix.data() + static_cast<size_t>(t) * w_count,
-                     words_);
+      util::CopyWords(down_base + static_cast<size_t>(p) * w_count,
+                      prefix.data() + static_cast<size_t>(t) * w_count, words_);
     }
   }
 
@@ -115,8 +108,8 @@ void RWaveBitmapIndex::BuildGene(int gene, const RWaveModel& m,
   util::FillOnes(up_e, num_conditions_);
   util::FillOnes(down_e, num_conditions_);
   if (max_chain_need_ >= 1) {
-    util::simd::CopyWordsAuto(ops, up_e + w_count, up_e, words_);
-    util::simd::CopyWordsAuto(ops, down_e + w_count, down_e, words_);
+    util::CopyWords(up_e + w_count, up_e, words_);
+    util::CopyWords(down_e + w_count, down_e, words_);
   }
   for (int need = 2; need <= max_chain_need_; ++need) {
     uint64_t* up_row = up_e + static_cast<size_t>(need) * w_count;

@@ -87,10 +87,6 @@ class RWaveBitmapIndex {
     return pos_[static_cast<size_t>(gene) * num_conditions_ + cond];
   }
 
-  /// The flat gene-major position table (stride num_conditions()), for the
-  /// SIMD gather kernels: position(g, c) == position_data()[g * C + c].
-  const int32_t* position_data() const { return pos_.data(); }
-
   /// Bitmap of the regulation successors of the condition at sorted
   /// position `pos` of gene `gene`; the all-zero row when there are none.
   const uint64_t* UpCandidates(int gene, int pos) const {

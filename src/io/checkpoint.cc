@@ -9,7 +9,6 @@
 #include "core/threshold.h"
 #include "io/record_codec.h"
 #include "util/durable_file.h"
-#include "util/simd/dispatch.h"
 #include "util/timer.h"
 
 namespace regcluster {
@@ -685,9 +684,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     result.outcome.wall_seconds = state.wall_seconds;
     result.outcome.peak_scratch_bytes = state.peak_scratch_bytes;
     result.outcome.resume = token;
-    result.outcome.simd_level = util::simd::CurrentLevel();
     if (last_chunk != nullptr) {
-      result.outcome.simd_level = last_chunk->simd_level;
       result.outcome.model_bytes = last_chunk->model_bytes;
       result.outcome.mapped_bytes = last_chunk->mapped_bytes;
     }

@@ -124,7 +124,6 @@ IncrementalMineResult AssembleResult(
   r.stats.mine_seconds = timer.ElapsedSeconds();
   r.outcome.roots_completed = data.num_conditions();
   r.outcome.roots_total = data.num_conditions();
-  r.outcome.simd_level = util::simd::Ops().level;
   return r;
 }
 

@@ -69,8 +69,8 @@ struct IncrementalMineResult {
   /// Spliced deterministic counters -- byte-identical to a from-scratch
   /// mine's stats() except the wall-clock fields, which time this call.
   core::MinerStats stats;
-  /// Run record for reports: always complete, every root covered, the
-  /// resolved SIMD level; the scheduling telemetry stays 0.
+  /// Run record for reports: always complete, every root covered; the
+  /// scheduling telemetry stays 0.
   core::MineOutcome outcome;
   /// State to feed the next MineIncremental call.
   IncrementalState state;

@@ -53,11 +53,10 @@ inline void ForEachSetBit(const uint64_t* words, int num_words, Fn&& fn) {
   }
 }
 
-// Word-loop primitives of the index hot path.  These are the portable scalar
-// reference implementations; util/simd/ dispatches to vector versions of the
-// same contracts, and the forced-scalar differential gate compares the two
-// (see DESIGN.md).  Keeping the scalar bodies here -- with no simd include --
-// means every non-dispatched caller shares one source of truth.
+// Word-loop primitives of the index hot path: the index bake and the
+// miner's member-row combines call these directly.  Rows are one word at
+// <= 64 conditions, so plain loops the compiler may vectorize are all the
+// kernel these need.
 
 /// dst[w] = a[w] & b[w].  `dst` may alias `a` or `b`.
 inline void AndWords(uint64_t* dst, const uint64_t* a, const uint64_t* b,

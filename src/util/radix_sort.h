@@ -36,12 +36,12 @@
 // large columns take 8-bit LSD passes that skip bytes on which all keys
 // agree (detected with one OR-accumulated XOR sweep).
 //
-// Everything here is portable scalar code; util/simd/kernels_avx2.cc reuses
-// MergeByGene + SortPairsByKeyStable and replaces only the key-building
-// gather with vector intrinsics.
+// The miner's scored-column sort (RadixSortScored) and RWaveModel::Build's
+// per-gene value sort (SortPairsByKeyStable) both run here; it is portable
+// scalar code.
 
-#ifndef REGCLUSTER_UTIL_SIMD_RADIX_SORT_H_
-#define REGCLUSTER_UTIL_SIMD_RADIX_SORT_H_
+#ifndef REGCLUSTER_UTIL_RADIX_SORT_H_
+#define REGCLUSTER_UTIL_RADIX_SORT_H_
 
 #include <algorithm>
 #include <bit>
@@ -51,7 +51,6 @@
 
 namespace regcluster {
 namespace util {
-namespace simd {
 
 /// Reusable buffers for one sorting worker (the miner keeps one per
 /// MinerScratch so the hot loop never allocates after warm-up).
@@ -125,11 +124,9 @@ inline uint64_t OrderKey(double d) {
 /// Inverse of OrderKey up to the deliberate -0.0 collapse: round-tripping
 /// any double returns the same value bit for bit except -0.0, which comes
 /// back as +0.0.  The sorted-column output below is defined through this
-/// round trip at *every* level (the scalar reference applies it too), so the
-/// sorted_h arrays are bit-identical across kernels, and the zero-sign
-/// canonicalization is invisible to the miner's window test: a +-0.0 swap
-/// can only flip the sign of a zero difference, which compares to the
-/// non-negative epsilon identically.
+/// round trip, and the zero-sign canonicalization is invisible to the
+/// miner's window test: a +-0.0 swap can only flip the sign of a zero
+/// difference, which compares to the non-negative epsilon identically.
 inline double InverseOrderKey(uint64_t k) {
   constexpr uint64_t kSign = uint64_t{1} << 63;
   return (k & kSign) != 0 ? std::bit_cast<double>(k & ~kSign)
@@ -399,8 +396,7 @@ inline void RadixSortScored(const double* h, const int* gene, int split,
   SortPairsByKeyStable(total, scratch, order, sorted_h);
 }
 
-}  // namespace simd
 }  // namespace util
 }  // namespace regcluster
 
-#endif  // REGCLUSTER_UTIL_SIMD_RADIX_SORT_H_
+#endif  // REGCLUSTER_UTIL_RADIX_SORT_H_

@@ -10,7 +10,10 @@
 #     silent 0 / prefix / tab / default -- also on a complete matrix, where
 #     --impute has nothing to do;
 #   * `mine` reports the whole gamma-model build time, non-zero on a
-#     3000 x 40 matrix, on the resident and on the mapped binary matrix.
+#     3000 x 40 matrix, on the resident and on the mapped binary matrix;
+#   * a binary matrix with a cell patched to +inf (RGCXMAT1 carries no
+#     checksum over its cells, so the file still opens) is rejected by
+#     `rwave` as it is by `mine`: exit 1 naming the cell, no model printed.
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)
@@ -134,3 +137,44 @@ foreach(variant "big.tsv" "big.rgx")
     message(FATAL_ERROR "${variant}: model build reported as 0: ${last_out}")
   endif()
 endforeach()
+
+# --- a +inf cell in a binary matrix -----------------------------------------
+# Every cell of the 3 x 4 matrix is 1.0 (0x3ff0000000000000, stored little
+# endian), so setting the top byte of g0's first cell to 0x7f makes it
+# 0x7ff0000000000000, +inf.  The payload offset is the header's u64 at 24.
+find_program(SH_PROGRAM sh)
+if(SH_PROGRAM)
+  file(WRITE ${WORKDIR}/ones.tsv
+       "gene\tc0\tc1\tc2\tc3\ng0\t1\t1\t1\t1\ng1\t1\t1\t1\t1\n"
+       "g2\t1\t1\t1\t1\n")
+  run_expect(0 ${CLI} convert --in=${WORKDIR}/ones.tsv
+             --out=${WORKDIR}/inf.rgx --out-format=bin)
+  file(READ ${WORKDIR}/inf.rgx payload_hex OFFSET 24 LIMIT 4 HEX)
+  string(REGEX REPLACE "(..)(..)(..)(..)" "\\4\\3\\2\\1" payload_hex
+         "${payload_hex}")
+  math(EXPR top_byte "0x${payload_hex} + 7")
+  file(READ ${WORKDIR}/inf.rgx before OFFSET ${top_byte} LIMIT 1 HEX)
+  if(NOT before STREQUAL "3f")
+    message(FATAL_ERROR "cell (g0, c0) is not 1.0: top byte ${before}")
+  endif()
+  execute_process(
+      COMMAND ${SH_PROGRAM} -c
+      "printf '\\177' | dd of=${WORKDIR}/inf.rgx bs=1 seek=${top_byte} \
+       conv=notrunc 2>/dev/null"
+      RESULT_VARIABLE rc)
+  file(READ ${WORKDIR}/inf.rgx after OFFSET ${top_byte} LIMIT 1 HEX)
+  if(NOT rc EQUAL 0 OR NOT after STREQUAL "7f")
+    message(FATAL_ERROR "could not patch the cell to +inf (rc ${rc})")
+  endif()
+  foreach(sub "rwave;--gene=g0"
+              "mine;--out=${WORKDIR}/inf_out.txt;--ming=2;--minc=2")
+    run_expect(1 ${CLI} ${sub} --matrix=${WORKDIR}/inf.rgx)
+    if(NOT last_err MATCHES
+       "FailedPrecondition.*gene 'g0' at condition 'c0' is \\+inf")
+      message(FATAL_ERROR "${sub}: +inf cell not named: ${last_err}")
+    endif()
+    if(last_out MATCHES "gamma_i")
+      message(FATAL_ERROR "${sub}: printed a model of a +inf row")
+    endif()
+  endforeach()
+endif()

@@ -20,7 +20,6 @@
 #include "synth/generator.h"
 #include "testing/oracle_miner.h"
 #include "util/prng.h"
-#include "util/simd/dispatch.h"
 
 namespace regcluster {
 namespace core {
@@ -117,59 +116,6 @@ TEST(OracleDifferential, MinerMatchesBruteForceOverPrngGrid) {
   }
   // The sweep must exercise real output, not vacuous empty-vs-empty matches.
   EXPECT_GT(oracle_clusters_total, 1000);
-}
-
-// Forced-scalar differential: the entire mined output must be identical
-// under the scalar kernel set and the best level this machine supports, at
-// serial and parallel thread counts.  This is the SIMD layer's whole-system
-// gate -- the comparator std::sort vs the radix pipeline, the vector
-// divide/gather/bitset kernels vs their scalar references -- on top of the
-// per-kernel property tests (tests/util/simd_kernels_test.cc).  On a host
-// that only supports scalar the comparison degenerates to scalar-vs-scalar
-// (vacuously true); real cross-level coverage needs an AVX2 or NEON
-// machine, which every CI runner provides.  The test pins levels
-// explicitly, so it keeps comparing scalar against the best level even
-// inside the forced-scalar CI job; the entry level is restored on exit so
-// that job's pin still covers the rest of this binary.
-TEST(OracleDifferential, ForcedScalarMatchesBestLevelWholeOutput) {
-  const util::simd::Level entry_level = util::simd::CurrentLevel();
-  synth::SyntheticConfig cfg;
-  cfg.num_genes = 400;
-  cfg.num_conditions = 24;
-  cfg.num_clusters = 8;
-  cfg.seed = 777;
-  const auto ds = synth::GenerateSynthetic(cfg);
-
-  MinerOptions opts;
-  opts.min_genes = 8;
-  opts.min_conditions = 5;
-  opts.gamma = 0.1;
-  opts.epsilon = 0.05;
-
-  const util::simd::Level best = util::simd::DetectBestLevel();
-  for (int threads : {1, 2, 4}) {
-    opts.num_threads = threads;
-
-    ASSERT_TRUE(util::simd::SetLevel(util::simd::Level::kScalar).ok());
-    RegClusterMiner scalar_miner(ds->data, opts);
-    auto scalar_mined = scalar_miner.Mine();
-    ASSERT_TRUE(scalar_mined.ok()) << scalar_mined.status().ToString();
-    EXPECT_EQ(scalar_miner.outcome().simd_level, util::simd::Level::kScalar);
-
-    ASSERT_TRUE(util::simd::SetLevel(best).ok());
-    RegClusterMiner best_miner(ds->data, opts);
-    auto best_mined = best_miner.Mine();
-    ASSERT_TRUE(best_mined.ok()) << best_mined.status().ToString();
-    EXPECT_EQ(best_miner.outcome().simd_level, best);
-
-    ASSERT_EQ(scalar_mined->size(), best_mined->size())
-        << "threads=" << threads;
-    for (size_t i = 0; i < scalar_mined->size(); ++i) {
-      ASSERT_EQ((*scalar_mined)[i], (*best_mined)[i])
-          << "threads=" << threads << " cluster " << i;
-    }
-  }
-  ASSERT_TRUE(util::simd::SetLevel(entry_level).ok());
 }
 
 // The oracle itself must flag non-representative chains: every emitted

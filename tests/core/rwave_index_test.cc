@@ -24,7 +24,6 @@
 #include "matrix/expression_matrix.h"
 #include "util/bitset.h"
 #include "util/prng.h"
-#include "util/simd/dispatch.h"
 
 namespace regcluster {
 namespace core {
@@ -134,56 +133,6 @@ TEST(RWaveIndexTest, MatchesModelOnRandomGenes) {
       }
     }
   }
-}
-
-// Forced-scalar differential for the index bake: Build() routes its row
-// copies through the dispatched SIMD kernels, so the baked tables must be
-// word-for-word identical no matter which level is pinned.
-TEST(RWaveIndexTest, TablesIdenticalAcrossSimdLevels) {
-  const util::simd::Level entry_level = util::simd::CurrentLevel();
-  const int conds = 65;  // two words, ragged tail
-  util::Prng prng(424243);
-  std::vector<RWaveModel> models;
-  for (int g = 0; g < 24; ++g) {
-    const auto v = RandomProfile(conds, &prng, g % 2 == 0);
-    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-    models.push_back(RWaveModel::Build(v.data(), conds, 0.1 * (*hi - *lo)));
-  }
-
-  ASSERT_TRUE(util::simd::SetLevel(util::simd::Level::kScalar).ok());
-  RWaveBitmapIndex scalar_index;
-  scalar_index.Build(models, conds, kMaxNeed);
-
-  ASSERT_TRUE(util::simd::SetLevel(util::simd::DetectBestLevel()).ok());
-  RWaveBitmapIndex best_index;
-  best_index.Build(models, conds, kMaxNeed);
-
-  const int words = scalar_index.num_words();
-  ASSERT_EQ(words, best_index.num_words());
-  const auto expect_rows_equal = [&](const uint64_t* a, const uint64_t* b,
-                                     const char* what, int g, int i) {
-    ASSERT_EQ(0, std::memcmp(a, b, static_cast<size_t>(words) * 8))
-        << what << " gene " << g << " row " << i;
-  };
-  for (int g = 0; g < static_cast<int>(models.size()); ++g) {
-    for (int c = 0; c < conds; ++c) {
-      ASSERT_EQ(scalar_index.position(g, c), best_index.position(g, c));
-    }
-    for (int p = 0; p < conds; ++p) {
-      expect_rows_equal(scalar_index.UpCandidates(g, p),
-                        best_index.UpCandidates(g, p), "up", g, p);
-      expect_rows_equal(scalar_index.DownCandidates(g, p),
-                        best_index.DownCandidates(g, p), "down", g, p);
-    }
-    for (int need = 0; need <= kMaxNeed; ++need) {
-      expect_rows_equal(scalar_index.UpEligible(g, need),
-                        best_index.UpEligible(g, need), "up-elig", g, need);
-      expect_rows_equal(scalar_index.DownEligible(g, need),
-                        best_index.DownEligible(g, need), "down-elig", g,
-                        need);
-    }
-  }
-  ASSERT_TRUE(util::simd::SetLevel(entry_level).ok());
 }
 
 TEST(RWaveIndexTest, OnesRowCoversExactlyTheConditions) {

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -181,6 +182,11 @@ struct MineScenario {
   int threads;
   bool out_of_core;
 };
+
+// Without this, gtest prints the struct's raw bytes -- a pointer among
+// them -- into the test's listed name, which then changes from build to
+// build.
+void PrintTo(const MineScenario& sc, std::ostream* os) { *os << sc.name; }
 
 class MineKillResume : public CrashHarness,
                        public ::testing::WithParamInterface<MineScenario> {};

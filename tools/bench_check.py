@@ -53,25 +53,19 @@ mine of the grown matrix by ``--min-incremental-speedup`` (default 1.5x),
 with the clusters and deterministic work counters byte-identical.  Same
 fresh-then-baseline fallback and skip-with-notice behaviour.
 
-The SIMD kernel layer is gated two ways, both through the ``threads``
-section.  The ``simd`` object records a forced-scalar vs best-level
-ablation of the serial sort phase; ``--min-sort-speedup`` (default 1.5x)
-fails when the radix pipeline no longer beats the scalar comparator sort by
-that much.  The gate skips with a notice when the best compiled-in level is
-scalar (nothing to compare), and refuses -- fails -- when the run recorded
-``degraded_hw`` (unknown or single hardware thread: contention noise on
-such a host can fake either verdict, so the section must be re-recorded,
-not trusted).  Separately, the ``serial_phase_ns`` breakdown is compared
+The ``threads`` section's ``serial_phase_ns`` breakdown is compared
 fresh-vs-baseline per phase (filter/score/sort/emit): any phase above the
 ``--phase-floor-ns`` noise floor that regressed by more than
 ``--phase-threshold`` fails, so a hot-path regression is pinned to the
-phase that caused it instead of hiding inside total wall time.  It too
-refuses a ``degraded_hw`` input.
+phase that caused it instead of hiding inside total wall time.  It refuses
+-- fails -- an input that recorded ``degraded_hw`` (unknown or single
+hardware thread: contention noise on such a host can fake either verdict,
+so the section must be re-recorded, not trusted).
 
 Gates compare like with like: when both inputs record the hardware they
-ran on (``threads.hardware_threads``, ``threads.degraded_hw``,
-``provenance.simd_level``) and any of it differs, the check fails as a
-refused cross-hardware comparison instead of skipping.
+ran on (``threads.hardware_threads``, ``threads.degraded_hw``) and any
+of it differs, the check fails as a refused cross-hardware comparison
+instead of skipping.
 
 The mining service's resource cache is gated through the ``server``
 section written by ``bench_server``: the same mine request is issued cold
@@ -187,38 +181,6 @@ def check_incremental_speedup(fresh_doc, baseline_doc, min_speedup):
     return ok
 
 
-def check_sort_speedup(fresh_doc, baseline_doc, min_speedup):
-    """Gates the SIMD sort ablation: threads.simd.sort_speedup (serial sort
-    phase, forced-scalar vs the best kernel level, best-of-3 interleaved)
-    must stay >= --min-sort-speedup.  Skips with a notice when no threads
-    section carries the ablation, when the best level is scalar (the
-    comparison is vacuous), or when the run flagged degraded_hw."""
-    for label, doc in (("fresh", fresh_doc), ("baseline", baseline_doc)):
-        threads = doc.get("threads") or {}
-        simd = threads.get("simd")
-        if not simd:
-            continue
-        speedup = float(simd["sort_speedup"])
-        best_level = simd.get("best_level", "scalar")
-        if best_level == "scalar":
-            print(f"simd sort speedup ({label}): best level is scalar on "
-                  "this host; skipping gate (needs an AVX2/NEON machine)")
-            return True
-        if threads.get("degraded_hw"):
-            print(f"simd sort speedup ({label}): {speedup:.2f}x scalar vs "
-                  f"{best_level}, but degraded_hw recorded  REFUSED "
-                  "(re-record the threads section on a multi-core host)")
-            return False
-        ok = speedup >= min_speedup
-        print(f"simd sort speedup ({label}): {speedup:.2f}x scalar vs "
-              f"{best_level} (minimum {min_speedup:.2f}x)"
-              f"{'' if ok else '  REGRESSION'}")
-        return ok
-    print("simd sort speedup: no threads.simd section in either input; "
-          "skipping gate (run bench_threads to measure)")
-    return True
-
-
 def check_warm_speedup(fresh_doc, baseline_doc, min_speedup):
     """Gates the mining service's resource cache: server.warm_speedup (cold
     request latency over best warm-repeat latency for the same request, as
@@ -253,8 +215,7 @@ def check_phase_ns(fresh_doc, baseline_doc, threshold, floor_ns):
     describe different dataset/options, or either run recorded degraded_hw
     -- phase timings measured on an unknown or single-core host (like the
     committed baseline's 0.96x "speedup" at 2 threads) carry contention
-    noise that can fake a regression or mask one, the same reason
-    check_sort_speedup stands down."""
+    noise that can fake a regression or mask one."""
     fresh_threads = fresh_doc.get("threads") or {}
     baseline_threads = baseline_doc.get("threads") or {}
     fresh = fresh_threads.get("serial_phase_ns")
@@ -298,12 +259,10 @@ def check_phase_ns(fresh_doc, baseline_doc, threshold, floor_ns):
 def check_same_hardware(fresh_doc, baseline_doc):
     """Refuses a comparison across hardware: every timing gate assumes the
     baseline and the fresh run measured the same machine class.  Compares
-    the hardware facts both documents record -- threads.hardware_threads,
-    threads.degraded_hw and provenance.simd_level (the kernel level the
-    CPU supports) -- and fails on any difference instead of letting a
-    slower or narrower host fake a regression, or hide one."""
-    facts = (("threads", "hardware_threads"), ("threads", "degraded_hw"),
-             ("provenance", "simd_level"))
+    the hardware facts both documents record -- threads.hardware_threads
+    and threads.degraded_hw -- and fails on any difference instead of
+    letting a slower or narrower host fake a regression, or hide one."""
+    facts = (("threads", "hardware_threads"), ("threads", "degraded_hw"))
     ok = True
     for section, key in facts:
         base_val = (baseline_doc.get(section) or {}).get(key)
@@ -420,10 +379,6 @@ def main(argv):
                         help="minimum required incremental-append speedup "
                              "over the from-scratch mine, from the "
                              "incremental section (default: %(default)s)")
-    parser.add_argument("--min-sort-speedup", type=float, default=1.5,
-                        help="minimum required forced-scalar vs best-level "
-                             "sort-phase speedup from threads.simd "
-                             "(default: %(default)s)")
     parser.add_argument("--phase-threshold", type=float, default=0.15,
                         help="maximum tolerated fractional slowdown per "
                              "serial phase (filter/score/sort/emit) "
@@ -494,9 +449,6 @@ def main(argv):
         failed = True
     if not check_incremental_speedup(fresh_doc, baseline_doc,
                                      args.min_incremental_speedup):
-        failed = True
-    if not check_sort_speedup(fresh_doc, baseline_doc,
-                              args.min_sort_speedup):
         failed = True
     if not check_warm_speedup(fresh_doc, baseline_doc,
                               args.min_warm_speedup):

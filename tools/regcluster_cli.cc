@@ -56,7 +56,6 @@
 #include "matrix/store.h"
 #include "matrix/transforms.h"
 #include "server/daemon.h"
-#include "util/simd/dispatch.h"
 #include "synth/generator.h"
 #include "synth/yeast_surrogate.h"
 #include "util/cancellation.h"
@@ -483,7 +482,7 @@ int CmdMine(Flags* flags) {
         "  [--merge-overlap=0] [--require-gene=NAME_OR_INDEX]\n"
         "  [--report=PATH] [--json=PATH]\n"
         "  [--metrics-out=PATH] [--metrics-format=json|prom]\n"
-        "  [--collect-stats=true] [--simd=auto|scalar|avx2|neon]\n"
+        "  [--collect-stats=true]\n"
         "  [--max-clusters=-1] [--max-nodes=-1] [--deadline-ms=-1]\n"
         "  [--checkpoint=PATH] [--checkpoint-every-ms=1000]\n"
         "  [--resume-from=PATH] [--deterministic-output]\n"
@@ -503,8 +502,6 @@ int CmdMine(Flags* flags) {
         "--metrics-out writes the run's search counters and phase timings\n"
         "(regcluster_* metrics) as JSON or Prometheus text; --collect-stats\n"
         "=false disables the detailed work counters (they export as 0).\n"
-        "--simd pins the kernel set (default auto-detects; every level\n"
-        "produces byte-identical output, so this is a perf/debug knob).\n"
         "--matrix-format selects the input reader: text (TSV/CSV), bin (the\n"
         "mmap-backed binary format written by convert --out-format=bin), or\n"
         "auto (sniff the binary magic; the default).  Binary matrices are\n"
@@ -587,7 +584,6 @@ int CmdMine(Flags* flags) {
       flags->GetChoice("normalize", "none", "none|quantile");
   const double merge_overlap = flags->GetDouble("merge-overlap", 0.0);
   const std::string require_gene = flags->GetString("require-gene", "");
-  const std::string simd_name = flags->GetString("simd", "auto");
   const std::string matrix_format = flags->GetString("matrix-format", "auto");
   // Parsed (a malformed value is still a usage error) but ignored; kept only
   // because benchmark/workloads.py passes it.
@@ -639,9 +635,6 @@ int CmdMine(Flags* flags) {
     return 2;
   }
   const bool durable = !checkpoint_path.empty() || !resume_from.empty();
-  if (auto st = util::simd::ApplySimdFlag(simd_name); !st.ok()) {
-    return UsageError(st);
-  }
 
   // Sweep mode: expand the grid before touching the matrix, so a malformed
   // spec is a fast usage error.  The budget flags become sweep-level (the
@@ -1320,6 +1313,7 @@ int CmdRWave(Flags* flags) {
   if (!data_or.ok()) return Fail(data_or.status());
   matrix::ExpressionMatrix data = *std::move(data_or);
   if (data.HasMissingValues()) data = matrix::ImputeRowMean(data);
+  if (auto st = core::ValidateMatrixValues(data); !st.ok()) return Fail(st);
   const int gene = FindGeneArg(data, gene_arg);
   if (gene < 0) {
     std::fprintf(stderr, "unknown gene: %s\n", gene_arg.c_str());
@@ -1369,7 +1363,7 @@ int CmdServe(Flags* flags) {
         "  [--threads=1] [--max-active=2] [--max-queued=8]\n"
         "  [--memory-budget-mb=512] [--cache-mb=256] [--retry-after-s=1]\n"
         "  [--ming=20] [--minc=6] [--gamma=0.05] [--gamma-policy=range]\n"
-        "  [--epsilon=1.0] [--simd=auto]\n"
+        "  [--epsilon=1.0]\n"
         "Long-lived mining daemon.  --port binds 127.0.0.1:N over TCP (0\n"
         "picks an ephemeral port, printed on the 'listening' line);\n"
         "--socket binds a unix socket; at least one is required.  Both\n"
@@ -1402,11 +1396,7 @@ int CmdServe(Flags* flags) {
   defaults.epsilon = flags->GetDouble("epsilon", 1.0);
   defaults.collect_stats = true;
   defaults.gamma_policy = flags->GetGammaPolicy();
-  const std::string simd_name = flags->GetString("simd", "auto");
   if (auto st = flags->Check(); !st.ok()) return UsageError(st);
-  if (auto st = util::simd::ApplySimdFlag(simd_name); !st.ok()) {
-    return UsageError(st);
-  }
   if (opts.service.num_threads < 1 || opts.service.max_active < 1 ||
       opts.service.max_queued < 0) {
     std::fprintf(stderr,
