@@ -217,7 +217,7 @@ void BM_ScorePanelFill(benchmark::State& state) {
   // The miner's member-major score-panel fill: every member's live
   // candidate bits, over its contiguous matrix row, into per-candidate
   // columns of (score, member index) -- the one pass that produces every
-  // coherence score of a block.  Half the bits live, as a dense node has.
+  // coherence score of a node.  Half the bits live, as a dense node has.
   const int members = static_cast<int>(state.range(0));
   constexpr int kConds = 60;
   const int words = util::WordsForBits(kConds);
@@ -254,7 +254,7 @@ void BM_ScorePanelFill(benchmark::State& state) {
   for (auto _ : state) {
     cursor = start;
     core::FillScorePanel(half, matrix.data(), kConds, /*head=*/0, mask.data(),
-                         0, words, cursor.data(), h.data(), idx.data());
+                         cursor.data(), h.data(), idx.data());
     benchmark::DoNotOptimize(h.data());
     benchmark::ClobberMemory();
   }

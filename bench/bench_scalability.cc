@@ -20,8 +20,9 @@
 //   bench_scalability --sweep=outofcore --oc-genes=100000
 // The dataset is written to disk in the binary matrix format, mined through
 // an mmap-backed MappedMatrix, and the "scalability" section (gated by
-// tools/bench_check.py --max-peak-rss) reports wall time, peak RSS and the
-// mapped and model (bitmap index) bytes.
+// tools/bench_check.py --max-peak-rss) reports wall time, peak RSS, the
+// mapped and model (bitmap index) bytes, and the coherence scores computed
+// with the search's nanoseconds per score.
 
 #include <sys/resource.h>
 
@@ -197,11 +198,19 @@ int RunOutOfCore(int argc, char** argv) {
   }
   const auto& outcome = miner.outcome();
   const int64_t peak_rss = PeakRssBytes();
+  // The search's cost per unit of work (MinerStats::mine_seconds, model
+  // build excluded): flat across #genes when the search's time grows only
+  // as fast as its work does.
+  const int64_t scores = miner.stats().coherence_scores;
+  const double ns_per_score =
+      scores > 0 ? miner.stats().mine_seconds * 1e9 / scores : 0.0;
 
   std::printf("%-24s %12.3f s\n", "generate+spill", generate_seconds);
   std::printf("%-24s %12.3f s\n", "mine (mapped)", mine_seconds);
   std::printf("%-24s %12lld\n", "clusters",
               static_cast<long long>(clusters->size()));
+  std::printf("%-24s %12lld (%.1f ns each)\n", "coherence scores",
+              static_cast<long long>(scores), ns_per_score);
   std::printf("%-24s %12.1f MiB\n", "peak RSS",
               static_cast<double>(peak_rss) / (1 << 20));
   std::printf("%-24s %12.1f MiB mapped, %.1f MiB model\n", "footprint",
@@ -220,6 +229,8 @@ int RunOutOfCore(int argc, char** argv) {
       JsonField("generate_seconds", JsonDouble(generate_seconds)),
       JsonField("mine_wall_seconds", JsonDouble(mine_seconds)),
       JsonField("clusters", JsonInt(static_cast<int64_t>(clusters->size()))),
+      JsonField("coherence_scores", JsonInt(scores)),
+      JsonField("ns_per_score", JsonDouble(ns_per_score)),
       JsonField("peak_rss_bytes", JsonInt(peak_rss)),
       JsonField("mapped_bytes", JsonInt(outcome.mapped_bytes)),
       JsonField("model_bytes", JsonInt(outcome.model_bytes)),

@@ -63,59 +63,37 @@ namespace {
 constexpr int kRowPrefetchAhead = 4;
 constexpr int64_t kCacheLineDoubles = 64 / sizeof(double);
 
-template <bool kDivide>
-void FillHalf(const PanelMembers& members, const double* matrix,
-              int64_t stride, int head, const uint64_t* mask, int w_lo,
-              int w_hi, int* cursor, double* h, int32_t* idx) {
-  // The block's conditions span [first, first + span) of every row.
-  const int64_t first = static_cast<int64_t>(w_lo) * util::kBitsPerWord;
-  const int64_t span =
-      std::min<int64_t>(stride,
-                        static_cast<int64_t>(w_hi) * util::kBitsPerWord) -
-      first;
+}  // namespace
+
+void FillScorePanel(const PanelMembers& members, const double* matrix,
+                    int64_t stride, int head, const uint64_t* mask,
+                    int* cursor, double* h, int32_t* idx) {
   for (int i = 0; i < members.count; ++i) {
     if (i + kRowPrefetchAhead < members.count) {
       const double* ahead =
-          matrix + members.gene[i + kRowPrefetchAhead] * stride + first;
-      for (int64_t off = 0; off < span; off += kCacheLineDoubles) {
+          matrix + members.gene[i + kRowPrefetchAhead] * stride;
+      for (int64_t off = 0; off < stride; off += kCacheLineDoubles) {
         __builtin_prefetch(ahead + off);
       }
     }
     const uint64_t* live =
         members.live + static_cast<int64_t>(i) * members.words;
     uint64_t any = 0;
-    for (int w = w_lo; w < w_hi; ++w) any |= live[w] & mask[w];
-    if (any == 0) continue;  // nothing in this block: leave the row alone
+    for (int w = 0; w < members.words; ++w) any |= live[w] & mask[w];
+    if (any == 0) continue;  // no filled column: leave the row alone
     const double* row = matrix + members.gene[i] * stride;
     const double base = row[head];
-    for (int w = w_lo; w < w_hi; ++w) {
+    const double denom = members.denom[i];
+    for (int w = 0; w < members.words; ++w) {
       uint64_t bits = live[w] & mask[w];
       while (bits != 0) {
         const int c = w * util::kBitsPerWord + std::countr_zero(bits);
         bits &= bits - 1;
         const int slot = cursor[c]++;
-        if constexpr (kDivide) {
-          h[slot] = (row[c] - base) / members.denom[i];
-        } else {
-          h[slot] = row[c] - base;
-        }
+        h[slot] = (row[c] - base) / denom;
         idx[slot] = i;
       }
     }
-  }
-}
-
-}  // namespace
-
-void FillScorePanel(const PanelMembers& members, const double* matrix,
-                    int64_t stride, int head, const uint64_t* mask, int w_lo,
-                    int w_hi, int* cursor, double* h, int32_t* idx) {
-  if (members.denom != nullptr) {
-    FillHalf<true>(members, matrix, stride, head, mask, w_lo, w_hi, cursor,
-                   h, idx);
-  } else {
-    FillHalf<false>(members, matrix, stride, head, mask, w_lo, w_hi, cursor,
-                    h, idx);
   }
 }
 

@@ -60,8 +60,7 @@ bool CoherenceWindowPossible(const double* h, int n, double eps, int min_g,
 
 /// One half (the p- or the n-members) of a DFS node, as the score-panel
 /// fill reads it: per member i in [0, count), its gene id, its baseline
-/// denominator (null at level 1, where the panel holds numerators) and its
-/// `words`-word row of conditions it can extend to.
+/// denominator and its `words`-word row of conditions it can extend to.
 struct PanelMembers {
   const int* gene = nullptr;
   const double* denom = nullptr;
@@ -70,22 +69,20 @@ struct PanelMembers {
   int words = 0;
 };
 
-/// Member-major fill of one block of the coherence-score panel (DESIGN.md,
-/// "Score panel").  For each member i in ascending order, and each
-/// condition c set in both its live row and `mask` -- only words
-/// [w_lo, w_hi) are read -- writes the entry (score, i) at slot
+/// Member-major fill of a node's coherence-score panel (DESIGN.md, "Score
+/// panel").  For each member i in ascending order, and each condition c set
+/// in both its live row and `mask`, writes the entry (score, i) at slot
 /// cursor[c]++ of the columns `h` / `idx`, where, with row = matrix +
 /// gene[i] * stride,
 ///
-///   score = (row[c] - row[head]) / denom[i]    (denom non-null)
-///   score =  row[c] - row[head]                (denom null: level 1)
+///   score = (row[c] - row[head]) / denom[i]
 ///
 /// -- the Eq. 7 score as CoherenceScoreCached computes it, the same two
 /// IEEE operations in the same order.  Each member's matrix row is read
 /// once, contiguously; entries of one column land in member order.
 void FillScorePanel(const PanelMembers& members, const double* matrix,
-                    int64_t stride, int head, const uint64_t* mask, int w_lo,
-                    int w_hi, int* cursor, double* h, int32_t* idx);
+                    int64_t stride, int head, const uint64_t* mask,
+                    int* cursor, double* h, int32_t* idx);
 
 /// All adjacent coherence scores of `row` along `chain` (size chain-1, the
 /// first entry is always exactly 1 by construction).

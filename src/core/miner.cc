@@ -48,12 +48,27 @@ int64_t VecBytes(const std::vector<T>& v) {
   return static_cast<int64_t>(v.capacity() * sizeof(T));
 }
 
-}  // namespace
+/// Writes a member's combined row -- its successor (`up`) or predecessor row
+/// at chain-head `pos` AND its eligibility row for `need` more conditions
+/// (ones without pruning 2) -- to `comb`, and the bits it cut to `cut`.
+void CombineMemberRow(const RWaveBitmapIndex& index, bool up, bool prune2,
+                      int gene, int pos, int need, uint64_t* comb,
+                      uint64_t* cut) {
+  const int words = index.num_words();
+  const uint64_t* cand_row =
+      up ? index.UpCandidates(gene, pos) : index.DownCandidates(gene, pos);
+  const uint64_t* elig =
+      prune2 ? (up ? index.UpEligible(gene, need)
+                   : index.DownEligible(gene, need))
+             : index.ones_row();
+  for (int w = 0; w < words; ++w) {
+    comb[w] = cand_row[w] & elig[w];
+    cut[w] = cand_row[w] & ~elig[w];
+  }
+}
 
-/// Entries per score-panel block (DESIGN.md, "Score panel"): 12 bytes each
-/// (a score and an int32 member index), so a block holds about 192 KiB.
-/// A block always takes at least one candidate column, however large.
-constexpr int kPanelBlockEntries = 16384;
+
+}  // namespace
 
 /// Members PrepareNode runs ahead when prefetching their index rows.
 constexpr size_t kIndexPrefetchAhead = 8;
@@ -65,13 +80,16 @@ constexpr size_t kIndexPrefetchAhead = 8;
 ///            extend to (successor/predecessor row AND MinC-eligibility
 ///            row);
 ///   *_count  per condition, how many members' *_comb rows hold it -- a
-///            candidate's p/n column sizes.
+///            candidate's p/n column sizes;
+///   *_cut    per member, the W-word bitmap of conditions the MinC bound
+///            cut from its successor/predecessor row (pruning-2 counter).
 ///
-/// The score panel holds the coherence scores of a block of candidates:
-/// per candidate column (starting at `col[c]`), its p-entries then its
-/// n-entries, each in member order and therefore gene-ascending, as
+/// The score panel holds the coherence scores of every candidate of the
+/// node: per candidate column (starting at `col[c]`), its p-entries then
+/// its n-entries, each in member order and therefore gene-ascending, as
 /// (panel_h score, panel_idx member index).  `cursor` is the fill's write
-/// position per column and `fill_mask` the block's filled candidates.
+/// position per column and `fill_mask` the filled candidates.  The level-1
+/// root frame holds no panel, and its MemberCols carry gene ids only.
 ///
 /// The scored columns (sc_*) hold the gene ids and denominators of one
 /// column that passed the pre-screen, gathered by member index for the
@@ -82,7 +100,7 @@ struct RegClusterMiner::NodeFrame {
 
   std::vector<uint64_t> p_comb, n_comb;
   util::BitPositionCounter p_count, n_count;
-  util::BitPositionCounter cut;  ///< per condition, members cut by MinC
+  std::vector<uint64_t> p_cut, n_cut;
 
   std::vector<uint64_t> cand_words;  ///< the node's candidate bitmap
   std::vector<int> cands;            ///< its set bits, ascending
@@ -115,10 +133,11 @@ struct RegClusterMiner::NodeFrame {
     return VecBytes(p.gene) + VecBytes(p.head_pos) + VecBytes(p.denom) +
            VecBytes(n.gene) + VecBytes(n.head_pos) + VecBytes(n.denom) +
            VecBytes(p_comb) + VecBytes(n_comb) + p_count.ApproxBytes() +
-           n_count.ApproxBytes() + cut.ApproxBytes() + VecBytes(cand_words) +
-           VecBytes(cands) + VecBytes(col) + VecBytes(cursor) +
-           VecBytes(fill_mask) + VecBytes(panel_h) + VecBytes(panel_idx) +
-           VecBytes(sc_hs) + VecBytes(sc_denom) + VecBytes(sc_gene) +
+           n_count.ApproxBytes() + VecBytes(p_cut) + VecBytes(n_cut) +
+           VecBytes(cand_words) + VecBytes(cands) + VecBytes(col) +
+           VecBytes(cursor) + VecBytes(fill_mask) + VecBytes(panel_h) +
+           VecBytes(panel_idx) + VecBytes(sc_hs) + VecBytes(sc_denom) +
+           VecBytes(sc_gene) +
            VecBytes(order) + VecBytes(win_p) + VecBytes(win_n);
   }
 };
@@ -131,15 +150,11 @@ struct RegClusterMiner::MinerScratch {
   std::vector<int> chain;       ///< the DFS chain stack
   std::deque<NodeFrame> frames; ///< frames[d] holds the node of chain length d+2
   NodeFrame root_frame;         ///< the level-1 node (SeedRoot only)
-  std::vector<uint64_t> gene_epoch;  ///< gene id -> last-marked epoch
-  uint64_t epoch = 0;
   util::SortScratch sort_scratch;  ///< radix-sort key/index buffers
   std::vector<int> screen_counts;  ///< CoherenceWindowPossible buckets
 
-  void Init(int num_conds, int num_genes) {
+  void Init(int num_conds) {
     chain.reserve(static_cast<size_t>(num_conds) + 1);
-    gene_epoch.assign(static_cast<size_t>(num_genes), 0);
-    epoch = 0;
   }
 
   NodeFrame& frame(int depth) {
@@ -150,9 +165,8 @@ struct RegClusterMiner::MinerScratch {
   /// Approximate live bytes of this arena -- the quantity the soft memory
   /// limit bounds.  Capacity-based, so it tracks the high-water mark.
   int64_t ApproxBytes() const {
-    int64_t total = VecBytes(chain) + VecBytes(gene_epoch) +
-                    root_frame.ApproxBytes() + sort_scratch.ApproxBytes() +
-                    VecBytes(screen_counts);
+    int64_t total = VecBytes(chain) + root_frame.ApproxBytes() +
+                    sort_scratch.ApproxBytes() + VecBytes(screen_counts);
     for (const NodeFrame& f : frames) {
       total += f.ApproxBytes() + static_cast<int64_t>(sizeof(NodeFrame));
     }
@@ -443,6 +457,21 @@ util::Status ValidateMinerOptions(const MinerOptions& o,
   return util::Status::OK();
 }
 
+util::Status RejectInfiniteCells(const matrix::MatrixStore& data) {
+  for (int g = 0; g < data.num_genes(); ++g) {
+    const double* row = data.row_data(g);
+    for (int c = 0; c < data.num_conditions(); ++c) {
+      if (!std::isinf(row[c])) continue;
+      return util::Status::FailedPrecondition(util::StrFormat(
+          "matrix cell of gene '%s' at condition '%s' is %s; every "
+          "expression value must be finite",
+          data.gene_name(g).c_str(), data.condition_name(c).c_str(),
+          row[c] > 0 ? "+inf" : "-inf"));
+    }
+  }
+  return util::Status::OK();
+}
+
 util::Status ValidateMatrixValues(const matrix::MatrixStore& data,
                                   const std::string& missing_message) {
   const int num_conds = data.num_conditions();
@@ -457,11 +486,8 @@ util::Status ValidateMatrixValues(const matrix::MatrixStore& data,
       if (std::isnan(row[c])) {
         return util::Status::FailedPrecondition(missing_message);
       }
-      return util::Status::FailedPrecondition(util::StrFormat(
-          "matrix cell of gene '%s' at condition '%s' is %s; every "
-          "expression value must be finite",
-          data.gene_name(g).c_str(), data.condition_name(c).c_str(),
-          row[c] > 0 ? "+inf" : "-inf"));
+      // The first non-finite cell is infinite: RejectInfiniteCells names it.
+      return RejectInfiniteCells(data);
     }
     if (!std::isfinite(hi - lo)) {
       return util::Status::FailedPrecondition(util::StrFormat(
@@ -604,10 +630,9 @@ void RegClusterMiner::SubmitRoots(util::TaskPool* pool, bool exclusive_pool) {
   if (run_ == nullptr) return;
   EnsureGuard(pool->num_workers() + 1);
   const int num_conds = data_.num_conditions();
-  const int num_genes = data_.num_genes();
   run_->scratches =
       std::vector<MinerScratch>(static_cast<size_t>(pool->num_workers()));
-  for (MinerScratch& s : run_->scratches) s.Init(num_conds, num_genes);
+  for (MinerScratch& s : run_->scratches) s.Init(num_conds);
   MinerScratch* scratches = run_->scratches.data();
   RootWork* work = run_->work.data();
   util::TaskPool* ctl_pool = exclusive_pool ? pool : nullptr;
@@ -685,7 +710,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
         "Finalize() requires a successful Prepare()");
   }
   const int num_conds = data_.num_conditions();
-  const int num_genes = data_.num_genes();
   const int threads = run_->threads;
   const int first_root = run_->first_root;
   std::vector<RootWork>& work = run_->work;
@@ -710,7 +734,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   // depends on machine speed.
   obs::PhaseSpan phase_b(&outcome_.phase_b_seconds);
   MinerScratch fin_scratch;
-  fin_scratch.Init(num_conds, num_genes);
+  fin_scratch.Init(num_conds);
   const int64_t kUnlimited = std::numeric_limits<int64_t>::max();
   int64_t node_rem = options_.max_nodes >= 0 ? options_.max_nodes : kUnlimited;
   int64_t cluster_rem =
@@ -846,29 +870,30 @@ uint64_t RegClusterMiner::SemanticOptionsHash(const MinerOptions& options) {
   return h.Digest().lo;
 }
 
-bool RegClusterMiner::HasAllRequired(const MemberCols& p, const MemberCols& n,
-                                     MinerScratch* scratch) const {
+bool RegClusterMiner::PrunedBySize(int np, int nn, MinerStats* stats) const {
+  // Pruning (1): not enough genes overall.
+  if (options_.prune_min_genes && np + nn < options_.min_genes) {
+    ++stats->pruned_min_genes;
+    return true;
+  }
+  // Pruning (3a): fewer than MinG/2 p-members can never be a majority.
+  if (options_.prune_p_majority && 2 * np < options_.min_genes) {
+    ++stats->pruned_p_majority;
+    return true;
+  }
+  return false;
+}
+
+bool RegClusterMiner::HasAllRequired(const MemberCols& p,
+                                     const MemberCols& n) const {
   if (num_required_ == 0) return true;
-  // Epoch-stamped distinct count: at level 1 a required gene can sit in both
-  // lists, so presence is deduplicated via the per-gene stamp -- one pass,
-  // no allocation.
-  const uint64_t epoch = ++scratch->epoch;
-  int distinct = 0;
-  for (const int gene : p.gene) {
-    const size_t g = static_cast<size_t>(gene);
-    if (required_gene_[g] && scratch->gene_epoch[g] != epoch) {
-      scratch->gene_epoch[g] = epoch;
-      ++distinct;
-    }
+  // For m >= 2 the lists are disjoint and each holds a gene at most once,
+  // so counting the required members counts distinct genes.
+  int found = 0;
+  for (const MemberCols* mem : {&p, &n}) {
+    for (const int g : mem->gene) found += required_gene_[g] ? 1 : 0;
   }
-  for (const int gene : n.gene) {
-    const size_t g = static_cast<size_t>(gene);
-    if (required_gene_[g] && scratch->gene_epoch[g] != epoch) {
-      scratch->gene_epoch[g] = epoch;
-      ++distinct;
-    }
-  }
-  return distinct == num_required_;
+  return found == num_required_;
 }
 
 template <bool kCollect>
@@ -877,23 +902,16 @@ void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
   const int words = index_->num_words();
   const int need = options_.min_conditions - m;
   const bool prune2 = options_.prune_min_conds;
-  const uint64_t* ones = index_->ones_row();
 
-  // Per member: the combined row, counted per condition, and the members
-  // the MinC bound cut -- successor & ~combined -- counted the same way, so
-  // the pruning-2 drop counter needs no second pass over the index rows.
-  // A p-member's bits outside the candidate set are exactly the disallowed
-  // conditions, and an n-member's are conditions no p-member reaches; those
-  // counts are never read, so counting whole rows needs no candidate mask
-  // and stays in this one pass.
+  // Per member: the combined row, counted per condition, and the cut row.
   const auto cache = [&](const MemberCols& mem, bool up,
                          std::vector<uint64_t>& comb,
                          util::BitPositionCounter& count,
-                         util::BitPositionCounter& cut) {
+                         std::vector<uint64_t>& cut) {
     const size_t members = static_cast<size_t>(mem.size());
     comb.resize(members * static_cast<size_t>(words));
+    cut.resize(members * static_cast<size_t>(words));
     count.Reset(words);
-    cut.Reset(words);
     for (size_t i = 0; i < members; ++i) {
       // Members are gene-ascending but their index rows are scattered;
       // fetching a few members ahead overlaps the misses.
@@ -902,31 +920,31 @@ void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
         const int pa = mem.head_pos[i + kIndexPrefetchAhead];
         __builtin_prefetch(up ? index_->UpCandidates(ga, pa)
                               : index_->DownCandidates(ga, pa));
+        if (prune2) {
+          __builtin_prefetch(up ? index_->UpEligible(ga, need)
+                                : index_->DownEligible(ga, need));
+        }
       }
-      const int g = mem.gene[i];
-      const int pos = mem.head_pos[i];
-      const uint64_t* cand_row =
-          up ? index_->UpCandidates(g, pos) : index_->DownCandidates(g, pos);
-      const uint64_t* elig =
-          prune2 ? (up ? index_->UpEligible(g, need)
-                       : index_->DownEligible(g, need))
-                 : ones;
-      uint64_t* dst = comb.data() + i * static_cast<size_t>(words);
-      util::AndWords(dst, cand_row, elig, words);
-      count.Add(dst);
-      if (prune2) cut.AddAndNot(cand_row, dst);
+      const size_t at = i * static_cast<size_t>(words);
+      CombineMemberRow(*index_, up, prune2, mem.gene[i], mem.head_pos[i],
+                       need, comb.data() + at, cut.data() + at);
+      count.Add(comb.data() + at);
     }
     count.Flush();
-    cut.Flush();
-    // One AND per word per member for the row, and one pass per word per
-    // member for the counts; bulk adds outside the loop keep the accounting
-    // off the hot path entirely.
+    // One word op per member word for the row and one for its count.
     if constexpr (kCollect) {
       stats->index_word_ops += 2 * static_cast<int64_t>(members) * words;
     }
   };
-  cache(node->p, /*up=*/true, node->p_comb, node->p_count, node->cut);
+  cache(node->p, /*up=*/true, node->p_comb, node->p_count, node->p_cut);
+  cache(node->n, /*up=*/false, node->n_comb, node->n_count, node->n_cut);
+  ListCandidates<kCollect>(node, stats);
+}
 
+template <bool kCollect>
+void RegClusterMiner::ListCandidates(NodeFrame* node,
+                                     MinerStats* stats) const {
+  const int words = index_->num_words();
   // Candidate generation: OR over the p-member rows only (licensed by
   // pruning 3a), intersected with the allowed set; then snapshot the set
   // bits in ascending condition order.
@@ -945,26 +963,24 @@ void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
   util::ForEachSetBit(node->cand_words.data(), words,
                       [&](int c) { node->cands.push_back(c); });
 
-  // The pruning-2 drop counter -- members that are regulation-linked to a
-  // candidate but cut by the MinC bound -- sums the cut counts over the
-  // candidates, for the whole node here rather than per candidate
-  // (identical totals; with an active max_nodes / max_clusters cap a
-  // mid-node budget stop never leaves the counter at a scheduling-dependent
-  // prefix).  The p-half's cut counts are read before the n-half reuses
-  // the counter.
-  const auto add_cut = [&] {
-    if (!prune2) return;
-    for (const int c : node->cands) {
-      stats->genes_dropped_min_conds += node->cut.count(c);
+  // The pruning-2 drop counter -- candidate bits of the members' cut rows
+  // -- for the whole node here rather than per candidate (identical totals;
+  // a mid-node budget stop never leaves it at a scheduling-dependent
+  // prefix).
+  if (!options_.prune_min_conds) return;
+  const size_t row_words = static_cast<size_t>(words);
+  for (const auto& [mem, cut] :
+       {std::pair{&node->p, &node->p_cut}, {&node->n, &node->n_cut}}) {
+    for (size_t i = 0; i < mem->gene.size() * row_words; i += row_words) {
+      for (size_t w = 0; w < row_words; ++w) {
+        stats->genes_dropped_min_conds +=
+            std::popcount((*cut)[i + w] & node->cand_words[w]);
+      }
     }
-  };
-  add_cut();
-  cache(node->n, /*up=*/false, node->n_comb, node->n_count, node->cut);
-  add_cut();
+  }
 }
 
-size_t RegClusterMiner::FillPanelBlock(size_t first, int ckm, bool level1,
-                                       NodeFrame* node) const {
+void RegClusterMiner::FillPanel(int ckm, NodeFrame* node) const {
   const int words = index_->num_words();
   const int min_g = options_.min_genes;
   const bool prune_g = options_.prune_min_genes;
@@ -973,23 +989,18 @@ size_t RegClusterMiner::FillPanelBlock(size_t first, int ckm, bool level1,
   node->cursor.resize(num_conds);
   node->fill_mask.assign(static_cast<size_t>(words), 0);
 
-  // Lay the block out: consecutive candidate columns while they fit the
-  // budget.  A column pruning (1) will reject gets no entries at all.
+  // Lay the panel out: one column per candidate, ascending.  A column
+  // pruning (1) will reject gets no entries at all.
   int entries = 0;
-  size_t end = first;
-  for (; end < node->cands.size(); ++end) {
-    const int c = node->cands[end];
-    const int total = node->p_count.count(c) + node->n_count.count(c);
-    const bool filled = !(prune_g && total < min_g);
-    if (end > first && filled && entries + total > kPanelBlockEntries) break;
+  for (const int c : node->cands) {
     node->col[static_cast<size_t>(c)] = entries;
     node->cursor[static_cast<size_t>(c)] = entries;
-    if (filled) {
-      util::SetBit(node->fill_mask.data(), c);
-      entries += total;
-    }
+    const int total = node->p_count.count(c) + node->n_count.count(c);
+    if (prune_g && total < min_g) continue;
+    util::SetBit(node->fill_mask.data(), c);
+    entries += total;
   }
-  // Grow only: a shrink-then-grow would zero-fill the panel on every block.
+  // Grow only: a shrink-then-grow would zero-fill the panel on every node.
   if (node->panel_h.size() < static_cast<size_t>(entries)) {
     node->panel_h.resize(static_cast<size_t>(entries));
     node->panel_idx.resize(static_cast<size_t>(entries));
@@ -997,22 +1008,18 @@ size_t RegClusterMiner::FillPanelBlock(size_t first, int ckm, bool level1,
 
   // One member-major pass per half: p-members first, so each column's
   // cursor ends its p-entries exactly where its n-entries begin.
-  const int w_lo = node->cands[first] / util::kBitsPerWord;
-  const int w_hi = node->cands[end - 1] / util::kBitsPerWord + 1;
   const double* matrix = data_.row_data(0);
   const int64_t stride = static_cast<int64_t>(num_conds);
   const auto fill = [&](const MemberCols& mem,
                         const std::vector<uint64_t>& comb) {
-    const PanelMembers members{mem.gene.data(),
-                               level1 ? nullptr : mem.denom.data(),
+    const PanelMembers members{mem.gene.data(), mem.denom.data(),
                                comb.data(), mem.size(), words};
-    FillScorePanel(members, matrix, stride, ckm, node->fill_mask.data(), w_lo,
-                   w_hi, node->cursor.data(), node->panel_h.data(),
+    FillScorePanel(members, matrix, stride, ckm, node->fill_mask.data(),
+                   node->cursor.data(), node->panel_h.data(),
                    node->panel_idx.data());
   };
   fill(node->p, node->p_comb);
   fill(node->n, node->n_comb);
-  return end;
 }
 
 bool RegClusterMiner::SeedRoot(int root_condition, RootWork* work,
@@ -1028,89 +1035,117 @@ bool RegClusterMiner::SeedRootImpl(int root_condition, RootWork* work,
   SearchContext* ctx = &work->ctx;
   if (!allowed_cond_[static_cast<size_t>(root_condition)]) return true;
   // Level-1 chain: the root condition, with the genes that can still grow a
-  // chain of length MinC through it upward (p) or downward (n).
+  // chain of length MinC through it upward (p) or downward (n).  One gene
+  // pass decides membership and caches the combined and cut rows too
+  // (PrepareNode's work at m = 1), reading each gene's index rows once.
   NodeFrame& node = scratch->root_frame;
-  node.p.clear();
-  node.n.clear();
   const int num_genes = data_.num_genes();
+  const int words = index_->num_words();
   const int min_c = options_.min_conditions;
   const bool prune2 = options_.prune_min_conds;
+  node.p.gene.clear();
+  node.n.gene.clear();
+  for (auto* rows : {&node.p_comb, &node.n_comb, &node.p_cut, &node.n_cut}) {
+    rows->resize(static_cast<size_t>(num_genes) * words);
+  }
+  node.p_count.Reset(words);
+  node.n_count.Reset(words);
+  const auto add = [&](bool up, int g, int pos) {
+    MemberCols& mem = up ? node.p : node.n;
+    const size_t at = mem.gene.size() * static_cast<size_t>(words);
+    uint64_t* comb = (up ? node.p_comb : node.n_comb).data() + at;
+    CombineMemberRow(*index_, up, prune2, g, pos, min_c - 1, comb,
+                     (up ? node.p_cut : node.n_cut).data() + at);
+    (up ? node.p_count : node.n_count).Add(comb);
+    mem.gene.push_back(g);
+  };
+  int required_members = 0;
   for (int g = 0; g < num_genes; ++g) {
     const int pos = index_->position(g, root_condition);
     const bool up_ok =
         !prune2 || index_->ChainEligibleUp(g, root_condition, min_c);
     const bool down_ok =
         !prune2 || index_->ChainEligibleDown(g, root_condition, min_c);
-    if (up_ok) node.p.push_back(g, pos, 0.0);
-    if (down_ok) node.n.push_back(g, pos, 0.0);
     ctx->stats.genes_dropped_min_conds += (up_ok ? 0 : 1) + (down_ok ? 0 : 1);
+    if (up_ok) add(/*up=*/true, g, pos);
+    if (down_ok) add(/*up=*/false, g, pos);
+    required_members +=
+        (up_ok || down_ok) && required_gene_[static_cast<size_t>(g)] ? 1 : 0;
   }
+  node.p_count.Flush();
+  node.n_count.Flush();
 
   // The level-1 body of the search (the m == 1 specialization of Extend):
   // no emission is possible (MinC >= 2) and every coherence score of the
   // first extension is identically 1 (Eq. 7), so each candidate yields a
   // single all-inclusive window -- one SubtreeSeed.
-  if (!HasAllRequired(node.p, node.n, scratch)) return true;
+  if (required_members != num_required_) return true;
   if (ctx->ctl->OnNode()) return false;
   ++ctx->stats.nodes_expanded;
 
   const int min_g = options_.min_genes;
-  // Pruning (1): at level 1 a gene may appear in both member lists; the sum
+  const int np = node.p.size();
+  const int nn = node.n.size();
+  // At level 1 a gene may appear in both member lists; pruning (1)'s sum
   // is then an over-estimate of the union, which is safe (prunes less).
-  const int total_members = node.p.size() + node.n.size();
-  if (options_.prune_min_genes && total_members < min_g) {
-    ++ctx->stats.pruned_min_genes;
-    return true;
-  }
-  // Pruning (3a): fewer than MinG/2 p-members can never be a majority.
-  if (options_.prune_p_majority && 2 * node.p.size() < min_g) {
-    ++ctx->stats.pruned_p_majority;
-    return true;
-  }
+  if (PrunedBySize(np, nn, &ctx->stats)) return true;
 
-  PrepareNode<kCollect>(/*m=*/1, &node, &ctx->stats);
-  size_t block_end = 0;
-  for (size_t k = 0; k < node.cands.size(); ++k) {
+  // The pass did PrepareNode's row work; charge it as PrepareNode does.
+  if constexpr (kCollect) {
+    ctx->stats.index_word_ops += 2 * static_cast<int64_t>(np + nn) * words;
+  }
+  ListCandidates<kCollect>(&node, &ctx->stats);
+
+  // Keep the candidates pruning (1) leaves, each with a seed reserved for
+  // its p/n column counts; `col` maps a kept candidate to its seed.
+  node.col.resize(static_cast<size_t>(index_->num_conditions()));
+  node.fill_mask.assign(static_cast<size_t>(words), 0);
+  for (const int cand : node.cands) {
     if (ctx->ctl->CheckAbort()) return false;
-    if (k == block_end) {
-      block_end = FillPanelBlock(k, root_condition, /*level1=*/true, &node);
-    }
-    const int cand = node.cands[k];
     ++ctx->stats.extensions_tested;
-
     const int split = node.p_count.count(cand);
     const int total = split + node.n_count.count(cand);
     if (options_.prune_min_genes && total < min_g) {
       ++ctx->stats.pruned_min_genes;
       continue;
     }
-
-    // Materialize the subtree seed.  The baseline pair (root, cand) is now
-    // fixed for the entire branch, and the panel's level-1 entries -- the
-    // numerators row[cand] - row[root] -- *are* each member's coherence
-    // denominator.
-    const size_t col = static_cast<size_t>(node.col[static_cast<size_t>(cand)]);
-    const double* h = node.panel_h.data() + col;
-    const int32_t* idx = node.panel_idx.data() + col;
-    SubtreeSeed seed;
+    util::SetBit(node.fill_mask.data(), cand);
+    node.col[static_cast<size_t>(cand)] =
+        static_cast<int>(work->seeds.size());
+    SubtreeSeed& seed = work->seeds.emplace_back();
     seed.second_condition = cand;
-    const auto materialize = [&](const MemberCols& from, int begin, int end,
-                                 MemberCols* to) {
-      const size_t count = static_cast<size_t>(end - begin);
-      to->gene.resize(count);
-      to->head_pos.resize(count);
-      to->denom.assign(h + begin, h + end);
-      for (int k = begin; k < end; ++k) {
-        const int g = from.gene[static_cast<size_t>(idx[k])];
-        to->gene[static_cast<size_t>(k - begin)] = g;
-        to->head_pos[static_cast<size_t>(k - begin)] =
-            index_->position(g, cand);
-      }
-    };
-    materialize(node.p, 0, split, &seed.p_members);
-    materialize(node.n, split, total, &seed.n_members);
-    work->seeds.push_back(std::move(seed));
+    seed.p_members.reserve(static_cast<size_t>(split));
+    seed.n_members.reserve(static_cast<size_t>(total - split));
   }
+  if (work->seeds.empty()) return true;
+
+  // One member pass per half writes every kept candidate's seed column, in
+  // gene order: the gene, its position at the candidate (the child's chain
+  // head) and the level-2 denominator row[cand] - row[root] (Eq. 7).
+  const double* matrix = data_.row_data(0);
+  const int64_t stride = static_cast<int64_t>(index_->num_conditions());
+  const auto seed_half = [&](const MemberCols& mem,
+                             const std::vector<uint64_t>& comb,
+                             MemberCols SubtreeSeed::*half) {
+    for (int i = 0; i < mem.size(); ++i) {
+      const uint64_t* live = comb.data() + static_cast<size_t>(i) * words;
+      const int g = mem.gene[static_cast<size_t>(i)];
+      const double* row = matrix + g * stride;
+      const double base = row[root_condition];
+      for (int w = 0; w < words; ++w) {
+        uint64_t bits = live[w] & node.fill_mask[static_cast<size_t>(w)];
+        while (bits != 0) {
+          const int c = w * util::kBitsPerWord + std::countr_zero(bits);
+          bits &= bits - 1;
+          const int seed = node.col[static_cast<size_t>(c)];
+          (work->seeds[static_cast<size_t>(seed)].*half)
+              .push_back(g, index_->position(g, c), row[c] - base);
+        }
+      }
+    }
+  };
+  seed_half(node.p, node.p_comb, &SubtreeSeed::p_members);
+  seed_half(node.n, node.n_comb, &SubtreeSeed::n_members);
   return true;
 }
 
@@ -1140,25 +1175,16 @@ template <bool kCollect>
 void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
                              SearchContext* ctx) {
   NodeFrame& node = scratch->frame(depth);
-  if (!HasAllRequired(node.p, node.n, scratch)) return;
+  if (!HasAllRequired(node.p, node.n)) return;
   if (ctx->ctl->OnNode()) return;
   ++ctx->stats.nodes_expanded;
 
   const int min_g = options_.min_genes;
   const int m = static_cast<int>(scratch->chain.size());
 
-  // Pruning (1): not enough genes overall.  For m >= 2 the member lists are
-  // disjoint, so the sum is the exact union size.
+  // For m >= 2 the member lists are disjoint: (1) sums the exact union.
   const int total_members = node.p.size() + node.n.size();
-  if (options_.prune_min_genes && total_members < min_g) {
-    ++ctx->stats.pruned_min_genes;
-    return;
-  }
-  // Pruning (3a): fewer than MinG/2 p-members can never be a majority.
-  if (options_.prune_p_majority && 2 * node.p.size() < min_g) {
-    ++ctx->stats.pruned_p_majority;
-    return;
-  }
+  if (PrunedBySize(node.p.size(), node.n.size(), &ctx->stats)) return;
 
   // Step 3: emit if validated and representative; a duplicate prunes the
   // whole branch (pruning 3b).  Under closed_chains_only the emission is
@@ -1181,21 +1207,16 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
   int64_t t0 = profile ? NowNs() : 0;
   PrepareNode<kCollect>(m, &node, &ctx->stats);
   if (profile) ctx->stats.filter_ns += NowNs() - t0;
-  const int ckm = scratch->chain.back();
 
-  size_t block_end = 0;
-  for (size_t k = 0; k < node.cands.size(); ++k) {
+  // Score: one member-major pass fills the coherence scores H (Eq. 7) of
+  // every candidate at once; the member's cached baseline denominator makes
+  // the formula identical for p- and n-members (both flip sign, Lemma 3.2).
+  if (profile) t0 = NowNs();
+  FillPanel(scratch->chain.back(), &node);
+  if (profile) ctx->stats.score_ns += NowNs() - t0;
+
+  for (const int cand : node.cands) {
     if (ctx->ctl->CheckAbort()) return;
-    // Score: one member-major pass fills the coherence scores H (Eq. 7) of
-    // a block of candidates at once; the member's cached baseline
-    // denominator makes the formula identical for p- and n-members (both
-    // flip sign, Lemma 3.2).
-    if (k == block_end) {
-      if (profile) t0 = NowNs();
-      block_end = FillPanelBlock(k, ckm, /*level1=*/false, &node);
-      if (profile) ctx->stats.score_ns += NowNs() - t0;
-    }
-    const int cand = node.cands[k];
     ++ctx->stats.extensions_tested;
 
     // Genes of X^cand: p-members stepping up to cand, n-members stepping

@@ -333,6 +333,10 @@ util::Status ValidateMatrixValues(
         "matrix contains missing values; impute first "
         "(matrix::ImputeRowMean)");
 
+/// ValidateMatrixValues' FailedPrecondition for the first +-inf cell, for
+/// readers that keep NaN cells as missing values (`regcluster stats`).
+util::Status RejectInfiniteCells(const matrix::MatrixStore& data);
+
 /// One root's slice of a mining run, captured when
 /// MinerOptions::capture_root_results is set: the root id, the root's own
 /// deterministic counters, and the clusters emitted under it in canonical
@@ -436,6 +440,11 @@ class RegClusterMiner {
       head_pos.clear();
       denom.clear();
     }
+    void reserve(size_t members) {
+      gene.reserve(members);
+      head_pos.reserve(members);
+      denom.reserve(members);
+    }
     void push_back(int g, int pos, double d) {
       gene.push_back(g);
       head_pos.push_back(pos);
@@ -447,7 +456,7 @@ class RegClusterMiner {
   /// scored columns).  Defined in miner.cc.
   struct NodeFrame;
 
-  /// Per-worker reusable DFS state (frame stack, epoch-stamped gene bitmap).
+  /// Per-worker reusable DFS state (frame stack, sort and screen buffers).
   /// Defined in miner.cc; one instance per pool worker keeps the Extend()
   /// hot loop free of heap allocation.
   struct MinerScratch;
@@ -502,11 +511,11 @@ class RegClusterMiner {
     void Reset();
   };
 
-  /// Expands the level-1 node of `root_condition`: builds the member lists,
-  /// applies the level-1 prunings, and materializes one SubtreeSeed per
-  /// surviving second condition (ascending).  Returns false when a budget
-  /// stop abandoned the node mid-expansion (the RootWork is then incomplete
-  /// and must not be merged).
+  /// Expands the level-1 node of `root_condition`: builds the member lists
+  /// and their rows in one gene pass, applies the level-1 prunings, and
+  /// writes one SubtreeSeed per surviving second condition (ascending).
+  /// Returns false when a budget stop abandoned the node mid-expansion (the
+  /// RootWork is then incomplete and must not be merged).
   ///
   /// The search body (SeedRoot / MineSubtree / Extend / PrepareNode /
   /// MaybeEmit) is compiled twice behind `kCollect`: the <false>
@@ -530,22 +539,22 @@ class RegClusterMiner {
   void Extend(int depth, MinerScratch* scratch, SearchContext* ctx);
 
   /// Caches the node's per-member bitmap rows (successor/predecessor x
-  /// MinC-eligibility) for a chain of length `m` and counts, per condition,
-  /// the p- and n-members whose row holds it; then lists the node's
-  /// candidate conditions (OR over the p-member rows, intersected with the
-  /// allowed set).  Also accumulates the pruning-2 drop counter for the
-  /// whole node (see the comment in miner.cc).
+  /// MinC-eligibility, and the cut rows that AND removed) for a chain of
+  /// length `m` and counts, per condition, the p- and n-members whose row
+  /// holds it; then ListCandidates.
   template <bool kCollect>
   void PrepareNode(int m, NodeFrame* node, MinerStats* stats);
 
-  /// Fills the score panel for the block of candidates starting at
-  /// node->cands[first]: as many consecutive candidates as fit the block
-  /// budget (at least one), in one member-major pass per half over the
-  /// members' matrix rows with chain head `ckm`.  Level-1 entries are the
-  /// numerators row[cand] - row[ckm].  Returns the index one past the
-  /// block's last candidate.
-  size_t FillPanelBlock(size_t first, int ckm, bool level1,
-                        NodeFrame* node) const;
+  /// Lists the node's candidate conditions from its cached rows (OR over
+  /// the p-member rows, intersected with the allowed set) and accumulates
+  /// the pruning-2 drop counter for the whole node (see miner.cc).
+  template <bool kCollect>
+  void ListCandidates(NodeFrame* node, MinerStats* stats) const;
+
+  /// Fills the node's whole score panel -- every candidate column pruning
+  /// (1) keeps -- in one member-major pass per half over the members'
+  /// matrix rows with chain head `ckm`.
+  void FillPanel(int ckm, NodeFrame* node) const;
 
   /// Emits the node's cluster if it validates and is representative.
   /// Returns false when the branch should be pruned (duplicate).
@@ -553,10 +562,12 @@ class RegClusterMiner {
   bool MaybeEmit(const std::vector<int>& chain, const MemberCols& p,
                  const MemberCols& n, SearchContext* ctx);
 
-  /// True iff the node (or a scored window) retains every required gene.
-  /// Uses the scratch's epoch-stamped per-gene bitmap: no allocation.
-  bool HasAllRequired(const MemberCols& p, const MemberCols& n,
-                      MinerScratch* scratch) const;
+  /// Applies the node-size prunings (1) and (3a) to a node of `np` p- and
+  /// `nn` n-members, counting the one that fires.
+  bool PrunedBySize(int np, int nn, MinerStats* stats) const;
+
+  /// True iff a node at level >= 2 retains every required gene.
+  bool HasAllRequired(const MemberCols& p, const MemberCols& n) const;
 
   /// Per-staged-run execution state (root slots, phase-A scratches, timers,
   /// budget remainder bookkeeping).  Defined in miner.cc; created by

@@ -44,8 +44,9 @@ struct MinerStats {
   /// deterministic: the same data + options give the same values at any
   /// thread count, because each task counts into its own shard and the
   /// shards are merged in canonical root order.
-  int64_t index_word_ops = 0;  ///< 64-bit bitmap words touched building and
-                               ///< transposing candidate rows (PrepareNode)
+  int64_t index_word_ops = 0;  ///< 64-bit bitmap words touched combining,
+                               ///< counting and OR-ing member rows
+                               ///< (PrepareNode; SeedRoot's gene pass)
   int64_t coherence_divide_calls = 0;  ///< divide passes over a scored column
   int64_t coherence_scores = 0;        ///< individual H scores computed
   int64_t dedup_probes = 0;            ///< duplicate-key set probes (MaybeEmit)

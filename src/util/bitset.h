@@ -91,12 +91,15 @@ class BitPositionCounter {
 
   /// Counts one `words`-word row.
   void Add(const uint64_t* row) {
-    AddRow([row](int w) { return row[w]; });
-  }
-
-  /// Counts the row a & ~b without materializing it.
-  void AddAndNot(const uint64_t* a, const uint64_t* b) {
-    AddRow([a, b](int w) { return a[w] & ~b[w]; });
+    for (int w = 0; w < words_; ++w) {
+      const uint64_t x = row[w];
+      if (x == 0) continue;
+      uint64_t* lanes = lanes_.data() + static_cast<size_t>(w) * 8;
+      for (int k = 0; k < 8; ++k) {
+        lanes[k] += kByteSpread[(x >> (8 * k)) & 0xFF];
+      }
+    }
+    if (++pending_ == 255) Flush();
   }
 
   /// Drains the 8-bit lanes into the counts; call once after the last Add.
@@ -120,19 +123,6 @@ class BitPositionCounter {
   }
 
  private:
-  template <typename WordOf>
-  void AddRow(const WordOf& word_of) {
-    for (int w = 0; w < words_; ++w) {
-      const uint64_t x = word_of(w);
-      if (x == 0) continue;
-      uint64_t* lanes = lanes_.data() + static_cast<size_t>(w) * 8;
-      for (int k = 0; k < 8; ++k) {
-        lanes[k] += kByteSpread[(x >> (8 * k)) & 0xFF];
-      }
-    }
-    if (++pending_ == 255) Flush();
-  }
-
   /// Byte b -> a word whose byte j is bit j of b.
   static constexpr std::array<uint64_t, 256> kByteSpread = [] {
     std::array<uint64_t, 256> table{};

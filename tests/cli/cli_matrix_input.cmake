@@ -13,7 +13,9 @@
 #     3000 x 40 matrix, on the resident and on the mapped binary matrix;
 #   * a binary matrix with a cell patched to +inf (RGCXMAT1 carries no
 #     checksum over its cells, so the file still opens) is rejected by
-#     `rwave` as it is by `mine`: exit 1 naming the cell, no model printed.
+#     `rwave` and `stats` as it is by `mine`: exit 1 naming the cell, no
+#     model or report printed; a cell patched to NaN is one missing cell
+#     to `stats`.
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)
@@ -167,14 +169,32 @@ if(SH_PROGRAM)
     message(FATAL_ERROR "could not patch the cell to +inf (rc ${rc})")
   endif()
   foreach(sub "rwave;--gene=g0"
-              "mine;--out=${WORKDIR}/inf_out.txt;--ming=2;--minc=2")
+              "mine;--out=${WORKDIR}/inf_out.txt;--ming=2;--minc=2"
+              "stats")
     run_expect(1 ${CLI} ${sub} --matrix=${WORKDIR}/inf.rgx)
     if(NOT last_err MATCHES
        "FailedPrecondition.*gene 'g0' at condition 'c0' is \\+inf")
       message(FATAL_ERROR "${sub}: +inf cell not named: ${last_err}")
     endif()
-    if(last_out MATCHES "gamma_i")
-      message(FATAL_ERROR "${sub}: printed a model of a +inf row")
+    if(last_out MATCHES "gamma_i|max=")
+      message(FATAL_ERROR "${sub}: printed a model or report of a +inf row")
     endif()
   endforeach()
+
+  # The same top byte plus 0xf8 in the byte below it makes the cell
+  # 0x7ff8000000000000, a quiet NaN: a missing value, not an error.
+  math(EXPR next_byte "${top_byte} - 1")
+  execute_process(
+      COMMAND ${SH_PROGRAM} -c
+      "printf '\\370' | dd of=${WORKDIR}/inf.rgx bs=1 seek=${next_byte} \
+       conv=notrunc 2>/dev/null"
+      RESULT_VARIABLE rc)
+  file(READ ${WORKDIR}/inf.rgx after OFFSET ${next_byte} LIMIT 2 HEX)
+  if(NOT rc EQUAL 0 OR NOT after STREQUAL "f87f")
+    message(FATAL_ERROR "could not patch the cell to NaN (rc ${rc})")
+  endif()
+  run_expect(0 ${CLI} stats --matrix=${WORKDIR}/inf.rgx)
+  if(NOT last_out MATCHES "missing: 1 cells in 1 genes")
+    message(FATAL_ERROR "stats: NaN cell not counted as missing: ${last_out}")
+  endif()
 endif()

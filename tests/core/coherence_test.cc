@@ -192,7 +192,7 @@ TEST(ValidateTest, RejectsOutOfRangeCondition) {
 // numerator row[c] - row[head] into a column, then divide the column by
 // the denominators.  Same IEEE operations, same
 // order, so the bits must agree -- on wide rows (several words), on masks
-// that select a word range, at level 1 (no denominators) and with
+// with a whole word cleared (members live only there are skipped) and with
 // negative denominators (n-members).
 TEST(ScorePanelTest, EntriesEqualGatherThenDivideBitForBit) {
   util::Prng prng(29);
@@ -201,7 +201,7 @@ TEST(ScorePanelTest, EntriesEqualGatherThenDivideBitForBit) {
     const int words = util::WordsForBits(num_conds);
     std::vector<double> matrix(static_cast<size_t>(num_genes) * num_conds);
     for (double& v : matrix) v = prng.Uniform(-5.0, 5.0);
-    for (const bool level1 : {false, true}) {
+    for (const bool clear_first_word : {false, true}) {
       const int count = static_cast<int>(prng.UniformInt(0, 30));
       std::vector<int> gene;
       std::vector<double> denom;
@@ -219,9 +219,8 @@ TEST(ScorePanelTest, EntriesEqualGatherThenDivideBitForBit) {
       for (int c = 0; c < num_conds; ++c) {
         if (prng.Uniform(0.0, 1.0) < 0.7) util::SetBit(mask.data(), c);
       }
+      if (clear_first_word) mask[0] = 0;
       const int head = static_cast<int>(prng.UniformInt(0, num_conds - 1));
-      const int w_lo = words > 1 ? 1 : 0;  // also a partial word range
-      const int w_hi = words;
 
       // Reference: per column, in member order, numerator then divide.
       std::vector<int> cursor(static_cast<size_t>(num_conds));
@@ -229,31 +228,31 @@ TEST(ScorePanelTest, EntriesEqualGatherThenDivideBitForBit) {
       std::vector<int32_t> ref_idx;
       for (int c = 0; c < num_conds; ++c) {
         cursor[static_cast<size_t>(c)] = static_cast<int>(ref_h.size());
-        if (c / 64 < w_lo || !util::TestBit(mask.data(), c)) continue;
+        if (!util::TestBit(mask.data(), c)) continue;
         for (int i = 0; i < count; ++i) {
           if (!util::TestBit(live.data() + static_cast<size_t>(i) * words,
                              c)) {
             continue;
           }
           const double* row = matrix.data() + gene[i] * num_conds;
-          double v = row[c] - row[head];
-          if (!level1) v /= denom[static_cast<size_t>(i)];
-          ref_h.push_back(v);
+          const double v = row[c] - row[head];
+          ref_h.push_back(v / denom[static_cast<size_t>(i)]);
           ref_idx.push_back(i);
         }
       }
 
       std::vector<double> h(ref_h.size() + 1, -7.0);
       std::vector<int32_t> idx(ref_idx.size() + 1, -7);
-      const PanelMembers members{gene.data(),
-                                 level1 ? nullptr : denom.data(), live.data(),
-                                 count, words};
+      const PanelMembers members{gene.data(), denom.data(), live.data(), count,
+                                 words};
       FillScorePanel(members, matrix.data(), num_conds, head, mask.data(),
-                     w_lo, w_hi, cursor.data(), h.data(), idx.data());
+                     cursor.data(), h.data(), idx.data());
       ASSERT_EQ(ref_h.size() + 1, h.size());
-      EXPECT_EQ(0, std::memcmp(ref_h.data(), h.data(),
-                               ref_h.size() * sizeof(double)))
-          << "conds=" << num_conds << " level1=" << level1;
+      // An empty reference (a one-word mask cleared) has a null data().
+      EXPECT_EQ(0, ref_h.empty() ? 0
+                                 : std::memcmp(ref_h.data(), h.data(),
+                                               ref_h.size() * sizeof(double)))
+          << "conds=" << num_conds << " clear_first_word=" << clear_first_word;
       EXPECT_EQ(std::vector<int32_t>(idx.begin(), idx.end() - 1), ref_idx);
       EXPECT_EQ(h.back(), -7.0);  // nothing written past the last entry
       EXPECT_EQ(idx.back(), -7);

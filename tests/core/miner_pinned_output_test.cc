@@ -1,10 +1,11 @@
 // Mid-size output pins.  The oracle batteries mine matrices of at most a
 // dozen genes, where almost no candidate reaches the coherence pre-screen's
-// reject path; these two screen-heavy matrices do (most extensions end with
-// no epsilon-window).  Each case pins a digest of the cluster archive and
-// every deterministic MinerStats counter to values recorded from the miner
-// before the pre-screen existed, at one and at four threads, so a change to
-// the search that alters a single emitted byte or work count fails here.
+// reject path; these screen-heavy matrices do (most extensions end with no
+// epsilon-window).  Each case pins a digest of the cluster archive and
+// every deterministic MinerStats counter to values recorded from an earlier
+// miner -- the first two from the one before the pre-screen existed -- at
+// one and at four threads, so a change to the search that alters a single
+// emitted byte or work count fails here.
 
 #include <gtest/gtest.h>
 
@@ -93,6 +94,64 @@ PinnedCase Section5Eps001() {
   return c;
 }
 
+/// Section 5 at 12,000 genes: the level-2 nodes hold thousands of members
+/// over dozens of candidates, tens of thousands of (member, candidate)
+/// scores per node, so a node's whole panel is large and the level-1 seed
+/// columns are long.  Recorded from the miner that still filled panels in
+/// blocks of 16,384 entries.
+PinnedCase Section5Genes12000() {
+  PinnedCase c;
+  c.name = "section5_12000";
+  c.data.num_genes = 12000;
+  c.data.num_conditions = 40;
+  c.data.num_clusters = 30;
+  c.data.seed = 2026;
+  c.options.min_genes = 120;
+  c.options.min_conditions = 6;
+  c.options.gamma = 0.1;
+  c.options.epsilon = 0.01;
+  c.archive_digest = "d4006f6186b62c97:d2308396adadc4b3";
+  c.counters = {{"nodes_expanded", 1748},
+                {"extensions_tested", 62279},
+                {"pruned_min_genes", 1344},
+                {"pruned_p_majority", 26},
+                {"pruned_duplicate", 12},
+                {"pruned_coherence", 59246},
+                {"genes_dropped_min_conds", 44797763},
+                {"clusters_emitted", 24},
+                {"index_builds", 1},
+                {"index_word_ops", 8814724},
+                {"coherence_divide_calls", 59375},
+                {"coherence_scores", 19562781},
+                {"dedup_probes", 36}};
+  return c;
+}
+
+/// The same matrix with pruning (1) and pruning (2) off: every gene joins
+/// both level-1 halves uncut, and every candidate column is seeded and
+/// scored whatever its size.
+PinnedCase Section5Genes12000Unpruned() {
+  PinnedCase c = Section5Genes12000();
+  c.name = "section5_12000_unpruned";
+  c.options.prune_min_conds = false;
+  c.options.prune_min_genes = false;
+  c.archive_digest = "d4006f6186b62c97:d2308396adadc4b3";
+  c.counters = {{"nodes_expanded", 6254},
+                {"extensions_tested", 95889},
+                {"pruned_min_genes", 0},
+                {"pruned_p_majority", 1611},
+                {"pruned_duplicate", 65},
+                {"pruned_coherence", 92218},
+                {"genes_dropped_min_conds", 0},
+                {"clusters_emitted", 24},
+                {"index_builds", 1},
+                {"index_word_ops", 40022486},
+                {"coherence_divide_calls", 94329},
+                {"coherence_scores", 110999666},
+                {"dedup_probes", 89}};
+  return c;
+}
+
 std::string ArchiveDigest(const std::vector<RegCluster>& clusters) {
   std::ostringstream out;
   EXPECT_TRUE(io::WriteClusters(clusters, out).ok());
@@ -135,6 +194,14 @@ TEST(MinerPinnedOutput, MineSynthetic1500) { ExpectPinned(MineSynthetic1500()); 
 
 TEST(MinerPinnedOutput, Section5AtEpsilon001) {
   ExpectPinned(Section5Eps001());
+}
+
+TEST(MinerPinnedOutput, Section5At12000Genes) {
+  ExpectPinned(Section5Genes12000());
+}
+
+TEST(MinerPinnedOutput, Section5At12000GenesWithoutPrunings1And2) {
+  ExpectPinned(Section5Genes12000Unpruned());
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(BitsetTest, ForEachSetBitFullWords) {
 
 TEST(BitsetTest, BitPositionCounterMatchesPerBitCounts) {
   // Row counts straddling the 255-row lane flush, multi-word rows, dense
-  // and empty rows, and the and-not form -- against a per-bit tally.
+  // and empty rows -- against a per-bit tally.
   uint64_t state = 0x9E3779B97F4A7C15ull;
   const auto next = [&state] {
     state ^= state << 13;
@@ -102,34 +102,22 @@ TEST(BitsetTest, BitPositionCounterMatchesPerBitCounts) {
   for (const int words : {1, 3}) {
     for (const int rows : {0, 1, 254, 255, 256, 1000}) {
       std::vector<uint64_t> a(static_cast<size_t>(rows) * words);
-      std::vector<uint64_t> b(a.size());
       for (size_t i = 0; i < a.size(); ++i) {
         a[i] = i % 7 == 0 ? ~uint64_t{0} : (i % 5 == 0 ? 0 : next());
-        b[i] = next();
       }
       BitPositionCounter plain;
-      BitPositionCounter and_not;
       plain.Reset(words);
-      and_not.Reset(words);
       std::vector<int> want_plain(static_cast<size_t>(words) * 64, 0);
-      std::vector<int> want_and_not(want_plain.size(), 0);
       for (int r = 0; r < rows; ++r) {
         const uint64_t* ra = a.data() + static_cast<size_t>(r) * words;
-        const uint64_t* rb = b.data() + static_cast<size_t>(r) * words;
         plain.Add(ra);
-        and_not.AddAndNot(ra, rb);
         for (int bit = 0; bit < words * 64; ++bit) {
           want_plain[static_cast<size_t>(bit)] += TestBit(ra, bit) ? 1 : 0;
-          want_and_not[static_cast<size_t>(bit)] +=
-              TestBit(ra, bit) && !TestBit(rb, bit) ? 1 : 0;
         }
       }
       plain.Flush();
-      and_not.Flush();
       for (int bit = 0; bit < words * 64; ++bit) {
         ASSERT_EQ(plain.count(bit), want_plain[static_cast<size_t>(bit)])
-            << "words=" << words << " rows=" << rows << " bit=" << bit;
-        ASSERT_EQ(and_not.count(bit), want_and_not[static_cast<size_t>(bit)])
             << "words=" << words << " rows=" << rows << " bit=" << bit;
       }
     }

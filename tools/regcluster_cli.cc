@@ -1230,6 +1230,9 @@ int CmdStats(Flags* flags) {
   auto data_or = matrix::ReadMatrixFile(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
   const matrix::ExpressionMatrix data = *std::move(data_or);
+  // NaN cells are the report's missing values; an infinite one would
+  // print as a min, max and mean, so it is rejected as `mine` rejects it.
+  if (auto st = core::RejectInfiniteCells(data); !st.ok()) return Fail(st);
   if (auto st = matrix::WriteStatsReport(data, std::cout, worst); !st.ok()) {
     return Fail(st);
   }
