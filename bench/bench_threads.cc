@@ -624,37 +624,6 @@ int Main(int argc, char** argv) {
                   out_path.c_str());
     }
 
-    // Stats-collection overhead: collect_stats=true (the default; detail
-    // counters live) vs. false (the instrumentation is compiled out via the
-    // kCollect template).  Gated (<1%) by tools/bench_check.py
-    // --max-stats-overhead.
-    core::MinerOptions stats_off = base;
-    stats_off.num_threads = 1;
-    stats_off.collect_stats = false;
-    core::MinerOptions stats_on = stats_off;
-    stats_on.collect_stats = true;
-    const OverheadResult stats_oh = measure_overhead(
-        "stats", [&] { return timed_mine(stats_off); },
-        [&] { return timed_mine(stats_on); });
-    if (!stats_oh.ok) return 1;
-    std::printf(
-        "\nstats-collection overhead (serial, collect_stats on vs off): "
-        "off %.4f s, on %.4f s -> %+.2f%%\n",
-        stats_oh.off_seconds, stats_oh.on_seconds, 100.0 * stats_oh.fraction);
-    const std::string stats_overhead_section = JsonObject({
-        JsonField("off_seconds", JsonDouble(stats_oh.off_seconds)),
-        JsonField("on_seconds", JsonDouble(stats_oh.on_seconds)),
-        JsonField("overhead_fraction", JsonDouble(stats_oh.fraction)),
-        JsonField("best_of", JsonInt(kOverheadReps)),
-    });
-    if (!UpsertBenchSection(out_path, "stats_overhead",
-                            stats_overhead_section)) {
-      std::fprintf(stderr, "WARNING: could not write %s\n", out_path.c_str());
-    } else {
-      std::printf("wrote section \"stats_overhead\" of %s\n",
-                  out_path.c_str());
-    }
-
     // Durability overhead: the same serial mine run through
     // io::RunCheckpointedMine -- chunked at root boundaries, snapshotting to
     // a real double-buffered file at the default 1 s cadence on the

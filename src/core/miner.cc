@@ -12,6 +12,7 @@
 #include <numeric>
 
 #include "core/coherence.h"
+#include "matrix/matrix_io.h"
 #include "obs/metrics.h"
 #include "util/bitset.h"
 #include "util/radix_sort.h"
@@ -188,11 +189,10 @@ struct RegClusterMiner::MinerScratch {
 /// serial finalize pass: a repair task stops as soon as its root alone
 /// exceeds what is left of the count budget.  Parallel phase-A tasks run
 /// with unlimited quotas and react only to the shared guard; a task that
-/// observes a trip abandons its slot (never marks itself complete) and drops
-/// the pool's queued tasks so the batch drains quickly.
+/// observes a trip abandons its slot (never marks itself complete), and a
+/// task still queued at the trip observes it on entry and returns at once.
 struct RegClusterMiner::TaskControl {
   util::BudgetGuard* guard = nullptr;  ///< shared stop sources; may be null
-  util::TaskPool* pool = nullptr;      ///< drained on first observed trip
   MinerScratch* scratch = nullptr;     ///< for the memory reports
   int slot = 0;                        ///< this task's BudgetGuard byte slot
   int interval = 32;
@@ -212,7 +212,6 @@ struct RegClusterMiner::TaskControl {
   void Stop(util::StopReason reason) {
     stopped = true;
     stop_reason = reason;
-    if (pool != nullptr) pool->CancelPending();
   }
 
   /// The cheap per-check-site probe: local flag plus one relaxed load.
@@ -293,12 +292,11 @@ struct RegClusterMiner::RunState {
   int threads = 1;
   int fin_slot = 0;  ///< guard byte-report slot of the finalize pass
 
-  /// Phase-A tasks of *this run* still queued or running on a shared pool.
+  /// Phase-A tasks of *this run* still queued or running on the pool.
   /// Incremented before each Submit, decremented as the last action of the
   /// task body, so a transient zero cannot be observed while a root still
   /// has subtrees to submit (the root's own count covers the submission
-  /// window).  Only the shared-pool path maintains it: an exclusive pool
-  /// may drop queued tasks via CancelPending, which would strand the count.
+  /// window).
   std::atomic<int64_t> outstanding{0};
   std::mutex wait_mu;
   std::condition_variable wait_cv;
@@ -372,8 +370,8 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Mine() {
   if (run_->threads > 1) {
     obs::PhaseSpan phase_a(&outcome_.phase_a_seconds);
     util::TaskPool pool(run_->threads);
-    SubmitRoots(&pool, /*exclusive_pool=*/true);
-    pool.Wait();
+    SubmitParallelWork(&pool);
+    WaitParallelWork();
     outcome_.pool_steals = pool.total_steals();
     outcome_.pool_queue_high_water = pool.queue_depth_high_water();
   }
@@ -457,21 +455,6 @@ util::Status ValidateMinerOptions(const MinerOptions& o,
   return util::Status::OK();
 }
 
-util::Status RejectInfiniteCells(const matrix::MatrixStore& data) {
-  for (int g = 0; g < data.num_genes(); ++g) {
-    const double* row = data.row_data(g);
-    for (int c = 0; c < data.num_conditions(); ++c) {
-      if (!std::isinf(row[c])) continue;
-      return util::Status::FailedPrecondition(util::StrFormat(
-          "matrix cell of gene '%s' at condition '%s' is %s; every "
-          "expression value must be finite",
-          data.gene_name(g).c_str(), data.condition_name(c).c_str(),
-          row[c] > 0 ? "+inf" : "-inf"));
-    }
-  }
-  return util::Status::OK();
-}
-
 util::Status ValidateMatrixValues(const matrix::MatrixStore& data,
                                   const std::string& missing_message) {
   const int num_conds = data.num_conditions();
@@ -487,7 +470,7 @@ util::Status ValidateMatrixValues(const matrix::MatrixStore& data,
         return util::Status::FailedPrecondition(missing_message);
       }
       // The first non-finite cell is infinite: RejectInfiniteCells names it.
-      return RejectInfiniteCells(data);
+      return matrix::RejectInfiniteCells(data);
     }
     if (!std::isfinite(hi - lo)) {
       return util::Status::FailedPrecondition(util::StrFormat(
@@ -602,10 +585,9 @@ void RegClusterMiner::EnsureGuard(int num_slots) {
 }
 
 RegClusterMiner::TaskControl RegClusterMiner::MakeControl(
-    MinerScratch* scratch, int slot, util::TaskPool* pool) {
+    MinerScratch* scratch, int slot) {
   TaskControl ctl;
   ctl.guard = guard_.get();
-  ctl.pool = pool;
   ctl.scratch = scratch;
   ctl.slot = slot;
   ctl.interval = options_.budget_check_interval;
@@ -613,70 +595,57 @@ RegClusterMiner::TaskControl RegClusterMiner::MakeControl(
   return ctl;
 }
 
-void RegClusterMiner::SubmitParallelWork(util::TaskPool* pool) {
-  SubmitRoots(pool, /*exclusive_pool=*/false);
-}
-
 // Phase A: optimistic mining.  Every root / subtree task runs under the
 // shared guard with unlimited local quotas; on a trip, in-flight tasks
 // abandon their slot atomically (they simply never mark themselves
-// complete), and -- when the pool is exclusively this run's -- its queued
-// tasks are dropped so the batch drains quickly.  On a shared pool the
-// queued tasks may belong to other runs, so a tripped task only abandons
-// its own work; the stale tasks of this run then observe the trip on entry
-// and return immediately.  Which roots finish here is scheduling-dependent
-// -- phase B makes the *output* deterministic.
-void RegClusterMiner::SubmitRoots(util::TaskPool* pool, bool exclusive_pool) {
+// complete), and the queued tasks of this run observe the trip on entry and
+// return immediately.  Queued tasks are never dropped: the pool may be
+// shared with other runs, and each task's own decrement of `outstanding` is
+// what WaitParallelWork() waits for.  Which roots finish here is
+// scheduling-dependent -- phase B makes the *output* deterministic.
+void RegClusterMiner::SubmitParallelWork(util::TaskPool* pool) {
   if (run_ == nullptr) return;
+  RunState* run = run_.get();
   EnsureGuard(pool->num_workers() + 1);
   const int num_conds = data_.num_conditions();
-  run_->scratches =
+  run->scratches =
       std::vector<MinerScratch>(static_cast<size_t>(pool->num_workers()));
-  for (MinerScratch& s : run_->scratches) s.Init(num_conds);
-  MinerScratch* scratches = run_->scratches.data();
-  RootWork* work = run_->work.data();
-  util::TaskPool* ctl_pool = exclusive_pool ? pool : nullptr;
-  // Shared pools track per-run completion so WaitParallelWork() can drain
-  // this run without the pool's global barrier; `track` stays null on the
-  // exclusive path, where CancelPending may drop queued tasks unrun.
-  RunState* track = exclusive_pool ? nullptr : run_.get();
+  for (MinerScratch& s : run->scratches) s.Init(num_conds);
+  MinerScratch* scratches = run->scratches.data();
+  RootWork* work = run->work.data();
   // Targeted execution searches only the root_set (each root is an
   // independent search, so skipping the rest changes nothing about the
   // selected roots' slices); otherwise every root from first_root on.
   const bool targeted = !options_.root_set.empty();
   const int num_roots = targeted ? static_cast<int>(options_.root_set.size())
-                                 : num_conds - run_->first_root;
-  if (track != nullptr) {
-    track->outstanding.fetch_add(num_roots, std::memory_order_relaxed);
-  }
+                                 : num_conds - run->first_root;
+  run->outstanding.fetch_add(num_roots, std::memory_order_relaxed);
   // Each root task seeds its level-2 subtrees and immediately re-submits
   // them: large subtrees become stealable instead of serializing behind
   // their root, which is what makes imbalanced trees scale.
   for (int ri = 0; ri < num_roots; ++ri) {
     const int c = targeted ? options_.root_set[static_cast<size_t>(ri)]
-                           : run_->first_root + ri;
+                           : run->first_root + ri;
     RootWork* rw = &work[c];
-    pool->Submit([this, c, rw, pool, scratches, ctl_pool, track](int worker) {
+    pool->Submit([this, c, rw, pool, scratches, run](int worker) {
       MinerScratch* scratch = &scratches[worker];
-      TaskControl ctl = MakeControl(scratch, worker, ctl_pool);
+      TaskControl ctl = MakeControl(scratch, worker);
       rw->ctx.ctl = &ctl;
       const bool seed_ok = !ctl.CheckAbort() && SeedRoot(c, rw, scratch);
       ctl.Finish();
       rw->ctx.ctl = nullptr;
       if (!seed_ok) {  // abandoned: the root stays incomplete
-        if (track != nullptr) track->TaskDone();
+        run->TaskDone();
         return;
       }
       rw->subtree_ctx.resize(rw->seeds.size());
       rw->seeded.store(true, std::memory_order_release);
-      if (track != nullptr) {
-        track->outstanding.fetch_add(static_cast<int64_t>(rw->seeds.size()),
-                                     std::memory_order_relaxed);
-      }
+      run->outstanding.fetch_add(static_cast<int64_t>(rw->seeds.size()),
+                                 std::memory_order_relaxed);
       for (size_t i = 0; i < rw->seeds.size(); ++i) {
-        pool->Submit([this, c, rw, i, scratches, ctl_pool, track](int w) {
+        pool->Submit([this, c, rw, i, scratches, run](int w) {
           MinerScratch* s = &scratches[w];
-          TaskControl sub_ctl = MakeControl(s, w, ctl_pool);
+          TaskControl sub_ctl = MakeControl(s, w);
           SearchContext* ctx = &rw->subtree_ctx[i];
           ctx->ctl = &sub_ctl;
           if (!sub_ctl.CheckAbort()) {
@@ -687,10 +656,10 @@ void RegClusterMiner::SubmitRoots(util::TaskPool* pool, bool exclusive_pool) {
           if (!sub_ctl.stopped) {
             rw->subtrees_done.fetch_add(1, std::memory_order_acq_rel);
           }
-          if (track != nullptr) track->TaskDone();
+          run->TaskDone();
         });
       }
-      if (track != nullptr) track->TaskDone();
+      run->TaskDone();
     });
   }
 }
@@ -758,7 +727,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
         break;
       }
       rw.Reset();
-      TaskControl ctl = MakeControl(&fin_scratch, run_->fin_slot, nullptr);
+      TaskControl ctl = MakeControl(&fin_scratch, run_->fin_slot);
       ctl.hard_only = true;
       ctl.node_quota = node_rem;
       ctl.cluster_quota = cluster_rem;
@@ -896,7 +865,6 @@ bool RegClusterMiner::HasAllRequired(const MemberCols& p,
   return found == num_required_;
 }
 
-template <bool kCollect>
 void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
                                   MinerStats* stats) {
   const int words = index_->num_words();
@@ -932,16 +900,13 @@ void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
     }
     count.Flush();
     // One word op per member word for the row and one for its count.
-    if constexpr (kCollect) {
-      stats->index_word_ops += 2 * static_cast<int64_t>(members) * words;
-    }
+    stats->index_word_ops += 2 * static_cast<int64_t>(members) * words;
   };
   cache(node->p, /*up=*/true, node->p_comb, node->p_count, node->p_cut);
   cache(node->n, /*up=*/false, node->n_comb, node->n_count, node->n_cut);
-  ListCandidates<kCollect>(node, stats);
+  ListCandidates(node, stats);
 }
 
-template <bool kCollect>
 void RegClusterMiner::ListCandidates(NodeFrame* node,
                                      MinerStats* stats) const {
   const int words = index_->num_words();
@@ -956,9 +921,7 @@ void RegClusterMiner::ListCandidates(NodeFrame* node,
   }
   util::AndWords(node->cand_words.data(), node->cand_words.data(),
                  allowed_words_.data(), words);
-  if constexpr (kCollect) {
-    stats->index_word_ops += static_cast<int64_t>(np + 1) * words;
-  }
+  stats->index_word_ops += static_cast<int64_t>(np + 1) * words;
   node->cands.clear();
   util::ForEachSetBit(node->cand_words.data(), words,
                       [&](int c) { node->cands.push_back(c); });
@@ -1024,14 +987,6 @@ void RegClusterMiner::FillPanel(int ckm, NodeFrame* node) const {
 
 bool RegClusterMiner::SeedRoot(int root_condition, RootWork* work,
                                MinerScratch* scratch) {
-  return options_.collect_stats
-             ? SeedRootImpl<true>(root_condition, work, scratch)
-             : SeedRootImpl<false>(root_condition, work, scratch);
-}
-
-template <bool kCollect>
-bool RegClusterMiner::SeedRootImpl(int root_condition, RootWork* work,
-                                   MinerScratch* scratch) {
   SearchContext* ctx = &work->ctx;
   if (!allowed_cond_[static_cast<size_t>(root_condition)]) return true;
   // Level-1 chain: the root condition, with the genes that can still grow a
@@ -1091,10 +1046,8 @@ bool RegClusterMiner::SeedRootImpl(int root_condition, RootWork* work,
   if (PrunedBySize(np, nn, &ctx->stats)) return true;
 
   // The pass did PrepareNode's row work; charge it as PrepareNode does.
-  if constexpr (kCollect) {
-    ctx->stats.index_word_ops += 2 * static_cast<int64_t>(np + nn) * words;
-  }
-  ListCandidates<kCollect>(&node, &ctx->stats);
+  ctx->stats.index_word_ops += 2 * static_cast<int64_t>(np + nn) * words;
+  ListCandidates(&node, &ctx->stats);
 
   // Keep the candidates pruning (1) leaves, each with a seed reserved for
   // its p/n column counts; `col` maps a kept candidate to its seed.
@@ -1151,27 +1104,15 @@ bool RegClusterMiner::SeedRootImpl(int root_condition, RootWork* work,
 
 void RegClusterMiner::MineSubtree(int root_condition, SubtreeSeed* seed,
                                   MinerScratch* scratch, SearchContext* ctx) {
-  if (options_.collect_stats) {
-    MineSubtreeImpl<true>(root_condition, seed, scratch, ctx);
-  } else {
-    MineSubtreeImpl<false>(root_condition, seed, scratch, ctx);
-  }
-}
-
-template <bool kCollect>
-void RegClusterMiner::MineSubtreeImpl(int root_condition, SubtreeSeed* seed,
-                                      MinerScratch* scratch,
-                                      SearchContext* ctx) {
   scratch->chain.clear();
   scratch->chain.push_back(root_condition);
   scratch->chain.push_back(seed->second_condition);
   NodeFrame& node = scratch->frame(0);
   node.p = std::move(seed->p_members);
   node.n = std::move(seed->n_members);
-  Extend<kCollect>(0, scratch, ctx);
+  Extend(0, scratch, ctx);
 }
 
-template <bool kCollect>
 void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
                              SearchContext* ctx) {
   NodeFrame& node = scratch->frame(depth);
@@ -1193,7 +1134,7 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
   const bool emit_candidate =
       m >= options_.min_conditions && total_members >= min_g;
   if (emit_candidate && !options_.closed_chains_only) {
-    if (!MaybeEmit<kCollect>(scratch->chain, node.p, node.n, ctx)) {
+    if (!MaybeEmit(scratch->chain, node.p, node.n, ctx)) {
       return;
     }
     if (ctx->ctl->stopped) return;  // the emission exhausted a quota
@@ -1205,7 +1146,7 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
   // walks; the sets produced are identical by construction).
   const bool profile = options_.profile_phases;
   int64_t t0 = profile ? NowNs() : 0;
-  PrepareNode<kCollect>(m, &node, &ctx->stats);
+  PrepareNode(m, &node, &ctx->stats);
   if (profile) ctx->stats.filter_ns += NowNs() - t0;
 
   // Score: one member-major pass fills the coherence scores H (Eq. 7) of
@@ -1227,10 +1168,8 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
       ++ctx->stats.pruned_min_genes;
       continue;
     }
-    if constexpr (kCollect) {
-      ++ctx->stats.coherence_divide_calls;
-      ctx->stats.coherence_scores += total;
-    }
+    ++ctx->stats.coherence_divide_calls;
+    ctx->stats.coherence_scores += total;
     const size_t col = static_cast<size_t>(node.col[static_cast<size_t>(cand)]);
     const double* h = node.panel_h.data() + col;
 
@@ -1311,7 +1250,7 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
                           node.sc_denom[static_cast<size_t>(idx)]);
       }
       scratch->chain.push_back(cand);
-      Extend<kCollect>(depth + 1, scratch, ctx);
+      Extend(depth + 1, scratch, ctx);
       scratch->chain.pop_back();
       if (ctx->ctl->stopped) return;
     }
@@ -1319,11 +1258,10 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
   }
 
   if (emit_candidate && options_.closed_chains_only && !child_kept_all) {
-    (void)MaybeEmit<kCollect>(scratch->chain, node.p, node.n, ctx);
+    (void)MaybeEmit(scratch->chain, node.p, node.n, ctx);
   }
 }
 
-template <bool kCollect>
 bool RegClusterMiner::MaybeEmit(const std::vector<int>& chain,
                                 const MemberCols& p, const MemberCols& n,
                                 SearchContext* ctx) {
@@ -1352,7 +1290,7 @@ bool RegClusterMiner::MaybeEmit(const std::vector<int>& chain,
         key.MixInt(n.gene[j++]);
       }
     }
-    if constexpr (kCollect) ++ctx->stats.dedup_probes;
+    ++ctx->stats.dedup_probes;
     auto [it, inserted] = ctx->seen_keys.insert(key.Digest());
     (void)it;
     if (!inserted) {

@@ -272,13 +272,9 @@ struct MinerOptions {
   /// Never changes the mined output.
   bool profile_phases = false;
 
-  /// Collect the detailed work counters of MinerStats (index_word_ops,
-  /// coherence_divide_calls, dedup_probes, ...).  The search hot path is
-  /// compiled twice behind a template parameter, so with collect_stats off
-  /// the instrumentation compiles to nothing -- those counters then read 0.
-  /// The structural counters (nodes_expanded, pruned_*, clusters_emitted)
-  /// are *always* maintained: the deterministic budget-truncation contract
-  /// depends on them.  Never changes the mined output.
+  /// No effect: every MinerStats counter, the detailed work counters
+  /// included, is always collected.  Kept only because
+  /// benchmark/trace_driver.cc sets it.
   bool collect_stats = true;
 
   /// Pre-built model state to reuse instead of building per run (batch
@@ -333,10 +329,6 @@ util::Status ValidateMatrixValues(
         "matrix contains missing values; impute first "
         "(matrix::ImputeRowMean)");
 
-/// ValidateMatrixValues' FailedPrecondition for the first +-inf cell, for
-/// readers that keep NaN cells as missing values (`regcluster stats`).
-util::Status RejectInfiniteCells(const matrix::MatrixStore& data);
-
 /// One root's slice of a mining run, captured when
 /// MinerOptions::capture_root_results is set: the root id, the root's own
 /// deterministic counters, and the clusters emitted under it in canonical
@@ -368,20 +360,18 @@ class RegClusterMiner {
   ///
   ///   Prepare(); SubmitParallelWork(&pool); WaitParallelWork(); Finalize();
   ///
-  /// is equivalent to one Mine() call, except that the optimistic phase-A
+  /// is what Mine() runs, on a pool of its own; here the optimistic phase-A
   /// tasks run on a caller-owned pool that may be shared with *other*
   /// miners: inter-run parallelism composes with intra-run root/subtree
   /// tasks, and work stealing balances across runs.  Skipping
-  /// SubmitParallelWork yields a serial run.  Differences from Mine():
-  ///   * a task that observes a budget trip abandons its slot but does not
-  ///     drop the pool's queued tasks (they may belong to other runs); the
-  ///     abandoned roots are repaired or excluded by Finalize() exactly as
-  ///     in the single-run path, so the output contract is unchanged;
-  ///   * the pool telemetry of MineOutcome (phase_a_seconds, pool_steals,
-  ///     pool_queue_high_water) stays 0 -- a shared pool's scheduling is not
-  ///     attributable to one run -- and wall-clock figures (mine_seconds,
-  ///     wall_seconds) span Prepare() to Finalize(), overlapping whatever
-  ///     else ran on the pool in between.
+  /// SubmitParallelWork yields a serial run.  A task that observes a budget
+  /// trip abandons its slot, and this run's still-queued tasks observe the
+  /// trip on entry and return; Finalize() repairs or excludes the abandoned
+  /// roots.  The only difference from Mine(): the pool telemetry of
+  /// MineOutcome (phase_a_seconds, pool_steals, pool_queue_high_water)
+  /// stays 0 -- a shared pool's scheduling is not attributable to one run --
+  /// and wall-clock figures (mine_seconds, wall_seconds) span Prepare() to
+  /// Finalize(), overlapping whatever else ran on the pool in between.
   /// Prepare() validates options and builds (or adopts) the gamma model;
   /// calling it again restarts the staged run.  Finalize() runs the
   /// canonical serial merge/repair phase and returns the clusters; it fails
@@ -397,7 +387,7 @@ class RegClusterMiner {
   /// concurrent mines must use this instead: each session drains only its
   /// own tasks and proceeds to Finalize() while the others keep mining.
   /// Returns immediately when no parallel work was submitted (serial
-  /// staged run, or a pool exclusively owned by this run via Mine()).
+  /// staged run).
   void WaitParallelWork();
 
   /// Counters from the last Mine() call.  Under truncation these describe
@@ -516,39 +506,25 @@ class RegClusterMiner {
   /// writes one SubtreeSeed per surviving second condition (ascending).
   /// Returns false when a budget stop abandoned the node mid-expansion (the
   /// RootWork is then incomplete and must not be merged).
-  ///
-  /// The search body (SeedRoot / MineSubtree / Extend / PrepareNode /
-  /// MaybeEmit) is compiled twice behind `kCollect`: the <false>
-  /// instantiation contains no detail-counter instrumentation at all
-  /// (if constexpr), which is how MinerOptions::collect_stats=false costs
-  /// nothing.  The non-template wrappers dispatch on that option once.
-  template <bool kCollect>
-  bool SeedRootImpl(int root_condition, RootWork* work, MinerScratch* scratch);
   bool SeedRoot(int root_condition, RootWork* work, MinerScratch* scratch);
 
   /// Runs the full DFS below one level-2 seed.
-  template <bool kCollect>
-  void MineSubtreeImpl(int root_condition, SubtreeSeed* seed,
-                       MinerScratch* scratch, SearchContext* ctx);
   void MineSubtree(int root_condition, SubtreeSeed* seed,
                    MinerScratch* scratch, SearchContext* ctx);
 
   /// Recursive extension of the node in scratch->frame(depth); the chain
   /// lives in scratch->chain (length depth + 2).
-  template <bool kCollect>
   void Extend(int depth, MinerScratch* scratch, SearchContext* ctx);
 
   /// Caches the node's per-member bitmap rows (successor/predecessor x
   /// MinC-eligibility, and the cut rows that AND removed) for a chain of
   /// length `m` and counts, per condition, the p- and n-members whose row
   /// holds it; then ListCandidates.
-  template <bool kCollect>
   void PrepareNode(int m, NodeFrame* node, MinerStats* stats);
 
   /// Lists the node's candidate conditions from its cached rows (OR over
   /// the p-member rows, intersected with the allowed set) and accumulates
   /// the pruning-2 drop counter for the whole node (see miner.cc).
-  template <bool kCollect>
   void ListCandidates(NodeFrame* node, MinerStats* stats) const;
 
   /// Fills the node's whole score panel -- every candidate column pruning
@@ -558,7 +534,6 @@ class RegClusterMiner {
 
   /// Emits the node's cluster if it validates and is representative.
   /// Returns false when the branch should be pruned (duplicate).
-  template <bool kCollect>
   bool MaybeEmit(const std::vector<int>& chain, const MemberCols& p,
                  const MemberCols& n, SearchContext* ctx);
 
@@ -574,18 +549,12 @@ class RegClusterMiner {
   /// Prepare(), consumed by Finalize().
   struct RunState;
 
-  /// Phase-A submission body shared by Mine() (exclusive internal pool) and
-  /// SubmitParallelWork() (shared external pool).  Only an exclusive pool
-  /// may be drained via CancelPending() when a task observes a trip.
-  void SubmitRoots(util::TaskPool* pool, bool exclusive_pool);
-
   /// Creates guard_ from the options' limits with `num_slots` byte-report
   /// slots (workers + 1 for the finalize pass) unless already created or no
   /// limit is configured.  The deadline starts ticking here.
   void EnsureGuard(int num_slots);
 
-  TaskControl MakeControl(MinerScratch* scratch, int slot,
-                          util::TaskPool* pool);
+  TaskControl MakeControl(MinerScratch* scratch, int slot);
 
   const matrix::MatrixStore& data_;
   MinerOptions options_;

@@ -38,10 +38,8 @@ struct MinerStats {
   double index_build_seconds = 0.0;
   double mine_seconds = 0.0;
 
-  /// Detailed work counters, collected only when
-  /// MinerOptions::collect_stats is set (all zero otherwise -- the
-  /// instrumentation is compiled out).  Like every counter above they are
-  /// deterministic: the same data + options give the same values at any
+  /// Detailed work counters, always collected.  Like every counter above
+  /// they are deterministic: the same data + options give the same values at any
   /// thread count, because each task counts into its own shard and the
   /// shards are merged in canonical root order.
   int64_t index_word_ops = 0;  ///< 64-bit bitmap words touched combining,
@@ -111,6 +109,9 @@ inline constexpr MinerStatsField kMinerStatsFields[] = {
      &MinerStats::clusters_emitted, nullptr},
     {"index_builds", nullptr, "Gamma-model builds performed by the run",
      StatsFieldClass::kBuild, &MinerStats::index_builds, nullptr},
+    // "(collect_stats only)" in the next four HELP texts is stale (every
+    // counter is always collected); the pinned exposition snapshots carry
+    // it, so it changes with the next metric-format bump.
     {"index_word_ops", "regcluster_index_word_ops_total",
      "64-bit bitmap-index words touched by candidate generation "
      "(collect_stats only)",

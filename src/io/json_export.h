@@ -67,8 +67,8 @@ util::Status WriteClustersJson(const std::vector<core::RegCluster>& clusters,
 
 /// Same, plus a "stats" block with the deterministic search-effort counters
 /// of the run (pass miner.stats()); `stats == nullptr` omits the block.
-/// The counters are written even when they are all zero
-/// (collect_stats=false): a reader can rely on the keys being present.
+/// Every counter is written, also when it is zero: a reader can rely on
+/// the keys being present.
 util::Status WriteClustersJson(const std::vector<core::RegCluster>& clusters,
                                const matrix::MatrixStore* data,
                                const core::MineOutcome* outcome,

@@ -263,6 +263,21 @@ util::StatusOr<MatrixFormat> ResolveMatrixFormat(const std::string& path,
   return is_bin.ok() && *is_bin ? MatrixFormat::kBinary : MatrixFormat::kText;
 }
 
+util::Status RejectInfiniteCells(const MatrixStore& data) {
+  for (int g = 0; g < data.num_genes(); ++g) {
+    const double* row = data.row_data(g);
+    for (int c = 0; c < data.num_conditions(); ++c) {
+      if (!std::isinf(row[c])) continue;
+      return util::Status::FailedPrecondition(util::StrFormat(
+          "matrix cell of gene '%s' at condition '%s' is %s; every "
+          "expression value must be finite",
+          data.gene_name(g).c_str(), data.condition_name(c).c_str(),
+          row[c] > 0 ? "+inf" : "-inf"));
+    }
+  }
+  return util::Status::OK();
+}
+
 util::StatusOr<std::shared_ptr<const MatrixStore>> OpenMatrixStore(
     const std::string& path, MatrixFormat format) {
   if (format == MatrixFormat::kAuto) {
@@ -271,6 +286,7 @@ util::StatusOr<std::shared_ptr<const MatrixStore>> OpenMatrixStore(
   if (format == MatrixFormat::kBinary) {
     auto m = MappedMatrix::Open(path);
     if (!m.ok()) return m.status();
+    REGCLUSTER_RETURN_IF_ERROR(RejectInfiniteCells(*m));
     return std::shared_ptr<const MatrixStore>(
         std::make_shared<const MappedMatrix>(*std::move(m)));
   }
@@ -286,7 +302,11 @@ util::StatusOr<ExpressionMatrix> ReadMatrixFile(const std::string& path,
   if (format == MatrixFormat::kAuto) {
     format = *ResolveMatrixFormat(path, "auto");
   }
-  if (format == MatrixFormat::kBinary) return ReadBinaryMatrix(path);
+  if (format == MatrixFormat::kBinary) {
+    auto m = ReadBinaryMatrix(path);
+    if (m.ok()) REGCLUSTER_RETURN_IF_ERROR(RejectInfiniteCells(*m));
+    return m;
+  }
   auto m = LoadMatrix(path, text);
   if (!m.ok()) {
     return util::Status(m.status().code(),

@@ -79,8 +79,16 @@ util::Status SaveMatrix(const ExpressionMatrix& m, const std::string& path,
 // subcommands, the daemon's resource cache) picks the text format or the
 // binary one (store.h) here.  Format names are the CLI's: "text", "bin" and
 // "auto", which sniffs the binary magic.  Text-reader errors are prefixed
-// "loading PATH: "; binary-reader errors name the file already.
+// "loading PATH: "; binary-reader errors name the file already.  Neither
+// format admits a +-inf cell: the text reader rejects one as it parses, and
+// the binary branch, whose format carries no checksum over its cells, scans
+// for one with RejectInfiniteCells.  NaN stays a missing value in both.
 enum class MatrixFormat { kAuto, kText, kBinary };
+
+/// FailedPrecondition naming the first +-inf cell of `data` by its gene and
+/// condition; OK when every cell is finite or NaN.  A +-inf cell has no
+/// RWave order, so every reader rejects it (core::ValidateMatrixValues too).
+util::Status RejectInfiniteCells(const MatrixStore& data);
 
 /// Resolves the format `name` for the file at `path`; never kAuto.  A file
 /// "auto" cannot read resolves to text, so the text reader names the error.

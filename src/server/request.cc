@@ -97,7 +97,8 @@ StatusOr<MineRequest> ParseCommon(const JsonValue& body,
     } else if (key == "deadline_ms") {
       s = ReadDouble(value, key, &req.options.deadline_ms);
     } else if (key == "collect_stats") {
-      s = ReadBool(value, key, &req.options.collect_stats);
+      bool ignored = false;  // every counter is always collected
+      s = ReadBool(value, key, &ignored);
     } else if (key == "deterministic_output") {
       s = ReadBool(value, key, &req.deterministic_output);
     } else if (key == "spec" && sweep) {

@@ -13,6 +13,9 @@
 //   "collect_stats"   bool          "deterministic_output"  bool
 //   "spec"            string, sweep only -- io::ParseSweepSpec grammar
 //
+// "collect_stats" must be a bool but has no effect: the miner always
+// collects every counter.
+//
 // Unknown fields are InvalidArgument, not ignored: a typo'd budget field
 // silently dropped would mine without the budget the client asked for.
 // Execution knobs (threads, caches, checkpoints) are the *server's*

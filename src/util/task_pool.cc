@@ -149,28 +149,6 @@ void TaskPool::WorkerLoop(int index) {
   }
 }
 
-int64_t TaskPool::CancelPending() {
-  // Move tasks out under each queue lock, destroy them outside it (a task's
-  // captures may run nontrivial destructors), then settle the pending count
-  // exactly as RunTask would have.
-  std::vector<Task> dropped;
-  for (auto& queue : queues_) {
-    std::lock_guard<std::mutex> lock(queue->mu);
-    while (!queue->tasks.empty()) {
-      dropped.push_back(std::move(queue->tasks.back()));
-      queue->tasks.pop_back();
-    }
-  }
-  const int64_t count = static_cast<int64_t>(dropped.size());
-  if (count == 0) return 0;
-  dropped.clear();
-  if (pending_.fetch_sub(count, std::memory_order_acq_rel) == count) {
-    { std::lock_guard<std::mutex> lock(mu_); }
-    done_cv_.notify_all();
-  }
-  return count;
-}
-
 void TaskPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] {

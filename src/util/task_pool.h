@@ -73,16 +73,6 @@ class TaskPool {
   /// ones) have finished.  Multiple threads may Wait() concurrently.
   void Wait();
 
-  /// Drops every queued-but-not-yet-started task and returns how many were
-  /// dropped.  Running tasks are unaffected; once they (and any tasks they
-  /// submit afterwards) finish, Wait() returns and idle workers park on the
-  /// work condition variable as usual.  Dropped tasks are destroyed without
-  /// running, so this is only safe for tasks whose *absence* the caller can
-  /// detect and tolerate (the miner records per-task completion and treats a
-  /// missing task as abandoned work).  Callable from any thread, idempotent,
-  /// and the pool stays reusable for a fresh batch afterwards.
-  int64_t CancelPending();
-
   /// Index of the pool worker executing the calling thread, or -1 when the
   /// caller is not one of this pool's workers.
   int current_worker() const;

@@ -12,10 +12,10 @@
 #   * `mine` reports the whole gamma-model build time, non-zero on a
 #     3000 x 40 matrix, on the resident and on the mapped binary matrix;
 #   * a binary matrix with a cell patched to +inf (RGCXMAT1 carries no
-#     checksum over its cells, so the file still opens) is rejected by
-#     `rwave` and `stats` as it is by `mine`: exit 1 naming the cell, no
-#     model or report printed; a cell patched to NaN is one missing cell
-#     to `stats`.
+#     checksum over its cells, so the header still validates) is rejected
+#     by the opener for `rwave`, `stats`, `convert` and `significance` as
+#     it is for `mine`: exit 1 naming the cell, no model, report or matrix
+#     written; a cell patched to NaN is one missing cell to `stats`.
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)
@@ -149,6 +149,9 @@ if(SH_PROGRAM)
   file(WRITE ${WORKDIR}/ones.tsv
        "gene\tc0\tc1\tc2\tc3\ng0\t1\t1\t1\t1\ng1\t1\t1\t1\t1\n"
        "g2\t1\t1\t1\t1\n")
+  # A cluster over this matrix, so `significance` would get as far as
+  # printing p-values if the opener let the +inf cell through.
+  file(WRITE ${WORKDIR}/ones_clusters.txt "cluster 0\nchain 0 1 2\np 0 1\nn\n")
   run_expect(0 ${CLI} convert --in=${WORKDIR}/ones.tsv
              --out=${WORKDIR}/inf.rgx --out-format=bin)
   file(READ ${WORKDIR}/inf.rgx payload_hex OFFSET 24 LIMIT 4 HEX)
@@ -168,18 +171,25 @@ if(SH_PROGRAM)
   if(NOT rc EQUAL 0 OR NOT after STREQUAL "7f")
     message(FATAL_ERROR "could not patch the cell to +inf (rc ${rc})")
   endif()
-  foreach(sub "rwave;--gene=g0"
-              "mine;--out=${WORKDIR}/inf_out.txt;--ming=2;--minc=2"
-              "stats")
-    run_expect(1 ${CLI} ${sub} --matrix=${WORKDIR}/inf.rgx)
+  file(REMOVE ${WORKDIR}/inf_back.tsv)
+  foreach(sub "rwave;--gene=g0;--matrix=@M@"
+              "mine;--out=${WORKDIR}/inf_out.txt;--ming=2;--minc=2;--matrix=@M@"
+              "stats;--matrix=@M@"
+              "convert;--in=@M@;--out=${WORKDIR}/inf_back.tsv"
+              "significance;--matrix=@M@;--clusters=${WORKDIR}/ones_clusters.txt")
+    string(REPLACE "@M@" "${WORKDIR}/inf.rgx" args "${sub}")
+    run_expect(1 ${CLI} ${args})
     if(NOT last_err MATCHES
        "FailedPrecondition.*gene 'g0' at condition 'c0' is \\+inf")
       message(FATAL_ERROR "${sub}: +inf cell not named: ${last_err}")
     endif()
-    if(last_out MATCHES "gamma_i|max=")
+    if(last_out MATCHES "gamma_i|max=|p-value")
       message(FATAL_ERROR "${sub}: printed a model or report of a +inf row")
     endif()
   endforeach()
+  if(EXISTS ${WORKDIR}/inf_back.tsv)
+    message(FATAL_ERROR "convert: wrote a matrix with a +inf cell")
+  endif()
 
   # The same top byte plus 0xf8 in the byte below it makes the cell
   # 0x7ff8000000000000, a quiet NaN: a missing value, not an error.

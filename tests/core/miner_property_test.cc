@@ -3,8 +3,12 @@
 // independent first-principles oracle), meet the size thresholds, be
 // representative, and be emitted exactly once.
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -198,6 +202,138 @@ TEST(MinerPropertyTest, ShiftingTheMatrixPreservesClusters) {
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->size(), b->size());
   for (size_t i = 0; i < a->size(); ++i) EXPECT_EQ((*a)[i], (*b)[i]);
+}
+
+/// A dyadic-grid matrix (quarters in [0, 16]) and its image under one
+/// per-gene affine map d -> s1 * d + s2 with s1 = +-2^k and integer s2, so
+/// every difference, threshold and ratio of the image is exact.  The genes
+/// mapped with s1 < 0 are returned in `flipped`.
+struct AffinePair {
+  matrix::ExpressionMatrix data;
+  matrix::ExpressionMatrix mapped;
+  std::set<int> flipped;
+};
+
+AffinePair MakeAffinePair(uint64_t seed, bool allow_negative) {
+  const int genes = 40;
+  const int conds = 10;
+  util::Prng prng(seed);
+  AffinePair pair{matrix::ExpressionMatrix(genes, conds),
+                  matrix::ExpressionMatrix(genes, conds), {}};
+  for (int g = 0; g < genes; ++g) {
+    for (int c = 0; c < conds; ++c) {
+      pair.data(g, c) = static_cast<double>(prng.UniformInt(0, 64)) / 4.0;
+    }
+  }
+  for (int g = 0; g < genes; ++g) {
+    const bool negative = allow_negative && prng.UniformInt(0, 1) == 1;
+    const double s1 = std::ldexp(negative ? -1.0 : 1.0,
+                                 static_cast<int>(prng.UniformInt(-2, 3)));
+    const double s2 = static_cast<double>(prng.UniformInt(-50, 50));
+    if (negative) pair.flipped.insert(g);
+    for (int c = 0; c < conds; ++c) {
+      pair.mapped(g, c) = s1 * pair.data(g, c) + s2;
+    }
+  }
+  return pair;
+}
+
+MinerOptions AffineOptions() {
+  MinerOptions o;
+  o.gamma_policy = GammaPolicy::kRangeFraction;
+  o.gamma = 0.125;  // gamma * (dyadic range) is dyadic: exact thresholds
+  o.epsilon = 0.25;
+  o.min_genes = 3;
+  o.min_conditions = 3;
+  return o;
+}
+
+/// `c` with every gene of `flipped` moved to the other side, same chain.
+RegCluster FlipSides(const RegCluster& c, const std::set<int>& flipped) {
+  RegCluster out;
+  out.chain = c.chain;
+  for (const auto& [from, same, other] :
+       {std::tuple{&c.p_genes, &out.p_genes, &out.n_genes},
+        std::tuple{&c.n_genes, &out.n_genes, &out.p_genes}}) {
+    for (int g : *from) (flipped.count(g) ? other : same)->push_back(g);
+  }
+  std::sort(out.p_genes.begin(), out.p_genes.end());
+  std::sort(out.n_genes.begin(), out.n_genes.end());
+  return out;
+}
+
+/// The miner's representative rule: more p- than n-members, or a tie and a
+/// chain lexicographically smaller than its reversal.
+bool Representative(const RegCluster& c) {
+  const std::vector<int> reversed(c.chain.rbegin(), c.chain.rend());
+  return c.p_genes.size() > c.n_genes.size() ||
+         (c.p_genes.size() == c.n_genes.size() && c.chain < reversed);
+}
+
+std::set<std::string> SplitKeys(const std::vector<RegCluster>& clusters) {
+  std::set<std::string> keys;
+  for (const RegCluster& c : clusters) {
+    keys.insert(c.Key() + "#p" + std::to_string(c.p_genes.size()));
+  }
+  return keys;
+}
+
+TEST(MinerPropertyTest, PositiveAffineMapsPerGenePreserveClusters) {
+  // Lemma 3.2: d -> s1 * d + s2 with s1 > 0 changes none of a gene's
+  // coherence scores and, under the range-fraction policy, scales its
+  // threshold with its range, so the output is the same cluster for
+  // cluster, side for side.
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    const AffinePair pair = MakeAffinePair(seed, /*allow_negative=*/false);
+    auto a = RegClusterMiner(pair.data, AffineOptions()).Mine();
+    auto b = RegClusterMiner(pair.mapped, AffineOptions()).Mine();
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    ASSERT_FALSE(a->empty()) << "seed " << seed;
+    EXPECT_EQ(*a, *b) << "seed " << seed;
+  }
+}
+
+TEST(MinerPropertyTest, NegativeAffineMapsPerGeneSwapSides) {
+  // With s1 < 0 a gene's coherence scores along any chain are unchanged but
+  // it steps the other way: it moves between p- and n-members.  Along the
+  // same chain direction the clusters therefore stay, with the flipped
+  // genes on the other side, wherever that direction is still the
+  // representative one.  Where the flip hands the majority to the reversed
+  // direction there is no such identity: coherence scores are ratios to the
+  // chain's first step, so the reversed chain scores the genes against a
+  // different baseline (DESIGN.md: coherence is evaluated on the
+  // representative orientation).
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    const AffinePair pair = MakeAffinePair(seed, /*allow_negative=*/true);
+    ASSERT_FALSE(pair.flipped.empty());
+    auto a = RegClusterMiner(pair.data, AffineOptions()).Mine();
+    auto b = RegClusterMiner(pair.mapped, AffineOptions()).Mine();
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    const std::set<std::string> keys_a = SplitKeys(*a);
+    const std::set<std::string> keys_b = SplitKeys(*b);
+    int kept = 0;
+    int kept_with_flipped = 0;
+    for (const auto& [from, to, to_keys] :
+         {std::tuple{&*a, &*b, &keys_b}, std::tuple{&*b, &*a, &keys_a}}) {
+      for (const RegCluster& c : *from) {
+        const RegCluster moved = FlipSides(c, pair.flipped);
+        if (!Representative(moved)) continue;
+        ++kept;
+        if (moved.p_genes != c.p_genes) ++kept_with_flipped;
+        EXPECT_EQ(to_keys->count(moved.Key() + "#p" +
+                                 std::to_string(moved.p_genes.size())),
+                  1u)
+            << "seed " << seed << ": " << c.Key() << " lost its image "
+            << moved.Key();
+      }
+    }
+    // The property must be exercised, including by clusters whose sides
+    // the map actually changed.
+    EXPECT_GT(kept, 0) << "seed " << seed;
+    EXPECT_GT(kept_with_flipped, 0) << "seed " << seed;
+  }
 }
 
 TEST(MinerPropertyTest, MonotoneInEpsilon) {

@@ -1,8 +1,7 @@
 // Differential tests for the mining telemetry layer.
 //
 // The contract under test (DESIGN.md §observability):
-//   1. collect_stats is observation only -- turning it off changes no
-//      cluster byte, it just zeroes the detail counters.
+//   1. Every counter, the detail counters included, is always collected.
 //   2. Every MinerStats counter is deterministic: a pure function of
 //      data + options, identical at any thread count and across repeated
 //      runs, because tasks count into per-task shards that are merged in
@@ -53,38 +52,14 @@ MinerOptions RunningExampleOptions() {
   return o;
 }
 
-TEST(MinerStatsTest, StatsOnOffProducesByteIdenticalClusters) {
+TEST(MinerStatsTest, DetailCountersArePositive) {
   const auto data = regcluster::testing::RunningDataset();
-  MinerOptions on = RunningExampleOptions();
-  on.collect_stats = true;
-  MinerOptions off = on;
-  off.collect_stats = false;
-
-  RegClusterMiner miner_on(data, on);
-  RegClusterMiner miner_off(data, off);
-  auto a = miner_on.Mine();
-  auto b = miner_off.Mine();
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-
-  EXPECT_EQ(ClustersDigest(*a, data), ClustersDigest(*b, data));
-
-  // Structural counters are maintained either way (budget truncation
-  // depends on them); only the detail counters go dark.
-  EXPECT_EQ(miner_on.stats().nodes_expanded, miner_off.stats().nodes_expanded);
-  EXPECT_EQ(miner_on.stats().clusters_emitted,
-            miner_off.stats().clusters_emitted);
-  EXPECT_EQ(miner_on.stats().extensions_tested,
-            miner_off.stats().extensions_tested);
-
-  EXPECT_GT(miner_on.stats().index_word_ops, 0);
-  EXPECT_GT(miner_on.stats().coherence_divide_calls, 0);
-  EXPECT_GT(miner_on.stats().coherence_scores, 0);
-  EXPECT_GT(miner_on.stats().dedup_probes, 0);
-  EXPECT_EQ(miner_off.stats().index_word_ops, 0);
-  EXPECT_EQ(miner_off.stats().coherence_divide_calls, 0);
-  EXPECT_EQ(miner_off.stats().coherence_scores, 0);
-  EXPECT_EQ(miner_off.stats().dedup_probes, 0);
+  RegClusterMiner miner(data, RunningExampleOptions());
+  ASSERT_TRUE(miner.Mine().ok());
+  EXPECT_GT(miner.stats().index_word_ops, 0);
+  EXPECT_GT(miner.stats().coherence_divide_calls, 0);
+  EXPECT_GT(miner.stats().coherence_scores, 0);
+  EXPECT_GT(miner.stats().dedup_probes, 0);
 }
 
 TEST(MinerStatsTest, DedupProbesCoverEveryEmissionAttempt) {

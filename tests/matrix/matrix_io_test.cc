@@ -155,6 +155,33 @@ TEST(MatrixIoTest, LoadMissingFileFails) {
   EXPECT_EQ(m.status().code(), util::StatusCode::kIoError);
 }
 
+TEST(MatrixIoTest, BinaryOpenersRejectInfiniteCellsAndKeepNaN) {
+  // RGCXMAT1 has no checksum over its cells, so both openers scan the
+  // binary payload: a +-inf cell is named, a NaN cell stays missing.
+  const std::string path = ::testing::TempDir() + "/regcluster_io_inf.rgx";
+  auto m = ExpressionMatrix::FromRows({{1, 2, 3}, {4, 5, 6}});
+  ASSERT_TRUE(m.ok());
+  (*m)(1, 2) = -INFINITY;
+  ASSERT_TRUE(WriteBinaryMatrix(*m, path).ok());
+  const auto store = OpenMatrixStore(path);
+  const auto resident = ReadMatrixFile(path);
+  for (const util::Status& st : {store.status(), resident.status()}) {
+    EXPECT_EQ(st.code(), util::StatusCode::kFailedPrecondition);
+    EXPECT_NE(st.message().find("gene 'g1' at condition 'c2' is -inf"),
+              std::string::npos)
+        << st.ToString();
+  }
+
+  (*m)(1, 2) = NAN;
+  ASSERT_TRUE(WriteBinaryMatrix(*m, path).ok());
+  const auto store_nan = OpenMatrixStore(path);
+  const auto resident_nan = ReadMatrixFile(path);
+  ASSERT_TRUE(store_nan.ok()) << store_nan.status().ToString();
+  ASSERT_TRUE(resident_nan.ok()) << resident_nan.status().ToString();
+  EXPECT_TRUE(std::isnan((*resident_nan)(1, 2)));
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace matrix
 }  // namespace regcluster

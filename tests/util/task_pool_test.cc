@@ -126,74 +126,6 @@ TEST(TaskPoolTest, WaitOnIdlePoolReturnsImmediately) {
   pool.Wait();  // already drained
 }
 
-TEST(TaskPoolTest, CancelPendingOnIdlePoolIsANoOp) {
-  TaskPool pool(2);
-  EXPECT_EQ(pool.CancelPending(), 0);
-  pool.Wait();
-  std::atomic<int> count{0};
-  pool.Submit([&count](int) { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);  // pool still usable
-}
-
-TEST(TaskPoolTest, CancelPendingDropsQueuedButNotRunningTasks) {
-  // One long-running blocker per worker pins the pool, a backlog piles up,
-  // then CancelPending() drops the backlog: Wait() must return without
-  // running any dropped task, and the blockers still finish.
-  TaskPool pool(2);
-  std::atomic<bool> release{false};
-  std::atomic<int> blockers_done{0};
-  std::atomic<int> backlog_run{0};
-  std::atomic<int> blockers_started{0};
-  for (int i = 0; i < 2; ++i) {
-    pool.Submit([&](int) {
-      blockers_started.fetch_add(1);
-      while (!release.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      blockers_done.fetch_add(1);
-    });
-  }
-  while (blockers_started.load() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&backlog_run](int) { backlog_run.fetch_add(1); });
-  }
-  const int64_t dropped = pool.CancelPending();
-  EXPECT_EQ(dropped, 50);
-  release.store(true);
-  pool.Wait();
-  EXPECT_EQ(blockers_done.load(), 2);
-  EXPECT_EQ(backlog_run.load(), 0);
-}
-
-TEST(TaskPoolTest, PoolIsReusableAfterCancelPending) {
-  TaskPool pool(2);
-  std::atomic<bool> release{false};
-  std::atomic<int> started{0};
-  pool.Submit([&](int) {
-    started.fetch_add(1);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (started.load() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (int i = 0; i < 20; ++i) pool.Submit([](int) {});
-  pool.CancelPending();
-  pool.CancelPending();  // idempotent
-  release.store(true);
-  pool.Wait();
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count](int) { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
 }  // namespace
 }  // namespace util
 }  // namespace regcluster

@@ -28,16 +28,14 @@ how much slower a serial mine runs through the chunked, snapshot-writing
 through a plain ``Mine()``; ``--max-checkpoint-overhead`` (default 2%)
 fails the check when that fraction is exceeded.
 
-The observability layer is gated the same way: ``stats_overhead`` records
-how much slower a serial mine runs with ``collect_stats`` on vs off, capped
-by ``--max-stats-overhead`` (default 1%); and the ``stats`` section carries
-the miner's deterministic work counters (nodes expanded, per-rule prunes,
-index word ops, ...) for the reference synthetic dataset.  Those counters
-are a pure function of data + options, so baseline and fresh must agree
-*exactly* when they describe the same dataset/options -- any drift means a
-search-behaviour change (pruning regression, index bug) that wall-clock
-noise could mask.  Both gates skip with a notice when the sections are
-absent or describe different configurations.
+The observability layer is gated through the ``stats`` section, which
+carries the miner's deterministic work counters (nodes expanded, per-rule
+prunes, index word ops, ...) for the reference synthetic dataset.  Those
+counters are a pure function of data + options, so baseline and fresh must
+agree *exactly* when they describe the same dataset/options -- any drift
+means a search-behaviour change (pruning regression, index bug) that
+wall-clock noise could mask.  The gate skips with a notice when the section
+is absent or describes a different configuration.
 
 The batch-sweep engine is gated through the ``sweep`` section, also written
 by ``bench_threads``: one SweepEngine run over an equal-gamma grid must beat
@@ -126,9 +124,8 @@ def skip_missing(what, key, tool="bench_threads"):
 
 def check_overhead(fresh_doc, baseline_doc, key, what, max_overhead):
     """Gates <key>.overhead_fraction <= max_overhead: budget_overhead (the
-    budget guard), stats_overhead (collect_stats on vs off) and
-    checkpoint_overhead (durable chunked mine with snapshot writes vs plain
-    mine)."""
+    budget guard) and checkpoint_overhead (durable chunked mine with
+    snapshot writes vs plain mine)."""
     label, section = find_section(fresh_doc, baseline_doc, key)
     if section is None:
         return skip_missing(what, key)
@@ -367,10 +364,6 @@ def main(argv):
                         help="maximum tolerated durable-mine overhead "
                              "fraction from the checkpoint_overhead section "
                              "(default: %(default)s)")
-    parser.add_argument("--max-stats-overhead", type=float, default=0.01,
-                        help="maximum tolerated stats-collection overhead "
-                             "fraction from the stats_overhead section "
-                             "(default: %(default)s)")
     parser.add_argument("--min-sweep-speedup", type=float, default=1.5,
                         help="minimum required shared-index sweep speedup "
                              "from the sweep section "
@@ -438,8 +431,6 @@ def main(argv):
     for key, what, limit in (
             ("budget_overhead", "budget-guard overhead",
              args.max_budget_overhead),
-            ("stats_overhead", "stats-collection overhead",
-             args.max_stats_overhead),
             ("checkpoint_overhead", "checkpoint overhead",
              args.max_checkpoint_overhead)):
         if not check_overhead(fresh_doc, baseline_doc, key, what, limit):

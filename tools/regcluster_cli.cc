@@ -482,7 +482,6 @@ int CmdMine(Flags* flags) {
         "  [--merge-overlap=0] [--require-gene=NAME_OR_INDEX]\n"
         "  [--report=PATH] [--json=PATH]\n"
         "  [--metrics-out=PATH] [--metrics-format=json|prom]\n"
-        "  [--collect-stats=true]\n"
         "  [--max-clusters=-1] [--max-nodes=-1] [--deadline-ms=-1]\n"
         "  [--checkpoint=PATH] [--checkpoint-every-ms=1000]\n"
         "  [--resume-from=PATH] [--deterministic-output]\n"
@@ -500,8 +499,7 @@ int CmdMine(Flags* flags) {
         "flags bound the sweep as a whole, truncating on a run boundary\n"
         "(exit 3, resume from first_unfinished).\n"
         "--metrics-out writes the run's search counters and phase timings\n"
-        "(regcluster_* metrics) as JSON or Prometheus text; --collect-stats\n"
-        "=false disables the detailed work counters (they export as 0).\n"
+        "(regcluster_* metrics) as JSON or Prometheus text.\n"
         "--matrix-format selects the input reader: text (TSV/CSV), bin (the\n"
         "mmap-backed binary format written by convert --out-format=bin), or\n"
         "auto (sniff the binary magic; the default).  Binary matrices are\n"
@@ -567,7 +565,6 @@ int CmdMine(Flags* flags) {
   opts.max_nodes = flags->GetInt<int64_t>("max-nodes", -1);
   opts.deadline_ms = flags->GetDouble("deadline-ms", -1.0);
   opts.gamma_policy = flags->GetGammaPolicy();
-  opts.collect_stats = flags->GetBool("collect-stats", true);
   const std::string report_path = flags->GetString("report", "");
   const std::string json_path = flags->GetString("json", "");
   const std::string metrics_path = flags->GetString("metrics-out", "");
@@ -1230,9 +1227,6 @@ int CmdStats(Flags* flags) {
   auto data_or = matrix::ReadMatrixFile(matrix_path);
   if (!data_or.ok()) return Fail(data_or.status());
   const matrix::ExpressionMatrix data = *std::move(data_or);
-  // NaN cells are the report's missing values; an infinite one would
-  // print as a min, max and mean, so it is rejected as `mine` rejects it.
-  if (auto st = core::RejectInfiniteCells(data); !st.ok()) return Fail(st);
   if (auto st = matrix::WriteStatsReport(data, std::cout, worst); !st.ok()) {
     return Fail(st);
   }
@@ -1397,7 +1391,6 @@ int CmdServe(Flags* flags) {
   defaults.min_conditions = flags->GetInt("minc", 6);
   defaults.gamma = flags->GetDouble("gamma", 0.05);
   defaults.epsilon = flags->GetDouble("epsilon", 1.0);
-  defaults.collect_stats = true;
   defaults.gamma_policy = flags->GetGammaPolicy();
   if (auto st = flags->Check(); !st.ok()) return UsageError(st);
   if (opts.service.num_threads < 1 || opts.service.max_active < 1 ||
