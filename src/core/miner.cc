@@ -50,14 +50,15 @@ int64_t VecBytes(const std::vector<T>& v) {
 }
 
 /// Writes a member's combined row -- its successor (`up`) or predecessor row
-/// at chain-head `pos` AND its eligibility row for `need` more conditions
-/// (ones without pruning 2) -- to `comb`, and the bits it cut to `cut`.
+/// of chain-head condition `head` AND its eligibility row for `need` more
+/// conditions (ones without pruning 2) -- to `comb`, and the bits it cut to
+/// `cut`.
 void CombineMemberRow(const RWaveBitmapIndex& index, bool up, bool prune2,
-                      int gene, int pos, int need, uint64_t* comb,
+                      int gene, int head, int need, uint64_t* comb,
                       uint64_t* cut) {
   const int words = index.num_words();
   const uint64_t* cand_row =
-      up ? index.UpCandidates(gene, pos) : index.DownCandidates(gene, pos);
+      up ? index.SuccessorRow(head, gene) : index.PredecessorRow(head, gene);
   const uint64_t* elig =
       prune2 ? (up ? index.UpEligible(gene, need)
                    : index.DownEligible(gene, need))
@@ -131,8 +132,8 @@ struct RegClusterMiner::NodeFrame {
   }
 
   int64_t ApproxBytes() const {
-    return VecBytes(p.gene) + VecBytes(p.head_pos) + VecBytes(p.denom) +
-           VecBytes(n.gene) + VecBytes(n.head_pos) + VecBytes(n.denom) +
+    return VecBytes(p.gene) + VecBytes(p.denom) + VecBytes(n.gene) +
+           VecBytes(n.denom) +
            VecBytes(p_comb) + VecBytes(n_comb) + p_count.ApproxBytes() +
            n_count.ApproxBytes() + VecBytes(p_cut) + VecBytes(n_cut) +
            VecBytes(cand_words) + VecBytes(cands) + VecBytes(col) +
@@ -865,7 +866,7 @@ bool RegClusterMiner::HasAllRequired(const MemberCols& p,
   return found == num_required_;
 }
 
-void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
+void RegClusterMiner::PrepareNode(int head, int m, NodeFrame* node,
                                   MinerStats* stats) {
   const int words = index_->num_words();
   const int need = options_.min_conditions - m;
@@ -881,21 +882,21 @@ void RegClusterMiner::PrepareNode(int m, NodeFrame* node,
     cut.resize(members * static_cast<size_t>(words));
     count.Reset(words);
     for (size_t i = 0; i < members; ++i) {
-      // Members are gene-ascending but their index rows are scattered;
-      // fetching a few members ahead overlaps the misses.
+      // Members are gene-ascending, so their rows are an ascending but
+      // sparse run through the head's slab; fetching a few members ahead
+      // overlaps the misses.
       if (i + kIndexPrefetchAhead < members) {
         const int ga = mem.gene[i + kIndexPrefetchAhead];
-        const int pa = mem.head_pos[i + kIndexPrefetchAhead];
-        __builtin_prefetch(up ? index_->UpCandidates(ga, pa)
-                              : index_->DownCandidates(ga, pa));
+        __builtin_prefetch(up ? index_->SuccessorRow(head, ga)
+                              : index_->PredecessorRow(head, ga));
         if (prune2) {
           __builtin_prefetch(up ? index_->UpEligible(ga, need)
                                 : index_->DownEligible(ga, need));
         }
       }
       const size_t at = i * static_cast<size_t>(words);
-      CombineMemberRow(*index_, up, prune2, mem.gene[i], mem.head_pos[i],
-                       need, comb.data() + at, cut.data() + at);
+      CombineMemberRow(*index_, up, prune2, mem.gene[i], head, need,
+                       comb.data() + at, cut.data() + at);
       count.Add(comb.data() + at);
     }
     count.Flush();
@@ -992,7 +993,7 @@ bool RegClusterMiner::SeedRoot(int root_condition, RootWork* work,
   // Level-1 chain: the root condition, with the genes that can still grow a
   // chain of length MinC through it upward (p) or downward (n).  One gene
   // pass decides membership and caches the combined and cut rows too
-  // (PrepareNode's work at m = 1), reading each gene's index rows once.
+  // (PrepareNode's work at m = 1), streaming the root's condition slabs.
   NodeFrame& node = scratch->root_frame;
   const int num_genes = data_.num_genes();
   const int words = index_->num_words();
@@ -1005,25 +1006,24 @@ bool RegClusterMiner::SeedRoot(int root_condition, RootWork* work,
   }
   node.p_count.Reset(words);
   node.n_count.Reset(words);
-  const auto add = [&](bool up, int g, int pos) {
+  const auto add = [&](bool up, int g) {
     MemberCols& mem = up ? node.p : node.n;
     const size_t at = mem.gene.size() * static_cast<size_t>(words);
     uint64_t* comb = (up ? node.p_comb : node.n_comb).data() + at;
-    CombineMemberRow(*index_, up, prune2, g, pos, min_c - 1, comb,
+    CombineMemberRow(*index_, up, prune2, g, root_condition, min_c - 1, comb,
                      (up ? node.p_cut : node.n_cut).data() + at);
     (up ? node.p_count : node.n_count).Add(comb);
     mem.gene.push_back(g);
   };
   int required_members = 0;
   for (int g = 0; g < num_genes; ++g) {
-    const int pos = index_->position(g, root_condition);
     const bool up_ok =
         !prune2 || index_->ChainEligibleUp(g, root_condition, min_c);
     const bool down_ok =
         !prune2 || index_->ChainEligibleDown(g, root_condition, min_c);
     ctx->stats.genes_dropped_min_conds += (up_ok ? 0 : 1) + (down_ok ? 0 : 1);
-    if (up_ok) add(/*up=*/true, g, pos);
-    if (down_ok) add(/*up=*/false, g, pos);
+    if (up_ok) add(/*up=*/true, g);
+    if (down_ok) add(/*up=*/false, g);
     required_members +=
         (up_ok || down_ok) && required_gene_[static_cast<size_t>(g)] ? 1 : 0;
   }
@@ -1073,8 +1073,8 @@ bool RegClusterMiner::SeedRoot(int root_condition, RootWork* work,
   if (work->seeds.empty()) return true;
 
   // One member pass per half writes every kept candidate's seed column, in
-  // gene order: the gene, its position at the candidate (the child's chain
-  // head) and the level-2 denominator row[cand] - row[root] (Eq. 7).
+  // gene order: the gene and the level-2 denominator row[cand] - row[root]
+  // (Eq. 7).
   const double* matrix = data_.row_data(0);
   const int64_t stride = static_cast<int64_t>(index_->num_conditions());
   const auto seed_half = [&](const MemberCols& mem,
@@ -1092,7 +1092,7 @@ bool RegClusterMiner::SeedRoot(int root_condition, RootWork* work,
           bits &= bits - 1;
           const int seed = node.col[static_cast<size_t>(c)];
           (work->seeds[static_cast<size_t>(seed)].*half)
-              .push_back(g, index_->position(g, c), row[c] - base);
+              .push_back(g, row[c] - base);
         }
       }
     }
@@ -1146,7 +1146,7 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
   // walks; the sets produced are identical by construction).
   const bool profile = options_.profile_phases;
   int64_t t0 = profile ? NowNs() : 0;
-  PrepareNode(m, &node, &ctx->stats);
+  PrepareNode(scratch->chain.back(), m, &node, &ctx->stats);
   if (profile) ctx->stats.filter_ns += NowNs() - t0;
 
   // Score: one member-major pass fills the coherence scores H (Eq. 7) of
@@ -1237,16 +1237,12 @@ void RegClusterMiner::Extend(int depth, MinerScratch* scratch,
       NodeFrame& child = scratch->frame(depth + 1);
       child.p.clear();
       child.n.clear();
-      // Lazy head lookup: only members of a window that actually spawns a
-      // child ever need their position at `cand`.
       for (const int idx : node.win_p) {
-        const int g = node.sc_gene[static_cast<size_t>(idx)];
-        child.p.push_back(g, index_->position(g, cand),
+        child.p.push_back(node.sc_gene[static_cast<size_t>(idx)],
                           node.sc_denom[static_cast<size_t>(idx)]);
       }
       for (const int idx : node.win_n) {
-        const int g = node.sc_gene[static_cast<size_t>(idx)];
-        child.n.push_back(g, index_->position(g, cand),
+        child.n.push_back(node.sc_gene[static_cast<size_t>(idx)],
                           node.sc_denom[static_cast<size_t>(idx)]);
       }
       scratch->chain.push_back(cand);

@@ -414,30 +414,26 @@ class RegClusterMiner {
   static uint64_t SemanticOptionsHash(const MinerOptions& options);
 
  private:
-  /// Hot-path member state, struct-of-arrays: parallel columns (gene id,
-  /// chain-head position in the gene's RWave order -- for n-members the
-  /// low-value end -- and the cached baseline denominator d[ck2] - d[ck1],
-  /// fixed once the chain reaches length 2).  Contiguous columns make the
+  /// Hot-path member state, struct-of-arrays: parallel columns (gene id and
+  /// the cached baseline denominator d[ck2] - d[ck1], fixed once the chain
+  /// reaches length 2).  Every member shares the node's chain head, so no
+  /// per-member index key is kept.  Contiguous columns make the
   /// member-major score-panel fill and the survivor gathers linear sweeps.
   struct MemberCols {
     std::vector<int> gene;
-    std::vector<int> head_pos;
     std::vector<double> denom;
 
     int size() const { return static_cast<int>(gene.size()); }
     void clear() {
       gene.clear();
-      head_pos.clear();
       denom.clear();
     }
     void reserve(size_t members) {
       gene.reserve(members);
-      head_pos.reserve(members);
       denom.reserve(members);
     }
-    void push_back(int g, int pos, double d) {
+    void push_back(int g, double d) {
       gene.push_back(g);
-      head_pos.push_back(pos);
       denom.push_back(d);
     }
   };
@@ -518,9 +514,9 @@ class RegClusterMiner {
 
   /// Caches the node's per-member bitmap rows (successor/predecessor x
   /// MinC-eligibility, and the cut rows that AND removed) for a chain of
-  /// length `m` and counts, per condition, the p- and n-members whose row
-  /// holds it; then ListCandidates.
-  void PrepareNode(int m, NodeFrame* node, MinerStats* stats);
+  /// length `m` headed by condition `head` and counts, per condition, the
+  /// p- and n-members whose row holds it; then ListCandidates.
+  void PrepareNode(int head, int m, NodeFrame* node, MinerStats* stats);
 
   /// Lists the node's candidate conditions from its cached rows (OR over
   /// the p-member rows, intersected with the allowed set) and accumulates

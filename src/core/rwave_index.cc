@@ -36,11 +36,10 @@ void RWaveBitmapIndex::BeginBuild(int num_genes, int num_conditions,
   const size_t w_count = static_cast<size_t>(words_);
   const size_t need_rows = static_cast<size_t>(max_chain_need_) + 1;
 
-  pos_.assign(g_count * c_count, 0);
-  up_cand_.assign(g_count * c_count * w_count, 0);
-  down_cand_.assign(g_count * c_count * w_count, 0);
-  up_elig_.assign(g_count * need_rows * w_count, 0);
-  down_elig_.assign(g_count * need_rows * w_count, 0);
+  up_cand_.assign(c_count * g_count * w_count, 0);
+  down_cand_.assign(c_count * g_count * w_count, 0);
+  up_elig_.assign(need_rows * g_count * w_count, 0);
+  down_elig_.assign(need_rows * g_count * w_count, 0);
   ones_.assign(w_count, 0);
   if (num_conditions_ == 0) return;
   util::FillOnes(ones_.data(), num_conditions_);
@@ -51,7 +50,6 @@ void RWaveBitmapIndex::BuildGene(int gene, const RWaveModel& m,
   if (num_conditions_ == 0) return;
   const size_t c_count = static_cast<size_t>(num_conditions_);
   const size_t w_count = static_cast<size_t>(words_);
-  const size_t need_rows = static_cast<size_t>(max_chain_need_) + 1;
   const int g = gene;
   // Per-gene scratch: bitmap of conditions at sorted positions >= p
   // (suffix) and <= p (prefix).  suffix has C+1 rows so row C is empty.
@@ -59,11 +57,6 @@ void RWaveBitmapIndex::BuildGene(int gene, const RWaveModel& m,
   std::vector<uint64_t>& prefix = scratch->prefix;
   suffix.resize((c_count + 1) * w_count);
   prefix.resize(c_count * w_count);
-
-  int32_t* pos_row = pos_.data() + static_cast<size_t>(g) * c_count;
-  for (int c = 0; c < num_conditions_; ++c) {
-    pos_row[c] = static_cast<int32_t>(m.position(c));
-  }
 
   std::memset(suffix.data() + c_count * w_count, 0,
               w_count * sizeof(uint64_t));
@@ -80,40 +73,33 @@ void RWaveBitmapIndex::BuildGene(int gene, const RWaveModel& m,
   }
 
   // Successor / predecessor rows: every position >= FirstSuccessorPos is
-  // a regulation successor (Lemma 3.1), so the row is one suffix copy;
-  // no successor leaves the row all-zero (already cleared by BeginBuild).
-  uint64_t* up_base =
-      up_cand_.data() + static_cast<size_t>(g) * c_count * w_count;
-  uint64_t* down_base =
-      down_cand_.data() + static_cast<size_t>(g) * c_count * w_count;
+  // a regulation successor (Lemma 3.1), so the row of the condition at
+  // position p is one suffix copy, written into that condition's slab; no
+  // successor leaves the row all-zero (already cleared by BeginBuild).
   for (int p = 0; p < num_conditions_; ++p) {
+    const int c = m.condition_at(p);
     const int h = m.FirstSuccessorPos(p);
     if (h >= 0) {
-      util::CopyWords(up_base + static_cast<size_t>(p) * w_count,
+      util::CopyWords(up_cand_.data() + RowOffset(c, g),
                       suffix.data() + static_cast<size_t>(h) * w_count, words_);
     }
     const int t = m.LastPredecessorPos(p);
     if (t >= 0) {
-      util::CopyWords(down_base + static_cast<size_t>(p) * w_count,
+      util::CopyWords(down_cand_.data() + RowOffset(c, g),
                       prefix.data() + static_cast<size_t>(t) * w_count, words_);
     }
   }
 
-  // Eligibility rows.  need <= 1 is the all-ones row (MaxChain* >= 1 for
-  // every position); larger needs test the longest-chain tables.
-  uint64_t* up_e = up_elig_.data() +
-                   static_cast<size_t>(g) * need_rows * w_count;
-  uint64_t* down_e = down_elig_.data() +
-                     static_cast<size_t>(g) * need_rows * w_count;
-  util::FillOnes(up_e, num_conditions_);
-  util::FillOnes(down_e, num_conditions_);
-  if (max_chain_need_ >= 1) {
-    util::CopyWords(up_e + w_count, up_e, words_);
-    util::CopyWords(down_e + w_count, down_e, words_);
+  // Eligibility rows, one per need slab.  need <= 1 is the all-ones row
+  // (MaxChain* >= 1 for every position); larger needs test the
+  // longest-chain tables.
+  for (int need = 0; need <= 1; ++need) {
+    util::FillOnes(up_elig_.data() + RowOffset(need, g), num_conditions_);
+    util::FillOnes(down_elig_.data() + RowOffset(need, g), num_conditions_);
   }
   for (int need = 2; need <= max_chain_need_; ++need) {
-    uint64_t* up_row = up_e + static_cast<size_t>(need) * w_count;
-    uint64_t* down_row = down_e + static_cast<size_t>(need) * w_count;
+    uint64_t* up_row = up_elig_.data() + RowOffset(need, g);
+    uint64_t* down_row = down_elig_.data() + RowOffset(need, g);
     for (int p = 0; p < num_conditions_; ++p) {
       const int c = m.condition_at(p);
       if (m.MaxChainUp(p) >= need) util::SetBit(up_row, c);

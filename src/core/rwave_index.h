@@ -13,11 +13,10 @@
 // per-gene bitmaps over *condition ids* (one uint64 word per 64
 // conditions, util/bitset.h):
 //
-//   UpCandidates(g, pos)   bit c set  <=>  condition c is a regulation
-//                                          successor of the condition at
-//                                          sorted position `pos` in gene
-//                                          g's model
-//   DownCandidates(g, pos) the mirror (regulation predecessors)
+//   SuccessorRow(h, g)     bit c set  <=>  condition c is a regulation
+//                                          successor of condition h in
+//                                          gene g's model
+//   PredecessorRow(h, g)   the mirror (regulation predecessors)
 //   UpEligible(g, need)    bit c set  <=>  MaxChainUp(position of c) >= need
 //   DownEligible(g, need)  the mirror (MaxChainDown)
 //
@@ -27,11 +26,16 @@
 // query it replaces -- which is why the miner's output stays bit-identical
 // (tests/core/rwave_index_test.cc proves the equivalence exhaustively).
 //
-// Memory: per gene, 2*C rows of W = ceil(C/64) words for the successor /
-// predecessor tables plus 2*(max_need+1) eligibility rows, i.e. about
-// C^2/4 bytes per gene per direction -- ~0.4 KB/gene at the paper's 40
-// conditions, ~4 KB/gene at 130.  Build is one O(C) suffix/prefix sweep
-// per gene over queries the model answers in O(log P).
+// Layout: the tables are condition-major (and need-major), [h][g][word].
+// Every member of a search node shares the node's chain head, so the
+// node's candidate rows are one gene-ascending run inside one condition
+// slab, and its eligibility rows one run inside one need slab.
+//
+// Memory: (2*C + 2*(max_need+1)) * G * W * 8 bytes plus the W-word ones
+// row, with W = ceil(C/64); there is no per-gene position table.  That is
+// 752 bytes per gene at the paper's 40 conditions and MinC 6, ~6.4 KB at
+// 130.  Build is one O(C) suffix/prefix sweep per gene over queries the
+// model answers in O(log P).
 
 #ifndef REGCLUSTER_CORE_RWAVE_INDEX_H_
 #define REGCLUSTER_CORE_RWAVE_INDEX_H_
@@ -67,7 +71,7 @@ class RWaveBitmapIndex {
   /// Striped build, for callers that materialize models lazily or bake
   /// genes in parallel: BeginBuild() sizes every table (all rows zero,
   /// shared ones row filled), then each gene is baked independently with
-  /// BuildGene().  BuildGene() writes only gene `gene`'s disjoint slices,
+  /// BuildGene().  BuildGene() writes only gene `gene`'s disjoint rows,
   /// so distinct genes may be baked concurrently from different threads
   /// (each with its own scratch); the result is byte-identical to Build()
   /// regardless of order or interleaving.  Every gene must be baked exactly
@@ -81,23 +85,15 @@ class RWaveBitmapIndex {
   int num_words() const { return words_; }
   int max_chain_need() const { return max_chain_need_; }
 
-  /// Position of condition `cond` in gene `gene`'s sorted order (the same
-  /// value as RWaveModel::position, served from one flat array).
-  int position(int gene, int cond) const {
-    return pos_[static_cast<size_t>(gene) * num_conditions_ + cond];
+  /// Bitmap of the regulation successors of condition `cond` in gene
+  /// `gene`'s model; the all-zero row when there are none.
+  const uint64_t* SuccessorRow(int cond, int gene) const {
+    return up_cand_.data() + RowOffset(cond, gene);
   }
 
-  /// Bitmap of the regulation successors of the condition at sorted
-  /// position `pos` of gene `gene`; the all-zero row when there are none.
-  const uint64_t* UpCandidates(int gene, int pos) const {
-    return up_cand_.data() +
-           (static_cast<size_t>(gene) * num_conditions_ + pos) * words_;
-  }
-
-  /// Bitmap of the regulation predecessors of the condition at `pos`.
-  const uint64_t* DownCandidates(int gene, int pos) const {
-    return down_cand_.data() +
-           (static_cast<size_t>(gene) * num_conditions_ + pos) * words_;
+  /// Bitmap of the regulation predecessors of condition `cond`.
+  const uint64_t* PredecessorRow(int cond, int gene) const {
+    return down_cand_.data() + RowOffset(cond, gene);
   }
 
   /// Bitmap of conditions from which an upward regulation chain of length
@@ -105,16 +101,12 @@ class RWaveBitmapIndex {
   /// (every condition starts a chain of length 1); `need` is clamped to
   /// [0, max_chain_need].
   const uint64_t* UpEligible(int gene, int need) const {
-    return up_elig_.data() +
-           (static_cast<size_t>(gene) * (max_chain_need_ + 1) + Clamp(need)) *
-               words_;
+    return up_elig_.data() + RowOffset(Clamp(need), gene);
   }
 
   /// The downward mirror of UpEligible.
   const uint64_t* DownEligible(int gene, int need) const {
-    return down_elig_.data() +
-           (static_cast<size_t>(gene) * (max_chain_need_ + 1) + Clamp(need)) *
-               words_;
+    return down_elig_.data() + RowOffset(Clamp(need), gene);
   }
 
   /// Row with the first num_conditions() bits set (identity for AND).
@@ -123,7 +115,7 @@ class RWaveBitmapIndex {
   /// Bit-probe equivalents of the RWaveModel queries, for tests and
   /// non-hot-path callers.
   bool IsUpRegulated(int gene, int cond_lo, int cond_hi) const {
-    return util::TestBit(UpCandidates(gene, position(gene, cond_lo)), cond_hi);
+    return util::TestBit(SuccessorRow(cond_lo, gene), cond_hi);
   }
   bool ChainEligibleUp(int gene, int cond, int need) const {
     return util::TestBit(UpEligible(gene, need), cond);
@@ -134,13 +126,18 @@ class RWaveBitmapIndex {
 
   /// Total heap footprint of the baked tables, for reporting.
   size_t MemoryBytes() const {
-    return (pos_.capacity()) * sizeof(int32_t) +
-           (up_cand_.capacity() + down_cand_.capacity() +
+    return (up_cand_.capacity() + down_cand_.capacity() +
             up_elig_.capacity() + down_elig_.capacity() + ones_.capacity()) *
                sizeof(uint64_t);
   }
 
  private:
+  /// Word offset of gene `gene`'s row in slab `slab` (a condition or a
+  /// need) of any table.
+  size_t RowOffset(int slab, int gene) const {
+    return (static_cast<size_t>(slab) * num_genes_ + gene) * words_;
+  }
+
   int Clamp(int need) const {
     if (need < 0) return 0;
     return need > max_chain_need_ ? max_chain_need_ : need;
@@ -150,11 +147,10 @@ class RWaveBitmapIndex {
   int num_conditions_ = 0;
   int words_ = 0;
   int max_chain_need_ = 0;
-  std::vector<int32_t> pos_;        // gene-major condition -> position
-  std::vector<uint64_t> up_cand_;   // (gene, pos) -> successor-cond bitmap
-  std::vector<uint64_t> down_cand_; // (gene, pos) -> predecessor-cond bitmap
-  std::vector<uint64_t> up_elig_;   // (gene, need) -> MaxChainUp >= need
-  std::vector<uint64_t> down_elig_; // (gene, need) -> MaxChainDown >= need
+  std::vector<uint64_t> up_cand_;   // (cond, gene) -> successor-cond bitmap
+  std::vector<uint64_t> down_cand_; // (cond, gene) -> predecessor-cond bitmap
+  std::vector<uint64_t> up_elig_;   // (need, gene) -> MaxChainUp >= need
+  std::vector<uint64_t> down_elig_; // (need, gene) -> MaxChainDown >= need
   std::vector<uint64_t> ones_;
 };
 

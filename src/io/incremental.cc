@@ -148,9 +148,8 @@ std::vector<int> ComputeDirtyRoots(const core::RWaveBitmapIndex& index,
   for (int r = 0; r < first_new; ++r) {
     bool is_dirty = false;
     for (int g = 0; g < num_genes && !is_dirty; ++g) {
-      const int pos = index.position(g, r);
-      is_dirty = has_new_bit(index.UpCandidates(g, pos)) ||
-                 has_new_bit(index.DownCandidates(g, pos));
+      is_dirty = has_new_bit(index.SuccessorRow(r, g)) ||
+                 has_new_bit(index.PredecessorRow(r, g));
     }
     if (is_dirty) dirty.push_back(r);
   }

@@ -14,10 +14,10 @@
 // non-decreasing in position, so every condition reachable from root r
 // through an upward chain of gene g is a *direct* regulation successor of r
 // in g's model (mirror for downward chains).  Hence root r's subtree can
-// touch a new condition iff some gene has a new condition directly in
-// UpCandidates(g, pos_g(r)) or DownCandidates(g, pos_g(r)), evaluated on
-// the post-append index.  Appended conditions are always mined (they are
-// new roots).  Two append shapes invalidate every root at once:
+// touch a new condition iff some gene has a new condition directly in its
+// row of condition slab r -- SuccessorRow(r, g) or PredecessorRow(r, g) --
+// evaluated on the post-append index.  Appended conditions are always mined
+// (they are new roots).  Two append shapes invalidate every root at once:
 //   * a gene's absolute threshold moved (the append widened its range under
 //     kRangeFraction, or shifted a statistic under the other policies) --
 //     regulation among the *old* conditions then changes too;

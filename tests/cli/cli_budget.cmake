@@ -2,6 +2,7 @@
 #   * exit code 3 on truncation, with a valid partial archive + JSON outcome
 #   * exit code 2 on usage errors (positional arg, unknown flag)
 #   * SIGINT mid-mine -> partial outputs still written, exit code 3
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)

@@ -7,6 +7,7 @@
 #   * chains extend across steps and across k-at-a-time appends
 #   * misuse (orphan flags, incompatible modes) is a usage error (2); a
 #     corrupt state file is a runtime error (1), before any output appears
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)

@@ -16,6 +16,7 @@
 #     by the opener for `rwave`, `stats`, `convert` and `significance` as
 #     it is for `mine`: exit 1 naming the cell, no model, report or matrix
 #     written; a cell patched to NaN is one missing cell to `stats`.
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)

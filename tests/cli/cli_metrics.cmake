@@ -8,6 +8,7 @@
 #     truncated mine still writes the metrics file and exits 3
 #   * --collect-stats is no flag (every counter is always collected): it is
 #     a usage error like any unknown flag
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)

@@ -9,6 +9,7 @@
 #     read 0 (the gamma model is its bitmap index; no cache exists)
 #   * a malformed --model-cache-mb is still a usage error (2)
 #   * misuse (binary + --normalize, bad formats) is a usage error (2)
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)

@@ -6,6 +6,7 @@
 #   * --sweep-csv writes the documented column contract
 #   * the report is byte-identical between --threads=1 and --threads=4
 #   * a sweep-level budget truncates on a run boundary and exits 3
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 
 function(run_expect expected_rc)

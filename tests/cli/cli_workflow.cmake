@@ -1,4 +1,5 @@
 # End-to-end CLI smoke test: generate -> mine -> evaluate -> summarize.
+file(REMOVE_RECURSE ${WORKDIR})
 file(MAKE_DIRECTORY ${WORKDIR})
 function(run)
   execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

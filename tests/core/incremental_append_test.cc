@@ -380,9 +380,8 @@ TEST(IncrementalModelDelta, ComputeDirtyRootsMatchesBandMembership) {
   for (int r = 0; r < first_new; ++r) {
     bool expect_dirty = false;
     for (int g = 0; g < index.num_genes() && !expect_dirty; ++g) {
-      const int pos = index.position(g, r);
-      const uint64_t* up = index.UpCandidates(g, pos);
-      const uint64_t* down = index.DownCandidates(g, pos);
+      const uint64_t* up = index.SuccessorRow(r, g);
+      const uint64_t* down = index.PredecessorRow(r, g);
       for (int c = first_new; c < index.num_conditions(); ++c) {
         if ((up[c / 64] >> (c % 64)) & 1 || (down[c / 64] >> (c % 64)) & 1) {
           expect_dirty = true;

@@ -44,11 +44,6 @@ std::vector<double> RandomProfile(int n, util::Prng* prng, bool quantized) {
 
 void CheckGeneAgainstModel(const RWaveBitmapIndex& index,
                            const RWaveModel& model, int gene, int conds) {
-  // position() must be the model's position table verbatim.
-  for (int c = 0; c < conds; ++c) {
-    ASSERT_EQ(index.position(gene, c), model.position(c));
-  }
-
   // All-pairs regulation queries through the bit-probe path.
   for (int lo = 0; lo < conds; ++lo) {
     for (int hi = 0; hi < conds; ++hi) {
@@ -58,22 +53,22 @@ void CheckGeneAgainstModel(const RWaveBitmapIndex& index,
     }
   }
 
-  // Successor / predecessor rows: exactly the set the model reports.
+  // Successor / predecessor rows, read from each condition's slab: exactly
+  // the set the model reports.
   const int words = index.num_words();
-  for (int p = 0; p < conds; ++p) {
-    const int at = model.condition_at(p);
+  for (int at = 0; at < conds; ++at) {
     std::vector<int> up_bits, down_bits;
-    util::ForEachSetBit(index.UpCandidates(gene, p), words,
+    util::ForEachSetBit(index.SuccessorRow(at, gene), words,
                         [&](int c) { up_bits.push_back(c); });
-    util::ForEachSetBit(index.DownCandidates(gene, p), words,
+    util::ForEachSetBit(index.PredecessorRow(at, gene), words,
                         [&](int c) { down_bits.push_back(c); });
     std::vector<int> up_ref, down_ref;
     for (int c = 0; c < conds; ++c) {
       if (model.IsUpRegulated(at, c)) up_ref.push_back(c);
       if (model.IsUpRegulated(c, at)) down_ref.push_back(c);
     }
-    ASSERT_EQ(up_bits, up_ref) << "gene " << gene << " pos " << p;
-    ASSERT_EQ(down_bits, down_ref) << "gene " << gene << " pos " << p;
+    ASSERT_EQ(up_bits, up_ref) << "gene " << gene << " cond " << at;
+    ASSERT_EQ(down_bits, down_ref) << "gene " << gene << " cond " << at;
   }
 
   // Eligibility rows vs the longest-chain tables.  need <= 1 is always
@@ -92,8 +87,10 @@ void CheckGeneAgainstModel(const RWaveBitmapIndex& index,
 
   // Rows never set bits at or beyond num_conditions (the tail-word
   // invariant every bitwise consumer relies on).
-  for (int p = 0; p < conds; ++p) {
-    util::ForEachSetBit(index.UpCandidates(gene, p), words,
+  for (int at = 0; at < conds; ++at) {
+    util::ForEachSetBit(index.SuccessorRow(at, gene), words,
+                        [&](int c) { ASSERT_LT(c, conds); });
+    util::ForEachSetBit(index.PredecessorRow(at, gene), words,
                         [&](int c) { ASSERT_LT(c, conds); });
   }
   util::ForEachSetBit(index.UpEligible(gene, 0), words,
@@ -202,24 +199,31 @@ TEST(RWaveIndexTest, OversizedCeilingClampsWithoutChangingAnswers) {
   }
 }
 
+// Exact footprint: 2*C candidate slabs and 2*(max_need+1) eligibility
+// slabs of G rows of W words each, plus the ones row -- no per-gene
+// position table.
 TEST(RWaveIndexTest, MemoryBytesAccountsForTheTables) {
   util::Prng prng(13);
-  const int conds = 40;
-  std::vector<RWaveModel> models;
-  std::vector<std::vector<double>> profiles;
-  for (int g = 0; g < 10; ++g) {
-    profiles.push_back(RandomProfile(conds, &prng, false));
-    models.push_back(RWaveModel::Build(profiles.back().data(), conds, 0.3));
+  for (const int conds : {40, 130}) {
+    const int genes = 10;
+    std::vector<RWaveModel> models;
+    for (int g = 0; g < genes; ++g) {
+      const auto v = RandomProfile(conds, &prng, false);
+      models.push_back(RWaveModel::Build(v.data(), conds, 0.3));
+    }
+    RWaveBitmapIndex index;
+    index.Build(models, conds, kMaxNeed);
+    const size_t words = static_cast<size_t>(util::WordsForBits(conds));
+    const size_t slabs = 2 * static_cast<size_t>(conds) + 2 * (kMaxNeed + 1);
+    EXPECT_EQ(index.MemoryBytes(),
+              slabs * genes * words * sizeof(uint64_t) +
+                  words * sizeof(uint64_t))
+        << conds << " conditions";
   }
-  RWaveBitmapIndex index;
-  index.Build(models, conds, kMaxNeed);
-  // 10 genes * 40 conds * 1 word * 2 directions of candidate rows is a firm
-  // lower bound; the exact figure depends on vector capacities.
-  EXPECT_GE(index.MemoryBytes(), 10u * 40u * sizeof(uint64_t) * 2);
 }
 
 // Word-for-word comparison of a gamma model's baked index against a
-// reference index: positions, candidate rows and eligibility rows.
+// reference index: candidate rows and eligibility rows.
 void ExpectModelsEqual(const SharedGammaModel& got,
                        const RWaveBitmapIndex& want,
                        const std::string& where) {
@@ -231,16 +235,12 @@ void ExpectModelsEqual(const SharedGammaModel& got,
   const size_t row_bytes = static_cast<size_t>(ia.num_words()) * 8;
   for (int g = 0; g < ia.num_genes(); ++g) {
     for (int c = 0; c < ia.num_conditions(); ++c) {
-      ASSERT_EQ(ia.position(g, c), want.position(g, c))
-          << where << " gene " << g << " cond " << c;
-    }
-    for (int p = 0; p < ia.num_conditions(); ++p) {
-      ASSERT_EQ(0, std::memcmp(ia.UpCandidates(g, p),
-                               want.UpCandidates(g, p), row_bytes))
-          << where << " up gene " << g << " pos " << p;
-      ASSERT_EQ(0, std::memcmp(ia.DownCandidates(g, p),
-                               want.DownCandidates(g, p), row_bytes))
-          << where << " down gene " << g << " pos " << p;
+      ASSERT_EQ(0, std::memcmp(ia.SuccessorRow(c, g),
+                               want.SuccessorRow(c, g), row_bytes))
+          << where << " up gene " << g << " cond " << c;
+      ASSERT_EQ(0, std::memcmp(ia.PredecessorRow(c, g),
+                               want.PredecessorRow(c, g), row_bytes))
+          << where << " down gene " << g << " cond " << c;
     }
     for (int need = 0; need <= ia.max_chain_need(); ++need) {
       ASSERT_EQ(0, std::memcmp(ia.UpEligible(g, need),
