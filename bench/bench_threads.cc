@@ -625,11 +625,13 @@ int Main(int argc, char** argv) {
     }
 
     // Durability overhead: the same serial mine run through
-    // io::RunCheckpointedMine -- chunked at root boundaries, snapshotting to
-    // a real double-buffered file at the default 1 s cadence on the
-    // background writer thread -- vs the plain Mine() it must reproduce
-    // byte-for-byte.  The difference is everything a durable run pays:
-    // chunk splicing, snapshot encoding, and the writer's file I/O.  The
+    // io::RunCheckpointedMine -- one Mine() per chunk of whole roots
+    // (MinerOptions::root_set; the first chunk one root, later ones sized
+    // to the default 1 s cadence), snapshotting to a real double-buffered
+    // file on the background writer thread -- vs the plain Mine() it must
+    // reproduce byte-for-byte.  The difference is everything a durable run
+    // pays: per-chunk miner set-up, snapshot encoding, and the writer's
+    // file I/O.  The
     // final snapshot of a run is written synchronously whatever the run's
     // length, so the comparison uses a looser MinC than the sweep above:
     // durability is for long mines, and on a sub-second one that fixed

@@ -289,7 +289,9 @@ struct RegClusterMiner::RunState {
   util::WallTimer mine_timer;   ///< model ready -> Finalize() exit
   std::vector<RootWork> work;   ///< one slot per level-1 condition
   std::vector<MinerScratch> scratches;  ///< phase-A per-worker arenas
-  int first_root = 0;
+  /// The level-1 conditions this run searches, ascending: root_set, or
+  /// every condition when it is empty.
+  std::vector<int> roots;
   int threads = 1;
   int fin_slot = 0;  ///< guard byte-report slot of the finalize pass
 
@@ -419,39 +421,16 @@ util::Status ValidateMinerOptions(const MinerOptions& o,
   if (o.budget_check_interval < 1) {
     return util::Status::InvalidArgument("budget_check_interval must be >= 1");
   }
-  if (o.resume.can_resume()) {
-    if (o.resume.options_hash != RegClusterMiner::SemanticOptionsHash(o)) {
+  int prev_root = -1;
+  for (int c : o.root_set) {
+    if (c < 0 || c >= data.num_conditions()) {
+      return util::Status::OutOfRange("root_set condition outside the matrix");
+    }
+    if (c <= prev_root) {
       return util::Status::InvalidArgument(
-          "resume token was issued under different mining options");
+          "root_set must be sorted strictly ascending");
     }
-    if (o.resume.next_root > data.num_conditions()) {
-      return util::Status::OutOfRange("resume token root outside the matrix");
-    }
-    if (o.remove_dominated) {
-      return util::Status::InvalidArgument(
-          "resume cannot be combined with remove_dominated: dominance is a "
-          "global post-pass, so spliced partial outputs would not match an "
-          "unbudgeted run");
-    }
-  }
-  if (!o.root_set.empty()) {
-    if (o.resume.can_resume()) {
-      return util::Status::InvalidArgument(
-          "root_set cannot be combined with resume: both select the roots "
-          "to search");
-    }
-    int prev_root = -1;
-    for (int c : o.root_set) {
-      if (c < 0 || c >= data.num_conditions()) {
-        return util::Status::OutOfRange(
-            "root_set condition outside the matrix");
-      }
-      if (c <= prev_root) {
-        return util::Status::InvalidArgument(
-            "root_set must be sorted strictly ascending");
-      }
-      prev_root = c;
-    }
+    prev_root = c;
   }
   return util::Status::OK();
 }
@@ -556,8 +535,11 @@ util::Status RegClusterMiner::Prepare() {
 
   run->work = std::vector<RootWork>(
       static_cast<size_t>(data_.num_conditions()));
-  run->first_root =
-      options_.resume.can_resume() ? options_.resume.next_root : 0;
+  run->roots = options_.root_set;
+  if (run->roots.empty()) {
+    run->roots.resize(static_cast<size_t>(data_.num_conditions()));
+    std::iota(run->roots.begin(), run->roots.end(), 0);
+  }
   run->mine_timer.Reset();
   run_ = std::move(run);
   return util::Status::OK();
@@ -614,19 +596,12 @@ void RegClusterMiner::SubmitParallelWork(util::TaskPool* pool) {
   for (MinerScratch& s : run->scratches) s.Init(num_conds);
   MinerScratch* scratches = run->scratches.data();
   RootWork* work = run->work.data();
-  // Targeted execution searches only the root_set (each root is an
-  // independent search, so skipping the rest changes nothing about the
-  // selected roots' slices); otherwise every root from first_root on.
-  const bool targeted = !options_.root_set.empty();
-  const int num_roots = targeted ? static_cast<int>(options_.root_set.size())
-                                 : num_conds - run->first_root;
-  run->outstanding.fetch_add(num_roots, std::memory_order_relaxed);
+  run->outstanding.fetch_add(static_cast<int64_t>(run->roots.size()),
+                             std::memory_order_relaxed);
   // Each root task seeds its level-2 subtrees and immediately re-submits
   // them: large subtrees become stealable instead of serializing behind
   // their root, which is what makes imbalanced trees scale.
-  for (int ri = 0; ri < num_roots; ++ri) {
-    const int c = targeted ? options_.root_set[static_cast<size_t>(ri)]
-                           : run->first_root + ri;
+  for (const int c : run->roots) {
     RootWork* rw = &work[c];
     pool->Submit([this, c, rw, pool, scratches, run](int worker) {
       MinerScratch* scratch = &scratches[worker];
@@ -681,7 +656,6 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   }
   const int num_conds = data_.num_conditions();
   const int threads = run_->threads;
-  const int first_root = run_->first_root;
   std::vector<RootWork>& work = run_->work;
   // Serial staged runs reach here without a phase A; the guard (and with it
   // the deadline clock) then starts now.
@@ -713,12 +687,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   int cut_root = num_conds;
   int roots_included = 0;
   std::vector<RegCluster> out;
-  const bool targeted = !options_.root_set.empty();
-  const int num_roots = targeted ? static_cast<int>(options_.root_set.size())
-                                 : num_conds - first_root;
-  for (int ri = 0; ri < num_roots; ++ri) {
-    const int c = targeted ? options_.root_set[static_cast<size_t>(ri)]
-                           : first_root + ri;
+  for (const int c : run_->roots) {
     RootWork& rw = work[static_cast<size_t>(c)];
     if (!rw.Complete()) {
       if (guard_ != nullptr &&
@@ -801,7 +770,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   outcome_.nodes_visited =
       guard_ != nullptr ? guard_->total_nodes() : stats_.nodes_expanded;
   outcome_.roots_completed = roots_included;
-  outcome_.roots_total = num_roots;
+  outcome_.roots_total = static_cast<int>(run_->roots.size());
   outcome_.wall_seconds = run_->total_timer.ElapsedSeconds();
   outcome_.peak_scratch_bytes =
       std::max<int64_t>(guard_ != nullptr ? guard_->peak_bytes() : 0,
@@ -809,10 +778,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   outcome_.budget_polls = guard_ != nullptr ? guard_->total_polls() : 0;
   outcome_.model_bytes = static_cast<int64_t>(model_->MemoryBytes());
   outcome_.mapped_bytes = data_.mapped_bytes();
-  if (truncated && !targeted) {
-    // A targeted run's cut point is an index into root_set, not a canonical
-    // prefix boundary, and resume + root_set is rejected anyway -- so no
-    // token is issued for truncated targeted runs.
+  if (truncated) {
     outcome_.resume.next_root = cut_root;
     outcome_.resume.options_hash = SemanticOptionsHash(options_);
   }

@@ -57,17 +57,18 @@ class TaskPool;
 }  // namespace util
 namespace core {
 
-/// Continuation handle for a truncated Mine() call.  A truncated run covers
-/// the canonical roots (level-1 conditions) [first, next_root); a follow-up
-/// run with MinerOptions::resume set to this token covers [next_root, end),
-/// and because roots are searched independently the concatenation of the two
-/// cluster lists is bit-identical to a single unbudgeted run.
+/// Where a truncated Mine() call stopped; reported, never read back.  A
+/// truncated run covers its searched roots (level-1 conditions) before
+/// next_root.  Roots are searched independently, so a follow-up run with
+/// MinerOptions::root_set = the remaining roots, next_root first, covers the
+/// rest, and the concatenation of the two cluster lists is bit-identical to
+/// a single unbudgeted run (before any remove_dominated post-pass).
 struct ResumeToken {
-  /// First canonical root *not* covered by the output; -1 when complete.
+  /// The root the run was cut at: the first searched root *not* covered by
+  /// the output; -1 when complete.
   int next_root = -1;
-  /// Fingerprint of the semantic mining options the token was issued under
-  /// (see RegClusterMiner::SemanticOptionsHash); resuming under different
-  /// semantics would splice incompatible outputs, so Mine() rejects it.
+  /// SemanticOptionsHash of the run's options, so a caller can tell which
+  /// outputs may be spliced.
   uint64_t options_hash = 0;
 
   bool can_resume() const { return next_root >= 0; }
@@ -89,7 +90,7 @@ struct MineOutcome {
   /// counts only the deterministic included prefix).
   int64_t nodes_visited = 0;
   /// Canonical roots whose clusters are in the output, vs. roots this call
-  /// was asked to search (after any resume offset).
+  /// was asked to search (MinerOptions::root_set, or every condition).
   int roots_completed = 0;
   int roots_total = 0;
   double wall_seconds = 0.0;
@@ -226,7 +227,8 @@ struct MinerOptions {
   /// root-granular*: the output is the clusters of the longest canonical
   /// prefix of roots whose cumulative node / cluster counts fit the budget --
   /// the same prefix (hence byte-identical output) for any thread count --
-  /// and outcome().resume lets a follow-up call continue where it stopped.
+  /// and outcome().resume names the root a follow-up call (root_set) starts
+  /// at.
   int64_t max_clusters = -1;
   int64_t max_nodes = -1;
 
@@ -260,12 +262,6 @@ struct MinerOptions {
   /// to make every node a potential trip point.
   int budget_check_interval = 32;
 
-  /// Continue a truncated run: search only roots [resume.next_root, end).
-  /// The token must come from outcome().resume of a run with semantically
-  /// identical options (enforced via resume.options_hash); budgets and
-  /// thread counts may differ freely between the calls.
-  ResumeToken resume;
-
   /// Collect per-phase nanosecond counters (MinerStats::*_ns) for the DFS
   /// hot path.  Costs two clock reads per phase per extension, so it is off
   /// by default and enabled only by profiling harnesses (bench_threads).
@@ -290,9 +286,11 @@ struct MinerOptions {
   /// are searched (must be sorted strictly ascending and in range).  Roots
   /// are independent searches, so each selected root's clusters and
   /// counters are byte-identical to the same root's slice of a full run --
-  /// the contract the incremental miner (io::MineIncremental) splices on.
-  /// Purely an execution knob, excluded from SemanticOptionsHash; rejected
-  /// in combination with resume (both select the roots to search).
+  /// the contract the incremental miner (io::MineIncremental) splices on,
+  /// and the durable driver (io::RunCheckpointedMine), which mines
+  /// consecutive runs of whole roots.  Budgets apply to the selected roots
+  /// in ascending order, exactly as in a full run.  Purely an execution
+  /// knob, excluded from SemanticOptionsHash.
   std::vector<int> root_set;
 
   /// Record each included root's own (stats, clusters) slice alongside the
@@ -309,7 +307,7 @@ struct MinerOptions {
 /// the incremental drivers and the mining service.  Checks the paper's
 /// parameters (MinG >= 1, MinC >= 2, finite gamma in range for its policy,
 /// epsilon >= 0 and not NaN), the execution knobs (threads, check
-/// interval), and targeting, resume and root_set against `data`'s shape;
+/// interval), and targeting and root_set against `data`'s shape;
 /// InvalidArgument / OutOfRange name the first violation.  Reads only the
 /// dimensions of `data`: the O(cells) scan is ValidateMatrixValues.
 util::Status ValidateMinerOptions(const MinerOptions& options,
@@ -409,8 +407,9 @@ class RegClusterMiner {
 
   /// Fingerprint of the options fields that define *what* is mined (MinG,
   /// MinC, gamma, epsilon, prunings, targeting, ...), excluding execution
-  /// knobs (threads, budgets, profiling, resume).  Two runs with equal
-  /// hashes produce outputs that can be spliced via ResumeToken.
+  /// knobs (threads, budgets, profiling, root_set).  Runs with equal hashes
+  /// over disjoint root lists produce outputs that splice by root order;
+  /// ResumeToken::options_hash reports it.
   static uint64_t SemanticOptionsHash(const MinerOptions& options);
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "core/bicluster.h"
@@ -179,6 +180,12 @@ util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m) {
     if (!rec.ok()) return rec.status();
     Cursor c(*rec, kLabel);
     REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("next_root", &m->next_root));
+    // The resumed run mines the roots from next_root on; past the last
+    // condition there are none, and the snapshot would not say complete.
+    if (m->next_root >= m->context.num_conditions) {
+      return util::Status::Corruption(
+          "checkpoint next_root is outside the matrix's conditions");
+    }
     REGCLUSTER_RETURN_IF_ERROR(
         c.ReadI64("roots_completed", &m->roots_completed));
     REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("nodes_visited", &m->nodes_visited));
@@ -653,8 +660,12 @@ CheckpointStats CheckpointWriter::stats() const {
 util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const matrix::MatrixStore& data, const core::MinerOptions& options,
     const CheckpointConfig& config, const MineCheckpoint* resume) {
+  if (!options.root_set.empty()) {
+    return util::Status::InvalidArgument(
+        "durable mining manages root_set itself");
+  }
   util::WallTimer run_timer;
-  const core::MinerOptions chunk_base = SpliceOptions(options);
+  const int num_conds = data.num_conditions();
 
   // Mutable run state, seeded from the snapshot when resuming.
   MineCheckpoint state;
@@ -662,7 +673,7 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     REGCLUSTER_RETURN_IF_ERROR(ValidateMineCheckpoint(*resume, data, options));
     state = *resume;
   } else {
-    state.context = MineContext(data, data.num_conditions(), options);
+    state.context = MineContext(data, num_conds, options);
     state.next_root = 0;
   }
 
@@ -671,163 +682,114 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   if (resume != nullptr) writer.NoteResume();
 
   DurableMineResult result;
-  auto finish = [&](core::MineStatus status, util::StopReason reason,
-                    const core::ResumeToken& token,
-                    const core::MineOutcome* last_chunk) {
-    result.clusters = std::move(state.clusters);
-    result.stats = state.stats;
-    result.outcome.status = status;
-    result.outcome.stop_reason = reason;
-    result.outcome.nodes_visited = state.nodes_visited;
-    result.outcome.roots_completed = static_cast<int>(state.roots_completed);
-    result.outcome.roots_total = data.num_conditions();
-    result.outcome.wall_seconds = state.wall_seconds;
-    result.outcome.peak_scratch_bytes = state.peak_scratch_bytes;
-    result.outcome.resume = token;
-    if (last_chunk != nullptr) {
-      result.outcome.model_bytes = last_chunk->model_bytes;
-      result.outcome.mapped_bytes = last_chunk->mapped_bytes;
-    }
-    if (options.remove_dominated && status == core::MineStatus::kComplete) {
-      result.clusters = core::RemoveDominated(std::move(result.clusters));
-    }
-  };
-
-  // A snapshot that says "complete" short-circuits: replay the stored
-  // result (the dominance pass, when requested, re-runs on the stored raw
-  // clusters -- it is deterministic).
-  if (state.complete()) {
-    finish(core::MineStatus::kComplete, util::StopReason::kNone,
-           core::ResumeToken{}, nullptr);
-    result.checkpoint = writer.stats();
-    result.checkpoint_status = writer.last_error();
-    return result;
-  }
-
-  // Build the gamma model once for all chunks (Mine() would otherwise
-  // rebuild it per chunk).  Invalid options build nothing: the first
-  // chunk's Mine() surfaces the rejection verbatim.
-  std::shared_ptr<const core::SharedGammaModel> model = options.shared_model;
-  if (model == nullptr && core::ValidateMinerOptions(options, data).ok()) {
-    REGCLUSTER_RETURN_IF_ERROR(core::ValidateMatrixValues(data));
-    model = core::SharedGammaModel::Build(
-        data, {options.gamma_policy, options.gamma}, options.min_conditions,
-        options.num_threads);
-  }
-  // One logical run builds the model once; report it that way (chunks all
-  // run with a shared model, contributing index_builds == 0).
-  if (resume == nullptr && model != nullptr) {
-    state.stats.index_builds = 1;
-    state.stats.rwave_build_seconds = model->rwave_build_seconds;
-    state.stats.index_build_seconds = model->index_build_seconds;
-  }
-
-  constexpr int64_t kUnlimited = std::numeric_limits<int64_t>::max();
-  const int64_t user_nodes =
-      options.max_nodes >= 0 ? options.max_nodes : kUnlimited;
-  const int64_t user_clusters =
-      options.max_clusters >= 0 ? options.max_clusters : kUnlimited;
-  int64_t chunk_budget = std::max<int64_t>(config.initial_chunk_nodes, 1);
-  core::ResumeToken token;
-  token.next_root = static_cast<int>(state.next_root);
-  token.options_hash = state.context.options_hash;
-  core::MineOutcome last_outcome;
-
-  for (;;) {
-    const int64_t nodes_rem = user_nodes == kUnlimited
-                                  ? kUnlimited
-                                  : user_nodes - state.stats.nodes_expanded;
-    const int64_t clusters_rem =
-        user_clusters == kUnlimited
-            ? kUnlimited
-            : user_clusters - state.stats.clusters_emitted;
-    const int64_t this_budget = std::min(chunk_budget, nodes_rem);
-
-    core::MinerOptions chunk = chunk_base;
-    chunk.shared_model = model;
-    chunk.max_nodes = this_budget == kUnlimited ? -1 : this_budget;
-    chunk.max_clusters = clusters_rem == kUnlimited ? -1 : clusters_rem;
-    if (token.can_resume() && token.next_root > 0) {
-      chunk.resume = token;
-    } else {
-      chunk.resume = core::ResumeToken{};
-    }
-    if (options.deadline_ms >= 0) {
-      chunk.deadline_ms =
-          std::max(0.0, options.deadline_ms - run_timer.ElapsedMillis());
+  core::MineOutcome last_chunk;
+  // A snapshot that says "complete" replays the stored result.
+  if (!state.complete()) {
+    REGCLUSTER_RETURN_IF_ERROR(core::ValidateMinerOptions(options, data));
+    // Build the gamma model once for all chunks (Mine() would otherwise
+    // rebuild it per chunk), and report it as the one build of the logical
+    // run.
+    core::MinerOptions chunk = SpliceOptions(options);
+    if (chunk.shared_model == nullptr) {
+      REGCLUSTER_RETURN_IF_ERROR(core::ValidateMatrixValues(data));
+      chunk.shared_model = core::SharedGammaModel::Build(
+          data, {options.gamma_policy, options.gamma}, options.min_conditions,
+          options.num_threads);
+      if (resume == nullptr) {
+        state.stats.index_builds = 1;
+        state.stats.rwave_build_seconds =
+            chunk.shared_model->rwave_build_seconds;
+        state.stats.index_build_seconds =
+            chunk.shared_model->index_build_seconds;
+      }
     }
 
-    util::WallTimer chunk_timer;
-    core::RegClusterMiner miner(data, chunk);
-    auto clusters = miner.Mine();
-    if (!clusters.ok()) return clusters.status();
-    const double chunk_ms = chunk_timer.ElapsedMillis();
-    const core::MineOutcome& oc = miner.outcome();
-    last_outcome = oc;
+    // Each chunk mines the next `roots_per_chunk` whole roots under what is
+    // left of the caller's budgets.  Per-root totals decide inclusion in
+    // root order, so a chunk cuts exactly where the uninterrupted run would,
+    // and a truncated chunk ends the run.
+    int roots_per_chunk = 1;
+    for (;;) {
+      const int end =
+          static_cast<int>(std::min<int64_t>(state.next_root + roots_per_chunk,
+                                             num_conds));
+      chunk.root_set.resize(static_cast<size_t>(end - state.next_root));
+      std::iota(chunk.root_set.begin(), chunk.root_set.end(),
+                static_cast<int>(state.next_root));
+      if (options.max_nodes >= 0) {
+        chunk.max_nodes = std::max<int64_t>(
+            0, options.max_nodes - state.stats.nodes_expanded);
+      }
+      if (options.max_clusters >= 0) {
+        chunk.max_clusters = std::max<int64_t>(
+            0, options.max_clusters - state.stats.clusters_emitted);
+      }
+      if (options.deadline_ms >= 0) {
+        chunk.deadline_ms =
+            std::max(0.0, options.deadline_ms - run_timer.ElapsedMillis());
+      }
 
-    const bool progressed = oc.roots_completed > 0;
-    if (progressed) {
+      util::WallTimer chunk_timer;
+      core::RegClusterMiner miner(data, chunk);
+      auto clusters = miner.Mine();
+      if (!clusters.ok()) return clusters.status();
+      const double chunk_ms = chunk_timer.ElapsedMillis();
+      last_chunk = miner.outcome();
       state.clusters.insert(state.clusters.end(),
                             std::make_move_iterator(clusters->begin()),
                             std::make_move_iterator(clusters->end()));
       core::AccumulateStats(miner.stats(), &state.stats);
-      state.roots_completed += oc.roots_completed;
+      state.roots_completed += last_chunk.roots_completed;
+      state.nodes_visited += last_chunk.nodes_visited;
+      state.wall_seconds += last_chunk.wall_seconds;
+      state.peak_scratch_bytes =
+          std::max(state.peak_scratch_bytes, last_chunk.peak_scratch_bytes);
+
+      if (last_chunk.status == core::MineStatus::kTruncated) {
+        state.next_root = last_chunk.resume.next_root;
+        break;
+      }
+      state.next_root = end < num_conds ? end : -1;
+      if (state.complete()) break;
+
+      // Periodic snapshot, off the hot path on the writer thread.
+      writer.Submit(SnapshotOf(state));
+
+      // Size the next chunk to the requested cadence from the measured time
+      // per root of the chunk that just ran.
+      const double ms_per_root =
+          std::max(chunk_ms, 0.01) / static_cast<double>(chunk.root_set.size());
+      roots_per_chunk = static_cast<int>(std::clamp(
+          static_cast<double>(config.every_ms) / ms_per_root, 1.0,
+          static_cast<double>(num_conds)));
     }
-    state.nodes_visited += oc.nodes_visited;
-    state.wall_seconds += oc.wall_seconds;
-    state.peak_scratch_bytes =
-        std::max(state.peak_scratch_bytes, oc.peak_scratch_bytes);
-
-    if (oc.status == core::MineStatus::kComplete) {
-      state.next_root = -1;
-      Checkpoint final_ckpt = SnapshotOf(state);
-      finish(core::MineStatus::kComplete, util::StopReason::kNone,
-             core::ResumeToken{}, &last_outcome);
-      result.checkpoint_status = writer.WriteNow(std::move(final_ckpt));
-      result.checkpoint = writer.stats();
-      return result;
-    }
-
-    token = oc.resume;
-    state.next_root = token.next_root;
-
-    const bool hard = util::IsHardStop(oc.stop_reason);
-    // A soft stop is *final* when the chunk's budget already was the user's
-    // whole remaining budget: the next root does not fit the logical run.
-    const bool user_node_cut = oc.stop_reason ==
-                                   util::StopReason::kNodeBudget &&
-                               this_budget == nodes_rem;
-    const bool user_cluster_cut =
-        oc.stop_reason == util::StopReason::kClusterBudget;
-    if (hard || user_node_cut || user_cluster_cut) {
-      Checkpoint final_ckpt = SnapshotOf(state);
-      finish(core::MineStatus::kTruncated, oc.stop_reason, token,
-             &last_outcome);
-      result.checkpoint_status = writer.WriteNow(std::move(final_ckpt));
-      result.checkpoint = writer.stats();
-      return result;
-    }
-
-    if (!progressed) {
-      // Driver-pace budget too small for even one root: grow and retry
-      // (nothing new to snapshot).
-      chunk_budget = chunk_budget * 2;
-      continue;
-    }
-
-    // Periodic snapshot, off the hot path on the writer thread.
-    writer.Submit(SnapshotOf(state));
-
-    // Adapt the chunk size to the requested cadence from the measured
-    // throughput of the chunk that just ran.
-    const double nodes_per_ms =
-        static_cast<double>(miner.stats().nodes_expanded) /
-        std::max(chunk_ms, 0.1);
-    const double target =
-        nodes_per_ms * static_cast<double>(std::max(config.every_ms, 1));
-    chunk_budget = std::clamp<int64_t>(static_cast<int64_t>(target), 1024,
-                                       int64_t{1} << 40);
+    result.checkpoint_status = writer.WriteNow(SnapshotOf(state));
   }
+
+  // The snapshot keeps the raw clusters; the caller gets what a plain
+  // Mine() under `options` returns, dominance pass included.
+  result.clusters = std::move(state.clusters);
+  if (options.remove_dominated) {
+    result.clusters = core::RemoveDominated(std::move(result.clusters));
+  }
+  result.stats = state.stats;
+  result.outcome.status = state.complete() ? core::MineStatus::kComplete
+                                           : core::MineStatus::kTruncated;
+  result.outcome.stop_reason = last_chunk.stop_reason;
+  result.outcome.nodes_visited = state.nodes_visited;
+  result.outcome.roots_completed = static_cast<int>(state.roots_completed);
+  result.outcome.roots_total = num_conds;
+  result.outcome.wall_seconds = state.wall_seconds;
+  result.outcome.peak_scratch_bytes = state.peak_scratch_bytes;
+  result.outcome.model_bytes = last_chunk.model_bytes;
+  result.outcome.mapped_bytes = last_chunk.mapped_bytes;
+  if (!state.complete()) {
+    result.outcome.resume.next_root = static_cast<int>(state.next_root);
+    result.outcome.resume.options_hash =
+        core::RegClusterMiner::SemanticOptionsHash(options);
+  }
+  result.checkpoint = writer.stats();
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -1019,6 +981,12 @@ void ZeroVolatileSweepFields(core::SweepReport* report) {
   for (core::SweepRun& run : report->runs) {
     ZeroVolatileMineFields(&run.stats, &run.outcome);
   }
+}
+
+void ZeroVolatileCheckpointFields(CheckpointStats* stats) {
+  stats->writes = 0;
+  stats->bytes = 0;
+  stats->last_write_ns = 0;
 }
 
 }  // namespace io

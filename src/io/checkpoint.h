@@ -1,8 +1,7 @@
 // Durable checkpoint/restart for mines and sweeps.
 //
 // A long mine (ROADMAP: 100k-gene out-of-core runs) that dies to a crash,
-// OOM kill or preemption today loses everything: ResumeToken splicing only
-// exists in-process.  This module makes the token durable.  A checkpoint is
+// OOM kill or preemption would otherwise lose everything.  A checkpoint is
 // a versioned binary snapshot (magic `RGCXCKP1`) of everything needed to
 // continue a run in a fresh process: the semantic-options fingerprint, a
 // content hash of the input matrix, the resume position, the emitted-cluster
@@ -14,18 +13,21 @@
 // newest valid buffer and falls back to the other when a crash tore the
 // in-flight write.
 //
-// Execution model ("chunked mining"): rather than snapshotting DFS internals
-// mid-flight, RunCheckpointedMine drives the existing deterministic
-// machinery -- a sequence of Mine() calls, each truncated at a canonical
-// root boundary by a per-chunk node budget adapted to the requested
-// checkpoint cadence, spliced via ResumeToken.  Root-granular splicing is
-// bit-identical to a single unbudgeted run by the PR-3 contract, and
-// MinerStats counters partition exactly across splices, so the final
-// clusters *and* the deterministic counters of a killed-and-resumed run are
-// byte-identical to an uninterrupted one regardless of where the kill
-// landed.  Snapshots are encoded and written off the mining hot path on a
-// dedicated writer thread (latest-wins; the final snapshot of a run is
-// always written synchronously).
+// Execution model ("root-list chunks"): rather than snapshotting DFS
+// internals mid-flight, RunCheckpointedMine drives the existing
+// deterministic machinery -- a sequence of Mine() calls, each over the next
+// k whole level-1 roots (MinerOptions::root_set), with k sized from the
+// measured time per root to the requested checkpoint cadence.  The paper's
+// search is one independent DFS per root, so the chunks' outputs
+// concatenate to a single run's output, and MinerStats counters partition
+// exactly across chunks: the final clusters *and* the deterministic
+// counters of a killed-and-resumed run are byte-identical to an
+// uninterrupted one regardless of where the kill landed.  The caller's node,
+// cluster and deadline budgets pass through as what is left of them, so a
+// chunk cuts at the same root the uninterrupted run would, and a truncated
+// chunk ends the run.  Snapshots are encoded and written off the mining hot
+// path on a dedicated writer thread (latest-wins; the final snapshot of a
+// run is always written synchronously).
 //
 // Every malformed on-disk shape is rejected with a distinct kCorruption
 // status (mirroring the matrix-store hardening); semantic mismatches
@@ -73,8 +75,9 @@ struct CheckpointStats {
 /// Snapshot of a (possibly unfinished) mine.  `next_root` < 0 means the run
 /// completed: `clusters` is the full raw output (pre dominance pass).
 struct MineCheckpoint {
-  /// MineContext of the run: the chunks' splice options and the input
-  /// matrix, so a run may resume on either the text or the binary path.
+  /// MineContext of the run: the chunks' options (SpliceOptions) and the
+  /// input matrix, so a run may resume on either the text or the binary
+  /// path.
   RunContext context;
   /// First canonical root not covered by `clusters`; -1 when complete.
   int64_t next_root = -1;
@@ -138,7 +141,8 @@ std::string EncodeCheckpoint(const Checkpoint& ckpt);
 /// kCorruption: short preamble, bad magic, unsupported version, endianness
 /// mismatch, unknown kind, torn/truncated/bit-flipped records (via
 /// util::RecordReader), missing or out-of-order records, record-count
-/// mismatch, trailing bytes, and a sweep whose run records disagree with its
+/// mismatch, trailing bytes, a mine whose next_root is not below its
+/// condition count, and a sweep whose run records disagree with its
 /// progress (a run index off its position, a run count other than
 /// first_unfinished -- or runs_total when complete -- or first_unfinished
 /// outside [-1, runs_total)).
@@ -257,11 +261,10 @@ struct CheckpointConfig {
   /// Snapshot base path (buffers PATH.a / PATH.b).  Empty disables
   /// snapshot writing (a resume-only run still replays without writing).
   std::string path;
-  /// Target wall-clock interval between snapshots; the mine driver adapts
-  /// its chunk node budget to hit it.
+  /// Target wall-clock interval between snapshots.  The mine driver's first
+  /// chunk is one root; each later chunk holds as many whole roots as fit
+  /// this interval at the previous chunk's measured time per root.
   int every_ms = 1000;
-  /// Node budget of the first chunk, before any throughput estimate exists.
-  int64_t initial_chunk_nodes = 4096;
   /// Generation the run's first snapshot gets.  A resume passes the loaded
   /// snapshot's generation + 1 so new snapshots supersede the old
   /// process's in LoadCheckpoint's newest-valid-buffer selection.
@@ -282,12 +285,17 @@ struct DurableMineResult {
   util::Status checkpoint_status;
 };
 
-/// Runs a mine in resumable chunks, snapshotting progress to
-/// `config.path`.  `resume` (may be null) is a previously loaded snapshot:
-/// it is validated against (data, options) and the run continues from its
-/// next_root.  The clusters and every deterministic MinerStats counter are
-/// byte-identical to an uninterrupted RegClusterMiner::Mine() under
-/// `options` at any kill/resume pattern and any thread count.
+/// Runs a mine in chunks of whole roots, snapshotting progress to
+/// `config.path` after each.  `resume` (may be null) is a previously loaded
+/// snapshot: it is validated against (data, options) and the run continues
+/// from its next_root.  The clusters, every deterministic MinerStats counter
+/// and the outcome's status, stop reason, roots_completed and resume token
+/// are those of an uninterrupted RegClusterMiner::Mine() under `options` at
+/// any kill/resume pattern and any thread count (a deadline or cancel cut
+/// lands where it lands, as in Mine()).  Snapshots hold the raw clusters;
+/// the returned ones have had the remove_dominated pass when `options` asks
+/// for it, truncated or not.  A non-empty `options.root_set` is rejected:
+/// the driver chooses the roots of each chunk.
 util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const matrix::MatrixStore& data, const core::MinerOptions& options,
     const CheckpointConfig& config, const MineCheckpoint* resume);
@@ -323,6 +331,11 @@ void ZeroVolatileMineFields(core::MinerStats* stats,
 
 /// Sweep counterpart: report wall_seconds plus every run's volatile fields.
 void ZeroVolatileSweepFields(core::SweepReport* report);
+
+/// Durable-run counterpart: zeroes writes, bytes and last_write_ns, which
+/// follow the wall-clock snapshot cadence; `resumes` counts launches and
+/// stays.
+void ZeroVolatileCheckpointFields(CheckpointStats* stats);
 
 }  // namespace io
 }  // namespace regcluster

@@ -61,10 +61,6 @@ util::Status ValidateIncrementalOptions(const core::MinerOptions& o,
     return util::Status::InvalidArgument(
         "incremental mining cannot use a cancel token");
   }
-  if (o.resume.can_resume()) {
-    return util::Status::InvalidArgument(
-        "incremental mining cannot resume a truncated run");
-  }
   if (!o.root_set.empty()) {
     return util::Status::InvalidArgument(
         "incremental mining manages root_set itself");

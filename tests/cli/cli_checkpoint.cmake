@@ -4,6 +4,9 @@
 #     final snapshot resumes straight to the same output (exit 0)
 #   * a budget-truncated durable run exits 3 and prints the resume command;
 #     re-running with the snapshot and no budget completes to the reference
+#   * under the default dominance pass, a budget-truncated durable run
+#     writes the same archive and JSON as the plain run under that budget
+#   * two --deterministic-output durable runs write byte-identical metrics
 #   * a corrupt snapshot is exit 1 (kCorruption surfaced, not mined through)
 #   * resuming a mine snapshot in sweep mode (kind mismatch) is exit 1
 #   * resuming under different options is exit 1 (validation, not garbage)
@@ -106,6 +109,30 @@ if(NOT cmp_rc EQUAL 0)
   message(FATAL_ERROR "budget-truncated resume differs from reference")
 endif()
 
+# The default dominance pass runs on a truncated durable mine as on a plain
+# one: the archive and the JSON (outcome block included) match.  200 nodes
+# cut inside the first root; 1000 keep 42 raw clusters, 26 after the pass.
+foreach(budget 200 1000)
+  run_expect(3 ${CLI} mine --matrix=${WORKDIR}/m.tsv ${mine_flags}
+             --out=${WORKDIR}/dom_plain.out --json=${WORKDIR}/dom_plain.json
+             --deterministic-output --max-nodes=${budget})
+  run_expect(3 ${CLI} mine --matrix=${WORKDIR}/m.tsv ${mine_flags}
+             --out=${WORKDIR}/dom_durable.out
+             --json=${WORKDIR}/dom_durable.json --deterministic-output
+             --checkpoint=${WORKDIR}/dom${budget}.ckpt
+             --checkpoint-every-ms=50 --max-nodes=${budget})
+  foreach(f out json)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                    ${WORKDIR}/dom_plain.${f} ${WORKDIR}/dom_durable.${f}
+                    RESULT_VARIABLE cmp_rc)
+    if(NOT cmp_rc EQUAL 0)
+      message(FATAL_ERROR "--max-nodes=${budget}: truncated durable mine ${f} "
+                          "differs from the plain mine under the default "
+                          "dominance pass")
+    endif()
+  endforeach()
+endforeach()
+
 # --- corruption: a damaged snapshot is exit 1, not a silent fresh start ---
 if(EXISTS ${WORKDIR}/d.ckpt.a)
   set(buffer ${WORKDIR}/d.ckpt.a)
@@ -199,4 +226,19 @@ run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.tsv ${mine_flags}
 file(READ ${WORKDIR}/met0.prom prom0)
 if(NOT prom0 MATCHES "\nregcluster_checkpoint_writes_total 0\n")
   message(FATAL_ERROR "plain mine lost the checkpoint metric names:\n${prom0}")
+endif()
+
+# --deterministic-output zeroes the wall-clock-paced checkpoint counters
+# too, so two durable runs write byte-identical metrics.
+foreach(i 1 2)
+  run_expect(0 ${CLI} mine --matrix=${WORKDIR}/m.tsv ${mine_flags}
+             --out=${WORKDIR}/det${i}.out --metrics-out=${WORKDIR}/det${i}.json
+             --deterministic-output
+             --checkpoint=${WORKDIR}/det${i}.ckpt --checkpoint-every-ms=1)
+endforeach()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/det1.json ${WORKDIR}/det2.json
+                RESULT_VARIABLE cmp_rc)
+if(NOT cmp_rc EQUAL 0)
+  message(FATAL_ERROR "--deterministic-output durable metrics differ")
 endif()

@@ -1,11 +1,12 @@
 // The budget layer's partial-result contract: a truncated Mine() returns OK
 // with a *canonical prefix* of the unbudgeted output -- the same prefix for
 // any thread count when the stop is a deterministic count budget -- and its
-// ResumeToken continues the search such that the concatenation is
-// bit-identical to the unbudgeted run.
+// ResumeToken names the cut root, from which a root_set run continues the
+// search such that the concatenation is bit-identical to the unbudgeted run.
 
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +63,14 @@ const ReferenceRun& Reference() {
                             miner.outcome()};
   }();
   return *ref;
+}
+
+/// The root_set that continues a run cut at `first`: every root from it on.
+std::vector<int> RootsFrom(int first) {
+  std::vector<int> roots(static_cast<size_t>(TestData().num_conditions() -
+                                             first));
+  std::iota(roots.begin(), roots.end(), first);
+  return roots;
 }
 
 bool IsPrefixOf(const std::vector<RegCluster>& prefix,
@@ -186,28 +195,32 @@ TEST(MinerBudgetTest, ResumeConcatenationIsBitIdentical) {
   const auto& data = TestData();
   const auto& reference = Reference().clusters;
 
-  MinerOptions budgeted = BaseOptions();
-  budgeted.max_nodes = 300;
-  RegClusterMiner first(data, budgeted);
-  auto head = first.Mine();
-  ASSERT_TRUE(head.ok());
-  ASSERT_EQ(first.outcome().status, MineStatus::kTruncated);
-  ASSERT_TRUE(first.outcome().resume.can_resume());
+  for (const int threads : {1, 4}) {
+    MinerOptions budgeted = BaseOptions();
+    budgeted.max_nodes = 300;
+    budgeted.num_threads = threads;
+    RegClusterMiner first(data, budgeted);
+    auto head = first.Mine();
+    ASSERT_TRUE(head.ok());
+    ASSERT_EQ(first.outcome().status, MineStatus::kTruncated);
+    ASSERT_TRUE(first.outcome().resume.can_resume());
 
-  MinerOptions rest = BaseOptions();  // unbudgeted continuation
-  rest.resume = first.outcome().resume;
-  RegClusterMiner second(data, rest);
-  auto tail = second.Mine();
-  ASSERT_TRUE(tail.ok());
-  EXPECT_EQ(second.outcome().status, MineStatus::kComplete);
+    MinerOptions rest = BaseOptions();  // unbudgeted continuation
+    rest.num_threads = threads;
+    rest.root_set = RootsFrom(first.outcome().resume.next_root);
+    RegClusterMiner second(data, rest);
+    auto tail = second.Mine();
+    ASSERT_TRUE(tail.ok());
+    EXPECT_EQ(second.outcome().status, MineStatus::kComplete);
 
-  std::vector<RegCluster> spliced = *head;
-  spliced.insert(spliced.end(), tail->begin(), tail->end());
-  EXPECT_EQ(spliced, reference);
-  // Node accounting splices too: stats describe exactly the included
-  // canonical prefix, so head + tail partition the reference's expansions.
-  EXPECT_EQ(first.stats().nodes_expanded + second.stats().nodes_expanded,
-            Reference().stats.nodes_expanded);
+    std::vector<RegCluster> spliced = *head;
+    spliced.insert(spliced.end(), tail->begin(), tail->end());
+    EXPECT_EQ(spliced, reference) << "threads=" << threads;
+    // Node accounting splices too: stats describe exactly the included
+    // canonical prefix, so head + tail partition the reference's expansions.
+    EXPECT_EQ(first.stats().nodes_expanded + second.stats().nodes_expanded,
+              Reference().stats.nodes_expanded);
+  }
 }
 
 TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
@@ -217,7 +230,7 @@ TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
   const auto& reference = Reference().clusters;
 
   std::vector<RegCluster> spliced;
-  ResumeToken token;
+  int next_root = 0;
   int hops = 0;
   int64_t budget = 500;
   int64_t nodes_accounted = 0;
@@ -225,21 +238,20 @@ TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
     MinerOptions o = BaseOptions();
     o.max_nodes = budget;
     o.num_threads = (hops % 2 == 0) ? 1 : 4;
-    o.resume = token;
+    o.root_set = RootsFrom(next_root);
     RegClusterMiner miner(data, o);
     auto part = miner.Mine();
     ASSERT_TRUE(part.ok()) << "hop " << hops;
     spliced.insert(spliced.end(), part->begin(), part->end());
     nodes_accounted += miner.stats().nodes_expanded;
     if (miner.outcome().status == MineStatus::kComplete) break;
+    const ResumeToken& token = miner.outcome().resume;
+    ASSERT_TRUE(token.can_resume());
+    EXPECT_EQ(token.next_root, next_root + miner.outcome().roots_completed);
     // A hop whose budget is smaller than its next root's subtree completes
     // zero roots; double the budget so the chain always terminates.
-    if (miner.outcome().resume.next_root == token.next_root ||
-        (token.next_root < 0 && miner.outcome().resume.next_root == 0)) {
-      budget *= 2;
-    }
-    token = miner.outcome().resume;
-    ASSERT_TRUE(token.can_resume());
+    if (token.next_root == next_root) budget *= 2;
+    next_root = token.next_root;
     ASSERT_LE(++hops, 1000) << "resume chain failed to make progress";
   }
   EXPECT_GE(hops, 1);  // the budget actually bit
@@ -248,37 +260,36 @@ TEST(MinerBudgetTest, ResumeChainOfBudgetedRunsReconstructsReference) {
   EXPECT_EQ(nodes_accounted, Reference().stats.nodes_expanded);
 }
 
-TEST(MinerBudgetTest, ResumeUnderDifferentSemanticsRejected) {
+TEST(MinerBudgetTest, RootSetRunReportsTheCutRoot) {
+  // A truncated root_set run names the selected root it was cut at, not a
+  // position in the list; the roots it covered are the list's prefix.
   const auto& data = TestData();
-  MinerOptions budgeted = BaseOptions();
-  budgeted.max_nodes = 300;
-  RegClusterMiner first(data, budgeted);
-  ASSERT_TRUE(first.Mine().ok());
-  ASSERT_TRUE(first.outcome().resume.can_resume());
+  MinerOptions all = BaseOptions();
+  all.root_set = {1, 4, 6, 9, 12, 15, 17};
+  RegClusterMiner unbudgeted(data, all);
+  auto want = unbudgeted.Mine();
+  ASSERT_TRUE(want.ok());
+  ASSERT_EQ(unbudgeted.outcome().roots_total, 7);
+  const int64_t total_nodes = unbudgeted.stats().nodes_expanded;
 
-  MinerOptions other = BaseOptions();
-  other.min_genes += 1;  // semantically different search
-  other.resume = first.outcome().resume;
-  auto result = RegClusterMiner(data, other).Mine();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kInvalidArgument);
-}
-
-TEST(MinerBudgetTest, ResumeWithRemoveDominatedRejected) {
-  // remove_dominated is a global post-pass; splicing per-root prefixes under
-  // it would not be bit-identical, so the combination is refused outright.
-  const auto& data = TestData();
-  MinerOptions budgeted = BaseOptions();
-  budgeted.max_nodes = 300;
-  RegClusterMiner first(data, budgeted);
-  ASSERT_TRUE(first.Mine().ok());
-
-  MinerOptions rest = BaseOptions();
-  rest.remove_dominated = true;
-  rest.resume = first.outcome().resume;
-  // The hash covers semantic fields, so this already fails the hash check;
-  // assert the rejection regardless of which validation fires.
-  EXPECT_FALSE(RegClusterMiner(data, rest).Mine().ok());
+  for (const int threads : {1, 4}) {
+    MinerOptions o = all;
+    o.num_threads = threads;
+    o.max_nodes = total_nodes / 2;
+    RegClusterMiner miner(data, o);
+    auto head = miner.Mine();
+    ASSERT_TRUE(head.ok());
+    const MineOutcome& outcome = miner.outcome();
+    ASSERT_EQ(outcome.status, MineStatus::kTruncated) << "threads=" << threads;
+    EXPECT_EQ(outcome.stop_reason, util::StopReason::kNodeBudget);
+    EXPECT_EQ(outcome.roots_total, 7);
+    ASSERT_LT(outcome.roots_completed, 7);
+    EXPECT_EQ(outcome.resume.next_root,
+              all.root_set[static_cast<size_t>(outcome.roots_completed)]);
+    EXPECT_EQ(outcome.resume.options_hash,
+              RegClusterMiner::SemanticOptionsHash(o));
+    EXPECT_TRUE(IsPrefixOf(*head, *want)) << "threads=" << threads;
+  }
 }
 
 TEST(MinerBudgetTest, SemanticHashIgnoresExecutionKnobs) {
@@ -342,12 +353,17 @@ TEST(MinerBudgetTest, TinyMemoryLimitTripsMemoryBudget) {
   EXPECT_GT(miner.outcome().peak_scratch_bytes, 1);
 }
 
-TEST(MinerBudgetTest, BadResumeRootRejected) {
+TEST(MinerBudgetTest, BadRootSetRejected) {
   const auto& data = TestData();
   MinerOptions o = BaseOptions();
-  o.resume.next_root = data.num_conditions() + 1;
-  o.resume.options_hash = RegClusterMiner::SemanticOptionsHash(o);
-  EXPECT_FALSE(RegClusterMiner(data, o).Mine().ok());
+  o.root_set = {0, data.num_conditions()};
+  auto outside = RegClusterMiner(data, o).Mine();
+  ASSERT_FALSE(outside.ok());
+  EXPECT_EQ(outside.status().code(), util::StatusCode::kOutOfRange);
+  o.root_set = {3, 1};
+  auto unsorted = RegClusterMiner(data, o).Mine();
+  ASSERT_FALSE(unsorted.ok());
+  EXPECT_EQ(unsorted.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(MinerBudgetTest, BadCheckIntervalRejected) {

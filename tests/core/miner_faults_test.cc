@@ -1,9 +1,9 @@
 // Fault injection: trip the cancellation token on the k-th budget poll for
 // hundreds of PRNG-drawn k values and thread counts.  Whatever the trip
 // point, Mine() must return OK with a canonical prefix of the unbudgeted
-// reference, and resuming from its token must reconstruct the reference
-// bit-identically.  Run under ASan/TSan in CI, this sweeps the abandonment
-// and repair paths for leaks, races and use-after-frees.
+// reference, and continuing from its token's root must reconstruct the
+// reference bit-identically.  Run under ASan/TSan in CI, this sweeps the
+// abandonment and repair paths for leaks, races and use-after-frees.
 
 #include <cstdint>
 #include <memory>
@@ -92,11 +92,13 @@ TEST_P(MinerFaultSweep, TokenTripAtAnyPollLeavesValidResumableState) {
         << "k=" << k;
     ASSERT_TRUE(outcome.resume.can_resume()) << "k=" << k;
 
-    // Resume (without the faulty token) and splice: must be bit-identical
-    // to the unbudgeted reference.
+    // Continue from the cut root (without the faulty token) and splice:
+    // must be bit-identical to the unbudgeted reference.
     MinerOptions rest = FaultOptions();
     rest.num_threads = threads;
-    rest.resume = outcome.resume;
+    for (int c = outcome.resume.next_root; c < data.num_conditions(); ++c) {
+      rest.root_set.push_back(c);
+    }
     RegClusterMiner tail_miner(data, rest);
     auto tail = tail_miner.Mine();
     ASSERT_TRUE(tail.ok()) << "k=" << k;

@@ -1,8 +1,8 @@
 // Out-of-core mining differentials: a mine of the mmap-backed matrix must
 // produce clusters byte-identical to the resident search at any thread
 // count, its gamma model must be nothing but the bitmap index, its memory
-// stop must charge the mapping and the model, and resume tokens must
-// splice across the two storage paths.
+// stop must charge the mapping and the model, and a run cut on one storage
+// path must continue (root_set from the cut root) on the other.
 
 #include <cstdint>
 #include <cstdio>
@@ -129,8 +129,8 @@ TEST(MinerOutOfCoreTest, MemoryStopChargesMappedMatrixAndModel) {
 
 TEST(MinerOutOfCoreTest, ResumeTokenSplicesAcrossPaths) {
   // Truncate a resident run, then finish it on the mapped matrix: the
-  // concatenation must equal the untruncated resident answer.  The
-  // semantic hash excludes execution knobs, so the token is accepted.
+  // concatenation (the mapped run searching the roots from the cut one on)
+  // must equal the untruncated resident answer.
   const auto ds = Dataset();
   const matrix::MappedMatrix mapped = MapDataset(ds, "outofcore_resume.rgx");
   auto reference = RegClusterMiner(ds.data, BaseOptions()).Mine();
@@ -146,7 +146,10 @@ TEST(MinerOutOfCoreTest, ResumeTokenSplicesAcrossPaths) {
 
   MinerOptions rest = BaseOptions();
   rest.num_threads = 2;
-  rest.resume = first.outcome().resume;
+  for (int c = first.outcome().resume.next_root; c < mapped.num_conditions();
+       ++c) {
+    rest.root_set.push_back(c);
+  }
   RegClusterMiner second(mapped, rest);
   auto tail = second.Mine();
   ASSERT_TRUE(tail.ok());

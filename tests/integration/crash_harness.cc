@@ -146,7 +146,11 @@ class CrashHarness : public ::testing::Test {
     ref_args.push_back("--out=" + ref_out_);
     ref_args.push_back("--json=" + ref_json_);
     ref_args.push_back("--deterministic-output");
+    const auto ref_start = std::chrono::steady_clock::now();
     auto ref = RunCli(ref_args, -1);
+    ref_mine_us_ = std::chrono::duration_cast<std::chrono::microseconds>(
+                       std::chrono::steady_clock::now() - ref_start)
+                       .count();
     ASSERT_TRUE(ref.exited && ref.exit_code == 0) << "reference mine failed";
   }
 
@@ -170,12 +174,14 @@ class CrashHarness : public ::testing::Test {
   static std::string matrix_bin_;
   static std::string ref_json_;
   static std::string ref_out_;
+  static int64_t ref_mine_us_;  // wall time of the uninterrupted mine
 };
 
 std::string CrashHarness::matrix_tsv_;
 std::string CrashHarness::matrix_bin_;
 std::string CrashHarness::ref_json_;
 std::string CrashHarness::ref_out_;
+int64_t CrashHarness::ref_mine_us_ = 0;
 
 struct MineScenario {
   const char* name;
@@ -220,13 +226,18 @@ TEST_P(MineKillResume, FinalOutputByteIdenticalToUninterruptedRun) {
   // all, the last attempt runs uninterrupted -- mine resume is
   // root-granular, so an unbounded kill cadence shorter than the longest
   // root would livelock by design.
+  // The kill window fits the calibrated 100-200 ms mine.  A slower build (a
+  // sanitizer's runs the mine about ten times longer) stretches it by the
+  // measured reference, so the kills still spread over the run instead of
+  // all landing before its first snapshot.
+  const int64_t stretch = std::max<int64_t>(1, ref_mine_us_ / 150'000);
   util::Prng prng(4242 + sc.threads * 100 + (sc.out_of_core ? 1 : 0));
   constexpr int kKills = 25;
   int kills_delivered = 0;
   bool saw_checkpoint = false;
   bool completed = false;
   for (int attempt = 0; attempt < kKills && !completed; ++attempt) {
-    const int64_t delay_us = prng.UniformInt(10'000, 160'000);
+    const int64_t delay_us = prng.UniformInt(10'000, 160'000) * stretch;
     RunResult r = RunCli(args, delay_us);
     if (r.killed) ++kills_delivered;
     saw_checkpoint =

@@ -314,6 +314,16 @@ TEST(CheckpointCorruptionTest, EveryFramedByteFlipIsRejected) {
   }
 }
 
+TEST(CheckpointCorruptionTest, MineNextRootMustBeACondition) {
+  // A resume mines the roots from next_root on, so it must name one.
+  for (const int64_t past : {int64_t{12}, int64_t{13}}) {  // 12 conditions
+    Checkpoint ckpt = MineFixture();
+    ckpt.mine.next_root = past;
+    ExpectCorruption(EncodeCheckpoint(ckpt),
+                     "next_root is outside the matrix's conditions");
+  }
+}
+
 // A sweep snapshot whose records disagree with its progress is CRC-valid but
 // would report points that never ran: each disagreement is its own
 // kCorruption.
@@ -620,6 +630,7 @@ void ExpectSameClusters(const std::vector<core::RegCluster>& a,
 struct PlainMineResult {
   std::vector<core::RegCluster> clusters;
   core::MinerStats stats;
+  core::MineOutcome outcome;
 };
 
 PlainMineResult PlainMine(const matrix::MatrixStore& data,
@@ -627,7 +638,7 @@ PlainMineResult PlainMine(const matrix::MatrixStore& data,
   core::RegClusterMiner miner(data, options);
   auto clusters = miner.Mine();
   EXPECT_TRUE(clusters.ok()) << clusters.status().ToString();
-  return {*std::move(clusters), miner.stats()};
+  return {*std::move(clusters), miner.stats(), miner.outcome()};
 }
 
 TEST(RunCheckpointedMineTest, FreshRunMatchesPlainMineAndSnapshotsComplete) {
@@ -638,8 +649,7 @@ TEST(RunCheckpointedMineTest, FreshRunMatchesPlainMineAndSnapshotsComplete) {
   CheckpointConfig config;
   config.path = TempPath("ckm_fresh");
   config.synchronous = true;
-  config.initial_chunk_nodes = 64;  // force several chunks
-  config.every_ms = 1;
+  config.every_ms = 1;  // several chunks: the first one is a single root
   auto got = RunCheckpointedMine(data, options, config, nullptr);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectSameClusters(got->clusters, want.clusters);
@@ -660,18 +670,18 @@ TEST(RunCheckpointedMineTest, ResumeFromMidRunSnapshotIsByteIdentical) {
   const core::MinerOptions options = TestOptions();
   const PlainMineResult want = PlainMine(data, options);
 
-  // A synchronous tiny-chunk run leaves its penultimate (mid-run) snapshot
-  // in the buffer the final write did not target -- a real crash-surviving
-  // artifact, not a hand-crafted one.
+  // A synchronous run leaves its penultimate (mid-run) snapshot in the
+  // buffer the final write did not target -- a real crash-surviving
+  // artifact, not a hand-crafted one.  The first chunk is a single root, so
+  // a run over more than one root writes at least two snapshots.
   CheckpointConfig config;
   config.path = TempPath("ckm_midrun");
   config.synchronous = true;
-  config.initial_chunk_nodes = 64;
   config.every_ms = 1;
   auto full = RunCheckpointedMine(data, options, config, nullptr);
   ASSERT_TRUE(full.ok());
   ASSERT_GE(full->checkpoint.writes, 2)
-      << "mine finished in one chunk; shrink the chunk size";
+      << "mine finished in one chunk";
 
   auto final_ckpt = LoadCheckpoint(config.path);
   ASSERT_TRUE(final_ckpt.ok());
@@ -723,7 +733,6 @@ TEST(RunCheckpointedMineTest, RemoveDominatedAppliesOnceAtCompletion) {
   CheckpointConfig config;
   config.path = TempPath("ckm_domin");
   config.synchronous = true;
-  config.initial_chunk_nodes = 64;
   config.every_ms = 1;
   auto got = RunCheckpointedMine(data, options, config, nullptr);
   ASSERT_TRUE(got.ok());
@@ -736,6 +745,72 @@ TEST(RunCheckpointedMineTest, RemoveDominatedAppliesOnceAtCompletion) {
   EXPECT_EQ(final_ckpt->mine.context.flags & RunContext::kRemoveDominated,
             RunContext::kRemoveDominated);
   EXPECT_GE(final_ckpt->mine.clusters.size(), got->clusters.size());
+}
+
+// Under the caller's node and cluster budgets the durable driver returns
+// what a plain Mine() returns: the same clusters (dominance pass included,
+// truncated or not), deterministic counters, stop and resume token.
+TEST(RunCheckpointedMineTest, BudgetedRunsMatchPlainMine) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  const PlainMineResult full = PlainMine(data, TestOptions());
+  core::MinerOptions first_root = TestOptions();
+  first_root.root_set = {0};
+  const int64_t root0_nodes = PlainMine(data, first_root).stats.nodes_expanded;
+  const int64_t nodes = full.stats.nodes_expanded;
+  const int64_t clusters = full.stats.clusters_emitted;
+  ASSERT_GT(root0_nodes, 0);
+  ASSERT_GT(clusters, 3);
+
+  struct Budget {
+    int64_t max_nodes;
+    int64_t max_clusters;
+  };
+  const Budget budgets[] = {
+      {-1, -1},          {root0_nodes - 1, -1}, {nodes / 3, -1},
+      {2 * nodes / 3, -1}, {-1, 0},             {-1, clusters / 2},
+      {nodes / 2, clusters / 3},
+  };
+  bool dominance_cut_a_truncated_run = false;
+  for (const Budget& budget : budgets) {
+    for (const bool remove_dominated : {false, true}) {
+      for (const int threads : {1, 4}) {
+        core::MinerOptions options = TestOptions();
+        options.max_nodes = budget.max_nodes;
+        options.max_clusters = budget.max_clusters;
+        options.remove_dominated = remove_dominated;
+        options.num_threads = threads;
+        SCOPED_TRACE(::testing::Message()
+                     << "max_nodes=" << budget.max_nodes
+                     << " max_clusters=" << budget.max_clusters
+                     << " remove_dominated=" << remove_dominated
+                     << " threads=" << threads);
+        const PlainMineResult want = PlainMine(data, options);
+
+        CheckpointConfig config;
+        config.path = TempPath("ckm_budgets");
+        config.every_ms = 1;
+        auto got = RunCheckpointedMine(data, options, config, nullptr);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ExpectSameClusters(got->clusters, want.clusters);
+        ExpectSameDeterministicStats(got->stats, want.stats);
+        EXPECT_EQ(got->outcome.status, want.outcome.status);
+        EXPECT_EQ(got->outcome.stop_reason, want.outcome.stop_reason);
+        EXPECT_EQ(got->outcome.roots_completed, want.outcome.roots_completed);
+        EXPECT_EQ(got->outcome.roots_total, want.outcome.roots_total);
+        EXPECT_EQ(got->outcome.resume.next_root, want.outcome.resume.next_root);
+        EXPECT_EQ(got->outcome.resume.options_hash,
+                  want.outcome.resume.options_hash);
+        if (remove_dominated &&
+            want.outcome.status == core::MineStatus::kTruncated &&
+            want.clusters.size() <
+                static_cast<size_t>(want.stats.clusters_emitted)) {
+          dominance_cut_a_truncated_run = true;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(dominance_cut_a_truncated_run)
+      << "no truncated case exercised the dominance pass";
 }
 
 TEST(RunCheckpointedMineTest, RejectsSnapshotFromDifferentOptions) {

@@ -441,7 +441,10 @@ int RunSweep(const matrix::MatrixStore& data, core::MinerOptions base,
       static_cast<long long>(report.nodes_total), report.index_builds,
       report.index_builds == 1 ? "" : "s", report.wall_seconds);
 
-  if (deterministic_output) io::ZeroVolatileSweepFields(&report);
+  if (deterministic_output) {
+    io::ZeroVolatileSweepFields(&report);
+    io::ZeroVolatileCheckpointFields(&ckpt_stats);
+  }
 
   util::Status st =
       WriteReportAtomic(json_path, "sweep json", [&](std::ostream& out) {
@@ -513,13 +516,15 @@ int CmdMine(Flags* flags) {
         "canonical prefix of the full result, the JSON export carries an\n"
         "\"outcome\" block with a resume point, and the exit code is 3.\n"
         "--checkpoint=PATH makes the run durable: progress is snapshotted to\n"
-        "PATH.a/PATH.b (atomic-replace, CRC-framed, double-buffered) about\n"
-        "every --checkpoint-every-ms, so a SIGKILL at any instant loses at\n"
-        "most one interval.  --resume-from=PATH continues from the newest\n"
-        "valid snapshot after validating it against the matrix and options;\n"
-        "the final output is byte-identical to an uninterrupted run.  A\n"
-        "missing snapshot starts fresh (so supervisors can always pass both\n"
-        "flags); a corrupt or mismatched one is an error (exit 1).\n"
+        "PATH.a/PATH.b (atomic-replace, CRC-framed, double-buffered) after\n"
+        "each chunk of whole level-1 roots, chunks sized to about\n"
+        "--checkpoint-every-ms, so a SIGKILL at any instant loses at most\n"
+        "one interval or one root, whichever is longer.  --resume-from=PATH\n"
+        "continues from the newest valid snapshot after validating it\n"
+        "against the matrix and options; the final output is byte-identical\n"
+        "to an uninterrupted run.  A missing snapshot starts fresh (so\n"
+        "supervisors can always pass both flags); a corrupt or mismatched\n"
+        "one is an error (exit 1).\n"
         "--deterministic-output zeroes the wall-clock and scheduling fields\n"
         "of the JSON/metrics reports so byte comparison across runs works.\n"
         "--incremental-out=PATH records per-root mining state so a later\n"
@@ -903,7 +908,10 @@ int CmdMine(Flags* flags) {
   }
 
   const bool truncated = outcome.status == core::MineStatus::kTruncated;
-  if (deterministic_output) io::ZeroVolatileMineFields(&stats, &outcome);
+  if (deterministic_output) {
+    io::ZeroVolatileMineFields(&stats, &outcome);
+    io::ZeroVolatileCheckpointFields(&ckpt_stats);
+  }
 
   if (auto st = io::SaveClusters(*clusters, out_path); !st.ok()) {
     return Fail(st);
