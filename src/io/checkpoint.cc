@@ -1,7 +1,6 @@
 #include "io/checkpoint.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -18,9 +17,7 @@ namespace io {
 namespace {
 
 constexpr char kMagic[8] = {'R', 'G', 'C', 'X', 'C', 'K', 'P', '1'};
-constexpr uint32_t kVersion = 1;
-constexpr uint32_t kEndianTag = 0x01020304;
-constexpr size_t kPreambleBytes = 28;  // magic + version + endian + kind + gen
+constexpr size_t kExtraPreambleBytes = 12;  // u32 kind + u64 generation
 
 // Record tags, in required file order.
 constexpr uint32_t kTagContext = 1;
@@ -38,7 +35,7 @@ using util::PutString;
 using util::PutU32;
 using util::PutU64;
 
-// Cursor label: decode errors read "truncated checkpoint field ...".
+// Format label: decode errors read "truncated checkpoint field ...".
 constexpr char kLabel[] = "checkpoint";
 
 // The MineOutcome subset a sweep snapshot restores (the fields sweep reports
@@ -83,63 +80,44 @@ util::Status ReadOutcome(Cursor* c, core::MineOutcome* o) {
 }
 
 // Records after the context record.
-std::string EncodeMineBody(const MineCheckpoint& m) {
-  std::string body;
-  {
-    std::string rec;
-    PutU32(&rec, kTagProgress);
-    PutI64(&rec, m.next_root);
-    PutI64(&rec, m.roots_completed);
-    PutI64(&rec, m.nodes_visited);
-    PutDouble(&rec, m.wall_seconds);
-    PutI64(&rec, m.peak_scratch_bytes);
-    util::AppendRecord(&body, rec);
-  }
-  {
-    std::string rec;
-    PutU32(&rec, kTagStats);
-    PutMinerStats(&rec, m.stats);
-    util::AppendRecord(&body, rec);
-  }
-  {
-    std::string rec;
-    PutU32(&rec, kTagClusters);
-    PutClusters(&rec, m.clusters);
-    util::AppendRecord(&body, rec);
-  }
-  return body;
+void PutMineBody(std::string* out, const MineCheckpoint& m) {
+  PutRecord(out, kTagProgress, [&](std::string* rec) {
+    PutI64(rec, m.next_root);
+    PutI64(rec, m.roots_completed);
+    PutI64(rec, m.nodes_visited);
+    PutDouble(rec, m.wall_seconds);
+    PutI64(rec, m.peak_scratch_bytes);
+  });
+  PutRecord(out, kTagStats,
+            [&](std::string* rec) { PutMinerStats(rec, m.stats); });
+  PutRecord(out, kTagClusters,
+            [&](std::string* rec) { PutClusters(rec, m.clusters); });
 }
 
-std::string EncodeSweepBody(const SweepCheckpoint& s) {
-  std::string body;
-  {
-    std::string rec;
-    PutU32(&rec, kTagSweepAggregate);
-    PutI64(&rec, s.first_unfinished);
-    PutI64(&rec, s.runs_total);
-    PutU32(&rec, s.truncated);
-    PutU32(&rec, static_cast<uint32_t>(s.stop_reason));
-    PutI64(&rec, s.index_builds);
-    PutI64(&rec, s.shared_model_bytes);
-    PutDouble(&rec, s.wall_seconds);
-    PutU64(&rec, s.runs.size());
-    util::AppendRecord(&body, rec);
-  }
+void PutSweepBody(std::string* out, const SweepCheckpoint& s) {
+  PutRecord(out, kTagSweepAggregate, [&](std::string* rec) {
+    PutI64(rec, s.first_unfinished);
+    PutI64(rec, s.runs_total);
+    PutU32(rec, s.truncated);
+    PutU32(rec, static_cast<uint32_t>(s.stop_reason));
+    PutI64(rec, s.index_builds);
+    PutI64(rec, s.shared_model_bytes);
+    PutDouble(rec, s.wall_seconds);
+    PutU64(rec, s.runs.size());
+  });
   for (size_t i = 0; i < s.runs.size(); ++i) {
     const core::SweepRun& run = s.runs[i];
-    std::string rec;
-    PutU32(&rec, kTagSweepRun);
-    PutU32(&rec, static_cast<uint32_t>(i));
-    PutU32(&rec, static_cast<uint32_t>(run.status.code()));
-    PutString(&rec, run.status.message());
-    PutU32(&rec, run.executed ? 1 : 0);
-    PutU32(&rec, run.used_shared_model ? 1 : 0);
-    PutMinerStats(&rec, run.stats);
-    PutOutcome(&rec, run.outcome);
-    PutClusters(&rec, run.clusters);
-    util::AppendRecord(&body, rec);
+    PutRecord(out, kTagSweepRun, [&](std::string* rec) {
+      PutU32(rec, static_cast<uint32_t>(i));
+      PutU32(rec, static_cast<uint32_t>(run.status.code()));
+      PutString(rec, run.status.message());
+      PutU32(rec, run.executed ? 1 : 0);
+      PutU32(rec, run.used_shared_model ? 1 : 0);
+      PutMinerStats(rec, run.stats);
+      PutOutcome(rec, run.outcome);
+      PutClusters(rec, run.clusters);
+    });
   }
-  return body;
 }
 
 // Framed records before the end record: context + 3 for a mine, context +
@@ -150,86 +128,52 @@ uint32_t BodyRecordCount(const Checkpoint& ckpt) {
              : static_cast<uint32_t>(2 + ckpt.sweep.runs.size());
 }
 
-// Reads one framed record and checks its tag.
-util::StatusOr<std::string_view> NextRecord(util::RecordReader* reader,
-                                            uint32_t want_tag,
-                                            const char* what) {
-  if (reader->AtEnd()) {
-    return util::Status::Corruption(std::string("missing checkpoint record ") +
-                                    what);
-  }
-  auto rec = reader->Next();
-  if (!rec.ok()) return rec.status();
-  if (rec->size() < 4) {
-    return util::Status::Corruption(std::string("checkpoint record ") + what +
-                                    " too short for a tag");
-  }
-  uint32_t tag = 0;
-  (void)Cursor(*rec, kLabel).ReadU32("tag", &tag);  // length checked above
-  if (tag != want_tag) {
-    return util::Status::Corruption(
-        std::string("unexpected checkpoint record tag where ") + what +
-        " was required");
-  }
-  return std::string_view(rec->data() + 4, rec->size() - 4);
+util::Status ReadMineBody(RecordFileReader* file, MineCheckpoint* m) {
+  REGCLUSTER_RETURN_IF_ERROR(
+      file->ReadRecord(kTagProgress, "progress", [&](Cursor* c) {
+        REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("next_root", &m->next_root));
+        // The resumed run mines the roots from next_root on, so it names a
+        // condition, or is -1 for a complete run.
+        if (m->next_root < -1 || m->next_root >= m->context.num_conditions) {
+          return util::Status::Corruption(
+              "checkpoint next_root is outside the matrix's conditions");
+        }
+        REGCLUSTER_RETURN_IF_ERROR(
+            c->ReadI64("roots_completed", &m->roots_completed));
+        REGCLUSTER_RETURN_IF_ERROR(
+            c->ReadI64("nodes_visited", &m->nodes_visited));
+        REGCLUSTER_RETURN_IF_ERROR(
+            c->ReadDouble("wall_seconds", &m->wall_seconds));
+        return c->ReadI64("peak_scratch_bytes", &m->peak_scratch_bytes);
+      }));
+  REGCLUSTER_RETURN_IF_ERROR(
+      file->ReadRecord(kTagStats, "stats", [&](Cursor* c) {
+        return ReadMinerStats(c, &m->stats);
+      }));
+  return file->ReadRecord(kTagClusters, "clusters", [&](Cursor* c) {
+    return ReadClusters(c, &m->clusters);
+  });
 }
 
-util::Status DecodeMineBody(util::RecordReader* reader, MineCheckpoint* m) {
-  {
-    auto rec = NextRecord(reader, kTagProgress, "progress");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("next_root", &m->next_root));
-    // The resumed run mines the roots from next_root on; past the last
-    // condition there are none, and the snapshot would not say complete.
-    if (m->next_root >= m->context.num_conditions) {
-      return util::Status::Corruption(
-          "checkpoint next_root is outside the matrix's conditions");
-    }
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("roots_completed", &m->roots_completed));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("nodes_visited", &m->nodes_visited));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadDouble("wall_seconds", &m->wall_seconds));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("peak_scratch_bytes", &m->peak_scratch_bytes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("progress"));
-  }
-  {
-    auto rec = NextRecord(reader, kTagStats, "stats");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(&c, &m->stats));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("stats"));
-  }
-  {
-    auto rec = NextRecord(reader, kTagClusters, "clusters");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &m->clusters));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("clusters"));
-  }
-  return util::Status::OK();
-}
-
-util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s) {
+util::Status ReadSweepBody(RecordFileReader* file, SweepCheckpoint* s) {
   uint64_t run_count = 0;
-  {
-    auto rec = NextRecord(reader, kTagSweepAggregate, "sweep aggregate");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    uint32_t reason = 0;
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("first_unfinished", &s->first_unfinished));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("runs_total", &s->runs_total));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("truncated", &s->truncated));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("stop_reason", &reason));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadI64("index_builds", &s->index_builds));
-    REGCLUSTER_RETURN_IF_ERROR(
-        c.ReadI64("shared_model_bytes", &s->shared_model_bytes));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadDouble("wall_seconds", &s->wall_seconds));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("run snapshot count", &run_count));
-    s->stop_reason = static_cast<int32_t>(reason);
-  }
+  REGCLUSTER_RETURN_IF_ERROR(
+      file->ReadRecord(kTagSweepAggregate, "sweep aggregate", [&](Cursor* c) {
+        uint32_t reason = 0;
+        REGCLUSTER_RETURN_IF_ERROR(
+            c->ReadI64("first_unfinished", &s->first_unfinished));
+        REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("runs_total", &s->runs_total));
+        REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("truncated", &s->truncated));
+        REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("stop_reason", &reason));
+        s->stop_reason = static_cast<int32_t>(reason);
+        REGCLUSTER_RETURN_IF_ERROR(
+            c->ReadI64("index_builds", &s->index_builds));
+        REGCLUSTER_RETURN_IF_ERROR(
+            c->ReadI64("shared_model_bytes", &s->shared_model_bytes));
+        REGCLUSTER_RETURN_IF_ERROR(
+            c->ReadDouble("wall_seconds", &s->wall_seconds));
+        return c->ReadU64("run snapshot count", &run_count);
+      }));
   // The run records must be exactly the covered prefix, or a resume would
   // report points that never ran.
   if (s->first_unfinished < -1 || s->first_unfinished >= s->runs_total) {
@@ -243,30 +187,32 @@ util::Status DecodeSweepBody(util::RecordReader* reader, SweepCheckpoint* s) {
   }
   s->runs.clear();
   for (uint64_t i = 0; i < run_count; ++i) {
-    auto rec = NextRecord(reader, kTagSweepRun, "sweep run");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
     core::SweepRun run;
-    uint32_t index = 0, code = 0, executed = 0, shared = 0;
-    std::string message;
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run index", &index));
-    if (index != i) {
-      return util::Status::Corruption(
-          "checkpoint sweep run index differs from its position");
-    }
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run status code", &code));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadString("run status message", &message));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run executed", &executed));
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("run used_shared_model", &shared));
-    REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(&c, &run.stats));
-    REGCLUSTER_RETURN_IF_ERROR(ReadOutcome(&c, &run.outcome));
-    REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &run.clusters));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("sweep run"));
-    run.status = code == 0 ? util::Status::OK()
-                           : util::Status(static_cast<util::StatusCode>(code),
-                                          std::move(message));
-    run.executed = executed != 0;
-    run.used_shared_model = shared != 0;
+    REGCLUSTER_RETURN_IF_ERROR(
+        file->ReadRecord(kTagSweepRun, "sweep run", [&](Cursor* c) {
+          uint32_t index = 0, code = 0, executed = 0, shared = 0;
+          std::string message;
+          REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("run index", &index));
+          if (index != i) {
+            return util::Status::Corruption(
+                "checkpoint sweep run index differs from its position");
+          }
+          REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("run status code", &code));
+          REGCLUSTER_RETURN_IF_ERROR(
+              c->ReadString("run status message", &message));
+          REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("run executed", &executed));
+          REGCLUSTER_RETURN_IF_ERROR(
+              c->ReadU32("run used_shared_model", &shared));
+          run.status =
+              code == 0 ? util::Status::OK()
+                        : util::Status(static_cast<util::StatusCode>(code),
+                                       std::move(message));
+          run.executed = executed != 0;
+          run.used_shared_model = shared != 0;
+          REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(c, &run.stats));
+          REGCLUSTER_RETURN_IF_ERROR(ReadOutcome(c, &run.outcome));
+          return ReadClusters(c, &run.clusters);
+        }));
     s->runs.push_back(std::move(run));
   }
   return util::Status::OK();
@@ -293,80 +239,53 @@ Checkpoint SnapshotOf(const SweepCheckpoint& state) {
 
 std::string EncodeCheckpoint(const Checkpoint& ckpt) {
   std::string out;
-  out.append(kMagic, sizeof kMagic);
-  PutU32(&out, kVersion);
-  PutU32(&out, kEndianTag);
+  PutPreamble(&out, kMagic);
   PutU32(&out, static_cast<uint32_t>(ckpt.kind));
   PutU64(&out, ckpt.generation);
   const bool mine = ckpt.kind == CheckpointKind::kMine;
-  std::string context;
-  PutU32(&context, kTagContext);
-  PutRunContext(&context, mine ? ckpt.mine.context : ckpt.sweep.context);
-  util::AppendRecord(&out, context);
-  out.append(mine ? EncodeMineBody(ckpt.mine) : EncodeSweepBody(ckpt.sweep));
-  std::string end;
-  PutU32(&end, kTagEnd);
-  PutU32(&end, BodyRecordCount(ckpt));
-  util::AppendRecord(&out, end);
+  PutRecord(&out, kTagContext, [&](std::string* rec) {
+    PutRunContext(rec, mine ? ckpt.mine.context : ckpt.sweep.context);
+  });
+  if (mine) {
+    PutMineBody(&out, ckpt.mine);
+  } else {
+    PutSweepBody(&out, ckpt.sweep);
+  }
+  PutRecord(&out, kTagEnd,
+            [&](std::string* rec) { PutU32(rec, BodyRecordCount(ckpt)); });
   return out;
 }
 
 util::StatusOr<Checkpoint> DecodeCheckpoint(std::string_view bytes) {
-  if (bytes.size() < kPreambleBytes) {
-    return util::Status::Corruption("checkpoint file shorter than preamble");
-  }
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
-    return util::Status::Corruption("bad checkpoint magic");
-  }
-  Cursor pre(bytes.substr(sizeof kMagic, kPreambleBytes - sizeof kMagic),
-             kLabel);
-  uint32_t version = 0, endian = 0, kind = 0;
-  uint64_t generation = 0;
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("version", &version));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("endian tag", &endian));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("kind", &kind));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU64("generation", &generation));
-  if (version != kVersion) {
-    return util::Status::Corruption("unsupported checkpoint version " +
-                                    std::to_string(version));
-  }
-  if (endian != kEndianTag) {
-    return util::Status::Corruption("checkpoint endianness mismatch");
-  }
+  RecordFileReader file(bytes, kLabel);
+  auto pre = file.ReadPreamble(kMagic, kExtraPreambleBytes);
+  if (!pre.ok()) return pre.status();
+  uint32_t kind = 0;
+  Checkpoint ckpt;
+  (void)pre->ReadU32("kind", &kind);  // length checked by ReadPreamble
+  (void)pre->ReadU64("generation", &ckpt.generation);
   if (kind != static_cast<uint32_t>(CheckpointKind::kMine) &&
       kind != static_cast<uint32_t>(CheckpointKind::kSweep)) {
     return util::Status::Corruption("unknown checkpoint kind " +
                                     std::to_string(kind));
   }
-
-  Checkpoint ckpt;
-  ckpt.generation = generation;
   ckpt.kind = static_cast<CheckpointKind>(kind);
   const bool mine = ckpt.kind == CheckpointKind::kMine;
-  util::RecordReader reader(bytes.substr(kPreambleBytes));
-  {
-    auto rec = NextRecord(&reader, kTagContext, "context");
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    REGCLUSTER_RETURN_IF_ERROR(ReadRunContext(
-        &c, mine ? &ckpt.mine.context : &ckpt.sweep.context));
+  REGCLUSTER_RETURN_IF_ERROR(
+      file.ReadRecord(kTagContext, "context", [&](Cursor* c) {
+        return ReadRunContext(c, mine ? &ckpt.mine.context
+                                      : &ckpt.sweep.context);
+      }));
+  REGCLUSTER_RETURN_IF_ERROR(mine ? ReadMineBody(&file, &ckpt.mine)
+                                  : ReadSweepBody(&file, &ckpt.sweep));
+  uint32_t declared = 0;
+  REGCLUSTER_RETURN_IF_ERROR(file.ReadRecord(kTagEnd, "end", [&](Cursor* c) {
+    return c->ReadU32("record count", &declared);
+  }));
+  if (declared != BodyRecordCount(ckpt)) {
+    return util::Status::Corruption("checkpoint record count mismatch");
   }
-  REGCLUSTER_RETURN_IF_ERROR(mine ? DecodeMineBody(&reader, &ckpt.mine)
-                                  : DecodeSweepBody(&reader, &ckpt.sweep));
-  auto end = NextRecord(&reader, kTagEnd, "end");
-  if (!end.ok()) return end.status();
-  {
-    Cursor c(*end, kLabel);
-    uint32_t declared = 0;
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("record count", &declared));
-    REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("end"));
-    if (declared != BodyRecordCount(ckpt)) {
-      return util::Status::Corruption("checkpoint record count mismatch");
-    }
-  }
-  if (!reader.AtEnd()) {
-    return util::Status::Corruption("trailing bytes after checkpoint footer");
-  }
+  REGCLUSTER_RETURN_IF_ERROR(file.ExpectEnd());
   return ckpt;
 }
 
@@ -495,44 +414,14 @@ RunContext SweepContext(const matrix::MatrixStore& data,
   return ctx;
 }
 
-// The matrix a snapshot was written for (dims, then content hash) must be
-// the one being mined.
-util::Status ValidateMatrixIdentity(const RunContext& have,
-                                    const RunContext& want) {
-  if (have.num_genes != want.num_genes ||
-      have.num_conditions != want.num_conditions) {
-    return util::Status::FailedPrecondition(
-        "checkpoint matrix dimensions differ: snapshot " +
-        std::to_string(have.num_genes) + "x" +
-        std::to_string(have.num_conditions) + ", matrix " +
-        std::to_string(want.num_genes) + "x" +
-        std::to_string(want.num_conditions));
-  }
-  if (have.matrix_hash != want.matrix_hash) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written for a different matrix "
-        "(content hash mismatch)");
-  }
-  return util::Status::OK();
-}
-
 }  // namespace
 
 util::Status ValidateMineCheckpoint(const MineCheckpoint& ckpt,
                                     const matrix::MatrixStore& data,
                                     const core::MinerOptions& options) {
-  const RunContext want = MineContext(data, data.num_conditions(), options);
-  if (ckpt.context.flags != want.flags) {
-    return util::Status::FailedPrecondition(
-        "checkpoint dominance-pass setting differs from the requested "
-        "options");
-  }
-  if (ckpt.context.options_hash != want.options_hash) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written under different mining options "
-        "(semantic hash mismatch)");
-  }
-  return ValidateMatrixIdentity(ckpt.context, want);
+  return CheckRunContext(ckpt.context,
+                         MineContext(data, data.num_conditions(), options),
+                         kLabel, "mining options");
 }
 
 util::Status ValidateSweepCheckpoint(
@@ -544,13 +433,8 @@ util::Status ValidateSweepCheckpoint(
         std::to_string(ckpt.runs_total) + " points, spec " +
         std::to_string(points.size()));
   }
-  const RunContext want = SweepContext(data, points);
-  if (ckpt.context.options_hash != want.options_hash) {
-    return util::Status::FailedPrecondition(
-        "checkpoint was written for a different sweep grid "
-        "(grid hash mismatch)");
-  }
-  return ValidateMatrixIdentity(ckpt.context, want);
+  return CheckRunContext(ckpt.context, SweepContext(data, points), kLabel,
+                         "sweep grid points");
 }
 
 // ---------------------------------------------------------------------------

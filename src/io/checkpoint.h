@@ -132,17 +132,17 @@ struct Checkpoint {
   SweepCheckpoint sweep;
 };
 
-/// Serializes `ckpt` to the RGCXCKP1 wire format: a 28-byte preamble
-/// (magic, version, endian tag, kind, generation) followed by CRC32C-framed
-/// records (util::AppendRecord) and a count-bearing end record.
+/// Serializes `ckpt` to the RGCXCKP1 record file (io/record_codec.h): the
+/// shared preamble plus kind and generation (28 bytes), then the kind's
+/// records and an end record carrying their count.
 std::string EncodeCheckpoint(const Checkpoint& ckpt);
 
 /// Inverse of EncodeCheckpoint.  Every malformed shape is a distinct
-/// kCorruption: short preamble, bad magic, unsupported version, endianness
-/// mismatch, unknown kind, torn/truncated/bit-flipped records (via
-/// util::RecordReader), missing or out-of-order records, record-count
-/// mismatch, trailing bytes, a mine whose next_root is not below its
-/// condition count, and a sweep whose run records disagree with its
+/// kCorruption: the container's (short preamble, bad magic, unsupported
+/// version, endianness mismatch, torn or bit-flipped records, a missing or
+/// unexpected record, trailing bytes), an unknown kind, a record-count
+/// mismatch, a mine whose next_root is outside [-1, condition count), and
+/// a sweep whose run records disagree with its
 /// progress (a run index off its position, a run count other than
 /// first_unfinished -- or runs_total when complete -- or first_unfinished
 /// outside [-1, runs_total)).
@@ -193,14 +193,14 @@ core::MinerOptions SpliceOptions(const core::MinerOptions& options);
 RunContext MineContext(const matrix::MatrixStore& data, int cols,
                        const core::MinerOptions& options);
 
-/// Validates that `ckpt` may resume a run over `data` under `options`
-/// (semantic hash, dominance flag, dims, matrix hash).  Each mismatch is a
-/// distinct kFailedPrecondition.
+/// Validates that `ckpt` may resume a run over `data` under `options`:
+/// CheckRunContext against MineContext of the whole matrix.
 util::Status ValidateMineCheckpoint(const MineCheckpoint& ckpt,
                                     const matrix::MatrixStore& data,
                                     const core::MinerOptions& options);
 
-/// Sweep counterpart: grid hash, point count, dims, matrix hash.
+/// Sweep counterpart: the point count, then CheckRunContext against the
+/// grid hash and the whole matrix.
 util::Status ValidateSweepCheckpoint(const SweepCheckpoint& ckpt,
                                      const matrix::MatrixStore& data,
                                      const std::vector<core::MinerOptions>&

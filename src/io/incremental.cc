@@ -20,9 +20,6 @@ namespace io {
 namespace {
 
 constexpr char kMagic[8] = {'R', 'G', 'C', 'X', 'I', 'N', 'C', '1'};
-constexpr uint32_t kVersion = 1;
-constexpr uint32_t kEndianTag = 0x01020304;
-constexpr size_t kPreambleBytes = 16;  // magic + version + endian
 
 // Record tags, in required file order.
 constexpr uint32_t kTagContext = 1;
@@ -33,7 +30,7 @@ using util::Cursor;
 using util::PutU32;
 using util::PutU64;
 
-// Cursor label: decode errors read "truncated incremental-state field ...".
+// Format label: decode errors read "truncated incremental-state field ...".
 constexpr char kLabel[] = "incremental-state";
 
 // ---------------------------------------------------------------------------
@@ -178,30 +175,10 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
         "first_new must be in [0, num_conditions]");
   }
   // The state must be the context of this mine over the pre-append prefix.
-  const RunContext want = MineContext(new_data, first_new, options);
-  const RunContext& have = prev.context;
-  if (have.num_genes != want.num_genes) {
-    return util::Status::FailedPrecondition(
-        "incremental state was mined over a different gene set");
-  }
-  if (have.num_conditions != want.num_conditions) {
-    return util::Status::FailedPrecondition(
-        "first_new does not match the incremental state's condition count");
-  }
-  if (have.options_hash != want.options_hash) {
-    return util::Status::FailedPrecondition(
-        "incremental state was mined under different options");
-  }
-  if (have.flags != want.flags) {
-    return util::Status::FailedPrecondition(
-        "incremental state disagrees on the remove_dominated post-pass");
-  }
-  if (have.matrix_hash != want.matrix_hash) {
-    return util::Status::FailedPrecondition(
-        "matrix prefix differs from the one the incremental state was "
-        "mined over (appends must only add conditions at the end)");
-  }
-  if (static_cast<int64_t>(prev.roots.size()) != have.num_conditions) {
+  REGCLUSTER_RETURN_IF_ERROR(
+      CheckRunContext(prev.context, MineContext(new_data, first_new, options),
+                      "incremental state", "mining options"));
+  if (static_cast<int64_t>(prev.roots.size()) != prev.context.num_conditions) {
     return util::Status::FailedPrecondition(
         "incremental state does not cover every previous root");
   }
@@ -261,131 +238,59 @@ util::StatusOr<IncrementalMineResult> MineIncremental(
 
 std::string EncodeIncrementalState(const IncrementalState& state) {
   std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, kVersion);
-  PutU32(&out, kEndianTag);
-  {
-    std::string rec;
-    PutU32(&rec, kTagContext);
-    PutRunContext(&rec, state.context);
-    util::AppendRecord(&out, rec);
-  }
+  PutPreamble(&out, kMagic);
+  PutRecord(&out, kTagContext,
+            [&](std::string* rec) { PutRunContext(rec, state.context); });
   for (const core::RootMineResult& slice : state.roots) {
-    std::string rec;
-    PutU32(&rec, kTagRoot);
-    PutU32(&rec, static_cast<uint32_t>(slice.root));
-    PutMinerStats(&rec, slice.stats);
-    PutClusters(&rec, slice.clusters);
-    util::AppendRecord(&out, rec);
+    PutRecord(&out, kTagRoot, [&](std::string* rec) {
+      PutU32(rec, static_cast<uint32_t>(slice.root));
+      PutMinerStats(rec, slice.stats);
+      PutClusters(rec, slice.clusters);
+    });
   }
-  {
-    std::string rec;
-    PutU32(&rec, kTagEnd);
-    PutU64(&rec, state.roots.size());
-    util::AppendRecord(&out, rec);
-  }
+  PutRecord(&out, kTagEnd,
+            [&](std::string* rec) { PutU64(rec, state.roots.size()); });
   return out;
 }
 
 util::StatusOr<IncrementalState> DecodeIncrementalState(
     std::string_view bytes) {
-  if (bytes.size() < kPreambleBytes) {
-    return util::Status::Corruption("short incremental-state preamble");
-  }
-  if (std::string_view(bytes.data(), sizeof(kMagic)) !=
-      std::string_view(kMagic, sizeof(kMagic))) {
-    return util::Status::Corruption("bad incremental-state magic");
-  }
-  Cursor pre(bytes.substr(sizeof(kMagic), kPreambleBytes - sizeof(kMagic)),
-             kLabel);
-  uint32_t version = 0, endian = 0;
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("version", &version));
-  REGCLUSTER_RETURN_IF_ERROR(pre.ReadU32("endian tag", &endian));
-  if (version != kVersion) {
-    return util::Status::Corruption("unsupported incremental-state version");
-  }
-  if (endian != kEndianTag) {
-    return util::Status::Corruption(
-        "incremental state written with a different byte order");
-  }
-
+  RecordFileReader file(bytes, kLabel);
+  auto pre = file.ReadPreamble(kMagic, 0);
+  if (!pre.ok()) return pre.status();
   IncrementalState state;
-  util::RecordReader reader(bytes.substr(kPreambleBytes));
-  bool saw_context = false;
-  bool saw_end = false;
-  uint64_t declared_roots = 0;
-  while (!reader.AtEnd()) {
-    if (saw_end) {
-      return util::Status::Corruption(
-          "records after the incremental-state end record");
-    }
-    auto rec = reader.Next();
-    if (!rec.ok()) return rec.status();
-    Cursor c(*rec, kLabel);
-    uint32_t tag = 0;
-    REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("record tag", &tag));
-    switch (tag) {
-      case kTagContext: {
-        if (saw_context) {
-          return util::Status::Corruption(
-              "duplicate incremental-state context record");
-        }
-        saw_context = true;
-        REGCLUSTER_RETURN_IF_ERROR(ReadRunContext(&c, &state.context));
-        break;
-      }
-      case kTagRoot: {
-        if (!saw_context) {
-          return util::Status::Corruption(
-              "incremental-state root record before the context record");
-        }
-        core::RootMineResult slice;
-        uint32_t root = 0;
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadU32("root", &root));
-        slice.root = static_cast<int>(root);
-        const int expected =
-            state.roots.empty() ? 0 : state.roots.back().root + 1;
-        if (slice.root != expected ||
-            static_cast<int64_t>(slice.root) >= state.context.num_conditions) {
-          return util::Status::Corruption(
-              "incremental-state root records out of order");
-        }
-        REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(&c, &slice.stats));
-        REGCLUSTER_RETURN_IF_ERROR(ReadClusters(&c, &slice.clusters));
-        REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("root"));
-        state.roots.push_back(std::move(slice));
-        break;
-      }
-      case kTagEnd: {
-        if (!saw_context) {
-          return util::Status::Corruption(
-              "incremental-state end record before the context record");
-        }
-        saw_end = true;
-        REGCLUSTER_RETURN_IF_ERROR(c.ReadU64("root count", &declared_roots));
-        REGCLUSTER_RETURN_IF_ERROR(c.ExpectDone("end"));
-        break;
-      }
-      default:
-        return util::Status::Corruption(
-            "unknown incremental-state record tag");
-    }
+  REGCLUSTER_RETURN_IF_ERROR(
+      file.ReadRecord(kTagContext, "context", [&](Cursor* c) {
+        return ReadRunContext(c, &state.context);
+      }));
+  // One root record per condition; the count is untrusted, so the slices
+  // grow with the records actually present.
+  for (int64_t r = 0; r < state.context.num_conditions; ++r) {
+    core::RootMineResult slice;
+    REGCLUSTER_RETURN_IF_ERROR(
+        file.ReadRecord(kTagRoot, "root", [&](Cursor* c) {
+          uint32_t root = 0;
+          REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("root", &root));
+          if (root != r) {
+            return util::Status::Corruption(
+                "incremental-state root records out of order");
+          }
+          slice.root = static_cast<int>(root);
+          REGCLUSTER_RETURN_IF_ERROR(ReadMinerStats(c, &slice.stats));
+          return ReadClusters(c, &slice.clusters);
+        }));
+    state.roots.push_back(std::move(slice));
   }
-  if (!saw_context) {
-    return util::Status::Corruption("missing incremental-state context record");
-  }
-  if (!saw_end) {
-    return util::Status::Corruption("missing incremental-state end record");
-  }
-  if (declared_roots != state.roots.size()) {
+  uint64_t declared = 0;
+  REGCLUSTER_RETURN_IF_ERROR(file.ReadRecord(kTagEnd, "end", [&](Cursor* c) {
+    return c->ReadU64("root count", &declared);
+  }));
+  // A negative condition count read no root records, and is no state.
+  if (state.context.num_conditions < 0 || declared != state.roots.size()) {
     return util::Status::Corruption(
         "incremental-state root count does not match its records");
   }
-  if (static_cast<int64_t>(state.roots.size()) !=
-      state.context.num_conditions) {
-    return util::Status::Corruption(
-        "incremental state does not cover every root");
-  }
+  REGCLUSTER_RETURN_IF_ERROR(file.ExpectEnd());
   return state;
 }
 

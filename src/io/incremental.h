@@ -29,9 +29,10 @@
 // deterministic MinerStats counter are byte-identical to a from-scratch
 // RegClusterMiner::Mine() over the grown matrix, at any thread count
 // (tests/core/incremental_append_test.cc).  The state is durable: a
-// versioned binary snapshot (magic RGCXINC1, CRC32C-framed records like the
-// checkpoint format) holding the per-root slices, so the CLI chains appends
-// across processes (`mine --append=cols.txt --prev-outcome=STATE`).
+// versioned record file (magic RGCXINC1, the container the checkpoint
+// format shares, io/record_codec.h) holding the per-root slices, so the CLI
+// chains appends across processes (`mine --append=cols.txt
+// --prev-outcome=STATE`).
 
 #ifndef REGCLUSTER_IO_INCREMENTAL_H_
 #define REGCLUSTER_IO_INCREMENTAL_H_
@@ -91,23 +92,24 @@ util::StatusOr<IncrementalMineResult> MineInitial(
 
 /// Re-mines only the dirty roots of `new_data` -- the matrix after appending
 /// conditions at the end, `first_new` = the previous condition count -- and
-/// splices every clean root from `prev`.  Validates that `prev` matches the
-/// options (semantic hash, dominance flag) and that the first `first_new`
-/// columns of `new_data` are content-identical to the matrix `prev` was
-/// mined over; each mismatch is a distinct FailedPrecondition.
+/// splices every clean root from `prev`.  Validates `prev` with
+/// CheckRunContext against MineContext of the first `first_new` columns of
+/// `new_data` -- the options, and the content of the matrix `prev` was mined
+/// over -- and that it holds one slice per root; each mismatch is a
+/// distinct FailedPrecondition.
 util::StatusOr<IncrementalMineResult> MineIncremental(
     const matrix::MatrixStore& new_data, int first_new,
     const core::MinerOptions& options, const IncrementalState& prev);
 
-/// Serializes `state` to the RGCXINC1 wire format: a 16-byte preamble
-/// (magic, version, endian tag) followed by CRC32C-framed records
-/// (util::AppendRecord) -- a context record, one record per root slice, and
-/// a count-bearing end record.
+/// Serializes `state` to the RGCXINC1 record file (io/record_codec.h): the
+/// 16-byte shared preamble, a context record, one record per root slice,
+/// and an end record carrying the root count.
 std::string EncodeIncrementalState(const IncrementalState& state);
 
-/// Inverse of EncodeIncrementalState.  Every malformed shape is a distinct
-/// kCorruption (short preamble, bad magic, version/endianness mismatch,
-/// torn records, out-of-order roots, count mismatch, trailing bytes).
+/// Inverse of EncodeIncrementalState: reads exactly
+/// `context.num_conditions` root records, then the end record.  Every
+/// malformed shape is a distinct kCorruption (the container's, out-of-order
+/// roots, count mismatch).
 util::StatusOr<IncrementalState> DecodeIncrementalState(
     std::string_view bytes);
 

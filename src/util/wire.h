@@ -1,11 +1,12 @@
-// Little-endian binary codec shared by the durable on-disk formats
-// (RGCXCKP1 checkpoints, RGCXINC1 incremental state).
+// Little-endian primitives of the durable on-disk formats (RGCXCKP1
+// checkpoints, RGCXINC1 incremental state).
 //
 // Encoding is a family of Put* appenders; decoding is a bounds-checked
 // Cursor over one record payload.  Any overrun is the same kind of damage as
 // a torn write, so the cursor reports kCorruption naming the format label
-// and the field ("truncated checkpoint field nodes_expanded").  Framing and
-// integrity (CRC32C records) live in util/durable_file.h.
+// and the field ("truncated checkpoint field nodes_expanded").  The record
+// container both formats share (preamble, tagged records in a fixed order)
+// is io/record_codec.h; CRC32C framing is util/durable_file.h.
 
 #ifndef REGCLUSTER_UTIL_WIRE_H_
 #define REGCLUSTER_UTIL_WIRE_H_
@@ -114,6 +115,9 @@ class Cursor {
     }
     return Status::OK();
   }
+
+  /// Bytes not yet read: the bound for any count a payload declares.
+  size_t remaining() const { return data_.size() - pos_; }
 
   Status ExpectDone(const char* record) {
     if (pos_ != data_.size()) {

@@ -492,6 +492,15 @@ TEST(IncrementalState, EveryMalformedShapeIsCorruption) {
   // The empty string.
   EXPECT_EQ(DecodeIncrementalState("").status().code(),
             util::StatusCode::kCorruption);
+  // A negative condition count, which no run of root records can match.
+  {
+    IncrementalState bad = SampleState();
+    bad.context.num_conditions = -1;
+    bad.roots.clear();
+    const std::string forged = EncodeIncrementalState(bad);
+    EXPECT_EQ(DecodeIncrementalState(forged).status().code(),
+              util::StatusCode::kCorruption);
+  }
 }
 
 TEST(IncrementalState, UnspliceableOptionsAreRejected) {

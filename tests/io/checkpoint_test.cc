@@ -34,6 +34,7 @@
 #include "util/cancellation.h"
 #include "util/durable_file.h"
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace regcluster {
 namespace io {
@@ -316,12 +317,34 @@ TEST(CheckpointCorruptionTest, EveryFramedByteFlipIsRejected) {
 
 TEST(CheckpointCorruptionTest, MineNextRootMustBeACondition) {
   // A resume mines the roots from next_root on, so it must name one.
-  for (const int64_t past : {int64_t{12}, int64_t{13}}) {  // 12 conditions
+  // 12 conditions; -1 alone means complete.
+  for (const int64_t past : {int64_t{12}, int64_t{13}, int64_t{-2}}) {
     Checkpoint ckpt = MineFixture();
     ckpt.mine.next_root = past;
     ExpectCorruption(EncodeCheckpoint(ckpt),
                      "next_root is outside the matrix's conditions");
   }
+}
+
+TEST(CheckpointCorruptionTest, ClusterCountBeyondItsRecordIsRejected) {
+  // A CRC-valid clusters record that declares 2^40 clusters in no bytes:
+  // each cluster needs at least 12, so the count fails before any reserve.
+  const std::string bytes = EncodeCheckpoint(MineFixture());
+  util::RecordReader reader(std::string_view(bytes).substr(28));
+  std::vector<std::string> records;
+  while (!reader.AtEnd()) {
+    auto rec = reader.Next();
+    ASSERT_TRUE(rec.ok());
+    records.emplace_back(*rec);
+  }
+  ASSERT_EQ(records.size(), 5u);  // context, progress, stats, clusters, end
+  std::string clusters;
+  util::PutU32(&clusters, 4);  // clusters record tag
+  util::PutU64(&clusters, uint64_t{1} << 40);
+  records[3] = clusters;
+  std::string forged = bytes.substr(0, 28);
+  for (const std::string& rec : records) util::AppendRecord(&forged, rec);
+  ExpectCorruption(forged, "exceeds what its record can hold");
 }
 
 // A sweep snapshot whose records disagree with its progress is CRC-valid but

@@ -5,9 +5,15 @@
 // Each file must decode back to exactly its struct, and re-encoding the
 // decoded value (and the struct itself) must reproduce the file byte for
 // byte.  A codec refactor that reorders, drops or retypes a field fails
-// here instead of silently orphaning every snapshot already on disk.
+// here instead of silently orphaning every snapshot already on disk.  A
+// seeded mutation battery over the same files holds both decoders to their
+// hostile-input contract: OK and byte-identical on re-encode, or kCorruption.
 
+#include <cstdint>
+#include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -177,6 +183,116 @@ TEST(WireGolden, TruncatedGoldenFilesStayCorruption) {
     auto got = io::DecodeIncrementalState(state.substr(0, cut));
     ASSERT_FALSE(got.ok()) << "state cut at " << cut;
     EXPECT_EQ(got.status().code(), util::StatusCode::kCorruption);
+  }
+}
+
+// The three golden files with their preamble lengths: the framed records
+// start after it.
+struct GoldenFormat {
+  const char* name;
+  size_t preamble;
+};
+constexpr GoldenFormat kGoldenFormats[] = {{kMineCheckpointFile, 28},
+                                           {kSweepCheckpointFile, 28},
+                                           {kIncrementalStateFile, 16}};
+
+// The framed records (header, payload and CRC each) after the preamble.
+std::vector<std::string> FramedRecords(const std::string& bytes,
+                                       size_t preamble) {
+  util::RecordReader reader(std::string_view(bytes).substr(preamble));
+  std::vector<std::string> records;
+  size_t start = 0;
+  while (!reader.AtEnd()) {
+    EXPECT_TRUE(reader.Next().ok());
+    records.push_back(
+        bytes.substr(preamble + start, reader.position() - start));
+    start = reader.position();
+  }
+  return records;
+}
+
+// Decodes `bytes` in the format of golden file `name`: an accepted input
+// must re-encode to exactly itself; anything else must be kCorruption.
+void ExpectRoundTripOrCorruption(const char* name, const std::string& bytes,
+                                 const std::string& mutation) {
+  util::Status status;
+  std::string again;
+  if (std::string_view(name) == kIncrementalStateFile) {
+    auto got = io::DecodeIncrementalState(bytes);
+    status = got.status();
+    if (got.ok()) again = io::EncodeIncrementalState(*got);
+  } else {
+    auto got = io::DecodeCheckpoint(bytes);
+    status = got.status();
+    if (got.ok()) again = io::EncodeCheckpoint(*got);
+  }
+  if (status.ok()) {
+    EXPECT_EQ(again, bytes) << name << " after " << mutation;
+  } else {
+    EXPECT_EQ(status.code(), util::StatusCode::kCorruption)
+        << name << " after " << mutation << ": " << status.ToString();
+  }
+}
+
+TEST(WireGolden, MutatedGoldenFilesDecodeExactlyOrStayCorruption) {
+  // Byte flips and truncations mostly stop at the CRC framing; whole-record
+  // splices (drop, duplicate, swap) keep every CRC valid, so they reach the
+  // record-order rules, the end counts and the run and root indices.
+  constexpr int kMutationsPerFile = 3000;
+  std::mt19937_64 rng(20261020);
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  for (const GoldenFormat& format : kGoldenFormats) {
+    const std::string bytes = ReadGolden(format.name);
+    const std::vector<std::string> records =
+        FramedRecords(bytes, format.preamble);
+    ASSERT_GE(records.size(), 3u) << format.name;
+    for (int i = 0; i < kMutationsPerFile; ++i) {
+      std::string mutated;
+      std::string what;
+      switch (i % 3) {
+        case 0: {
+          const size_t at = pick(bytes.size());
+          const char mask = static_cast<char>(1 + pick(255));
+          mutated = bytes;
+          mutated[at] ^= mask;
+          what = "flip at " + std::to_string(at);
+          break;
+        }
+        case 1: {
+          const size_t keep = pick(bytes.size());
+          mutated = bytes.substr(0, keep);
+          what = "cut to " + std::to_string(keep);
+          break;
+        }
+        default: {
+          std::vector<std::string> spliced = records;
+          for (size_t ops = 1 + pick(3); ops > 0 && !spliced.empty(); --ops) {
+            const size_t a = pick(spliced.size());
+            const size_t b = pick(spliced.size());
+            switch (pick(3)) {
+              case 0:
+                spliced.erase(spliced.begin() + a);
+                what += "drop " + std::to_string(a) + "; ";
+                break;
+              case 1:
+                spliced.insert(spliced.begin() + b, spliced[a]);
+                what += "dup " + std::to_string(a) + " at " +
+                        std::to_string(b) + "; ";
+                break;
+              default:
+                std::swap(spliced[a], spliced[b]);
+                what += "swap " + std::to_string(a) + "," +
+                        std::to_string(b) + "; ";
+                break;
+            }
+          }
+          mutated = bytes.substr(0, format.preamble);
+          for (const std::string& rec : spliced) mutated += rec;
+          break;
+        }
+      }
+      ExpectRoundTripOrCorruption(format.name, mutated, what);
+    }
   }
 }
 
