@@ -625,14 +625,12 @@ int Main(int argc, char** argv) {
     }
 
     // Durability overhead: the same serial mine run through
-    // io::RunCheckpointedMine -- one Mine() per chunk of whole roots
-    // (MinerOptions::root_set; the first chunk one root, later ones sized
-    // to the default 1 s cadence), snapshotting to a real double-buffered
-    // file on the background writer thread -- vs the plain Mine() it must
-    // reproduce byte-for-byte.  The difference is everything a durable run
-    // pays: per-chunk miner set-up, snapshot encoding, and the writer's
-    // file I/O.  The
-    // final snapshot of a run is written synchronously whatever the run's
+    // io::RunCheckpointedMine -- one Mine() whose per-root callback
+    // snapshots after the first root and then at the default 1 s cadence,
+    // to a real double-buffered file on the background writer thread -- vs
+    // the plain Mine() it must reproduce byte-for-byte.  The difference is
+    // everything a durable run pays: snapshot encoding and the writer's
+    // file I/O.  The final snapshot of a run is written synchronously whatever the run's
     // length, so the comparison uses a looser MinC than the sweep above:
     // durability is for long mines, and on a sub-second one that fixed
     // write would dominate the fraction instead of amortizing as it does
@@ -658,7 +656,7 @@ int Main(int argc, char** argv) {
     std::remove((ckpt_scratch + ".b").c_str());
     if (!ckpt_oh.ok) return 1;
     std::printf(
-        "\ncheckpoint overhead (serial, durable chunked mine + snapshots vs "
+        "\ncheckpoint overhead (serial, durable mine + snapshots vs "
         "plain): off %.4f s, on %.4f s -> %+.2f%%\n",
         ckpt_oh.off_seconds, ckpt_oh.on_seconds, 100.0 * ckpt_oh.fraction);
     const std::string ckpt_overhead_section = JsonObject({

@@ -285,8 +285,9 @@ void RegClusterMiner::RootWork::Reset() {
 /// lets a batch driver keep many runs in flight on one pool between the two
 /// calls.
 struct RegClusterMiner::RunState {
-  util::WallTimer total_timer;  ///< Prepare() entry -> Finalize() exit
-  util::WallTimer mine_timer;   ///< model ready -> Finalize() exit
+  util::WallTimer total_timer;    ///< Prepare() entry -> Finalize() exit
+  util::WallTimer mine_timer;     ///< model ready -> Finalize() exit
+  util::WallTimer phase_a_timer;  ///< SubmitParallelWork() -> last task done
   std::vector<RootWork> work;   ///< one slot per level-1 condition
   std::vector<MinerScratch> scratches;  ///< phase-A per-worker arenas
   /// The level-1 conditions this run searches, ascending: root_set, or
@@ -295,24 +296,36 @@ struct RegClusterMiner::RunState {
   int threads = 1;
   int fin_slot = 0;  ///< guard byte-report slot of the finalize pass
 
-  /// Phase-A tasks of *this run* still queued or running on the pool.
-  /// Incremented before each Submit, decremented as the last action of the
-  /// task body, so a transient zero cannot be observed while a root still
-  /// has subtrees to submit (the root's own count covers the submission
-  /// window).
-  std::atomic<int64_t> outstanding{0};
+  /// Phase-A tasks of *this run* still queued or running, in total and per
+  /// root (by condition).  A root task adds its subtrees before it counts
+  /// itself done, so its root cannot drain early.  The counts move only
+  /// under `wait_mu`: once a waiter sees one at zero, no task it counts
+  /// touches this RunState again.
   std::mutex wait_mu;
   std::condition_variable wait_cv;
+  int64_t outstanding = 0;
+  std::vector<int> pending;
 
-  /// Marks one phase-A task finished and wakes WaitParallelWork().  The
-  /// count moves under `wait_mu`, under which WaitParallelWork() reads it:
-  /// once a waiter sees zero, no task touches this RunState again, so
-  /// Finalize() may destroy it.
-  void TaskDone() {
+  void AddTasks(int root, int n) {
     std::lock_guard<std::mutex> lock(wait_mu);
-    if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      wait_cv.notify_all();
-    }
+    pending[static_cast<size_t>(root)] += n;
+    outstanding += n;
+  }
+
+  /// Marks one task of `root` done; wakes the waiters once the root drains.
+  void TaskDone(int root) {
+    std::lock_guard<std::mutex> lock(wait_mu);
+    --outstanding;
+    if (--pending[static_cast<size_t>(root)] == 0) wait_cv.notify_all();
+  }
+
+  /// Blocks until `root`'s tasks -- every task when root < 0 -- are done.
+  void Wait(int root) {
+    std::unique_lock<std::mutex> lock(wait_mu);
+    wait_cv.wait(lock, [&] {
+      return (root < 0 ? outstanding : pending[static_cast<size_t>(root)]) ==
+             0;
+    });
   }
 };
 
@@ -365,20 +378,22 @@ RegClusterMiner::RegClusterMiner(const matrix::MatrixStore& data,
                                  MinerOptions options)
     : data_(data), options_(options) {}
 
-RegClusterMiner::~RegClusterMiner() = default;
+RegClusterMiner::~RegClusterMiner() {
+  // Tasks of a submitted, unfinalized run still reference it.
+  if (run_ != nullptr) run_->Wait(-1);
+}
 
-util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Mine() {
+util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Mine(
+    const RootCallback& on_root) {
   util::Status prep = Prepare();
   if (!prep.ok()) return prep;
-  if (run_->threads > 1) {
-    obs::PhaseSpan phase_a(&outcome_.phase_a_seconds);
-    util::TaskPool pool(run_->threads);
-    SubmitParallelWork(&pool);
-    WaitParallelWork();
-    outcome_.pool_steals = pool.total_steals();
-    outcome_.pool_queue_high_water = pool.queue_depth_high_water();
-  }
-  return Finalize();
+  if (run_->threads <= 1) return Finalize(on_root);
+  util::TaskPool pool(run_->threads);
+  SubmitParallelWork(&pool);
+  auto out = Finalize(on_root);
+  outcome_.pool_steals = pool.total_steals();
+  outcome_.pool_queue_high_water = pool.queue_depth_high_water();
+  return out;
 }
 
 util::Status ValidateMinerOptions(const MinerOptions& o,
@@ -463,6 +478,8 @@ util::Status ValidateMatrixValues(const matrix::MatrixStore& data,
 }
 
 util::Status RegClusterMiner::Prepare() {
+  // The tasks of a restarted, unfinalized run read the state rebuilt below.
+  if (run_ != nullptr) run_->Wait(-1);
   REGCLUSTER_RETURN_IF_ERROR(ValidateMinerOptions(options_, data_));
   REGCLUSTER_RETURN_IF_ERROR(ValidateMatrixValues(data_));
   allowed_cond_.assign(static_cast<size_t>(data_.num_conditions()),
@@ -488,7 +505,6 @@ util::Status RegClusterMiner::Prepare() {
 
   stats_ = MinerStats();
   outcome_ = MineOutcome();
-  root_results_.clear();
   guard_.reset();
   run_.reset();
   index_ = nullptr;
@@ -535,6 +551,7 @@ util::Status RegClusterMiner::Prepare() {
 
   run->work = std::vector<RootWork>(
       static_cast<size_t>(data_.num_conditions()));
+  run->pending.assign(static_cast<size_t>(data_.num_conditions()), 0);
   run->roots = options_.root_set;
   if (run->roots.empty()) {
     run->roots.resize(static_cast<size_t>(data_.num_conditions()));
@@ -583,8 +600,8 @@ RegClusterMiner::TaskControl RegClusterMiner::MakeControl(
 // abandon their slot atomically (they simply never mark themselves
 // complete), and the queued tasks of this run observe the trip on entry and
 // return immediately.  Queued tasks are never dropped: the pool may be
-// shared with other runs, and each task's own decrement of `outstanding` is
-// what WaitParallelWork() waits for.  Which roots finish here is
+// shared with other runs, and each task's own TaskDone() is what
+// Finalize() waits for.  Which roots finish here is
 // scheduling-dependent -- phase B makes the *output* deterministic.
 void RegClusterMiner::SubmitParallelWork(util::TaskPool* pool) {
   if (run_ == nullptr) return;
@@ -596,8 +613,8 @@ void RegClusterMiner::SubmitParallelWork(util::TaskPool* pool) {
   for (MinerScratch& s : run->scratches) s.Init(num_conds);
   MinerScratch* scratches = run->scratches.data();
   RootWork* work = run->work.data();
-  run->outstanding.fetch_add(static_cast<int64_t>(run->roots.size()),
-                             std::memory_order_relaxed);
+  for (const int c : run->roots) run->AddTasks(c, 1);
+  run->phase_a_timer.Reset();
   // Each root task seeds its level-2 subtrees and immediately re-submits
   // them: large subtrees become stealable instead of serializing behind
   // their root, which is what makes imbalanced trees scale.
@@ -611,13 +628,12 @@ void RegClusterMiner::SubmitParallelWork(util::TaskPool* pool) {
       ctl.Finish();
       rw->ctx.ctl = nullptr;
       if (!seed_ok) {  // abandoned: the root stays incomplete
-        run->TaskDone();
+        run->TaskDone(c);
         return;
       }
       rw->subtree_ctx.resize(rw->seeds.size());
       rw->seeded.store(true, std::memory_order_release);
-      run->outstanding.fetch_add(static_cast<int64_t>(rw->seeds.size()),
-                                 std::memory_order_relaxed);
+      run->AddTasks(c, static_cast<int>(rw->seeds.size()));
       for (size_t i = 0; i < rw->seeds.size(); ++i) {
         pool->Submit([this, c, rw, i, scratches, run](int w) {
           MinerScratch* s = &scratches[w];
@@ -632,38 +648,25 @@ void RegClusterMiner::SubmitParallelWork(util::TaskPool* pool) {
           if (!sub_ctl.stopped) {
             rw->subtrees_done.fetch_add(1, std::memory_order_acq_rel);
           }
-          run->TaskDone();
+          run->TaskDone(c);
         });
       }
-      run->TaskDone();
+      run->TaskDone(c);
     });
   }
 }
 
-void RegClusterMiner::WaitParallelWork() {
-  if (run_ == nullptr) return;
-  RunState* run = run_.get();
-  std::unique_lock<std::mutex> lock(run->wait_mu);
-  run->wait_cv.wait(lock, [run] {
-    return run->outstanding.load(std::memory_order_acquire) == 0;
-  });
-}
-
-util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
+util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize(
+    const RootCallback& on_root) {
   if (run_ == nullptr) {
     return util::Status::FailedPrecondition(
         "Finalize() requires a successful Prepare()");
   }
   const int num_conds = data_.num_conditions();
-  const int threads = run_->threads;
   std::vector<RootWork>& work = run_->work;
   // Serial staged runs reach here without a phase A; the guard (and with it
   // the deadline clock) then starts now.
-  EnsureGuard(threads + 1);
-  int64_t parallel_scratch_bytes = 0;
-  for (const MinerScratch& s : run_->scratches) {
-    parallel_scratch_bytes += s.ApproxBytes();
-  }
+  EnsureGuard(run_->threads + 1);
 
   // Phase B: canonical finalize -- the whole mining pass when threads <= 1.
   // Walk the roots in canonical order; re-run any incomplete root serially
@@ -688,6 +691,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
   int roots_included = 0;
   std::vector<RegCluster> out;
   for (const int c : run_->roots) {
+    run_->Wait(c);  // this root's own phase-A tasks only
     RootWork& rw = work[static_cast<size_t>(c)];
     if (!rw.Complete()) {
       if (guard_ != nullptr &&
@@ -721,49 +725,45 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize() {
       }
     }
     // Deterministic inclusion test, from the root's recorded totals.
-    int64_t root_nodes = rw.ctx.stats.nodes_expanded;
-    int64_t root_clusters = rw.ctx.stats.clusters_emitted;
+    MinerStats root_stats = rw.ctx.stats;
     for (const SearchContext& ctx : rw.subtree_ctx) {
-      root_nodes += ctx.stats.nodes_expanded;
-      root_clusters += ctx.stats.clusters_emitted;
+      AccumulateStats(ctx.stats, &root_stats);
     }
-    if (root_nodes > node_rem) {
+    if (root_stats.nodes_expanded > node_rem) {
       stop = util::StopReason::kNodeBudget;
       cut_root = c;
       break;
     }
-    if (root_clusters > cluster_rem) {
+    if (root_stats.clusters_emitted > cluster_rem) {
       stop = util::StopReason::kClusterBudget;
       cut_root = c;
       break;
     }
-    node_rem -= root_nodes;
-    cluster_rem -= root_clusters;
+    node_rem -= root_stats.nodes_expanded;
+    cluster_rem -= root_stats.clusters_emitted;
     ++roots_included;
-    if (options_.capture_root_results) {
-      // Copy the slice before the canonical merge moves the clusters out.
-      RootMineResult rr;
-      rr.root = c;
-      rr.stats = rw.ctx.stats;
-      for (const SearchContext& ctx : rw.subtree_ctx) {
-        AccumulateStats(ctx.stats, &rr.stats);
-        rr.clusters.insert(rr.clusters.end(), ctx.out.begin(), ctx.out.end());
-      }
-      root_results_.push_back(std::move(rr));
-    }
     // Canonical (root, second-condition) merge: deterministic regardless of
     // thread count and of which worker ran which task.
-    AccumulateStats(rw.ctx.stats, &stats_);
+    AccumulateStats(root_stats, &stats_);
+    const size_t first = out.size();
     for (SearchContext& ctx : rw.subtree_ctx) {
-      AccumulateStats(ctx.stats, &stats_);
       out.insert(out.end(), std::make_move_iterator(ctx.out.begin()),
                  std::make_move_iterator(ctx.out.end()));
     }
+    if (on_root) on_root(RootSlice{c, root_stats, out, first});
   }
   phase_b.Stop();
+  run_->Wait(-1);  // a cut leaves later roots' tasks in flight
+  if (!run_->scratches.empty()) {  // phase A ran
+    outcome_.phase_a_seconds = run_->phase_a_timer.ElapsedSeconds();
+  }
   if (options_.remove_dominated) out = RemoveDominated(std::move(out));
   stats_.mine_seconds = run_->mine_timer.ElapsedSeconds();
 
+  int64_t parallel_scratch_bytes = 0;
+  for (const MinerScratch& s : run_->scratches) {
+    parallel_scratch_bytes += s.ApproxBytes();
+  }
   const bool truncated = stop != util::StopReason::kNone;
   outcome_.status = truncated ? MineStatus::kTruncated : MineStatus::kComplete;
   outcome_.stop_reason = stop;

@@ -35,7 +35,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -105,7 +107,7 @@ struct MineOutcome {
   /// thread count, machine speed and stealing luck, which is why they live
   /// here and not in the deterministic MinerStats.
   double phase_a_seconds = 0.0;  ///< parallel optimistic phase (0 if serial)
-  double phase_b_seconds = 0.0;  ///< canonical finalize / serial mining phase
+  double phase_b_seconds = 0.0;  ///< canonical finalize walk (overlaps A)
   int64_t pool_steals = 0;       ///< TaskPool cross-worker task transfers
   int64_t pool_queue_high_water = 0;  ///< deepest single worker deque seen
   int64_t budget_polls = 0;      ///< BudgetGuard::Poll() calls, all workers
@@ -287,19 +289,11 @@ struct MinerOptions {
   /// are independent searches, so each selected root's clusters and
   /// counters are byte-identical to the same root's slice of a full run --
   /// the contract the incremental miner (io::MineIncremental) splices on,
-  /// and the durable driver (io::RunCheckpointedMine), which mines
-  /// consecutive runs of whole roots.  Budgets apply to the selected roots
+  /// and the durable driver (io::RunCheckpointedMine), which mines the roots
+  /// a snapshot has not covered yet.  Budgets apply to the selected roots
   /// in ascending order, exactly as in a full run.  Purely an execution
   /// knob, excluded from SemanticOptionsHash.
   std::vector<int> root_set;
-
-  /// Record each included root's own (stats, clusters) slice alongside the
-  /// merged output; read via RegClusterMiner::root_results().  The slices
-  /// are exact: summing the per-root stats reproduces every deterministic
-  /// counter of stats(), and concatenating the cluster lists in root order
-  /// reproduces the pre-dominance output.  Costs one copy of the output
-  /// clusters, so it is off by default.
-  bool capture_root_results = false;
 };
 
 /// The one option screen every entry point applies before any model is
@@ -327,11 +321,27 @@ util::Status ValidateMatrixValues(
         "matrix contains missing values; impute first "
         "(matrix::ImputeRowMean)");
 
-/// One root's slice of a mining run, captured when
-/// MinerOptions::capture_root_results is set: the root id, the root's own
-/// deterministic counters, and the clusters emitted under it in canonical
-/// (second-condition, DFS) order -- before any remove_dominated post-pass,
-/// which is global and cannot be attributed to single roots.
+/// One included root, as Finalize() hands it to a RootCallback: its id,
+/// its own deterministic counters, and the merged output so far, whose tail
+/// from `first` is this root's clusters (before any remove_dominated pass,
+/// which is global).  The slices' stats sum to stats()' deterministic
+/// counters.  The views are valid only during the call.
+struct RootSlice {
+  int root;
+  const MinerStats& stats;
+  std::span<const RegCluster> output;
+  size_t first;
+
+  std::span<const RegCluster> clusters() const {
+    return output.subspan(first);
+  }
+};
+
+/// Called on the Finalize() thread once per included root, in ascending
+/// root order, as soon as the root is final.
+using RootCallback = std::function<void(const RootSlice& slice)>;
+
+/// A RootSlice copied out (io::IncrementalState keeps one per condition).
 struct RootMineResult {
   int root = -1;
   MinerStats stats;
@@ -352,11 +362,13 @@ class RegClusterMiner {
   /// (count budgets cut at a root boundary computed from per-root totals,
   /// not from scheduling).  A budgeted or cancelled run still returns OK
   /// with the partial clusters; consult outcome() for what was covered.
-  util::StatusOr<std::vector<RegCluster>> Mine();
+  /// `on_root`, when set, sees every included root as Finalize() does.
+  util::StatusOr<std::vector<RegCluster>> Mine(
+      const RootCallback& on_root = {});
 
   /// Staged execution for batch drivers (core::SweepEngine).  The sequence
   ///
-  ///   Prepare(); SubmitParallelWork(&pool); WaitParallelWork(); Finalize();
+  ///   Prepare(); SubmitParallelWork(&pool); Finalize();
   ///
   /// is what Mine() runs, on a pool of its own; here the optimistic phase-A
   /// tasks run on a caller-owned pool that may be shared with *other*
@@ -366,27 +378,21 @@ class RegClusterMiner {
   /// trip abandons its slot, and this run's still-queued tasks observe the
   /// trip on entry and return; Finalize() repairs or excludes the abandoned
   /// roots.  The only difference from Mine(): the pool telemetry of
-  /// MineOutcome (phase_a_seconds, pool_steals, pool_queue_high_water)
-  /// stays 0 -- a shared pool's scheduling is not attributable to one run --
-  /// and wall-clock figures (mine_seconds, wall_seconds) span Prepare() to
-  /// Finalize(), overlapping whatever else ran on the pool in between.
+  /// MineOutcome (pool_steals, pool_queue_high_water) stays 0 -- a shared
+  /// pool's scheduling is not attributable to one run -- and wall-clock
+  /// figures (mine_seconds, wall_seconds) span Prepare() to Finalize(),
+  /// overlapping whatever else ran on the pool in between.
   /// Prepare() validates options and builds (or adopts) the gamma model;
-  /// calling it again restarts the staged run.  Finalize() runs the
-  /// canonical serial merge/repair phase and returns the clusters; it fails
-  /// (FailedPrecondition) without a preceding successful Prepare().
+  /// calling it again restarts the staged run.  Finalize() may follow
+  /// SubmitParallelWork() at once: it takes each root in canonical order as
+  /// soon as that root's own tasks have drained, and drains the rest before
+  /// it returns; it fails (FailedPrecondition) without a preceding
+  /// successful Prepare().  A miner destroyed with a submitted, unfinalized
+  /// run drains that run's tasks first.
   util::Status Prepare();
   void SubmitParallelWork(util::TaskPool* pool);
-  util::StatusOr<std::vector<RegCluster>> Finalize();
-
-  /// Blocks until every phase-A task submitted by the last
-  /// SubmitParallelWork() call has finished.  util::TaskPool::Wait() is a
-  /// *global* barrier -- it waits for every task in the pool, including
-  /// other runs' -- so a request/session driver sharing one pool across
-  /// concurrent mines must use this instead: each session drains only its
-  /// own tasks and proceeds to Finalize() while the others keep mining.
-  /// Returns immediately when no parallel work was submitted (serial
-  /// staged run).
-  void WaitParallelWork();
+  util::StatusOr<std::vector<RegCluster>> Finalize(
+      const RootCallback& on_root = {});
 
   /// Counters from the last Mine() call.  Under truncation these describe
   /// exactly the included canonical prefix (deterministic); total effort
@@ -396,14 +402,6 @@ class RegClusterMiner {
   /// Completion status, stop reason, coverage and resume token of the last
   /// Mine() call.
   const MineOutcome& outcome() const { return outcome_; }
-
-  /// Per-root (stats, clusters) slices of the last Mine() call, in ascending
-  /// root order; empty unless MinerOptions::capture_root_results was set.
-  /// Slices are captured before the remove_dominated post-pass (which is
-  /// global and cannot be attributed to single roots).
-  const std::vector<RootMineResult>& root_results() const {
-    return root_results_;
-  }
 
   /// Fingerprint of the options fields that define *what* is mined (MinG,
   /// MinC, gamma, epsilon, prunings, targeting, ...), excluding execution
@@ -478,9 +476,9 @@ class RegClusterMiner {
   /// counters plus one (seed, context) pair per level-2 subtree, kept in
   /// ascending second-condition order for the canonical merge.  The two
   /// completion fields make "did every task of this root finish?" a
-  /// race-free question after TaskPool::Wait(): a task that abandons its
-  /// slot on a budget trip simply never counts itself done, and the merge
-  /// re-runs or excludes the root.
+  /// race-free question once the root's own tasks have drained: a task
+  /// that abandons its slot on a budget trip simply never counts itself
+  /// done, and the merge re-runs or excludes the root.
   struct RootWork {
     SearchContext ctx;
     std::vector<SubtreeSeed> seeds;
@@ -555,7 +553,6 @@ class RegClusterMiner {
   MinerOptions options_;
   MinerStats stats_;
   MineOutcome outcome_;
-  std::vector<RootMineResult> root_results_;
   /// Model state of the current run: either adopted from
   /// options_.shared_model or built (and owned) by Prepare().
   std::shared_ptr<const SharedGammaModel> model_;

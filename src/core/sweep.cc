@@ -149,9 +149,11 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     }
   }
 
-  // --- Phase B: canonical serial walk.  Each run drains its own pool tasks
-  // just before it finalizes; finalization order, budget accounting and
-  // truncation decisions are independent of the pool. ---
+  // --- Phase B: canonical serial walk.  Each run's Finalize() waits for
+  // that run's own pool tasks only; finalization order, budget accounting
+  // and truncation decisions are independent of the pool.  A truncated walk
+  // leaves later runs' tasks on the pool: their miners drain them when the
+  // walk's end destroys them. ---
   constexpr int64_t kUnlimited = std::numeric_limits<int64_t>::max();
   int64_t node_rem = options_.max_nodes >= 0 ? options_.max_nodes : kUnlimited;
   int64_t cluster_rem =
@@ -177,7 +179,6 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     } else if (!run.status.ok()) {
       continue;
     }
-    miners[i]->WaitParallelWork();
     auto clusters = miners[i]->Finalize();
     if (!clusters.ok()) {
       run.status = clusters.status();
@@ -224,11 +225,6 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     report.CountRun(run);
   }
 
-  // A truncated walk leaves later runs' tasks on the pool; they reference
-  // their miners, so drain them before the miners go.
-  for (const std::unique_ptr<RegClusterMiner>& miner : miners) {
-    if (miner != nullptr) miner->WaitParallelWork();
-  }
   if (report.stop_reason != util::StopReason::kNone) {
     report.status = MineStatus::kTruncated;
   }

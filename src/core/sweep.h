@@ -23,10 +23,11 @@
 // inputs in SweepOptions: a borrowed `pool`, a `model_source` (e.g. a cache)
 // replacing the engine's own serial SharedGammaModel::Build, and a point
 // `screen` on top of ValidateMinerOptions.  With any pool, every screened
-// point is prepared and submitted up front and the canonical walk drains
-// each run with RegClusterMiner::WaitParallelWork() just before finalizing
-// it -- never TaskPool::Wait(), which would also wait for other callers'
-// tasks.  Without a pool the walk prepares and runs each point serially.
+// point is prepared and submitted up front, and the canonical walk
+// finalizes each run in turn: RegClusterMiner::Finalize() waits for that
+// run's own tasks root by root -- never TaskPool::Wait(), which would also
+// wait for other callers' tasks.  Without a pool the walk prepares and runs
+// each point serially.
 // A point failing validation or the screen gets no model and no miner; its
 // SweepRun::status records why.
 //

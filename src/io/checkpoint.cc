@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "core/bicluster.h"
@@ -38,6 +40,18 @@ using util::PutU64;
 // Format label: decode errors read "truncated checkpoint field ...".
 constexpr char kLabel[] = "checkpoint";
 
+// The decoders accept only values the encoder writes -- a flag is 0 or 1,
+// an enum one of its enumerators -- so a snapshot re-encodes to its bytes.
+util::Status CheckDefined(uint32_t value, uint32_t max, const char* field) {
+  if (value <= max) return util::Status::OK();
+  return util::Status::Corruption(std::string("checkpoint ") + field +
+                                  " holds undefined value " +
+                                  std::to_string(value));
+}
+
+constexpr auto kMaxStopReason =
+    static_cast<uint32_t>(util::StopReason::kClusterBudget);
+
 // The MineOutcome subset a sweep snapshot restores (the fields sweep reports
 // print plus the resume contract fields).
 void PutOutcome(std::string* out, const core::MineOutcome& o) {
@@ -56,7 +70,10 @@ util::Status ReadOutcome(Cursor* c, core::MineOutcome* o) {
   uint32_t truncated = 0, reason = 0;
   int64_t roots_completed = 0, roots_total = 0, next_root = -1;
   REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("outcome status", &truncated));
+  REGCLUSTER_RETURN_IF_ERROR(CheckDefined(truncated, 1, "outcome status"));
   REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("outcome stop_reason", &reason));
+  REGCLUSTER_RETURN_IF_ERROR(
+      CheckDefined(reason, kMaxStopReason, "outcome stop_reason"));
   REGCLUSTER_RETURN_IF_ERROR(
       c->ReadI64("outcome nodes_visited", &o->nodes_visited));
   REGCLUSTER_RETURN_IF_ERROR(
@@ -164,7 +181,11 @@ util::Status ReadSweepBody(RecordFileReader* file, SweepCheckpoint* s) {
             c->ReadI64("first_unfinished", &s->first_unfinished));
         REGCLUSTER_RETURN_IF_ERROR(c->ReadI64("runs_total", &s->runs_total));
         REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("truncated", &s->truncated));
+        REGCLUSTER_RETURN_IF_ERROR(
+            CheckDefined(s->truncated, 1, "sweep truncated"));
         REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("stop_reason", &reason));
+        REGCLUSTER_RETURN_IF_ERROR(
+            CheckDefined(reason, kMaxStopReason, "sweep stop_reason"));
         s->stop_reason = static_cast<int32_t>(reason);
         REGCLUSTER_RETURN_IF_ERROR(
             c->ReadI64("index_builds", &s->index_builds));
@@ -198,11 +219,21 @@ util::Status ReadSweepBody(RecordFileReader* file, SweepCheckpoint* s) {
                 "checkpoint sweep run index differs from its position");
           }
           REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("run status code", &code));
+          REGCLUSTER_RETURN_IF_ERROR(CheckDefined(
+              code, static_cast<uint32_t>(util::StatusCode::kInternal),
+              "run status code"));
           REGCLUSTER_RETURN_IF_ERROR(
               c->ReadString("run status message", &message));
+          if (code == 0 && !message.empty()) {
+            return util::Status::Corruption(
+                "checkpoint run status carries a message under code 0");
+          }
           REGCLUSTER_RETURN_IF_ERROR(c->ReadU32("run executed", &executed));
+          REGCLUSTER_RETURN_IF_ERROR(CheckDefined(executed, 1, "run executed"));
           REGCLUSTER_RETURN_IF_ERROR(
               c->ReadU32("run used_shared_model", &shared));
+          REGCLUSTER_RETURN_IF_ERROR(
+              CheckDefined(shared, 1, "run used_shared_model"));
           run.status =
               code == 0 ? util::Status::OK()
                         : util::Status(static_cast<util::StatusCode>(code),
@@ -548,7 +579,6 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
     return util::Status::InvalidArgument(
         "durable mining manages root_set itself");
   }
-  util::WallTimer run_timer;
   const int num_conds = data.num_conditions();
 
   // Mutable run state, seeded from the snapshot when resuming.
@@ -566,87 +596,57 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   if (resume != nullptr) writer.NoteResume();
 
   DurableMineResult result;
-  core::MineOutcome last_chunk;
+  core::MineOutcome run;  // this process's Mine(); default when replaying
   // A snapshot that says "complete" replays the stored result.
   if (!state.complete()) {
-    REGCLUSTER_RETURN_IF_ERROR(core::ValidateMinerOptions(options, data));
-    // Build the gamma model once for all chunks (Mine() would otherwise
-    // rebuild it per chunk), and report it as the one build of the logical
-    // run.
-    core::MinerOptions chunk = SpliceOptions(options);
-    if (chunk.shared_model == nullptr) {
-      REGCLUSTER_RETURN_IF_ERROR(core::ValidateMatrixValues(data));
-      chunk.shared_model = core::SharedGammaModel::Build(
-          data, {options.gamma_policy, options.gamma}, options.min_conditions,
-          options.num_threads);
-      if (resume == nullptr) {
-        state.stats.index_builds = 1;
-        state.stats.rwave_build_seconds =
-            chunk.shared_model->rwave_build_seconds;
-        state.stats.index_build_seconds =
-            chunk.shared_model->index_build_seconds;
-      }
-    }
+    // One Mine() over the roots the snapshot has not covered, under what
+    // the covered prefix left of the count budgets.  Per-root totals decide
+    // inclusion in root order, so it cuts exactly where the uninterrupted
+    // run would.
+    core::MinerOptions rest = SpliceOptions(options);
+    rest.root_set.resize(static_cast<size_t>(num_conds - state.next_root));
+    std::iota(rest.root_set.begin(), rest.root_set.end(),
+              static_cast<int>(state.next_root));
+    const auto left = [](int64_t budget, int64_t used) {
+      return budget < 0 ? budget : std::max<int64_t>(0, budget - used);
+    };
+    rest.max_nodes = left(options.max_nodes, state.stats.nodes_expanded);
+    rest.max_clusters =
+        left(options.max_clusters, state.stats.clusters_emitted);
 
-    // Each chunk mines the next `roots_per_chunk` whole roots under what is
-    // left of the caller's budgets.  Per-root totals decide inclusion in
-    // root order, so a chunk cuts exactly where the uninterrupted run would,
-    // and a truncated chunk ends the run.
-    int roots_per_chunk = 1;
-    for (;;) {
-      const int end =
-          static_cast<int>(std::min<int64_t>(state.next_root + roots_per_chunk,
-                                             num_conds));
-      chunk.root_set.resize(static_cast<size_t>(end - state.next_root));
-      std::iota(chunk.root_set.begin(), chunk.root_set.end(),
-                static_cast<int>(state.next_root));
-      if (options.max_nodes >= 0) {
-        chunk.max_nodes = std::max<int64_t>(
-            0, options.max_nodes - state.stats.nodes_expanded);
-      }
-      if (options.max_clusters >= 0) {
-        chunk.max_clusters = std::max<int64_t>(
-            0, options.max_clusters - state.stats.clusters_emitted);
-      }
-      if (options.deadline_ms >= 0) {
-        chunk.deadline_ms =
-            std::max(0.0, options.deadline_ms - run_timer.ElapsedMillis());
-      }
-
-      util::WallTimer chunk_timer;
-      core::RegClusterMiner miner(data, chunk);
-      auto clusters = miner.Mine();
-      if (!clusters.ok()) return clusters.status();
-      const double chunk_ms = chunk_timer.ElapsedMillis();
-      last_chunk = miner.outcome();
-      state.clusters.insert(state.clusters.end(),
-                            std::make_move_iterator(clusters->begin()),
-                            std::make_move_iterator(clusters->end()));
-      core::AccumulateStats(miner.stats(), &state.stats);
-      state.roots_completed += last_chunk.roots_completed;
-      state.nodes_visited += last_chunk.nodes_visited;
-      state.wall_seconds += last_chunk.wall_seconds;
-      state.peak_scratch_bytes =
-          std::max(state.peak_scratch_bytes, last_chunk.peak_scratch_bytes);
-
-      if (last_chunk.status == core::MineStatus::kTruncated) {
-        state.next_root = last_chunk.resume.next_root;
-        break;
-      }
-      state.next_root = end < num_conds ? end : -1;
-      if (state.complete()) break;
-
-      // Periodic snapshot, off the hot path on the writer thread.
-      writer.Submit(SnapshotOf(state));
-
-      // Size the next chunk to the requested cadence from the measured time
-      // per root of the chunk that just ran.
-      const double ms_per_root =
-          std::max(chunk_ms, 0.01) / static_cast<double>(chunk.root_set.size());
-      roots_per_chunk = static_cast<int>(std::clamp(
-          static_cast<double>(config.every_ms) / ms_per_root, 1.0,
-          static_cast<double>(num_conds)));
-    }
+    // Snapshot after the first included root, then at the cadence, off the
+    // hot path on the writer thread.  A snapshot holds the resumed prefix
+    // plus this run's merged output so far.
+    util::WallTimer timer;
+    double next_snapshot_ms = 0.0;
+    core::RegClusterMiner miner(data, rest);
+    auto clusters = miner.Mine([&](const core::RootSlice& slice) {
+      core::AccumulateStats(slice.stats, &state.stats);
+      ++state.roots_completed;
+      state.next_root = slice.root + 1 < num_conds ? slice.root + 1 : -1;
+      if (state.complete() || timer.ElapsedMillis() < next_snapshot_ms) return;
+      Checkpoint ckpt = SnapshotOf(state);
+      ckpt.mine.clusters.insert(ckpt.mine.clusters.end(),
+                                slice.output.begin(), slice.output.end());
+      writer.Submit(std::move(ckpt));
+      next_snapshot_ms = timer.ElapsedMillis() + config.every_ms;
+    });
+    if (!clusters.ok()) return clusters.status();
+    run = miner.outcome();
+    state.clusters.insert(state.clusters.end(),
+                          std::make_move_iterator(clusters->begin()),
+                          std::make_move_iterator(clusters->end()));
+    // Model build and search time are run-level values: this process's.
+    const core::MinerStats& mined = miner.stats();
+    state.stats.index_builds = mined.index_builds;
+    state.stats.rwave_build_seconds = mined.rwave_build_seconds;
+    state.stats.index_build_seconds = mined.index_build_seconds;
+    state.stats.mine_seconds += mined.mine_seconds;
+    state.next_root = run.resume.next_root;
+    state.nodes_visited += run.nodes_visited;
+    state.wall_seconds += run.wall_seconds;
+    state.peak_scratch_bytes =
+        std::max(state.peak_scratch_bytes, run.peak_scratch_bytes);
     result.checkpoint_status = writer.WriteNow(SnapshotOf(state));
   }
 
@@ -659,14 +659,14 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
   result.stats = state.stats;
   result.outcome.status = state.complete() ? core::MineStatus::kComplete
                                            : core::MineStatus::kTruncated;
-  result.outcome.stop_reason = last_chunk.stop_reason;
+  result.outcome.stop_reason = run.stop_reason;
   result.outcome.nodes_visited = state.nodes_visited;
   result.outcome.roots_completed = static_cast<int>(state.roots_completed);
   result.outcome.roots_total = num_conds;
   result.outcome.wall_seconds = state.wall_seconds;
   result.outcome.peak_scratch_bytes = state.peak_scratch_bytes;
-  result.outcome.model_bytes = last_chunk.model_bytes;
-  result.outcome.mapped_bytes = last_chunk.mapped_bytes;
+  result.outcome.model_bytes = run.model_bytes;
+  result.outcome.mapped_bytes = run.mapped_bytes;
   if (!state.complete()) {
     result.outcome.resume.next_root = static_cast<int>(state.next_root);
     result.outcome.resume.options_hash =
@@ -776,15 +776,18 @@ util::StatusOr<DurableSweepResult> RunCheckpointedSweep(
                                     ? sweep_options.max_clusters
                                     : kUnlimited;
 
-  // Gamma groups: maximal consecutive points with one core::GammaKeyOf.
-  // One engine Run per group keeps model sharing where the grid makes it
-  // possible and gives kill-invariant group boundaries.
+  // Gamma groups: the shortest runs of consecutive points that no
+  // core::GammaKeyOf straddles.  One engine Run per group builds each model
+  // once, as one engine over the whole grid does, at kill-invariant bounds.
+  std::map<core::GammaKey, size_t> last_of;
+  for (size_t i = 0; i < points.size(); ++i) {
+    last_of[core::GammaKeyOf(points[i])] = i;
+  }
   size_t start = static_cast<size_t>(state.first_unfinished);
   while (start < points.size()) {
-    const core::GammaKey key = core::GammaKeyOf(points[start]);
     size_t end = start + 1;
-    while (end < points.size() && core::GammaKeyOf(points[end]) == key) {
-      ++end;
+    for (size_t i = start; i < end; ++i) {
+      end = std::max(end, last_of[core::GammaKeyOf(points[i])] + 1);
     }
 
     core::SweepOptions group_opts = sweep_options;

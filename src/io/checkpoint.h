@@ -13,21 +13,19 @@
 // newest valid buffer and falls back to the other when a crash tore the
 // in-flight write.
 //
-// Execution model ("root-list chunks"): rather than snapshotting DFS
-// internals mid-flight, RunCheckpointedMine drives the existing
-// deterministic machinery -- a sequence of Mine() calls, each over the next
-// k whole level-1 roots (MinerOptions::root_set), with k sized from the
-// measured time per root to the requested checkpoint cadence.  The paper's
-// search is one independent DFS per root, so the chunks' outputs
-// concatenate to a single run's output, and MinerStats counters partition
-// exactly across chunks: the final clusters *and* the deterministic
-// counters of a killed-and-resumed run are byte-identical to an
-// uninterrupted one regardless of where the kill landed.  The caller's node,
-// cluster and deadline budgets pass through as what is left of them, so a
-// chunk cuts at the same root the uninterrupted run would, and a truncated
-// chunk ends the run.  Snapshots are encoded and written off the mining hot
-// path on a dedicated writer thread (latest-wins; the final snapshot of a
-// run is always written synchronously).
+// Execution model: rather than snapshotting DFS internals mid-flight,
+// RunCheckpointedMine runs one Mine() over the roots the snapshot has not
+// covered (MinerOptions::root_set = [next_root, C)), whose per-root
+// callback snapshots after the first included root, then at the requested
+// cadence.  The paper's search is one independent DFS per root, so the
+// covered roots' clusters are a prefix of a single run's output and
+// MinerStats counters partition exactly across roots: the final clusters
+// *and* the deterministic counters of a killed-and-resumed run are
+// byte-identical to an uninterrupted one wherever the kill landed.  The
+// caller's node and cluster budgets pass through as what the covered prefix
+// left of them.  Snapshots are encoded and written off the mining hot path
+// on a dedicated writer thread (latest-wins; the final snapshot of a run is
+// always written synchronously).
 //
 // Every malformed on-disk shape is rejected with a distinct kCorruption
 // status (mirroring the matrix-store hardening); semantic mismatches
@@ -75,9 +73,9 @@ struct CheckpointStats {
 /// Snapshot of a (possibly unfinished) mine.  `next_root` < 0 means the run
 /// completed: `clusters` is the full raw output (pre dominance pass).
 struct MineCheckpoint {
-  /// MineContext of the run: the chunks' options (SpliceOptions) and the
-  /// input matrix, so a run may resume on either the text or the binary
-  /// path.
+  /// MineContext of the run: the options its Mine() runs under
+  /// (SpliceOptions) and the input matrix, so a run may resume on either
+  /// the text or the binary path.
   RunContext context;
   /// First canonical root not covered by `clusters`; -1 when complete.
   int64_t next_root = -1;
@@ -96,9 +94,10 @@ struct MineCheckpoint {
 };
 
 /// Snapshot of a (possibly unfinished) sweep.  Progress is tracked at gamma-
-/// group boundaries (maximal consecutive points sharing gamma_policy+gamma):
-/// `runs` covers every point before `first_unfinished`, and a kill or a hard
-/// stop (cancel, deadline, memory) mid-group re-runs only that group.
+/// group boundaries (the shortest runs of consecutive points that no
+/// gamma_policy+gamma key straddles): `runs` covers every point before
+/// `first_unfinished`, and a kill or a hard stop (cancel, deadline, memory)
+/// mid-group re-runs only that group.
 struct SweepCheckpoint {
   /// options_hash is HashSweepGrid over the expanded point list (a resume
   /// re-parses the --sweep spec and must land on the same grid); flags is 0.
@@ -180,7 +179,7 @@ util::Hash128 HashMatrixPrefix(const matrix::MatrixStore& data, int cols);
 /// semantic options hash mixed in sequence).
 uint64_t HashSweepGrid(const std::vector<core::MinerOptions>& points);
 
-/// The options every spliceable unit runs under -- a durable mine's chunks
+/// The options every spliceable unit runs under -- a durable mine's legs
 /// and an incremental state's root slices: `options` with the global
 /// remove_dominated post-pass deferred (it cannot splice; the driver runs it
 /// once over the spliced output, and RunContext::kRemoveDominated records
@@ -261,9 +260,9 @@ struct CheckpointConfig {
   /// Snapshot base path (buffers PATH.a / PATH.b).  Empty disables
   /// snapshot writing (a resume-only run still replays without writing).
   std::string path;
-  /// Target wall-clock interval between snapshots.  The mine driver's first
-  /// chunk is one root; each later chunk holds as many whole roots as fit
-  /// this interval at the previous chunk's measured time per root.
+  /// Target wall-clock interval between snapshots.  The mine driver
+  /// snapshots after the first included root, then after the first root
+  /// that finishes once this interval has passed since the last snapshot.
   int every_ms = 1000;
   /// Generation the run's first snapshot gets.  A resume passes the loaded
   /// snapshot's generation + 1 so new snapshots supersede the old
@@ -285,17 +284,18 @@ struct DurableMineResult {
   util::Status checkpoint_status;
 };
 
-/// Runs a mine in chunks of whole roots, snapshotting progress to
-/// `config.path` after each.  `resume` (may be null) is a previously loaded
-/// snapshot: it is validated against (data, options) and the run continues
-/// from its next_root.  The clusters, every deterministic MinerStats counter
-/// and the outcome's status, stop reason, roots_completed and resume token
-/// are those of an uninterrupted RegClusterMiner::Mine() under `options` at
-/// any kill/resume pattern and any thread count (a deadline or cancel cut
-/// lands where it lands, as in Mine()).  Snapshots hold the raw clusters;
-/// the returned ones have had the remove_dominated pass when `options` asks
-/// for it, truncated or not.  A non-empty `options.root_set` is rejected:
-/// the driver chooses the roots of each chunk.
+/// Runs a mine as one Mine() over the roots not yet covered, snapshotting
+/// progress to `config.path` as whole roots finish.  `resume` (may be null)
+/// is a previously loaded snapshot: it is validated against (data,
+/// options) and the run continues from its next_root.  The clusters, every
+/// deterministic MinerStats counter and the outcome's status, stop reason,
+/// roots_completed and resume token are those of an uninterrupted
+/// RegClusterMiner::Mine() under `options` at any kill/resume pattern and
+/// any thread count (a deadline or cancel cut lands where it lands, as in
+/// Mine()).  Snapshots hold the raw clusters; the returned ones have had
+/// the remove_dominated pass when `options` asks for it, truncated or not.
+/// A non-empty `options.root_set` is rejected: the driver chooses the
+/// roots.
 util::StatusOr<DurableMineResult> RunCheckpointedMine(
     const matrix::MatrixStore& data, const core::MinerOptions& options,
     const CheckpointConfig& config, const MineCheckpoint* resume);
@@ -308,8 +308,9 @@ struct DurableSweepResult {
 };
 
 /// Runs a sweep gamma-group by gamma-group (one SweepEngine::Run per
-/// maximal consecutive same-gamma group, so model sharing is preserved
-/// where the grid makes it possible), snapshotting after each group.
+/// shortest run of consecutive points that no gamma key straddles, so each
+/// model is built once, as SweepEngine::Run over the whole grid builds
+/// it), snapshotting after each group.
 /// Sweep-level node/cluster budgets are composed across groups from each
 /// group's deterministic totals, so truncation lands on the same point
 /// boundary as an uninterrupted run.  A hard stop (cancel, deadline, memory)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "core/bicluster.h"
@@ -62,10 +63,6 @@ util::Status ValidateIncrementalOptions(const core::MinerOptions& o,
     return util::Status::InvalidArgument(
         "incremental mining manages root_set itself");
   }
-  if (o.capture_root_results) {
-    return util::Status::InvalidArgument(
-        "incremental mining manages capture_root_results itself");
-  }
   if (o.shared_model != nullptr) {
     return util::Status::InvalidArgument(
         "incremental mining builds its own gamma model at each width");
@@ -74,7 +71,8 @@ util::Status ValidateIncrementalOptions(const core::MinerOptions& o,
   return core::ValidateMatrixValues(data);
 }
 
-/// Mines the given roots of `data` on `model`, capturing per-root slices.
+/// Mines the given roots of `data` on `model`, copying out each root's
+/// slice as Finalize() reports it.
 util::Status MineRootSlices(const matrix::MatrixStore& data,
                             const core::MinerOptions& options,
                             std::shared_ptr<const core::SharedGammaModel>
@@ -82,14 +80,16 @@ util::Status MineRootSlices(const matrix::MatrixStore& data,
                             std::vector<int> roots,
                             std::vector<core::RootMineResult>* slices) {
   core::MinerOptions slice_opts = SpliceOptions(options);
-  slice_opts.capture_root_results = true;
   slice_opts.shared_model = std::move(model);
   slice_opts.root_set = std::move(roots);
   core::RegClusterMiner miner(data, slice_opts);
-  auto clusters = miner.Mine();
-  if (!clusters.ok()) return clusters.status();
-  *slices = miner.root_results();
-  return util::Status::OK();
+  auto clusters = miner.Mine([slices](const core::RootSlice& slice) {
+    const std::span<const core::RegCluster> mined = slice.clusters();
+    slices->push_back({slice.root, slice.stats,
+                       std::vector<core::RegCluster>(mined.begin(),
+                                                     mined.end())});
+  });
+  return clusters.status();
 }
 
 /// Assembles the final result from the full per-root slice vector.
@@ -159,7 +159,7 @@ util::StatusOr<IncrementalMineResult> MineInitial(
   auto model = core::SharedGammaModel::Build(data, spec,
                                              options.min_conditions, threads);
   std::vector<core::RootMineResult> slices;
-  // Empty root_set = a plain full run; the capture hook records every root.
+  // Empty root_set = a plain full run; the callback records every root.
   REGCLUSTER_RETURN_IF_ERROR(MineRootSlices(data, options, model, {}, &slices));
   return AssembleResult(data, options, *model, std::move(slices), timer);
 }

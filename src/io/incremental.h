@@ -6,8 +6,8 @@
 // new width, and the search re-runs only the *dirty roots* -- level-1
 // conditions whose subtree can possibly involve an appended condition --
 // splicing every other root's (stats, clusters) slice from the previous
-// run's recorded per-root results (MinerOptions::root_set +
-// capture_root_results).
+// run's recorded per-root results (MinerOptions::root_set + the
+// per-root callback of RegClusterMiner::Mine()).
 //
 // Dirty-set rule (proof sketch in DESIGN.md): regulation reachability is
 // transitively closed in one step per gene -- FirstSuccessorPos is
@@ -83,8 +83,8 @@ struct IncrementalMineResult {
 /// recording every root's slice.  The clusters and stats are byte-identical
 /// to a plain RegClusterMiner::Mine() under the same options.  Rejects
 /// (InvalidArgument) options the incremental contract cannot splice:
-/// budgets, deadline, memory limit, cancel token, resume, root_set,
-/// capture_root_results and shared_model; then applies
+/// budgets, deadline, memory limit, cancel token, root_set and
+/// shared_model; then applies
 /// core::ValidateMinerOptions and core::ValidateMatrixValues before building
 /// any model.
 util::StatusOr<IncrementalMineResult> MineInitial(

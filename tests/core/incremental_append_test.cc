@@ -534,11 +534,6 @@ TEST(IncrementalState, UnspliceableOptionsAreRejected) {
     o.root_set = {0, 1};
     expect_invalid(o, "root_set");
   }
-  {
-    MinerOptions o = base;
-    o.capture_root_results = true;
-    expect_invalid(o, "capture_root_results");
-  }
 }
 
 TEST(IncrementalState, NonFiniteCellIsFailedPreconditionNamingTheCell) {

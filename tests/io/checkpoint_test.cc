@@ -27,6 +27,7 @@
 #include "gtest/gtest.h"
 #include "core/miner.h"
 #include "core/sweep.h"
+#include "io/record_codec.h"
 #include "io/sweep_io.h"
 #include "matrix/expression_matrix.h"
 #include "matrix/store.h"
@@ -390,6 +391,116 @@ TEST(CheckpointCorruptionTest, SweepRunsMustBeTheCoveredPrefix) {
   ExpectCorruption(duplicated, "run index differs from its position");
 }
 
+// SweepFixture's encoding with record `index` (1 = aggregate, 2 = run 0)
+// replaced by `payload` and re-framed, so only the field checks can notice.
+std::string ReframedSweep(size_t index, const std::string& payload) {
+  const std::string bytes = EncodeCheckpoint(SweepFixture());
+  util::RecordReader reader(std::string_view(bytes).substr(28));
+  std::vector<std::string> records;
+  while (!reader.AtEnd()) {
+    auto rec = reader.Next();
+    EXPECT_TRUE(rec.ok());
+    records.emplace_back(*rec);
+  }
+  EXPECT_EQ(records.size(), 5u);  // context, aggregate, 2 runs, end
+  records[index] = payload;
+  std::string framed = bytes.substr(0, 28);
+  for (const std::string& rec : records) util::AppendRecord(&framed, rec);
+  return framed;
+}
+
+// SweepFixture's aggregate record with the given flag and stop reason.
+std::string AggregatePayload(uint32_t truncated, uint32_t stop_reason) {
+  std::string rec;
+  util::PutU32(&rec, 5);  // sweep aggregate tag
+  util::PutI64(&rec, 2);  // first_unfinished
+  util::PutI64(&rec, 4);  // runs_total
+  util::PutU32(&rec, truncated);
+  util::PutU32(&rec, stop_reason);
+  util::PutI64(&rec, 1);      // index_builds
+  util::PutI64(&rec, 65536);  // shared_model_bytes
+  util::PutDouble(&rec, 3.5);
+  util::PutU64(&rec, 2);  // run records
+  return rec;
+}
+
+// A run-0 record of zero stats and no clusters with the given fields.
+struct RunFields {
+  uint32_t code = 0;
+  std::string message;
+  uint32_t executed = 1;
+  uint32_t used_shared_model = 1;
+  uint32_t outcome_status = 0;
+  uint32_t outcome_stop_reason = 0;
+};
+
+std::string RunPayload(const RunFields& f) {
+  std::string rec;
+  util::PutU32(&rec, 6);  // sweep run tag
+  util::PutU32(&rec, 0);  // run index
+  util::PutU32(&rec, f.code);
+  util::PutString(&rec, f.message);
+  util::PutU32(&rec, f.executed);
+  util::PutU32(&rec, f.used_shared_model);
+  PutMinerStats(&rec, core::MinerStats{});
+  util::PutU32(&rec, f.outcome_status);
+  util::PutU32(&rec, f.outcome_stop_reason);
+  util::PutI64(&rec, 0);       // nodes_visited
+  util::PutI64(&rec, 0);       // roots_completed
+  util::PutI64(&rec, 0);       // roots_total
+  util::PutDouble(&rec, 0.0);  // wall_seconds
+  util::PutI64(&rec, 0);       // peak_scratch_bytes
+  util::PutI64(&rec, -1);      // resume next_root
+  util::PutU64(&rec, 0);       // resume options_hash
+  PutClusters(&rec, {});
+  return rec;
+}
+
+// A CRC-valid sweep record may hold only values the encoder writes: flags
+// are 0 or 1, enums name an enumerator, and an OK status has no message.
+// Anything else would decode to a report that re-encodes differently.
+TEST(CheckpointCorruptionTest, SweepRecordsHoldOnlyDefinedValues) {
+  // Run 0 re-framed with the fields `set` writes.
+  const auto run_with = [](auto set) {
+    RunFields f;
+    set(f);
+    return ReframedSweep(2, RunPayload(f));
+  };
+  // The hand-framed shapes are right: defined values decode and re-encode
+  // to their own bytes.
+  for (const std::string& framed :
+       {ReframedSweep(1, AggregatePayload(1, 5)),
+        run_with([](RunFields&) {}), run_with([](RunFields& f) {
+          f.code = 8;
+          f.message = "internal";
+          f.executed = 0;
+          f.used_shared_model = 0;
+          f.outcome_status = 1;
+          f.outcome_stop_reason = 5;
+        })}) {
+    auto decoded = DecodeCheckpoint(framed);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(EncodeCheckpoint(*decoded), framed);
+  }
+
+  ExpectCorruption(ReframedSweep(1, AggregatePayload(2, 0)),
+                   "sweep truncated holds undefined value 2");
+  ExpectCorruption(ReframedSweep(1, AggregatePayload(0, 6)),
+                   "sweep stop_reason holds undefined value 6");
+  ExpectCorruption(run_with([](RunFields& f) { f.executed = 2; }),
+                   "run executed holds undefined value 2");
+  ExpectCorruption(run_with([](RunFields& f) { f.used_shared_model = 2; }),
+                   "run used_shared_model holds undefined value 2");
+  ExpectCorruption(run_with([](RunFields& f) { f.outcome_status = 2; }),
+                   "outcome status holds undefined value 2");
+  ExpectCorruption(run_with([](RunFields& f) { f.outcome_stop_reason = 6; }),
+                   "outcome stop_reason holds undefined value 6");
+  ExpectCorruption(run_with([](RunFields& f) { f.code = 9; }),
+                   "run status code holds undefined value 9");
+  ExpectCorruption(run_with([](RunFields& f) { f.message = "ok?"; }),
+                   "run status carries a message under code 0");
+}
+
 // ---------------------------------------------------------------------------
 // LoadCheckpoint buffer selection.
 
@@ -672,7 +783,7 @@ TEST(RunCheckpointedMineTest, FreshRunMatchesPlainMineAndSnapshotsComplete) {
   CheckpointConfig config;
   config.path = TempPath("ckm_fresh");
   config.synchronous = true;
-  config.every_ms = 1;  // several chunks: the first one is a single root
+  config.every_ms = 1;  // several snapshots: the first after one root
   auto got = RunCheckpointedMine(data, options, config, nullptr);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ExpectSameClusters(got->clusters, want.clusters);
@@ -690,39 +801,43 @@ TEST(RunCheckpointedMineTest, FreshRunMatchesPlainMineAndSnapshotsComplete) {
 
 TEST(RunCheckpointedMineTest, ResumeFromMidRunSnapshotIsByteIdentical) {
   const matrix::ExpressionMatrix data = TestMatrix();
-  const core::MinerOptions options = TestOptions();
-  const PlainMineResult want = PlainMine(data, options);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    core::MinerOptions options = TestOptions();
+    options.num_threads = threads;
+    const PlainMineResult want = PlainMine(data, options);
 
-  // A synchronous run leaves its penultimate (mid-run) snapshot in the
-  // buffer the final write did not target -- a real crash-surviving
-  // artifact, not a hand-crafted one.  The first chunk is a single root, so
-  // a run over more than one root writes at least two snapshots.
-  CheckpointConfig config;
-  config.path = TempPath("ckm_midrun");
-  config.synchronous = true;
-  config.every_ms = 1;
-  auto full = RunCheckpointedMine(data, options, config, nullptr);
-  ASSERT_TRUE(full.ok());
-  ASSERT_GE(full->checkpoint.writes, 2)
-      << "mine finished in one chunk";
+    // A synchronous run leaves its penultimate (mid-run) snapshot in the
+    // buffer the final write did not target -- a real crash-surviving
+    // artifact, not a hand-crafted one.  The first included root is always
+    // snapshotted, so a run over more than one root writes at least two
+    // snapshots, at any thread count.
+    CheckpointConfig config;
+    config.path = TempPath("ckm_midrun");
+    config.synchronous = true;
+    config.every_ms = 1;
+    auto full = RunCheckpointedMine(data, options, config, nullptr);
+    ASSERT_TRUE(full.ok());
+    ASSERT_GE(full->checkpoint.writes, 2) << "no mid-run snapshot";
 
-  auto final_ckpt = LoadCheckpoint(config.path);
-  ASSERT_TRUE(final_ckpt.ok());
-  const std::string other =
-      CheckpointBufferPath(config.path, final_ckpt->generation + 1);
-  auto midrun = LoadCheckpoint(other);
-  ASSERT_TRUE(midrun.ok()) << midrun.status().ToString();
-  ASSERT_FALSE(midrun->mine.complete());
-  ASSERT_GT(midrun->mine.next_root, 0);
+    auto final_ckpt = LoadCheckpoint(config.path);
+    ASSERT_TRUE(final_ckpt.ok());
+    const std::string other =
+        CheckpointBufferPath(config.path, final_ckpt->generation + 1);
+    auto midrun = LoadCheckpoint(other);
+    ASSERT_TRUE(midrun.ok()) << midrun.status().ToString();
+    ASSERT_FALSE(midrun->mine.complete());
+    ASSERT_GT(midrun->mine.next_root, 0);
 
-  CheckpointConfig resume_config;  // no snapshot writing on the resume leg
-  resume_config.next_generation = midrun->generation + 1;
-  auto resumed =
-      RunCheckpointedMine(data, options, resume_config, &midrun->mine);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectSameClusters(resumed->clusters, want.clusters);
-  ExpectSameDeterministicStats(resumed->stats, want.stats);
-  EXPECT_EQ(resumed->checkpoint.resumes, 1);
+    CheckpointConfig resume_config;  // no snapshot writing on the resume leg
+    resume_config.next_generation = midrun->generation + 1;
+    auto resumed =
+        RunCheckpointedMine(data, options, resume_config, &midrun->mine);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ExpectSameClusters(resumed->clusters, want.clusters);
+    ExpectSameDeterministicStats(resumed->stats, want.stats);
+    EXPECT_EQ(resumed->checkpoint.resumes, 1);
+  }
 }
 
 TEST(RunCheckpointedMineTest, CompleteSnapshotShortCircuits) {
@@ -908,22 +1023,58 @@ void ExpectSameReports(const core::SweepReport& a,
   }
 }
 
+std::string SweepJson(core::SweepReport report) {
+  ZeroVolatileSweepFields(&report);
+  std::ostringstream out;
+  EXPECT_TRUE(WriteSweepJson(report, out).ok());
+  return out.str();
+}
+
+// TestGrid with gamma varying fastest: no gamma group is consecutive, so
+// the durable driver must still group every point of a gamma to build each
+// model once, as the engine does.
+std::vector<core::MinerOptions> GammaFastestGrid() {
+  core::MinerOptions base = TestOptions();
+  std::vector<core::MinerOptions> points;
+  for (double eps : {0.08, 0.12}) {
+    for (double gamma : {0.12, 0.18}) {
+      core::MinerOptions p = base;
+      p.gamma = gamma;
+      p.epsilon = eps;
+      points.push_back(p);
+    }
+  }
+  return points;
+}
+
 TEST(RunCheckpointedSweepTest, FreshRunMatchesSweepEngine) {
   const matrix::ExpressionMatrix data = TestMatrix();
-  const std::vector<core::MinerOptions> points = TestGrid();
-  core::SweepOptions sopts;
-  auto want = core::SweepEngine(data, sopts).Run(points);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  struct Grid {
+    const char* name;
+    std::vector<core::MinerOptions> points;
+    int64_t writes;  // group-boundary snapshots + the final one
+  };
+  const Grid grids[] = {
+      {"gamma outermost", TestGrid(), 2},
+      {"gamma fastest", GammaFastestGrid(), 1},
+  };
+  for (const Grid& grid : grids) {
+    SCOPED_TRACE(grid.name);
+    core::SweepOptions sopts;
+    auto want = core::SweepEngine(data, sopts).Run(grid.points);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  CheckpointConfig config;
-  config.path = TempPath("cks_fresh");
-  config.synchronous = true;
-  auto got = RunCheckpointedSweep(data, points, sopts, config, nullptr);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ExpectSameReports(got->report, *want);
-  EXPECT_TRUE(got->checkpoint_status.ok());
-  // One group-boundary snapshot + the final one.
-  EXPECT_EQ(got->checkpoint.writes, 2);
+    CheckpointConfig config;
+    config.path = TempPath("cks_fresh");
+    config.synchronous = true;
+    auto got =
+        RunCheckpointedSweep(data, grid.points, sopts, config, nullptr);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameReports(got->report, *want);
+    EXPECT_EQ(SweepJson(got->report), SweepJson(*want));
+    EXPECT_TRUE(got->checkpoint_status.ok());
+    EXPECT_EQ(got->checkpoint.writes, grid.writes);
+  }
 }
 
 TEST(RunCheckpointedSweepTest, ResumeFromGroupBoundaryIsByteIdentical) {
@@ -977,13 +1128,6 @@ TEST(RunCheckpointedSweepTest, CompleteSnapshotShortCircuits) {
                                        CheckpointConfig{}, &final_ckpt->sweep);
   ASSERT_TRUE(replayed.ok());
   ExpectSameReports(replayed->report, first->report);
-}
-
-std::string SweepJson(core::SweepReport report) {
-  ZeroVolatileSweepFields(&report);
-  std::ostringstream out;
-  EXPECT_TRUE(WriteSweepJson(report, out).ok());
-  return out.str();
 }
 
 // A hard stop (deadline, cancel) leaves a resumable snapshot at the cut

@@ -23,7 +23,7 @@ notice when neither input has the section (e.g. ``bench_threads`` has not
 run), so the micro comparison stays usable on its own.
 
 The durability layer is gated the same way: ``checkpoint_overhead`` records
-how much slower a serial mine runs through the chunked, snapshot-writing
+how much slower a serial mine runs through the snapshot-writing
 ``RunCheckpointedMine`` driver (real checkpoint file, default cadence) than
 through a plain ``Mine()``; ``--max-checkpoint-overhead`` (default 2%)
 fails the check when that fraction is exceeded.
@@ -124,8 +124,8 @@ def skip_missing(what, key, tool="bench_threads"):
 
 def check_overhead(fresh_doc, baseline_doc, key, what, max_overhead):
     """Gates <key>.overhead_fraction <= max_overhead: budget_overhead (the
-    budget guard) and checkpoint_overhead (durable chunked mine with
-    snapshot writes vs plain mine)."""
+    budget guard) and checkpoint_overhead (durable mine with snapshot
+    writes vs plain mine)."""
     label, section = find_section(fresh_doc, baseline_doc, key)
     if section is None:
         return skip_missing(what, key)

@@ -517,7 +517,7 @@ int CmdMine(Flags* flags) {
         "\"outcome\" block with a resume point, and the exit code is 3.\n"
         "--checkpoint=PATH makes the run durable: progress is snapshotted to\n"
         "PATH.a/PATH.b (atomic-replace, CRC-framed, double-buffered) after\n"
-        "each chunk of whole level-1 roots, chunks sized to about\n"
+        "the first whole level-1 root, then as roots finish at most every\n"
         "--checkpoint-every-ms, so a SIGKILL at any instant loses at most\n"
         "one interval or one root, whichever is longer.  --resume-from=PATH\n"
         "continues from the newest valid snapshot after validating it\n"
