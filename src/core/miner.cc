@@ -296,36 +296,37 @@ struct RegClusterMiner::RunState {
   int threads = 1;
   int fin_slot = 0;  ///< guard byte-report slot of the finalize pass
 
-  /// Phase-A tasks of *this run* still queued or running, in total and per
-  /// root (by condition).  A root task adds its subtrees before it counts
-  /// itself done, so its root cannot drain early.  The counts move only
-  /// under `wait_mu`: once a waiter sees one at zero, no task it counts
-  /// touches this RunState again.
+  /// Phase-A tasks of *this run* still queued or running: per root (by
+  /// condition), and in total in the last slot.  A root task adds its
+  /// subtrees before it counts itself done, so its root cannot drain early.
+  /// The counts move only under `wait_mu`: once a waiter sees one at zero,
+  /// no task it counts touches this RunState again.
   std::mutex wait_mu;
   std::condition_variable wait_cv;
-  int64_t outstanding = 0;
-  std::vector<int> pending;
+  std::vector<int64_t> pending;
+  const int64_t* watched = nullptr;  ///< the slot a blocked Wait() watches
+  double phase_a_seconds = 0.0;      ///< stamped when the total drains
 
   void AddTasks(int root, int n) {
     std::lock_guard<std::mutex> lock(wait_mu);
     pending[static_cast<size_t>(root)] += n;
-    outstanding += n;
+    pending.back() += n;
   }
 
-  /// Marks one task of `root` done; wakes the waiters once the root drains.
+  /// Marks one task of `root` done; wakes the waiter once its slot drains.
   void TaskDone(int root) {
     std::lock_guard<std::mutex> lock(wait_mu);
-    --outstanding;
-    if (--pending[static_cast<size_t>(root)] == 0) wait_cv.notify_all();
+    --pending[static_cast<size_t>(root)];
+    if (--pending.back() == 0) phase_a_seconds = phase_a_timer.ElapsedSeconds();
+    if (watched != nullptr && *watched == 0) wait_cv.notify_one();
   }
 
   /// Blocks until `root`'s tasks -- every task when root < 0 -- are done.
   void Wait(int root) {
     std::unique_lock<std::mutex> lock(wait_mu);
-    wait_cv.wait(lock, [&] {
-      return (root < 0 ? outstanding : pending[static_cast<size_t>(root)]) ==
-             0;
-    });
+    watched = root < 0 ? &pending.back() : &pending[static_cast<size_t>(root)];
+    wait_cv.wait(lock, [this] { return *watched == 0; });
+    watched = nullptr;
   }
 };
 
@@ -551,7 +552,7 @@ util::Status RegClusterMiner::Prepare() {
 
   run->work = std::vector<RootWork>(
       static_cast<size_t>(data_.num_conditions()));
-  run->pending.assign(static_cast<size_t>(data_.num_conditions()), 0);
+  run->pending.assign(static_cast<size_t>(data_.num_conditions()) + 1, 0);
   run->roots = options_.root_set;
   if (run->roots.empty()) {
     run->roots.resize(static_cast<size_t>(data_.num_conditions()));
@@ -754,9 +755,7 @@ util::StatusOr<std::vector<RegCluster>> RegClusterMiner::Finalize(
   }
   phase_b.Stop();
   run_->Wait(-1);  // a cut leaves later roots' tasks in flight
-  if (!run_->scratches.empty()) {  // phase A ran
-    outcome_.phase_a_seconds = run_->phase_a_timer.ElapsedSeconds();
-  }
+  outcome_.phase_a_seconds = run_->phase_a_seconds;
   if (options_.remove_dominated) out = RemoveDominated(std::move(out));
   stats_.mine_seconds = run_->mine_timer.ElapsedSeconds();
 

@@ -332,9 +332,7 @@ struct RootSlice {
   std::span<const RegCluster> output;
   size_t first;
 
-  std::span<const RegCluster> clusters() const {
-    return output.subspan(first);
-  }
+  std::span<const RegCluster> clusters() const { return output.subspan(first); }
 };
 
 /// Called on the Finalize() thread once per included root, in ascending

@@ -149,11 +149,9 @@ util::StatusOr<SweepReport> SweepEngine::Run(
     }
   }
 
-  // --- Phase B: canonical serial walk.  Each run's Finalize() waits for
-  // that run's own pool tasks only; finalization order, budget accounting
-  // and truncation decisions are independent of the pool.  A truncated walk
-  // leaves later runs' tasks on the pool: their miners drain them when the
-  // walk's end destroys them. ---
+  // --- Phase B: canonical serial walk.  Each Finalize() waits for its own
+  // run's pool tasks only (a miner destroyed unfinalized drains them), so
+  // finalization order, budgets and truncation are pool-independent. ---
   constexpr int64_t kUnlimited = std::numeric_limits<int64_t>::max();
   int64_t node_rem = options_.max_nodes >= 0 ? options_.max_nodes : kUnlimited;
   int64_t cluster_rem =

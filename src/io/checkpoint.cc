@@ -615,17 +615,21 @@ util::StatusOr<DurableMineResult> RunCheckpointedMine(
         left(options.max_clusters, state.stats.clusters_emitted);
 
     // Snapshot after the first included root, then at the cadence, off the
-    // hot path on the writer thread.  A snapshot holds the resumed prefix
-    // plus this run's merged output so far.
+    // hot path on the writer thread: the prefix plus this run's output and,
+    // of its volatile totals, its wall time and included nodes so far.
     util::WallTimer timer;
     double next_snapshot_ms = 0.0;
+    int64_t included_nodes = 0;
     core::RegClusterMiner miner(data, rest);
     auto clusters = miner.Mine([&](const core::RootSlice& slice) {
       core::AccumulateStats(slice.stats, &state.stats);
+      included_nodes += slice.stats.nodes_expanded;
       ++state.roots_completed;
       state.next_root = slice.root + 1 < num_conds ? slice.root + 1 : -1;
       if (state.complete() || timer.ElapsedMillis() < next_snapshot_ms) return;
       Checkpoint ckpt = SnapshotOf(state);
+      ckpt.mine.wall_seconds += timer.ElapsedSeconds();
+      ckpt.mine.nodes_visited += included_nodes;
       ckpt.mine.clusters.insert(ckpt.mine.clusters.end(),
                                 slice.output.begin(), slice.output.end());
       writer.Submit(std::move(ckpt));

@@ -7,7 +7,9 @@
 // pool must match Mine() the same way, and a staged run may be abandoned
 // by destroying its miner.
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -218,6 +220,30 @@ TEST(StagedMiner, AbandonedSubmittedRunsDrainSafely) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, *want);
   ExpectSameStats(restarted.stats(), reference.stats());
+}
+
+// phase_a_seconds stops when the run's last task drains, not when the
+// Finalize() walk ends: by the last root's callback every root has drained,
+// so time spent there counts toward wall_seconds only.
+TEST(StagedMiner, PhaseATimeEndsWhenTheLastTaskDrains) {
+  const auto data = TieHeavyMatrix(60, 12, 13);
+  MinerOptions o = StagedOptions();
+  o.num_threads = 4;
+  util::TaskPool pool(4);
+  RegClusterMiner staged(data, o);
+  ASSERT_TRUE(staged.Prepare().ok());
+  staged.SubmitParallelWork(&pool);
+  constexpr double kPause = 0.05;
+  auto got = staged.Finalize([&](const RootSlice& slice) {
+    if (slice.root + 1 == data.num_conditions()) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(kPause));
+    }
+  });
+  ASSERT_TRUE(got.ok());
+  const MineOutcome& outcome = staged.outcome();
+  ASSERT_EQ(outcome.roots_completed, data.num_conditions());
+  EXPECT_GT(outcome.phase_a_seconds, 0.0);
+  EXPECT_LE(outcome.phase_a_seconds + kPause, outcome.wall_seconds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, PooledMinerSweep,

@@ -840,6 +840,29 @@ TEST(RunCheckpointedMineTest, ResumeFromMidRunSnapshotIsByteIdentical) {
   }
 }
 
+// A mid-run snapshot counts the work this process has done so far, so a
+// run killed after it and resumed does not drop the killed leg's totals.
+TEST(RunCheckpointedMineTest, MidRunSnapshotCarriesThisProcessTotals) {
+  const matrix::ExpressionMatrix data = TestMatrix();
+  CheckpointConfig config;
+  config.path = TempPath("ckm_midrun_totals");
+  config.synchronous = true;
+  config.every_ms = 1;
+  auto full = RunCheckpointedMine(data, TestOptions(), config, nullptr);
+  ASSERT_TRUE(full.ok());
+  ASSERT_GE(full->checkpoint.writes, 2) << "no mid-run snapshot";
+
+  auto final_ckpt = LoadCheckpoint(config.path);
+  ASSERT_TRUE(final_ckpt.ok());
+  auto midrun = LoadCheckpoint(
+      CheckpointBufferPath(config.path, final_ckpt->generation + 1));
+  ASSERT_TRUE(midrun.ok()) << midrun.status().ToString();
+  ASSERT_FALSE(midrun->mine.complete());
+  EXPECT_GT(midrun->mine.wall_seconds, 0.0);
+  EXPECT_GT(midrun->mine.stats.nodes_expanded, 0);
+  EXPECT_GE(midrun->mine.nodes_visited, midrun->mine.stats.nodes_expanded);
+}
+
 TEST(RunCheckpointedMineTest, CompleteSnapshotShortCircuits) {
   const matrix::ExpressionMatrix data = TestMatrix();
   const core::MinerOptions options = TestOptions();
